@@ -64,9 +64,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_gas_compare(args) -> int:
     config = _load_config(args.config)
-    m = (config.layers[-1] + 2) * sum(
-        config.layers[i + 1] * config.layers[i] for i in range(len(config.layers) - 1)
-    )
+    m = perturb.flat_length(config.layers)
     table = GasTable.from_dict(config.gas_table)
     result: dict = {"m": m, "N": config.N, "K": config.K, "T": config.T}
     report = None

@@ -18,6 +18,7 @@ the coordinate-wise sum of shares.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import field
@@ -74,13 +75,31 @@ class VectorCommitment:
         return b"".join(element_to_bytes(e) for e in self.elements)
 
 
+def _comb_table() -> list[list[int]]:
+    """Fixed-base comb for G: rows[j][d] = G^(d * 256^j) for every byte
+    position j of an exponent below q, about 4k multiplications."""
+    rows = []
+    base = G  # G^(256^j)
+    for _ in range(field.ELEMENT_BYTES):
+        row = [1, base]
+        for _ in range(254):
+            row.append(row[-1] * base % P)
+        rows.append(row)
+        base = row[-1] * base % P
+    return rows
+
+
 def _key_from_scalar(alpha: int, m: int) -> CommitmentKey:
     """Power basis for a known setup scalar. Tests may call this directly;
     production setup discards the scalar immediately."""
+    rows = _comb_table()
     basis = []
     power = 1  # a^k mod q
     for _ in range(m):
-        basis.append(pow(G, power, P))
+        acc = 1
+        for row, d in zip(rows, power.to_bytes(field.ELEMENT_BYTES, "little")):
+            acc = acc * row[d] % P
+        basis.append(acc)
         power = field.mul(power, alpha)
     return CommitmentKey(basis=tuple(basis))
 
@@ -94,10 +113,36 @@ def setup_key(m: int, rng) -> CommitmentKey:
 
 
 def _multi_exp(basis: tuple[int, ...], exponents) -> int:
+    """prod_k basis[k]^exponents[k] mod p, by Pippenger's bucket method.
+
+    The basis lies in the order-q subgroup, so each exponent is reduced
+    mod q first (negative ones included) without changing the product.
+    Each c-bit window multiplies every base into the bucket of its digit,
+    and a running product folds the buckets into prod_d bucket[d]^d. The
+    width c is about ln n for n nonzero terms: a window costs n bucket
+    multiplications plus 2^(c+1) for the fold, over 127/c windows.
+    """
+    terms = [(b, e % Q) for b, e in zip(basis, exponents)]
+    terms = [(b, e) for b, e in terms if e]
+    if not terms:
+        return 1
+    c = max(1, round(math.log(len(terms))))
+    mask = (1 << c) - 1
+    top = max(e for _, e in terms).bit_length()
     acc = 1
-    for b, e in zip(basis, exponents):
-        if e:
-            acc = acc * pow(b, e, P) % P
+    for shift in range((top - 1) // c * c, -1, -c):
+        acc = pow(acc, 1 << c, P)
+        buckets = [1] * (mask + 1)
+        for b, e in terms:
+            d = (e >> shift) & mask
+            if d:
+                buckets[d] = buckets[d] * b % P
+        running = 1
+        window = 1
+        for d in range(mask, 0, -1):
+            running = running * buckets[d] % P
+            window = window * running % P
+        acc = acc * window % P
     return acc
 
 

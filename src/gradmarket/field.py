@@ -236,31 +236,6 @@ def poly_interpolate(points: list[tuple[int, int]]) -> list[int]:
     return poly_trim(coeffs)
 
 
-def interpolate_at(points: list[tuple[int, int]], x: int) -> int:
-    """Evaluate the interpolating polynomial at a single x (Lagrange form)."""
-    xs = [p for p, _ in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("duplicate x coordinates")
-    for xi, yi in points:
-        if xi == x:
-            return yi
-    result = 0
-    diffs = [sub(x, xi) for xi in xs]
-    diff_invs = batch_inv(diffs)
-    full = 1
-    for d in diffs:
-        full = mul(full, d)
-    for i, (xi, yi) in enumerate(points):
-        # L_i(x) = full / (x - x_i) / prod_{j != i} (x_i - x_j)
-        den = 1
-        for j, xj in enumerate(xs):
-            if j != i:
-                den = mul(den, sub(xi, xj))
-        li = mul(mul(full, diff_invs[i]), _cached_inv(den))
-        result = add(result, mul(yi, li))
-    return result
-
-
 class EvalDomain:
     """Interpolation helpers for the fixed domain x = 1..n.
 

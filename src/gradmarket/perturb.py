@@ -193,8 +193,7 @@ class EncryptedGradient:
 
     @property
     def flat_length(self) -> int:
-        w = sum(g.size for g in self.G)
-        return (self.layer_sizes[-1] + 2) * w
+        return flat_length(self.layer_sizes)
 
 
 def encrypted_gradient(
@@ -326,6 +325,12 @@ def unflatten(vec: np.ndarray, layer_sizes) -> EncryptedGradient:
     if off != len(vec):
         raise ValueError("flattened vector length does not match layer sizes")
     return EncryptedGradient(layer_sizes=sizes, G=G, sigma=sigma, beta=beta)
+
+
+def flat_length(layer_sizes) -> int:
+    """Length of the flat vector: G, p sigma matrices and beta per layer."""
+    sizes = tuple(layer_sizes)
+    return (sizes[-1] + 2) * sum(sizes[i + 1] * sizes[i] for i in range(len(sizes) - 1))
 
 
 def gradient_slices(layer_sizes) -> list[tuple[int, int]]:

@@ -279,9 +279,7 @@ def _server_behavior(config: SessionConfig, i: int) -> str | None:
 def run_session(config: SessionConfig, seed: int) -> dict:
     """Execute one full trading session from scratch; returns the report."""
     world = build_world(config, seed)
-    m = (config.layers[-1] + 2) * sum(
-        config.layers[i + 1] * config.layers[i] for i in range(len(config.layers) - 1)
-    )
+    m = perturb.flat_length(config.layers)
     key = setup_key(m, rng_stream(seed, "contract.setup"))
     return _run_session(config, seed, world, key)
 
@@ -516,9 +514,7 @@ def run_training(config: SessionConfig, seed: int) -> dict:
     applies W <- W - eta * gradient.
     """
     world = build_world(config, seed)
-    m = (config.layers[-1] + 2) * sum(
-        config.layers[i + 1] * config.layers[i] for i in range(len(config.layers) - 1)
-    )
+    m = perturb.flat_length(config.layers)
     # setup parameters are generated once and reused across all iterations
     key = setup_key(m, rng_stream(seed, "contract.setup"))
     pooled_X = np.concatenate([X for X, _ in world.shards])

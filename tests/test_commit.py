@@ -168,3 +168,75 @@ def test_group_element_bytes_roundtrip():
         assert commit.element_from_bytes(data) == e
     with pytest.raises(ValueError):
         commit.element_from_bytes(b"\x00" * commit.GROUP_ELEMENT_BYTES)
+
+
+def _per_term_product(basis, exponents):
+    """Reference multi-exp: one modular power per term."""
+    acc = 1
+    for b, e in zip(basis, exponents):
+        acc = acc * pow(b, e, P) % P
+    return acc
+
+
+def test_multi_exp_empty_and_all_zero_vectors():
+    key = _key_from_scalar(31337, 5)
+    assert commit._multi_exp((), []) == 1
+    assert commit._multi_exp(key.basis, [0] * 5) == 1
+
+
+def test_multi_exp_single_term_and_top_exponent():
+    key = _key_from_scalar(31337, 3)
+    for e in (1, 2, Q - 1):
+        assert commit._multi_exp(key.basis[:1], [e]) == pow(G, e, P)
+    exps = [Q - 1, Q - 1, 5]
+    assert commit._multi_exp(key.basis, exps) == _per_term_product(key.basis, exps)
+
+
+def test_multi_exp_reduces_exponents_mod_q():
+    rng = random.Random(21)
+    key = _key_from_scalar(424242, 6)
+    reduced = [field.rand_element(rng) for _ in range(6)]
+    expected = _per_term_product(key.basis, reduced)
+    above = [e + Q * (k + 1) for k, e in enumerate(reduced)]
+    below = [e - Q * (k + 1) for k, e in enumerate(reduced)]
+    assert commit._multi_exp(key.basis, above) == expected
+    assert commit._multi_exp(key.basis, below) == expected
+    # the unreduced per-term powers agree too, since the basis has order q
+    assert _per_term_product(key.basis, below) == expected
+    assert commit._multi_exp(key.basis, [Q, -Q, 2 * Q, 0, -1, Q + 1]) == \
+        _per_term_product(key.basis, [0, 0, 0, 0, Q - 1, 1])
+
+
+def test_multi_exp_small_signed_values():
+    # quantized negative gradient entries are stored as q - k
+    rng = random.Random(22)
+    m = 50
+    key = _key_from_scalar(7777777, m)
+    signed = [rng.randint(-40, 40) for _ in range(m)]
+    encoded = [v % Q for v in signed]
+    assert any(v < 0 for v in signed) and 0 in signed
+    expected = _per_term_product(key.basis, encoded)
+    assert commit._multi_exp(key.basis, encoded) == expected
+    assert commit._multi_exp(key.basis, signed) == expected
+
+
+@pytest.mark.parametrize("m", [7, 64, 300, 2400])
+def test_multi_exp_matches_per_term_product(m):
+    rng = random.Random(m)
+    key = _key_from_scalar(field.rand_element(rng), m)
+    full = [field.rand_element(rng) for _ in range(m)]
+    assert commit._multi_exp(key.basis, full) == _per_term_product(key.basis, full)
+    # sparse vector with short exponents: fewer terms, fewer windows
+    sparse = [rng.randrange(1 << 20) if rng.random() < 0.3 else 0 for _ in range(m)]
+    assert commit._multi_exp(key.basis, sparse) == _per_term_product(key.basis, sparse)
+
+
+@pytest.mark.parametrize("alpha", [2, Q - 1, 0x1D3A_5B7C_9E0F_2468_ACE1_3579_BDF0_8642])
+def test_key_from_scalar_matches_per_element_pow(alpha):
+    m = 300
+    key = _key_from_scalar(alpha, m)
+    exponents = [pow(alpha, k, Q) for k in range(m)]
+    assert key.basis == tuple(pow(G, e, P) for e in exponents)
+    # both an empty and an occupied top byte of the comb occur
+    top_bytes = {e >> 120 for e in exponents}
+    assert 0 in top_bytes and len(top_bytes) > 1
