@@ -175,6 +175,14 @@ class MulTrace:
 
 def eval_plain(circuit: Circuit, inputs: list[int]) -> tuple[int, MulTrace]:
     """Gate-by-gate evaluation over F_q, recording the multiplication trace."""
+    out, entries = _run_gates(circuit, [x % Q for x in inputs], field.mul)
+    return out, MulTrace(entries=tuple(entries))
+
+
+def _run_gates(circuit: Circuit, inputs: list[int], mul_rule) -> tuple[int, list]:
+    """The gate loop of eval_plain and snip.server_eval: mul_rule(u, v) gives
+    each multiplication gate's output, in gate order. Returns the output wire
+    and every multiplication gate's (u, v, w)."""
     if len(inputs) != circuit.num_inputs:
         raise ValueError(
             f"circuit expects {circuit.num_inputs} inputs, got {len(inputs)}"
@@ -183,7 +191,7 @@ def eval_plain(circuit: Circuit, inputs: list[int]) -> tuple[int, MulTrace]:
     trace = []
     for gid, g in enumerate(circuit.gates):
         if g.kind == INPUT:
-            wires[gid] = inputs[g.a] % Q
+            wires[gid] = inputs[g.a]
         elif g.kind == CONST:
             wires[gid] = g.value
         elif g.kind == ADD:
@@ -192,9 +200,9 @@ def eval_plain(circuit: Circuit, inputs: list[int]) -> tuple[int, MulTrace]:
             wires[gid] = field.sub(wires[g.a], wires[g.b])
         elif g.kind == MUL:
             u, v = wires[g.a], wires[g.b]
-            w = field.mul(u, v)
+            w = mul_rule(u, v)
             wires[gid] = w
             trace.append((u, v, w))
         else:
             raise ValueError(f"unknown gate kind {g.kind!r}")
-    return wires[circuit.output], MulTrace(entries=tuple(trace))
+    return wires[circuit.output], trace

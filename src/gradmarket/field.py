@@ -14,7 +14,9 @@ keep within that bound.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import zip_longest
 
 Q = (1 << 127) - 1  # 2^127 - 1, prime
 
@@ -72,12 +74,12 @@ def batch_inv(values: list[int]) -> list[int]:
         if v == 0:
             raise ZeroDivisionError("cannot invert zero in F_q")
         prefix[i] = acc
-        acc = mul(acc, v)
+        acc = acc * v % Q
     acc_inv = inv(acc)
     out = [0] * n
     for i in range(n - 1, -1, -1):
-        out[i] = mul(prefix[i], acc_inv)
-        acc_inv = mul(acc_inv, values[i])
+        out[i] = prefix[i] * acc_inv % Q
+        acc_inv = acc_inv * values[i] % Q
     return out
 
 
@@ -121,7 +123,7 @@ def poly_deg(coeffs: list[int]) -> int:
 
 
 def poly_eval(coeffs: list[int], x: int) -> int:
-    """Horner evaluation. Hot path: the Mersenne reduction is inlined."""
+    """Horner evaluation, with the Mersenne reduction inlined."""
     q = Q
     result = 0
     for c in reversed(coeffs):
@@ -133,23 +135,11 @@ def poly_eval(coeffs: list[int], x: int) -> int:
 
 
 def poly_add(p: list[int], q: list[int]) -> list[int]:
-    n = max(len(p), len(q))
-    out = [0] * n
-    for i in range(n):
-        a = p[i] if i < len(p) else 0
-        b = q[i] if i < len(q) else 0
-        out[i] = add(a, b)
-    return out
+    return [add(a, b) for a, b in zip_longest(p, q, fillvalue=0)]
 
 
 def poly_sub(p: list[int], q: list[int]) -> list[int]:
-    n = max(len(p), len(q))
-    out = [0] * n
-    for i in range(n):
-        a = p[i] if i < len(p) else 0
-        b = q[i] if i < len(q) else 0
-        out[i] = sub(a, b)
-    return out
+    return [sub(a, b) for a, b in zip_longest(p, q, fillvalue=0)]
 
 
 def poly_mul(p: list[int], q: list[int]) -> list[int]:
@@ -241,28 +231,24 @@ class EvalDomain:
 
     Precomputes factorial-based barycentric weights so that evaluating the
     degree-(n-1) interpolant of values (y_1, ..., y_n) at an arbitrary
-    point costs O(n) multiplications plus one batched inversion.
+    point costs O(n) multiplications plus one batched inversion, and
+    extending it to the next consecutive points costs O(n) per point.
     """
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("domain size must be >= 1")
         self.n = n
-        fact = [1] * n
-        for i in range(1, n):
-            fact[i] = mul(fact[i - 1], i)
-        inv_last = inv(fact[n - 1])
-        inv_fact = [1] * n
-        inv_fact[n - 1] = inv_last
-        for i in range(n - 1, 0, -1):
-            inv_fact[i - 1] = mul(inv_fact[i], i)
-        # w_i = (-1)^(n-i) / ((i-1)! (n-i)!) for points 1..n
-        self.weights = []
+        fact = [1] * (n + 1)
         for i in range(1, n + 1):
-            w = mul(inv_fact[i - 1], inv_fact[n - i])
-            if (n - i) % 2 == 1:
-                w = neg(w)
-            self.weights.append(w)
+            fact[i] = fact[i - 1] * i % Q
+        self.fact_n = fact[n]
+        inv_fact = batch_inv(fact[:n])
+        # w_i = (-1)^(n-i) / ((i-1)! (n-i)!) for points 1..n
+        self.weights = [
+            (-1) ** (n - i) * inv_fact[i - 1] * inv_fact[n - i] % Q
+            for i in range(1, n + 1)
+        ]
 
     def interpolate_at(self, values: list[int], x: int) -> int:
         """Value at x of the interpolant through {(i, values[i-1])}."""
@@ -272,14 +258,35 @@ class EvalDomain:
         if 1 <= x <= n:
             return values[x - 1]
         diffs = [sub(x, i) for i in range(1, n + 1)]
-        diff_invs = batch_inv(diffs)
         ell = 1
         for d in diffs:
-            ell = mul(ell, d)
-        acc = 0
-        for i in range(n):
-            acc = add(acc, mul(self.weights[i], mul(values[i], diff_invs[i])))
-        return mul(ell, acc)
+            ell = ell * d % Q
+        wy = map(operator.mul, self.weights, values)
+        return ell * (sum(map(operator.mul, wy, batch_inv(diffs))) % Q) % Q
+
+    def extend(self, values: list[int], count: int) -> list[int]:
+        """Values at n+1..n+count of the interpolant through {(i, values[i-1])}.
+
+        At x = n+k the barycentric form is ell(x) * sum_i w_i y_i / (x - i),
+        with x - i running over k..n+k-1, ell(n+1) = n! and ell(x+1) =
+        ell(x) * x / k: one dot product of the reversed w_i y_i against a
+        window of inverses 1/d, reduced once. Exact, like Horner.
+        """
+        n = self.n
+        if len(values) != n:
+            raise ValueError("value count must match domain size")
+        # invs[d] = 1/d for d = 1..n+count-1, from 1/d = -(q div d) / (q mod d)
+        invs = [0, 1] + [0] * (n + count - 2)
+        for d in range(2, n + count):
+            invs[d] = (Q - Q // d) * invs[Q % d] % Q
+        a_rev = [w * y % Q for w, y in zip(reversed(self.weights), reversed(values))]
+        out = []
+        ell = self.fact_n
+        for x in range(n + 1, n + count + 1):
+            k = x - n
+            out.append(ell * (sum(map(operator.mul, a_rev, invs[k:x])) % Q) % Q)
+            ell = ell * x % Q * invs[k] % Q
+        return out
 
 
 _DOMAINS: dict[int, EvalDomain] = {}

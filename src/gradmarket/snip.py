@@ -1,18 +1,21 @@
 """Secret-shared non-interactive proof of circuit validity over Shamir shares.
 
-The client (gradient owner) evaluates the validity circuit, interpolates
-f and g through the left/right input values of the M multiplication gates
-(f(t) = u_t, g(t) = v_t for t = 1..M), and Shamir-shares the coefficients
-of h = f * g together with one Beaver triple. Each server evaluates the
-circuit on its input share, substituting h-share evaluations for
-multiplication outputs, and the group runs one polynomial identity test
-at a public random point r:
+The client (gradient owner) evaluates the validity circuit. With f, g the
+degree-(M-1) polynomials through the left/right inputs of the M
+multiplication gates (f(t) = u_t, g(t) = v_t for t = 1..M), it
+Shamir-shares h = f * g in evaluation form, as h(1), ..., h(2M-1), with
+one Beaver triple. Each server evaluates the circuit on its input share,
+looking up its share of h(t) as the output of multiplication gate t, and
+the group runs one polynomial identity test at a public random point r:
 
     h(r) - fhat(r) * ghat(r) == 0,
 
 with the product computed through the Beaver triple so every on-wire value
-stays a degree-T Shamir share. A cheating prover whose shared h disagrees
-with f * g survives with probability at most deg(h - f*g)/q over r.
+stays a degree-T Shamir share; [h](r) is one O(M) barycentric evaluation.
+A cheating prover whose shared h disagrees with f * g survives with
+probability at most deg(h - f*g)/q <= (2M-2)/q over r. A tampered value at
+t <= M breaks h(t) = u_t * v_t, since a gate's inputs do not depend on its
+own output.
 
 One Beaver triple per proof suffices: the protocol performs exactly one
 secure multiplication. Triples are prover-supplied; an ill-formed triple
@@ -25,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import field
-from .circuit import ADD, CONST, INPUT, MUL, SUB, Circuit, eval_plain
+from .circuit import Circuit, _run_gates, eval_plain
 from .field import Q
 from .shamir import DecodeFailure, ShareVector, robust_recon_scalar, ss_share
 
@@ -34,8 +37,9 @@ from .shamir import DecodeFailure, ShareVector, robust_recon_scalar, ss_share
 class ProverPackage:
     """Per-server proof material.
 
-    h_coeff_shares[j] is this server's Shamir share of coefficient j of h
-    (length 2M - 1); triple holds shares of (a, b, c = a*b).
+    h_coeff_shares[j] is this server's Shamir share of h(j + 1), j < 2M-1:
+    h's coefficients in the Lagrange basis on 1..2M-1 (the name is kept for
+    the benchmark tracer). triple holds shares of (a, b, c = a*b).
     """
 
     share: ShareVector
@@ -47,7 +51,7 @@ class ProverPackage:
         return self.share.index
 
     def to_bytes(self) -> bytes:
-        """Wire format: input ShareVector || h coefficient shares || (a, b, c)."""
+        """Wire format: input ShareVector || h value shares || (a, b, c)."""
         body = self.share.to_bytes()
         body += b"".join(field.to_bytes(v) for v in self.h_coeff_shares)
         body += b"".join(field.to_bytes(v) for v in self.triple)
@@ -64,10 +68,8 @@ class ProverPackage:
         need = off + (n_h + 3) * field.ELEMENT_BYTES
         if len(data) != need:
             raise ValueError("prover package length mismatch")
-        vals = [
-            field.from_bytes(data[off + i * 16 : off + (i + 1) * 16])
-            for i in range(n_h + 3)
-        ]
+        step = field.ELEMENT_BYTES
+        vals = [field.from_bytes(data[j : j + step]) for j in range(off, need, step)]
         return cls(
             share=share,
             h_coeff_shares=tuple(vals[:n_h]),
@@ -76,39 +78,32 @@ class ProverPackage:
 
 
 def compute_h(circ: Circuit, inputs: list[int]) -> tuple[list[int], list[int], list[int]]:
-    """Interpolate f, g through the multiplication trace and return (f, g, h).
+    """Return (f, g, h) as their values at 1..2M-1, with h = f * g pointwise.
 
-    f and g have degree <= M-1; h = f*g has degree <= 2(M-1). h is padded
-    to exactly 2M-1 coefficients.
+    f and g (degree <= M-1) are the trace at 1..M, extended to M+1..2M-1.
     """
     _, trace = eval_plain(circ, inputs)
     M = len(trace)
     if M == 0:
         raise ValueError("circuit has no multiplication gates; nothing to prove")
-    pts_f = [(t + 1, u) for t, u in enumerate(trace.left)]
-    pts_g = [(t + 1, v) for t, v in enumerate(trace.right)]
-    f = field.poly_interpolate(pts_f)
-    g = field.poly_interpolate(pts_g)
-    h = field.poly_mul(f, g)
-    h = h + [0] * (2 * M - 1 - len(h))
+    dom = field.eval_domain(M)
+    f = trace.left + dom.extend(trace.left, M - 1)
+    g = trace.right + dom.extend(trace.right, M - 1)
+    h = [u * v % Q for u, v in zip(f, g)]
     return f, g, h
 
 
 def package_proof(
     input_shares: list[ShareVector],
-    h_coeffs: list[int],
+    h_values: list[int],
     T: int,
     K: int,
     rng,
 ) -> list[ProverPackage]:
-    """Shamir-share h's coefficients and one Beaver triple across K servers."""
+    """Shamir-share h's values and one Beaver triple across K servers."""
     if len(input_shares) != K:
         raise ValueError("need one input share per server")
-    coeff_shares = [[0] * len(h_coeffs) for _ in range(K)]
-    for j, hj in enumerate(h_coeffs):
-        shares, _ = ss_share([hj], T, K, rng)
-        for i in range(K):
-            coeff_shares[i][j] = shares[i].values[0]
+    h_shares, _ = ss_share(h_values, T, K, rng)
     a = field.rand_element(rng)
     b = field.rand_element(rng)
     c = field.mul(a, b)
@@ -118,7 +113,7 @@ def package_proof(
     return [
         ProverPackage(
             share=input_shares[i],
-            h_coeff_shares=tuple(coeff_shares[i]),
+            h_coeff_shares=h_shares[i].values,
             triple=(a_sh[i].values[0], b_sh[i].values[0], c_sh[i].values[0]),
         )
         for i in range(K)
@@ -159,30 +154,14 @@ def server_eval(pkg: ProverPackage, circ: Circuit) -> WireShares:
 
     Input, constant, add, and sub gates are local (a public constant is its
     own share at every index); each multiplication gate t takes its output
-    share from [h]_i(t). Records ([f(t)]_i, [g(t)]_i) per multiplication gate.
+    share [h(t)]_i from the package. Records ([f(t)]_i, [g(t)]_i) per
+    multiplication gate.
     """
-    values = pkg.share.values
-    if len(values) != circ.num_inputs:
-        raise ValueError("share length does not match circuit arity")
-    wires = [0] * len(circ.gates)
-    mul_inputs = []
-    t = 0
-    for gid, g in enumerate(circ.gates):
-        if g.kind == INPUT:
-            wires[gid] = values[g.a]
-        elif g.kind == CONST:
-            wires[gid] = g.value
-        elif g.kind == ADD:
-            wires[gid] = field.add(wires[g.a], wires[g.b])
-        elif g.kind == SUB:
-            wires[gid] = field.sub(wires[g.a], wires[g.b])
-        elif g.kind == MUL:
-            t += 1
-            mul_inputs.append((wires[g.a], wires[g.b]))
-            wires[gid] = field.poly_eval(pkg.h_coeff_shares, t)
-        else:
-            raise ValueError(f"unknown gate kind {g.kind!r}")
-    return WireShares(mul_inputs=tuple(mul_inputs), output_share=wires[circ.output])
+    if circ.num_mul and len(pkg.h_coeff_shares) != 2 * circ.num_mul - 1:
+        raise ValueError("h share count does not match the circuit")
+    h_next = iter(pkg.h_coeff_shares).__next__
+    out, trace = _run_gates(circ, pkg.share.values, lambda u, v: h_next())
+    return WireShares(mul_inputs=tuple((u, v) for u, v, _ in trace), output_share=out)
 
 
 @dataclass(frozen=True)
@@ -228,12 +207,13 @@ def server_round1(
     dom = field.eval_domain(M)
     f_r = dom.interpolate_at([u for u, _ in wires.mul_inputs], r)
     g_r = dom.interpolate_at([v for _, v in wires.mul_inputs], r)
+    h_r = field.eval_domain(2 * M - 1).interpolate_at(pkg.h_coeff_shares, r)
     a, b, c = pkg.triple
     state = CheckState(
         index=pkg.index,
         d_share=field.sub(f_r, a),
         e_share=field.sub(g_r, b),
-        h_r_share=field.poly_eval(pkg.h_coeff_shares, r),
+        h_r_share=h_r,
         a_share=a,
         b_share=b,
         c_share=c,

@@ -106,6 +106,25 @@ def test_eval_domain_matches_generic_interpolation():
         assert dom.interpolate_at(values, 1) == values[0]
 
 
+def test_eval_domain_extend_matches_horner():
+    rng = random.Random(19)
+    for n in (1, 2, 3, 64, 496):
+        coeffs = [field.rand_element(rng) for _ in range(n)]
+        values = [field.poly_eval(coeffs, x) for x in range(1, n + 1)]
+        dom = field.EvalDomain(n)
+        for count in (n - 1, n + 5):
+            expect = [field.poly_eval(coeffs, x) for x in range(n + 1, n + count + 1)]
+            assert dom.extend(values, count) == expect
+
+
+def test_eval_domain_extend_rejects_wrong_length():
+    dom = field.EvalDomain(4)
+    with pytest.raises(ValueError):
+        dom.extend([1, 2, 3], 2)
+    with pytest.raises(ValueError):
+        dom.extend([1, 2, 3, 4, 5], 2)
+
+
 def test_quantize_examples():
     c16 = FixedPointCodec(16)
     assert c16.quantize(0.0) == 0

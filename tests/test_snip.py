@@ -35,9 +35,16 @@ def test_prove_single_mul_constant_h():
     f, g, h = snip.compute_h(circ, [3, 4])
     assert f == [3] and g == [4] and h == [12]
     packages = snip.prove([3, 4], circ, 1, 3, rng)
-    # every h share evaluates to a share of the constant 12
-    shares = [ShareVector(p.index, (field.poly_eval(p.h_coeff_shares, 77),)) for p in packages]
+    assert all(len(p.h_coeff_shares) == 1 for p in packages)
+    # the single h value is h(1) = 12, and h is the constant 12, so every
+    # server's share of h(r) is a share of 12 at any r
+    shares = [ShareVector(p.index, p.h_coeff_shares) for p in packages]
     assert ss_recon(shares[:2], 1) == [12]
+    r_shares = [
+        ShareVector(p.index, (snip.server_round1(p, circ, 77)[0].h_r_share,))
+        for p in packages
+    ]
+    assert ss_recon(r_shares[:2], 1) == ss_recon(r_shares[1:], 1) == [12]
 
 
 def test_h_reconstructs_trace_products():
@@ -48,13 +55,18 @@ def test_h_reconstructs_trace_products():
     M = circ.num_mul
     packages = snip.prove(inputs, circ, 2, 6, rng)
     assert all(len(p.h_coeff_shares) == 2 * M - 1 for p in packages)
-    # reconstruct each coefficient of h from T+1 packages, then check h(t)
+    # reconstruct each value h(t) from T+1 packages
     h = []
     for j in range(2 * M - 1):
-        coeff_shares = [ShareVector(p.index, (p.h_coeff_shares[j],)) for p in packages[:3]]
-        h.append(ss_recon(coeff_shares, 2)[0])
+        value_shares = [ShareVector(p.index, (p.h_coeff_shares[j],)) for p in packages[:3]]
+        h.append(ss_recon(value_shares, 2)[0])
     for t, (u, v, w) in enumerate(trace.entries, start=1):
-        assert field.poly_eval(h, t) == field.mul(u, v) == w
+        assert h[t - 1] == field.mul(u, v) == w
+    # oracle: the coefficient-form product of the interpolated f and g
+    f = field.poly_interpolate([(t, u) for t, u in enumerate(trace.left, start=1)])
+    g = field.poly_interpolate([(t, v) for t, v in enumerate(trace.right, start=1)])
+    fg = field.poly_mul(f, g)
+    assert h == [field.poly_eval(fg, t) for t in range(1, 2 * M)]
 
 
 def test_beaver_triple_reconstructs_consistently():
@@ -154,6 +166,40 @@ def test_tampered_h_rejected():
         if ident != 0:
             rejections += 1
     assert rejections == trials
+
+
+def _tampered_h_rejections(positions, seed, trials=30):
+    """Count rejections when one h value, at a position drawn from
+    positions (1-indexed points t), is shifted by a nonzero amount."""
+    rng = random.Random(seed)
+    T, K = 1, 5
+    circ = build_norm_circuit(2, 6, accept_zero=True)
+    inputs = [1, 1]
+    rejections = 0
+    for _ in range(trials):
+        input_shares, _ = ss_share(inputs, T, K, rng)
+        _, _, h = snip.compute_h(circ, inputs)
+        t = rng.choice(positions)
+        h[t - 1] = (h[t - 1] + rng.randrange(1, Q)) % Q
+        packages = snip.package_proof(input_shares, h, T, K, rng)
+        verdicts = _run_protocol(packages, circ, field.rand_element(rng), T)
+        ident, _ = _contract_view(verdicts, T)
+        if ident != 0:
+            rejections += 1
+    return rejections
+
+
+def test_tampered_h_at_multiplication_output_rejected():
+    # t <= M: the value is a gate's output share, and the gate's own inputs
+    # cannot compensate for it
+    M = build_norm_circuit(2, 6, accept_zero=True).num_mul
+    assert _tampered_h_rejections(range(1, M + 1), seed=15) == 30
+
+
+def test_tampered_h_beyond_multiplication_outputs_rejected():
+    # t > M: every wire stays honest, but h no longer equals f*g
+    M = build_norm_circuit(2, 6, accept_zero=True).num_mul
+    assert _tampered_h_rejections(range(M + 1, 2 * M), seed=16) == 30
 
 
 def test_corrupt_servers_within_budget_absorbed():
