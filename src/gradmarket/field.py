@@ -226,13 +226,24 @@ def poly_interpolate(points: list[tuple[int, int]]) -> list[int]:
     return poly_trim(coeffs)
 
 
+def _pack(values: list[int], width: int) -> int:
+    """The int whose little-endian `width`-byte slots hold values in order."""
+    return int.from_bytes(b"".join([v.to_bytes(width, "little") for v in values]), "little")
+
+
 class EvalDomain:
     """Interpolation helpers for the fixed domain x = 1..n.
 
-    Precomputes factorial-based barycentric weights so that evaluating the
-    degree-(n-1) interpolant of values (y_1, ..., y_n) at an arbitrary
-    point costs O(n) multiplications plus one batched inversion, and
-    extending it to the next consecutive points costs O(n) per point.
+    Precomputes factorial-based barycentric weights w_i. Evaluating the
+    degree-(n-1) interpolant of values (y_1, ..., y_n) at a point x outside
+    the domain is one dot product with the Lagrange row ell(x) w_i / (x - i);
+    the row for the last x is memoized, so repeated evaluations at one
+    challenge cost O(n) each and the row's batched inversion is paid once.
+    Extending the interpolant to the next consecutive points is one exact
+    big-integer product (see `extend`).
+
+    The memo is one tuple swapped in whole, so a concurrent caller sees
+    either the old or the new row; results never depend on it.
     """
 
     def __init__(self, n: int):
@@ -249,44 +260,71 @@ class EvalDomain:
             (-1) ** (n - i) * inv_fact[i - 1] * inv_fact[n - i] % Q
             for i in range(1, n + 1)
         ]
+        # A slot of `extend`'s product holds a sum of n products below q^2.
+        self.slot_bytes = (254 + n.bit_length() + 7) // 8
+        self._row: tuple[int | None, list[int]] = (None, [])
+        self._extensions: dict[int, tuple[int, list[int]]] = {}
 
     def interpolate_at(self, values: list[int], x: int) -> int:
         """Value at x of the interpolant through {(i, values[i-1])}."""
         n = self.n
         if len(values) != n:
             raise ValueError("value count must match domain size")
+        x %= Q
         if 1 <= x <= n:
             return values[x - 1]
-        diffs = [sub(x, i) for i in range(1, n + 1)]
-        ell = 1
-        for d in diffs:
-            ell = ell * d % Q
-        wy = map(operator.mul, self.weights, values)
-        return ell * (sum(map(operator.mul, wy, batch_inv(diffs))) % Q) % Q
+        memo = self._row
+        if memo[0] != x:
+            diffs = [(x - i) % Q for i in range(1, n + 1)]
+            ell = 1
+            for d in diffs:
+                ell = ell * d % Q
+            row = [ell * w % Q * d % Q for w, d in zip(self.weights, batch_inv(diffs))]
+            memo = self._row = (x, row)
+        return sum(map(operator.mul, memo[1], values)) % Q
+
+    def _extension(self, count: int) -> tuple[int, list[int]]:
+        """The packed inverses 1/1..1/(n+count-1) and ell(n+1..n+count)."""
+        ext = self._extensions.get(count)
+        if ext is None:
+            n = self.n
+            # invs[d] = 1/d for d = 1..n+count-1, from 1/d = -(q div d) / (q mod d)
+            invs = [0, 1] + [0] * (n + count - 2)
+            for d in range(2, n + count):
+                invs[d] = (Q - Q // d) * invs[Q % d] % Q
+            packed = _pack(invs[1:n + count], self.slot_bytes)
+            # ell(n+1) = n!, ell(x+1) = ell(x) * x / (x - n)
+            ells = []
+            ell = self.fact_n
+            for x in range(n + 1, n + count + 1):
+                ells.append(ell)
+                ell = ell * x % Q * invs[x - n] % Q
+            ext = self._extensions[count] = (packed, ells)
+        return ext
 
     def extend(self, values: list[int], count: int) -> list[int]:
         """Values at n+1..n+count of the interpolant through {(i, values[i-1])}.
 
-        At x = n+k the barycentric form is ell(x) * sum_i w_i y_i / (x - i),
-        with x - i running over k..n+k-1, ell(n+1) = n! and ell(x+1) =
-        ell(x) * x / k: one dot product of the reversed w_i y_i against a
-        window of inverses 1/d, reduced once. Exact, like Horner.
+        At x = n+k the barycentric form is ell(x) * sum_i w_i y_i / (n+k-i),
+        which is coefficient n-2+k of the product of sum_i (w_i y_i) z^(i-1)
+        and sum_d (1/d) z^(d-1), d = 1..n+count-1. Both polynomials are
+        packed into `slot_bytes`-wide slots of one Python int (Kronecker
+        substitution) and multiplied once. Each slot sums at most n
+        products of reduced values, below n q^2, so no carry crosses a slot
+        and the result is exact, like Horner. The inverse side and the ell
+        factors depend only on (n, count) and are cached on the domain.
         """
         n = self.n
         if len(values) != n:
             raise ValueError("value count must match domain size")
-        # invs[d] = 1/d for d = 1..n+count-1, from 1/d = -(q div d) / (q mod d)
-        invs = [0, 1] + [0] * (n + count - 2)
-        for d in range(2, n + count):
-            invs[d] = (Q - Q // d) * invs[Q % d] % Q
-        a_rev = [w * y % Q for w, y in zip(reversed(self.weights), reversed(values))]
-        out = []
-        ell = self.fact_n
-        for x in range(n + 1, n + count + 1):
-            k = x - n
-            out.append(ell * (sum(map(operator.mul, a_rev, invs[k:x])) % Q) % Q)
-            ell = ell * x % Q * invs[k] % Q
-        return out
+        width = self.slot_bytes
+        packed_invs, ells = self._extension(count)
+        packed = _pack([w * y % Q for w, y in zip(self.weights, values)], width)
+        buf = (packed * packed_invs).to_bytes((2 * n + count) * width, "little")
+        return [
+            int.from_bytes(buf[s * width:(s + 1) * width], "little") % Q * ell % Q
+            for s, ell in enumerate(ells, start=n - 1)
+        ]
 
 
 _DOMAINS: dict[int, EvalDomain] = {}

@@ -106,15 +106,41 @@ def test_eval_domain_matches_generic_interpolation():
         assert dom.interpolate_at(values, 1) == values[0]
 
 
+def test_eval_domain_reduces_x_mod_q():
+    rng = random.Random(23)
+    coeffs = [field.rand_element(rng) for _ in range(4)]
+    values = [field.poly_eval(coeffs, x) for x in range(1, 5)]
+    dom = field.EvalDomain(4)
+    assert dom.interpolate_at([5, 6, 7, 8], Q + 1) == 5
+    assert dom.interpolate_at(values, 2 * Q + 3) == values[2]
+    assert dom.interpolate_at(values, -1) == field.poly_eval(coeffs, Q - 1)
+
+
+def test_eval_domain_row_memo_matches_fresh_domain():
+    rng = random.Random(29)
+    n = 12
+    shared = field.eval_domain(n)
+    polys = [[field.rand_element(rng) for _ in range(n)] for _ in range(2)]
+    r1, r2 = field.rand_element(rng), field.rand_element(rng)
+    for x in (r1, 3, r2, n, r1, r1, 1, r2):
+        for coeffs in polys:
+            values = [field.poly_eval(coeffs, t) for t in range(1, n + 1)]
+            got = shared.interpolate_at(values, x)
+            assert got == field.EvalDomain(n).interpolate_at(values, x)
+            assert got == field.poly_eval(coeffs, x)
+
+
 def test_eval_domain_extend_matches_horner():
+    # Values all q-1 (the constant interpolant) and random polynomials; the
+    # packed slots of `extend` must hold sums of n products below q^2.
     rng = random.Random(19)
-    for n in (1, 2, 3, 64, 496):
-        coeffs = [field.rand_element(rng) for _ in range(n)]
-        values = [field.poly_eval(coeffs, x) for x in range(1, n + 1)]
+    for n in (1, 2, 3, 64, 104, 496, 1064):
         dom = field.EvalDomain(n)
-        for count in (n - 1, n + 5):
-            expect = [field.poly_eval(coeffs, x) for x in range(n + 1, n + count + 1)]
-            assert dom.extend(values, count) == expect
+        for coeffs in ([Q - 1], [field.rand_element(rng) for _ in range(n)]):
+            values = [field.poly_eval(coeffs, x) for x in range(1, n + 1)]
+            expect = [field.poly_eval(coeffs, x) for x in range(n + 1, 2 * n + 6)]
+            for count in (0, 1, n - 1, n + 5):
+                assert dom.extend(values, count) == expect[:count]
 
 
 def test_eval_domain_extend_rejects_wrong_length():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -67,6 +68,18 @@ def test_h_reconstructs_trace_products():
     g = field.poly_interpolate([(t, v) for t, v in enumerate(trace.right, start=1)])
     fg = field.poly_mul(f, g)
     assert h == [field.poly_eval(fg, t) for t in range(1, 2 * M)]
+
+
+def test_compute_h_golden_digest():
+    # M = 496, 991 values of h. The digest was recorded with the per-point
+    # barycentric extension; any exact extension of f and g reproduces it.
+    circ = build_norm_circuit(48, 448, accept_zero=True)
+    rng = random.Random(4)
+    inputs = [rng.randrange(-3, 4) % Q for _ in range(48)]
+    h = snip.compute_h(circ, inputs)[2]
+    assert len(h) == 991
+    digest = hashlib.sha256(b"".join(field.to_bytes(v) for v in h)).hexdigest()
+    assert digest == "9d7e69f8da0700039571eb9d6bf3d5da3535eb47ab318c4824963ba8dc46d6d6"
 
 
 def test_beaver_triple_reconstructs_consistently():
