@@ -63,33 +63,6 @@ class Circuit:
         doc = {"inputs": self.num_inputs, "gates": gates, "output": self.output}
         return json.dumps(doc, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "Circuit":
-        doc = json.loads(text)
-        gates = []
-        muls = []
-        for gid, g in enumerate(doc["gates"]):
-            kind = g["kind"]
-            if kind == INPUT:
-                gates.append(Gate(INPUT, a=int(g["k"])))
-            elif kind == CONST:
-                gates.append(Gate(CONST, value=int(g["value"]) % Q))
-            elif kind in (ADD, SUB, MUL):
-                a, b = int(g["a"]), int(g["b"])
-                if a >= gid or b >= gid:
-                    raise ValueError("gate operands must reference earlier gates")
-                gates.append(Gate(kind, a=a, b=b))
-                if kind == MUL:
-                    muls.append(gid)
-            else:
-                raise ValueError(f"unknown gate kind {kind!r}")
-        return cls(
-            num_inputs=int(doc["inputs"]),
-            gates=tuple(gates),
-            output=int(doc["output"]),
-            mul_gates=tuple(muls),
-        )
-
 
 class CircuitBuilder:
     def __init__(self, num_inputs: int):

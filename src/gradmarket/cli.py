@@ -65,21 +65,16 @@ def _cmd_train(args) -> int:
 def _cmd_gas_compare(args) -> int:
     config = _load_config(args.config)
     m = perturb.flat_length(config.layers)
-    table = GasTable.from_dict(config.gas_table)
-    result: dict = {"m": m, "N": config.N, "K": config.K, "T": config.T}
-    report = None
-    if not args.baseline:
-        report = sim.run_session(config, args.seed)
+    report = None if args.baseline else sim.run_session(config, args.seed)
+    # a session without validation reports no rho; price the baseline at 64
+    rho = (report and report["rho"]) or config.rho or 64
+    gates = len(build_norm_circuit(len(sim.validation_indices(config)), rho,
+                                   accept_zero=True).gates)
+    baseline = baseline_gas_estimate(m, config.N, gates, GasTable.from_dict(config.gas_table))
+    result = {"m": m, "N": config.N, "K": config.K, "T": config.T, "baseline": baseline}
+    if report is not None:
         result["offchain"] = report["gas"]
         result["on_chain_words"] = report["on_chain_words"]
-        gates = len(build_norm_circuit(len(sim.validation_indices(config)),
-                                       report["rho"], accept_zero=True).gates)
-    else:
-        gates = len(build_norm_circuit(len(sim.validation_indices(config)),
-                                       config.rho or 64, accept_zero=True).gates)
-    baseline = baseline_gas_estimate(m, config.N, gates, table)
-    result["baseline"] = baseline
-    if report is not None:
         result["ratio"] = report["gas"]["total"] / baseline["total"]
     _write_json(Path(args.out), result)
     if report is not None:

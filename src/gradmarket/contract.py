@@ -19,7 +19,6 @@ ground truth for any real chain.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -182,7 +181,6 @@ class TradeContract:
         self.balances: dict[str | int, int] = {}
         self.aggregated: VectorCommitment | None = None
         self.register_rounds = 0
-        self.shares_ready = False
 
         gas = self.meter.charge("deploy", writes=2)
         self.slots["whitelist"] = 1
@@ -219,9 +217,6 @@ class TradeContract:
     def gas_report(self) -> dict:
         return {"per_method": dict(sorted(self.meter.per_method.items())),
                 "total": self.meter.total}
-
-    def tx_log_jsonl(self) -> str:
-        return "\n".join(json.dumps(r, sort_keys=True) for r in self.tx_log) + "\n"
 
     # ------------------------------------------------------------------
     # transactions
@@ -346,7 +341,6 @@ class TradeContract:
             raise TxRejected(f"mark_shares_ready: missing commitments for {missing}")
         self.validity = {n for n in self.registered if n not in self.excluded_at_sharing}
         self.slots["validity"] = 1
-        self.shares_ready = True
         self.phase = SHARE_READY
         self._event("shares_ready", validity=sorted(self.validity))
 

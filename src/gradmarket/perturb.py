@@ -22,7 +22,6 @@ both.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,9 +53,6 @@ class MlpModel:
     @property
     def num_params(self) -> int:
         return sum(w.size for w in self.weights)
-
-    def copy(self) -> "MlpModel":
-        return MlpModel(self.layer_sizes, [w.copy() for w in self.weights])
 
 
 def random_model(layer_sizes, rng: np.random.Generator, scale: float = 0.5) -> MlpModel:
@@ -272,22 +268,6 @@ def decrypt_aggregate(agg: EncryptedGradient, masks: MaskSet) -> list[np.ndarray
     return out
 
 
-def average_encrypted(grads: list[EncryptedGradient]) -> EncryptedGradient:
-    """Plain average of encrypted gradients (the real-arithmetic path)."""
-    if not grads:
-        raise ValueError("nothing to average")
-    sizes = grads[0].layer_sizes
-    n = len(grads)
-    L = len(sizes) - 1
-    p = sizes[-1]
-    G = [sum(g.G[i] for g in grads) / n for i in range(L)]
-    beta = [sum(g.beta[i] for g in grads) / n for i in range(L)]
-    sigma = [
-        [sum(g.sigma[i][j] for g in grads) / n for j in range(p)] for i in range(L)
-    ]
-    return EncryptedGradient(layer_sizes=sizes, G=G, sigma=sigma, beta=beta)
-
-
 # ---------------------------------------------------------------------------
 # Flattening and quantization
 # ---------------------------------------------------------------------------
@@ -352,47 +332,6 @@ def quantize_vector(vec: np.ndarray, codec: FixedPointCodec) -> list[int]:
 
 def dequantize_vector(values: list[int], codec: FixedPointCodec) -> np.ndarray:
     return np.array([codec.dequantize(v) for v in values], dtype=float)
-
-
-# ---------------------------------------------------------------------------
-# File formats (row-major float64 with explicit layer-size header)
-# ---------------------------------------------------------------------------
-
-def model_to_json(model: MlpModel) -> str:
-    doc = {
-        "layer_sizes": list(model.layer_sizes),
-        "weights": [w.ravel().tolist() for w in model.weights],
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def model_from_json(text: str) -> MlpModel:
-    doc = json.loads(text)
-    sizes = tuple(int(n) for n in doc["layer_sizes"])
-    weights = []
-    for i, flat in enumerate(doc["weights"]):
-        rows, cols = sizes[i + 1], sizes[i]
-        weights.append(np.array(flat, dtype=float).reshape(rows, cols))
-    return MlpModel(sizes, weights)
-
-
-def dataset_to_json(X: np.ndarray, Y: np.ndarray) -> str:
-    doc = {
-        "dims": [int(X.shape[1]), int(Y.shape[1])],
-        "inputs": X.ravel().tolist(),
-        "labels": Y.ravel().tolist(),
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def dataset_from_json(text: str) -> tuple[np.ndarray, np.ndarray]:
-    doc = json.loads(text)
-    d, p = doc["dims"]
-    X = np.array(doc["inputs"], dtype=float).reshape(-1, d)
-    Y = np.array(doc["labels"], dtype=float).reshape(-1, p)
-    if X.shape[0] != Y.shape[0]:
-        raise ValueError("inputs and labels disagree on sample count")
-    return X, Y
 
 
 def serialize_published_model(enc_model: MlpModel, r_out: np.ndarray) -> bytes:

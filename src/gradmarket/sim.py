@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 
 import numpy as np
 
@@ -76,9 +76,23 @@ class SessionConfig:
     malicious_dos: tuple[dict, ...] = ()
     malicious_servers: tuple[dict, ...] = ()
     gas_table: dict = dc_field(default_factory=dict)
-    register_timeout: int = 3
 
     def __post_init__(self):
+        for f in fields(self):
+            _check_scalar(f.name, f.type, getattr(self, f.name))
+        self.layers = _int_tuple("layers", self.layers)
+        if self.validate_layers is not None:
+            self.validate_layers = _int_tuple("validate_layers", self.validate_layers)
+        self.malicious_dos = _spec_tuple("malicious_dos", self.malicious_dos)
+        self.malicious_servers = _spec_tuple("malicious_servers", self.malicious_servers)
+        if not isinstance(self.gas_table, dict):
+            raise ConfigError("gas_table must be an object")
+        try:
+            GasTable.from_dict(self.gas_table)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"gas_table: {exc}") from exc
+        self.gas_table = dict(self.gas_table)
+
         if len(self.layers) < 3:
             raise ConfigError("layers must describe an MLP with at least two weight layers")
         if any(n < 1 for n in self.layers):
@@ -87,29 +101,37 @@ class SessionConfig:
             raise ConfigError("need at least one data owner")
         if self.T < 1 or self.K <= self.T + 1:
             raise ConfigError("need K > T + 1 >= 2 for robust reconstruction")
+        if self.rho is not None and self.rho < 1:
+            raise ConfigError("rho must be >= 1")
+        if self.rho_cap < 1:
+            raise ConfigError("rho_cap must be >= 1")
         if self.scale_bits < 1:
             raise ConfigError("scale_bits must be >= 1")
+        if self.deposit < 0:
+            raise ConfigError("deposit must be >= 0")
         if self.iterations < 1:
             raise ConfigError("iterations must be >= 1")
-        if self.samples_per_do < 1:
-            raise ConfigError("samples_per_do must be >= 1")
+        if self.samples_per_do < 1 or self.mo_samples < 1:
+            raise ConfigError("samples_per_do and mo_samples must be >= 1")
         L = len(self.layers) - 1
         if self.validate_layers is not None:
-            self.validate_layers = tuple(int(l) for l in self.validate_layers)
             if not self.validate_layers:
                 raise ConfigError("validate_layers must name at least one layer")
             if any(not 1 <= l <= L for l in self.validate_layers):
                 raise ConfigError("validate_layers entries must be in 1..L")
-        do_ids = set(range(self.N))
+        servers = range(1, self.K + 1)
         for spec in self.malicious_dos:
             if spec.get("behavior") not in DO_BEHAVIORS:
                 raise ConfigError(f"unknown data-owner behavior {spec.get('behavior')!r}")
-            if spec.get("id") not in do_ids:
+            if spec.get("id") not in range(self.N):
                 raise ConfigError("malicious_dos id out of range")
+            if spec.get("target_server", 1) not in servers:
+                raise ConfigError("bad_share target_server must be in 1..K")
+            _check_scalar("norm_attack factor", "float", spec.get("factor", 8.0))
         for spec in self.malicious_servers:
             if spec.get("behavior") not in SERVER_BEHAVIORS:
                 raise ConfigError(f"unknown server behavior {spec.get('behavior')!r}")
-            if not 1 <= spec.get("id", 0) <= self.K:
+            if spec.get("id") not in servers:
                 raise ConfigError("malicious_servers id must be in 1..K")
 
     @property
@@ -121,58 +143,55 @@ class SessionConfig:
         return len(self.malicious_servers) > self.budget
 
     def to_dict(self) -> dict:
-        return {
-            "layers": list(self.layers),
-            "N": self.N,
-            "K": self.K,
-            "T": self.T,
-            "rho": self.rho,
-            "rho_margin": self.rho_margin,
-            "rho_offset": self.rho_offset,
-            "rho_cap": self.rho_cap,
-            "scale_bits": self.scale_bits,
-            "deposit": self.deposit,
-            "samples_per_do": self.samples_per_do,
-            "mo_samples": self.mo_samples,
-            "eta": self.eta,
-            "iterations": self.iterations,
-            "data_scale": self.data_scale,
-            "teacher_scale": self.teacher_scale,
-            "teacher_noise": self.teacher_noise,
-            "init_scale": self.init_scale,
-            "mask_additive_sigma": self.mask_additive_sigma,
-            "validation": self.validation,
-            "validate_layers": list(self.validate_layers) if self.validate_layers else None,
-            "malicious_dos": [dict(d) for d in self.malicious_dos],
-            "malicious_servers": [dict(d) for d in self.malicious_servers],
-            "gas_table": dict(self.gas_table),
-            "register_timeout": self.register_timeout,
-        }
+        """The JSON form of the config: tuples become lists, dicts are copied."""
+
+        def plain(value):
+            if isinstance(value, tuple):
+                return [plain(v) for v in value]
+            return dict(value) if isinstance(value, dict) else value
+
+        return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SessionConfig":
-        known = {
-            "layers", "N", "K", "T", "rho", "rho_margin", "rho_offset", "rho_cap",
-            "scale_bits", "deposit", "samples_per_do", "mo_samples", "eta",
-            "iterations", "data_scale", "teacher_scale", "teacher_noise",
-            "init_scale", "mask_additive_sigma", "validation", "validate_layers",
-            "malicious_dos", "malicious_servers", "gas_table", "register_timeout",
-        }
-        unknown = set(doc) - known
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(doc)
-        if "layers" in kwargs:
-            kwargs["layers"] = tuple(int(n) for n in kwargs["layers"])
-        if kwargs.get("validate_layers") is not None:
-            kwargs["validate_layers"] = tuple(kwargs["validate_layers"])
-        for key in ("malicious_dos", "malicious_servers"):
-            if key in kwargs:
-                kwargs[key] = tuple(dict(d) for d in kwargs[key])
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+        return cls(**doc)
+
+
+# JSON types each scalar field accepts, keyed by its annotation text (the
+# annotations are strings under `from __future__ import annotations`);
+# bool is not a number here.
+_SCALAR_TYPES = {
+    "int": (int,),
+    "int | None": (int, type(None)),
+    "float": (int, float),
+    "bool": (bool,),
+}
+
+
+def _check_scalar(name: str, annotation: str, value) -> None:
+    allowed = _SCALAR_TYPES.get(annotation)
+    if allowed is None:
+        return
+    if isinstance(value, bool) != (bool in allowed) or not isinstance(value, allowed):
+        raise ConfigError(f"{name} must be {annotation}, got {value!r}")
+
+
+def _int_tuple(name: str, value) -> tuple[int, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list of integers, got {value!r}")
+    try:
+        return tuple(int(n) for n in value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be a list of integers, got {value!r}") from exc
+
+
+def _spec_tuple(name: str, value) -> tuple[dict, ...]:
+    if not isinstance(value, (list, tuple)) or not all(isinstance(d, dict) for d in value):
+        raise ConfigError(f"{name} must be a list of objects, got {value!r}")
+    return tuple(dict(d) for d in value)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +320,6 @@ def _run_session(
         gas_table=GasTable.from_dict(config.gas_table),
         rng=rng_stream(seed, "contract.challenge"),
         validation=config.validation,
-        register_timeout=config.register_timeout,
     )
 
     # Step 1: model publication

@@ -191,16 +191,13 @@ class VerdictShares:
     decode_failed: bool = False
 
 
-def server_round1(
-    pkg: ProverPackage, circ: Circuit, r: int, wires: WireShares | None = None
-) -> tuple[CheckState, int, int]:
+def server_round1(pkg: ProverPackage, circ: Circuit, r: int) -> tuple[CheckState, int, int]:
     """First identity-test round: derive and broadcast [d]_i and [e]_i.
 
     d = fhat(r) - a and e = ghat(r) - b open safely; a and b act as
     one-time pads.
     """
-    if wires is None:
-        wires = server_eval(pkg, circ)
+    wires = server_eval(pkg, circ)
     M = len(wires.mul_inputs)
     if M == 0:
         raise ValueError("circuit has no multiplication gates; nothing to check")

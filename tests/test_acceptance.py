@@ -35,7 +35,8 @@ def test_criterion_1_decryption_identity_real_path():
         (rng.normal(0, 1, (8, 4)), rng.normal(0, 1, (8, 2))) for _ in range(4)
     ]
     egs = [perturb.encrypted_gradient(enc, r_out, X, Y) for X, Y in shards]
-    dec = perturb.decrypt_aggregate(perturb.average_encrypted(egs), masks)
+    mean = np.mean([perturb.flatten(g) for g in egs], axis=0)
+    dec = perturb.decrypt_aggregate(perturb.unflatten(mean, model.layer_sizes), masks)
     pooled = perturb.plain_gradient(
         model, np.vstack([X for X, _ in shards]), np.vstack([Y for _, Y in shards])
     )

@@ -3,12 +3,7 @@ import random
 
 import pytest
 
-from gradmarket.circuit import (
-    Circuit,
-    CircuitBuilder,
-    build_norm_circuit,
-    eval_plain,
-)
+from gradmarket.circuit import CircuitBuilder, build_norm_circuit, eval_plain
 from gradmarket.field import Q
 
 
@@ -105,18 +100,3 @@ def test_trace_products_hold():
         _, trace = eval_plain(c, inputs)
         for u, v, w in trace.entries:
             assert (u * v) % Q == w
-
-
-def test_json_roundtrip():
-    c = build_norm_circuit(3, 4, accept_zero=True)
-    again = Circuit.from_json(c.to_json())
-    assert again == c
-    rng = random.Random(5)
-    inputs = [rng.randrange(6) for _ in range(3)]
-    assert eval_plain(c, inputs) == eval_plain(again, inputs)
-
-
-def test_json_rejects_forward_references():
-    bad = '{"inputs": 1, "gates": [{"kind": "add", "a": 0, "b": 1}], "output": 0}'
-    with pytest.raises(ValueError):
-        Circuit.from_json(bad)

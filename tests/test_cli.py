@@ -8,6 +8,8 @@ import pytest
 from conftest import SMALL_SESSION, TRAINING
 from gradmarket.cli import main
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
 
 def _write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
@@ -48,6 +50,28 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"layers": 5},
+        {"validate_layers": 2},
+        {"malicious_dos": [1]},
+        {"rho": "10"},
+        {"gas_table": {"bogus": 1}},
+        {"deposit": -1},
+        {"rho": 0},
+        {"malicious_dos": [{"id": 0, "behavior": "bad_share", "target_server": 9}]},
+    ],
+    ids=["layers-int", "validate_layers-int", "malicious_dos-int", "rho-str",
+         "gas_table-key", "deposit-negative", "rho-zero", "target_server-range"],
+)
+def test_malformed_clean_config_override_exits_2(tmp_path, capsys, override):
+    doc = dict(json.loads((CONFIGS / "clean.json").read_text()), **override)
+    cfg = _write_config(tmp_path, doc)
+    assert main(["run", "--config", cfg, "--seed", "3", "--out", str(tmp_path / "r.json")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_unknown_flag_rejected(tmp_path):
     cfg = _write_config(tmp_path, SMALL_SESSION)
     with pytest.raises(SystemExit) as exc:
@@ -84,7 +108,7 @@ def test_gas_compare_outputs_ratio(tmp_path):
 
 def test_gas_compare_m2400_config_meets_ratio_bound(tmp_path):
     # the shipped config gives a 2400-entry shared vector: (2+2)*(28*20+20*2)
-    cfg = str(Path(__file__).resolve().parent.parent / "configs" / "gas2400.json")
+    cfg = str(CONFIGS / "gas2400.json")
     out = tmp_path / "gas.json"
     assert main(["gas-compare", "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
@@ -98,6 +122,17 @@ def test_gas_compare_baseline_only(tmp_path):
     assert main(["gas-compare", "--config", cfg, "--baseline", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert "baseline" in doc and "ratio" not in doc
+
+
+def test_gas_compare_without_validation_uses_default_rho(tmp_path):
+    doc = dict(json.loads((CONFIGS / "clean.json").read_text()), validation=False)
+    cfg = _write_config(tmp_path, doc)
+    out, base_out = tmp_path / "gas.json", tmp_path / "base.json"
+    assert main(["gas-compare", "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
+    assert main(["gas-compare", "--config", cfg, "--baseline", "--out", str(base_out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["baseline"] == json.loads(base_out.read_text())["baseline"]
+    assert 0 < doc["ratio"] < 1
 
 
 def test_selftest_passes(capsys):

@@ -432,8 +432,9 @@ def test_tx_log_schema():
     contract, key, rng = _fresh()
     _complete_session(contract, key, rng)
     keys = {"method", "caller", "gas", "phase_before", "phase_after", "stored_words_delta"}
-    for line in contract.tx_log_jsonl().strip().split("\n"):
-        record = json.loads(line)
+    assert contract.tx_log
+    for record in contract.tx_log:
+        assert json.loads(json.dumps(record)) == record
         assert set(record) == keys
         assert record["phase_before"] in PHASES and record["phase_after"] in PHASES
 

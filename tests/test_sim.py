@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +35,31 @@ def test_config_roundtrip():
     cfg = small_session_config(malicious_dos=({"id": 1, "behavior": "random_gradient"},))
     again = SessionConfig.from_dict(cfg.to_dict())
     assert again.to_dict() == cfg.to_dict()
+
+
+def test_config_schema_is_the_dataclass_fields():
+    paths = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+    assert paths
+    names = {f.name for f in dataclasses.fields(SessionConfig)}
+    for path in paths:
+        cfg = SessionConfig.from_dict(json.loads(path.read_text()))
+        doc = cfg.to_dict()
+        assert set(doc) == names, path.name
+        assert SessionConfig.from_dict(doc) == cfg, path.name
+        assert SessionConfig.from_dict(doc).to_dict() == doc, path.name
+    # the constructor and from_dict normalise through the same path
+    doc = {
+        "layers": [4, 8, 2],
+        "validate_layers": [2],
+        "malicious_dos": [{"id": 0, "behavior": "bad_share"}],
+    }
+    assert SessionConfig(**doc) == SessionConfig.from_dict(doc)
+    assert SessionConfig(**doc).layers == (4, 8, 2)
+
+
+def test_config_rejects_register_timeout():
+    with pytest.raises(ConfigError, match="register_timeout"):
+        SessionConfig.from_dict({"register_timeout": 3})
 
 
 def test_validation_indices_default_and_per_layer():
