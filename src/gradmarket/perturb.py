@@ -94,20 +94,22 @@ def _forward_trace(weights: list[np.ndarray], X: np.ndarray):
     return acts, relu_mask
 
 
+def _backprop(weights: list[np.ndarray], relu_mask, d: np.ndarray, top: int) -> list[np.ndarray]:
+    """d-matrices of layers 0..top, backpropagated from the seed d at layer top."""
+    ds = [d]
+    for i in range(top, 0, -1):
+        ds.append((ds[-1] @ weights[i]) * relu_mask[i - 1])
+    return ds[::-1]
+
+
 def plain_gradient(model: MlpModel, X: np.ndarray, Y: np.ndarray) -> list[np.ndarray]:
     """Exact gradient of the mean of (1/2)||yhat - y||^2 over the dataset."""
     if X.shape[0] == 0:
         raise ValueError("dataset must be nonempty")
     L = model.num_layers
     acts, relu_mask = _forward_trace(model.weights, X)
-    M = X.shape[0]
-    grads: list[np.ndarray] = [np.empty(0)] * L
-    d = acts[-1] - Y
-    for i in range(L - 1, -1, -1):
-        grads[i] = d.T @ acts[i] / M
-        if i > 0:
-            d = (d @ model.weights[i]) * relu_mask[i - 1]
-    return grads
+    ds = _backprop(model.weights, relu_mask, acts[-1] - Y, L - 1)
+    return [ds[i].T @ acts[i] / X.shape[0] for i in range(L)]
 
 
 @dataclass
@@ -215,30 +217,18 @@ def encrypted_gradient(
     resid = acts[L] - Y  # masked residual, (M, p)
 
     # standard backprop for the masked gradient
-    G: list[np.ndarray] = [np.empty(0)] * L
-    d = resid
-    for i in range(L - 1, -1, -1):
-        G[i] = d.T @ acts[i] / M
-        if i > 0:
-            d = (d @ W[i]) * relu_mask[i - 1]
+    ds = _backprop(W, relu_mask, resid, L - 1)
+    G = [ds[i].T @ acts[i] / M for i in range(L)]
 
     # backprop seeds: per-output unit vectors (output Jacobians) and the
     # all-ones seed at the last hidden layer (alpha Jacobian)
-    J: list[list[np.ndarray]] = [[None] * p for _ in range(L)]  # d-matrices per layer
+    J: list[list[np.ndarray]] = []  # J[i_out][i]: d-matrix of output i_out at layer i
     for i_out in range(p):
         d = np.zeros((M, p))
         d[:, i_out] = 1.0
-        for i in range(L - 1, -1, -1):
-            J[i][i_out] = d
-            if i > 0:
-                d = (d @ W[i]) * relu_mask[i - 1]
-    A: list[np.ndarray] = [None] * L  # alpha backprop d-matrices; A[L-1] is zero
-    a = relu_mask[L - 2].astype(float)
-    for i in range(L - 2, -1, -1):
-        A[i] = a
-        if i > 0:
-            a = (a @ W[i]) * relu_mask[i - 1]
-    A[L - 1] = np.zeros((M, p))
+        J.append(_backprop(W, relu_mask, d, L - 1))
+    # alpha backprop d-matrices; A[L-1] is zero
+    A = _backprop(W, relu_mask, relu_mask[L - 2].astype(float), L - 2) + [np.zeros((M, p))]
 
     sigma: list[list[np.ndarray]] = []
     beta: list[np.ndarray] = []
@@ -247,7 +237,7 @@ def encrypted_gradient(
         beta.append((A[i] * alpha[:, None]).T @ base / M)
         layer_sigma = []
         for i_out in range(p):
-            s = (J[i][i_out] * alpha[:, None]).T @ base
+            s = (J[i_out][i] * alpha[:, None]).T @ base
             s += (A[i] * resid[:, [i_out]]).T @ base
             layer_sigma.append(r_out[i_out] * s / M)
         sigma.append(layer_sigma)

@@ -103,6 +103,8 @@ class SessionConfig:
             raise ConfigError("need K > T + 1 >= 2 for robust reconstruction")
         if self.rho is not None and self.rho < 1:
             raise ConfigError("rho must be >= 1")
+        if not 0 <= self.rho_margin < math.inf or self.rho_offset < 1:
+            raise ConfigError("need finite rho_margin >= 0 and rho_offset >= 1, so rho >= 1")
         if self.rho_cap < 1:
             raise ConfigError("rho_cap must be >= 1")
         if self.scale_bits < 1:
@@ -182,10 +184,9 @@ def _check_scalar(name: str, annotation: str, value) -> None:
 def _int_tuple(name: str, value) -> tuple[int, ...]:
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{name} must be a list of integers, got {value!r}")
-    try:
-        return tuple(int(n) for n in value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be a list of integers, got {value!r}") from exc
+    for n in value:
+        _check_scalar(f"{name} entries", "int", n)
+    return tuple(value)
 
 
 def _spec_tuple(name: str, value) -> tuple[dict, ...]:
@@ -269,31 +270,8 @@ def quantized_norm_sq(values: list[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Session actors
+# Session phases
 # ---------------------------------------------------------------------------
-
-@dataclass
-class _DoState:
-    do_id: int
-    behavior: dict | None
-    qvec: list[int] | None = None
-    shares: list[ShareVector] | None = None
-    sent_shares: dict[int, ShareVector] | None = None  # per server, possibly corrupted
-
-
-def _do_behavior(config: SessionConfig, do_id: int) -> dict | None:
-    for spec in config.malicious_dos:
-        if spec["id"] == do_id:
-            return spec
-    return None
-
-
-def _server_behavior(config: SessionConfig, i: int) -> str | None:
-    for spec in config.malicious_servers:
-        if spec["id"] == i:
-            return spec["behavior"]
-    return None
-
 
 def run_session(config: SessionConfig, seed: int) -> dict:
     """Execute one full trading session from scratch; returns the report."""
@@ -303,225 +281,231 @@ def run_session(config: SessionConfig, seed: int) -> dict:
     return _run_session(config, seed, world, key)
 
 
-def _run_session(
-    config: SessionConfig, seed: int, world: World, key: CommitmentKey
-) -> dict:
-    codec = FixedPointCodec(config.scale_bits)
-    sub_idx = validation_indices(config)
-    do_ids = list(range(config.N))
-    sim_events: list[dict] = []
+def _run_session(config: SessionConfig, seed: int, world: World, key: CommitmentKey) -> dict:
+    session = _Session(config, seed, world, key)
+    session.publish()
+    session.share()
+    session.complain()
+    session.validate()
+    session.contract.pay()
+    session.aggregate()
+    session.contract.finish()
+    return session.report()
 
-    contract = TradeContract(
-        deposit=config.deposit,
-        whitelist=do_ids,
-        K=config.K,
-        T=config.T,
-        commit_key=key,
-        gas_table=GasTable.from_dict(config.gas_table),
-        rng=rng_stream(seed, "contract.challenge"),
-        validation=config.validation,
-    )
 
-    # Step 1: model publication
-    mo_rng = np_stream(seed, "mo.masks")
-    masks = perturb.sample_masks(config.layers, mo_rng, config.mask_additive_sigma)
-    enc_model = perturb.apply_masks(world.model, masks)
-    published = perturb.serialize_published_model(enc_model, masks.r_out)
-    root = merkle_root(published)
-    contract.start(root, M0=config.samples_per_do, N_max=config.N)
-    for n in do_ids:
-        contract.register(n)
+class _Session:
+    """One trading session's state, advanced by one method per protocol phase.
 
-    # The model owner calibrates the norm bound from its own probe gradient.
-    rho = config.rho
-    rho_clamped = False
-    if config.validation:
-        if rho is None:
-            probe = perturb.encrypted_gradient(
-                enc_model, masks.r_out, world.mo_data[0], world.mo_data[1]
-            )
-            probe_q = perturb.quantize_vector(perturb.flatten(probe), codec)
-            probe_norm = quantized_norm_sq([probe_q[i] for i in sub_idx])
-            rho = math.ceil(config.rho_margin * probe_norm) + config.rho_offset
-        if rho > config.rho_cap:
-            rho = config.rho_cap
-            rho_clamped = True
+    Adversaries act in the phase their behavior belongs to: random_gradient,
+    norm_attack and bad_share in `share`, false_complaint in `complain`,
+    tampered_proof and corrupt_shares in `validate`, corrupt_shares again in
+    `aggregate`.
+    """
 
-    # Step 2: verifiable gradient sharing
-    dos: dict[int, _DoState] = {}
-    for n in do_ids:
-        state = _DoState(do_id=n, behavior=_do_behavior(config, n))
-        X, Y = world.shards[n]
-        # integrity check of the retrieved model against the on-chain root
-        if merkle_root(perturb.serialize_published_model(enc_model, masks.r_out)) != contract.root:
-            raise ProtocolError(f"data owner {n}: published model fails root check")
-        eg = perturb.encrypted_gradient(enc_model, masks.r_out, X, Y)
-        flat = perturb.flatten(eg)
-        adv = state.behavior
-        if adv and adv["behavior"] == "random_gradient":
-            arng = np_stream(seed, f"do.{n}.adversary")
-            flat = arng.normal(0.0, 1.0, flat.shape)
-        elif adv and adv["behavior"] == "norm_attack":
-            factor = float(adv.get("factor", 8.0))
-            scaled = flat * factor
-            for _ in range(40):
-                qs = perturb.quantize_vector(scaled, codec)
-                if quantized_norm_sq([qs[i] for i in sub_idx]) > (rho or 0):
-                    break
-                scaled = scaled * 2.0
-            flat = scaled
-        state.qvec = perturb.quantize_vector(flat, codec)
-        share_rng = rng_stream(seed, f"do.{n}.share")
-        shares, z_masks = ss_share(state.qvec, config.T, config.K, share_rng)
-        state.shares = shares
-        commitment = commit_mod.commit(state.qvec, z_masks, key)
-        contract.store_commitment(n, commitment)
-        sent = {i: shares[i - 1] for i in range(1, config.K + 1)}
-        if adv and adv["behavior"] == "bad_share":
-            target = int(adv.get("target_server", 1))
-            arng = rng_stream(seed, f"do.{n}.adversary")
-            good = sent[target]
-            bad_values = list(good.values)
-            bad_values[0] = (bad_values[0] + arng.randrange(1, Q)) % Q
-            sent[target] = ShareVector(index=target, values=tuple(bad_values))
-        state.sent_shares = sent
-        dos[n] = state
+    def __init__(self, config: SessionConfig, seed: int, world: World, key: CommitmentKey):
+        self.config, self.seed, self.world, self.key = config, seed, world, key
+        self.codec = FixedPointCodec(config.scale_bits)
+        self.sub_idx = validation_indices(config)
+        self.do_ids = list(range(config.N))
+        self.servers = range(1, config.K + 1)
+        # the first spec given for an id is the one that acts
+        self.do_specs = {s["id"]: s for s in reversed(config.malicious_dos)}
+        self.server_behaviors = {
+            s["id"]: s["behavior"] for s in reversed(config.malicious_servers)
+        }
+        self.contract = TradeContract(
+            deposit=config.deposit,
+            whitelist=self.do_ids,
+            K=config.K,
+            T=config.T,
+            commit_key=key,
+            gas_table=GasTable.from_dict(config.gas_table),
+            rng=rng_stream(seed, "contract.challenge"),
+            validation=config.validation,
+        )
+        self.qvecs: dict[int, list[int]] = {}
+        # per owner and server, the share as delivered (possibly corrupted)
+        self.sent: dict[int, dict[int, ShareVector]] = {}
+        self.sim_events: list[dict] = []
 
-    # servers check their shares; failures and false complaints get arbitrated
-    for i in range(1, config.K + 1):
-        behavior = _server_behavior(config, i)
-        for n in do_ids:
-            share = dos[n].sent_shares[i]
-            ok = verify_share(share, contract.commitments[n], key)
-            if not ok:
-                contract.complain(i, n)
-                # the accused owner submits the share it delivered to server i
-                contract.resolve_complaint(n, share)
-            elif behavior == "false_complaint":
-                contract.complain(i, n)
-                contract.resolve_complaint(n, share)
-    contract.mark_shares_ready()
-    contract.begin_validation()
+    def _sub_norm(self, qvec: list[int]) -> int:
+        return quantized_norm_sq([qvec[i] for i in self.sub_idx])
 
-    # Step 3: private gradient validation
-    if config.validation:
-        circ = build_norm_circuit(len(sub_idx), rho, accept_zero=True)
-        contract.reveal_circuit(circ)
-        r = contract.sample_challenge()
-        for n in sorted(contract.validity):
-            state = dos[n]
-            sub_q = [state.qvec[j] for j in sub_idx]
-            sub_shares = [
-                ShareVector(index=s.index, values=tuple(s.values[j] for j in sub_idx))
-                for s in state.shares
-            ]
-            _, _, h = snip.compute_h(circ, sub_q)
-            adv = state.behavior
-            if adv and adv["behavior"] == "tampered_proof":
-                arng = rng_stream(seed, f"do.{n}.adversary")
-                pos = arng.randrange(len(h))
-                h[pos] = (h[pos] + arng.randrange(1, Q)) % Q
-            packages = snip.package_proof(
-                sub_shares, h, config.T, config.K, rng_stream(seed, f"do.{n}.proof")
-            )
-            # round 1: local evaluation, then the barriered d/e opening
-            states = {}
-            d_bc = [0] * config.K
-            e_bc = [0] * config.K
-            for i in range(1, config.K + 1):
-                st, d_i, e_i = snip.server_round1(packages[i - 1], circ, r)
-                states[i] = st
-                if _server_behavior(config, i) == "corrupt_shares":
-                    srng = rng_stream(seed, f"server.{i}.adversary.{n}.open")
-                    d_i, e_i = srng.randrange(Q), srng.randrange(Q)
-                d_bc[i - 1], e_bc[i - 1] = d_i, e_i
-            # round 2: every server reconstructs the openings and submits
-            for i in range(1, config.K + 1):
-                if _server_behavior(config, i) == "corrupt_shares":
-                    srng = rng_stream(seed, f"server.{i}.adversary.{n}.verdict")
-                    contract.submit_verdict(
-                        i, n, srng.randrange(Q), srng.randrange(Q), False
-                    )
-                    continue
-                verdict = snip.server_round2(states[i], d_bc, e_bc, config.T)
-                contract.submit_verdict(
-                    i,
-                    n,
-                    verdict.identity_share,
-                    verdict.output_share,
-                    verdict.decode_failed,
+    def _behavior(self, n: int) -> str | None:
+        return self.do_specs.get(n, {}).get("behavior")
+
+    def publish(self):
+        """Mask and publish the model, open the session, register the owners
+        and calibrate the norm bound rho."""
+        config, world = self.config, self.world
+        self.masks = perturb.sample_masks(
+            config.layers, np_stream(self.seed, "mo.masks"), config.mask_additive_sigma
+        )
+        self.enc_model = perturb.apply_masks(world.model, self.masks)
+        published = perturb.serialize_published_model(self.enc_model, self.masks.r_out)
+        self.contract.start(merkle_root(published), M0=config.samples_per_do, N_max=config.N)
+        for n in self.do_ids:
+            self.contract.register(n)
+        # The model owner calibrates the norm bound from its own probe gradient.
+        self.rho, self.rho_clamped = config.rho, False
+        if config.validation:
+            if self.rho is None:
+                probe = perturb.encrypted_gradient(
+                    self.enc_model, self.masks.r_out, world.mo_data[0], world.mo_data[1]
                 )
-    contract.complete_validation()
+                probe_q = perturb.quantize_vector(perturb.flatten(probe), self.codec)
+                margin = math.ceil(config.rho_margin * self._sub_norm(probe_q))
+                self.rho = margin + config.rho_offset
+            if self.rho > config.rho_cap:
+                self.rho, self.rho_clamped = config.rho_cap, True
 
-    # payment
-    contract.pay()
+    def share(self):
+        """Each owner commits to its gradient on chain and sends each server a share."""
+        config, seed = self.config, self.seed
+        for n in self.do_ids:
+            X, Y = self.world.shards[n]
+            # integrity check of the retrieved model against the on-chain root
+            published = perturb.serialize_published_model(self.enc_model, self.masks.r_out)
+            if merkle_root(published) != self.contract.root:
+                raise ProtocolError(f"data owner {n}: published model fails root check")
+            eg = perturb.encrypted_gradient(self.enc_model, self.masks.r_out, X, Y)
+            flat = perturb.flatten(eg)
+            if self._behavior(n) == "random_gradient":
+                flat = np_stream(seed, f"do.{n}.adversary").normal(0.0, 1.0, flat.shape)
+            elif self._behavior(n) == "norm_attack":
+                flat = flat * float(self.do_specs[n].get("factor", 8.0))
+                for _ in range(40):
+                    if self._sub_norm(perturb.quantize_vector(flat, self.codec)) > (self.rho or 0):
+                        break
+                    flat = flat * 2.0
+            qvec = perturb.quantize_vector(flat, self.codec)
+            shares, z_masks = ss_share(qvec, config.T, config.K, rng_stream(seed, f"do.{n}.share"))
+            self.contract.store_commitment(n, commit_mod.commit(qvec, z_masks, self.key))
+            sent = dict(zip(self.servers, shares))
+            if self._behavior(n) == "bad_share":
+                target = int(self.do_specs[n].get("target_server", 1))
+                values = list(sent[target].values)
+                values[0] = (values[0] + rng_stream(seed, f"do.{n}.adversary").randrange(1, Q)) % Q
+                sent[target] = ShareVector(index=target, values=tuple(values))
+            self.qvecs[n], self.sent[n] = qvec, sent
 
-    # Step 4: aggregated gradient reconstruction
-    agg_commitment = contract.aggregate_commitment()
-    validity = sorted(contract.validity)
-    decrypted = None
-    grad_error = None
-    agg_failures: list[int] = []
-    if validity:
-        agg_shares = []
-        for i in range(1, config.K + 1):
-            vals = [0] * len(dos[validity[0]].qvec)
-            for n in validity:
-                sv = dos[n].sent_shares[i]
-                vals = [(a + b) % Q for a, b in zip(vals, sv.values)]
-            share = ShareVector(index=i, values=tuple(vals))
-            if _server_behavior(config, i) == "corrupt_shares":
-                srng = rng_stream(seed, f"server.{i}.adversary.aggregate")
-                share = ShareVector(
-                    index=i,
-                    values=tuple(srng.randrange(Q) for _ in range(len(vals))),
-                )
-            agg_shares.append(share)
-        passing = [
-            s for s in agg_shares if verify_share(s, agg_commitment, key)
+    def complain(self):
+        """Each server checks its shares; the contract arbitrates every complaint."""
+        for i in self.servers:
+            false_complaint = self.server_behaviors.get(i) == "false_complaint"
+            for n in self.do_ids:
+                share = self.sent[n][i]
+                ok = verify_share(share, self.contract.commitments[n], self.key)
+                if not ok or false_complaint:
+                    self.contract.complain(i, n)
+                    # the accused owner submits the share it delivered to server i
+                    self.contract.resolve_complaint(n, share)
+        self.contract.mark_shares_ready()
+        self.contract.begin_validation()
+
+    def validate(self):
+        """Each owner in the validity set proves its norm bound to the servers."""
+        if self.config.validation:
+            circ = build_norm_circuit(len(self.sub_idx), self.rho, accept_zero=True)
+            self.contract.reveal_circuit(circ)
+            r = self.contract.sample_challenge()
+            for n in sorted(self.contract.validity):
+                self._check_proof(n, circ, r)
+        self.contract.complete_validation()
+
+    def _check_proof(self, n: int, circ, r: int):
+        """Owner n shares its proof; the servers run both rounds and post verdicts."""
+        config, seed, sub_idx = self.config, self.seed, self.sub_idx
+        sub_shares = [
+            ShareVector(index=i, values=tuple(s.values[j] for j in sub_idx))
+            for i, s in self.sent[n].items()
         ]
-        failed = [s.index for s in agg_shares if s.index not in {p.index for p in passing}]
-        for i in failed:
-            sim_events.append({"event": "aggregate_share_rejected", "server": i})
-        agg_failures = failed
+        _, _, h = snip.compute_h(circ, [self.qvecs[n][j] for j in sub_idx])
+        if self._behavior(n) == "tampered_proof":
+            arng = rng_stream(seed, f"do.{n}.adversary")
+            pos = arng.randrange(len(h))
+            h[pos] = (h[pos] + arng.randrange(1, Q)) % Q
+        packages = snip.package_proof(
+            sub_shares, h, config.T, config.K, rng_stream(seed, f"do.{n}.proof")
+        )
+        # round 1: local evaluation, then the barriered d/e opening
+        states, d_bc, e_bc = {}, [], []
+        for i in self.servers:
+            states[i], d_i, e_i = snip.server_round1(packages[i - 1], circ, r)
+            if self.server_behaviors.get(i) == "corrupt_shares":
+                srng = rng_stream(seed, f"server.{i}.adversary.{n}.open")
+                d_i, e_i = srng.randrange(Q), srng.randrange(Q)
+            d_bc.append(d_i)
+            e_bc.append(e_i)
+        # round 2: every server reconstructs the openings and submits
+        for i in self.servers:
+            if self.server_behaviors.get(i) == "corrupt_shares":
+                srng = rng_stream(seed, f"server.{i}.adversary.{n}.verdict")
+                self.contract.submit_verdict(i, n, srng.randrange(Q), srng.randrange(Q), False)
+            else:
+                v = snip.server_round2(states[i], d_bc, e_bc, config.T)
+                self.contract.submit_verdict(
+                    i, n, v.identity_share, v.output_share, v.decode_failed
+                )
+
+    def aggregate(self):
+        """Servers sum the valid owners' shares; the model owner keeps the sums
+        that match the aggregate commitment, reconstructs and decrypts."""
+        config, world = self.config, self.world
+        agg_commitment = self.contract.aggregate_commitment()
+        self.validity = sorted(self.contract.validity)
+        self.decrypted = self.grad_error = None
+        self.agg_failures: list[int] = []
+        if not self.validity:
+            return
+        passing = []
+        for i in self.servers:
+            columns = zip(*(self.sent[n][i].values for n in self.validity))
+            share = ShareVector(index=i, values=tuple(sum(c) % Q for c in columns))
+            if self.server_behaviors.get(i) == "corrupt_shares":
+                srng = rng_stream(self.seed, f"server.{i}.adversary.aggregate")
+                share = ShareVector(index=i, values=tuple(srng.randrange(Q) for _ in share.values))
+            if verify_share(share, agg_commitment, self.key):
+                passing.append(share)
+            else:
+                self.agg_failures.append(i)
+                self.sim_events.append({"event": "aggregate_share_rejected", "server": i})
         if len(passing) < config.T + 1:
             raise ProtocolError("too few verified aggregate shares to reconstruct")
         q_sum = ss_recon(passing[: config.T + 1], config.T)
-        mean_vec = perturb.dequantize_vector(q_sum, codec) / len(validity)
-        eg_mean = perturb.unflatten(mean_vec, config.layers)
-        decrypted = perturb.decrypt_aggregate(eg_mean, masks)
-        pooled = [
-            perturb.plain_gradient(world.model, *world.shards[n]) for n in validity
-        ]
-        plain_mean = [
-            sum(g[l] for g in pooled) / len(pooled)
-            for l in range(len(config.layers) - 1)
-        ]
-        grad_error = max(
-            float(np.max(np.abs(d - p))) for d, p in zip(decrypted, plain_mean)
+        mean_vec = perturb.dequantize_vector(q_sum, self.codec) / len(self.validity)
+        self.decrypted = perturb.decrypt_aggregate(
+            perturb.unflatten(mean_vec, config.layers), self.masks
         )
-    contract.finish()
+        pooled = [perturb.plain_gradient(world.model, *world.shards[n]) for n in self.validity]
+        plain_mean = [
+            sum(g[l] for g in pooled) / len(pooled) for l in range(len(config.layers) - 1)
+        ]
+        self.grad_error = max(
+            float(np.max(np.abs(d - p))) for d, p in zip(self.decrypted, plain_mean)
+        )
 
-    report = {
-        "seed": seed,
-        "config": config.to_dict(),
-        "phase": contract.phase,
-        "rho": rho,
-        "rho_clamped": rho_clamped,
-        "challenge": str(contract.challenge) if contract.challenge is not None else None,
-        "validity_set": validity,
-        "payments": {str(k): v for k, v in sorted(contract.balances.items(), key=lambda kv: str(kv[0]))},
-        "gas": contract.gas_report(),
-        "on_chain_words": contract.on_chain_word_count(),
-        "gradient_max_abs_error": grad_error,
-        "decrypted_gradient": [g.ravel().tolist() for g in decrypted] if decrypted else None,
-        "aggregate_share_failures": agg_failures,
-        "adversary_budget_exceeded": config.budget_exceeded,
-        "false_complaints": [list(fc) for fc in contract.false_complaints],
-        "events": contract.events + sim_events,
-        "transactions": contract.tx_log,
-    }
-    return report
+    def report(self) -> dict:
+        contract, decrypted = self.contract, self.decrypted
+        return {
+            "seed": self.seed,
+            "config": self.config.to_dict(),
+            "phase": contract.phase,
+            "rho": self.rho,
+            "rho_clamped": self.rho_clamped,
+            "challenge": str(contract.challenge) if contract.challenge is not None else None,
+            "validity_set": self.validity,
+            "payments": {str(k): v for k, v in sorted(contract.balances.items(), key=lambda kv: str(kv[0]))},
+            "gas": contract.gas_report(),
+            "on_chain_words": contract.on_chain_word_count(),
+            "gradient_max_abs_error": self.grad_error,
+            "decrypted_gradient": [g.ravel().tolist() for g in decrypted] if decrypted else None,
+            "aggregate_share_failures": self.agg_failures,
+            "adversary_budget_exceeded": self.config.budget_exceeded,
+            "false_complaints": [list(fc) for fc in contract.false_complaints],
+            "events": contract.events + self.sim_events,
+            "transactions": contract.tx_log,
+        }
 
 
 def run_training(config: SessionConfig, seed: int) -> dict:

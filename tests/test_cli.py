@@ -61,9 +61,18 @@ def test_malformed_config_exits_2(tmp_path, capsys):
         {"deposit": -1},
         {"rho": 0},
         {"malicious_dos": [{"id": 0, "behavior": "bad_share", "target_server": 9}]},
+        {"rho_offset": -1000},
+        {"rho_margin": -5.0},
+        {"rho_margin": float("nan")},
+        {"layers": [4.7, 8, 2]},
+        {"layers": [True, 8, 2]},
+        {"layers": ["4", 8, 2]},
+        {"validate_layers": [2.9]},
     ],
     ids=["layers-int", "validate_layers-int", "malicious_dos-int", "rho-str",
-         "gas_table-key", "deposit-negative", "rho-zero", "target_server-range"],
+         "gas_table-key", "deposit-negative", "rho-zero", "target_server-range",
+         "rho_offset-negative", "rho_margin-negative", "rho_margin-nan", "layers-float",
+         "layers-bool", "layers-str", "validate_layers-float"],
 )
 def test_malformed_clean_config_override_exits_2(tmp_path, capsys, override):
     doc = dict(json.loads((CONFIGS / "clean.json").read_text()), **override)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -233,3 +234,45 @@ def test_training_csv_format():
     assert lines[0] == "iteration,mse"
     assert len(lines) == 4
     assert lines[1].startswith("0,")
+
+
+ALL_ADVERSARIES = dict(
+    N=6,
+    K=7,
+    T=1,
+    malicious_dos=(
+        {"id": 0, "behavior": "random_gradient"},
+        {"id": 1, "behavior": "norm_attack"},
+        {"id": 2, "behavior": "bad_share", "target_server": 3},
+        {"id": 3, "behavior": "tampered_proof"},
+    ),
+    malicious_servers=(
+        {"id": 2, "behavior": "corrupt_shares"},
+        {"id": 5, "behavior": "false_complaint"},
+    ),
+)
+
+
+def _report_digest(report: dict) -> str:
+    # the decrypted gradient and its error are BLAS float sums, whose last
+    # bit may differ between machines; everything else is exact
+    doc = {k: v for k, v in report.items()
+           if k not in ("decrypted_gradient", "gradient_max_abs_error")}
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def test_clean_config_report_golden_digest():
+    path = Path(__file__).resolve().parent.parent / "configs" / "clean.json"
+    report = run_session(SessionConfig.from_dict(json.loads(path.read_text())), 3)
+    assert _report_digest(report) == (
+        "c7a6cec54f5a63d7d09de93712a449156397c387358dcb27b8a599870d5c94f3"
+    )
+
+
+def test_all_adversaries_report_golden_digest():
+    report = run_session(small_session_config(**ALL_ADVERSARIES), 3)
+    assert report["validity_set"] == [4, 5]
+    assert report["aggregate_share_failures"] == [2]
+    assert _report_digest(report) == (
+        "7ce9f872e0272afbde0fdfff9eabcaa9cd9210a731e070952ba2d80fcb90dc44"
+    )
