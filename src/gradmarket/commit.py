@@ -14,11 +14,16 @@ secret, one binding each sharing mask vector. Share verification checks
 
 and commitments aggregate by element-wise group multiplication, matching
 the coordinate-wise sum of shares.
+
+Both sides of that check are multi-exponentiations over the one basis, so
+the key precomputes each basis element's power at every c-bit window once
+(fixed-base precomputation, Brickell-Gordon-McCurley-Wilson), and a
+multi-exp is one bucket pass over all windows and one fold.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 
 from . import field
@@ -32,9 +37,16 @@ P = GROUP_COFACTOR * Q + 1
 G = pow(2, GROUP_COFACTOR, P)
 
 GROUP_ELEMENT_BYTES = (P.bit_length() + 7) // 8
+# bit length of a reduced exponent, which the multi-exp splits into windows
+EXPONENT_BITS = Q.bit_length()
 
 assert (P - 1) % Q == 0
 assert G != 1 and pow(G, Q, P) == 1
+
+
+def _windows(c: int) -> int:
+    """Number of c-bit windows covering an exponent below q."""
+    return -(-EXPONENT_BITS // c)
 
 
 def element_to_bytes(a: int) -> bytes:
@@ -53,12 +65,36 @@ def element_from_bytes(data: bytes) -> int:
 
 @dataclass(frozen=True)
 class CommitmentKey:
-    """Public power basis (g^(a^0), ..., g^(a^(m-1))); the scalar a is gone."""
+    """Public power basis (g^(a^0), ..., g^(a^(m-1))); the scalar a is gone.
+
+    The key also owns the fixed-base table its multi-exps read. It is a
+    pure function of the basis, built on first use and cached on the
+    instance, so it is not a field: equality, hashing and the setup cost
+    are those of the basis alone.
+    """
 
     basis: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.basis)
+
+    @functools.cached_property
+    def window(self) -> int:
+        """Digit width c minimizing m*ceil(127/c) + 2^(c+1), the bucket
+        multiplications of one multi-exp plus its fold (8 at m = 192, 11
+        at m = 2400)."""
+        m = len(self.basis)
+        return min(range(1, EXPONENT_BITS + 1), key=lambda c: m * _windows(c) + (2 << c))
+
+    @functools.cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """columns[w][k] = basis[k]^(2^(c*w)) for every c-bit window w of an
+        exponent below q: about m*(127-c) squarings, done once per key."""
+        step = 1 << self.window
+        columns = [self.basis]
+        for _ in range(1, _windows(self.window)):
+            columns.append(tuple(pow(b, step, P) for b in columns[-1]))
+        return tuple(columns)
 
 
 @dataclass(frozen=True)
@@ -112,37 +148,34 @@ def setup_key(m: int, rng) -> CommitmentKey:
     return _key_from_scalar(alpha, m)
 
 
-def _multi_exp(basis: tuple[int, ...], exponents) -> int:
-    """prod_k basis[k]^exponents[k] mod p, by Pippenger's bucket method.
+def _multi_exp(key: CommitmentKey, exponents) -> int:
+    """prod_k basis[k]^exponents[k] mod p, over the key's fixed-base columns.
 
     The basis lies in the order-q subgroup, so each exponent is reduced
     mod q first (negative ones included) without changing the product.
-    Each c-bit window multiplies every base into the bucket of its digit,
-    and a running product folds the buckets into prod_d bucket[d]^d. The
-    width c is about ln n for n nonzero terms: a window costs n bucket
-    multiplications plus 2^(c+1) for the fold, over 127/c windows.
+    Written in c-bit digits e_k = sum_w d_(k,w) * 2^(c*w), the product is
+    prod_(k,w) columns[w][k]^d_(k,w): every term goes into the bucket of
+    its digit, and one running-product fold returns prod_d bucket[d]^d.
+    Windows above the largest exponent's bit length are skipped.
     """
-    terms = [(b, e % Q) for b, e in zip(basis, exponents)]
-    terms = [(b, e) for b, e in terms if e]
-    if not terms:
+    exps = [e % Q for e in exponents]
+    top = max(exps, default=0).bit_length()
+    if not top:
         return 1
-    c = max(1, round(math.log(len(terms))))
+    c = key.window
     mask = (1 << c) - 1
-    top = max(e for _, e in terms).bit_length()
-    acc = 1
-    for shift in range((top - 1) // c * c, -1, -c):
-        acc = pow(acc, 1 << c, P)
-        buckets = [1] * (mask + 1)
-        for b, e in terms:
+    buckets = [1] * (mask + 1)
+    for w, column in enumerate(key.columns[: -(-top // c)]):
+        shift = w * c
+        for b, e in zip(column, exps):
             d = (e >> shift) & mask
             if d:
                 buckets[d] = buckets[d] * b % P
-        running = 1
-        window = 1
-        for d in range(mask, 0, -1):
-            running = running * buckets[d] % P
-            window = window * running % P
-        acc = acc * window % P
+    running = 1
+    acc = 1
+    for d in range(mask, 0, -1):
+        running = running * buckets[d] % P
+        acc = acc * running % P
     return acc
 
 
@@ -156,9 +189,9 @@ def commit(
     for z in masks:
         if len(z) != m:
             raise ValueError("mask length mismatch")
-    elements = [_multi_exp(key.basis, secret)]
+    elements = [_multi_exp(key, secret)]
     for z in masks:
-        elements.append(_multi_exp(key.basis, z))
+        elements.append(_multi_exp(key, z))
     return VectorCommitment(elements=tuple(elements))
 
 
@@ -174,7 +207,7 @@ def verify_share(
     for c in commitment.elements:
         lhs = lhs * pow(c, ipow, P) % P
         ipow = field.mul(ipow, i % Q)
-    rhs = _multi_exp(key.basis, share.values)
+    rhs = _multi_exp(key, share.values)
     return lhs == rhs
 
 

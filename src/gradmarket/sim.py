@@ -135,6 +135,10 @@ class SessionConfig:
                 raise ConfigError(f"unknown server behavior {spec.get('behavior')!r}")
             if spec.get("id") not in servers:
                 raise ConfigError("malicious_servers id must be in 1..K")
+        for name in ("malicious_dos", "malicious_servers"):
+            ids = [spec["id"] for spec in getattr(self, name)]
+            if len(set(ids)) != len(ids):
+                raise ConfigError(f"{name} ids must be distinct")
 
     @property
     def budget(self) -> int:
@@ -308,11 +312,8 @@ class _Session:
         self.sub_idx = validation_indices(config)
         self.do_ids = list(range(config.N))
         self.servers = range(1, config.K + 1)
-        # the first spec given for an id is the one that acts
-        self.do_specs = {s["id"]: s for s in reversed(config.malicious_dos)}
-        self.server_behaviors = {
-            s["id"]: s["behavior"] for s in reversed(config.malicious_servers)
-        }
+        self.do_specs = {s["id"]: s for s in config.malicious_dos}
+        self.server_behaviors = {s["id"]: s["behavior"] for s in config.malicious_servers}
         self.contract = TradeContract(
             deposit=config.deposit,
             whitelist=self.do_ids,

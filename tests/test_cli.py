@@ -68,11 +68,16 @@ def test_malformed_config_exits_2(tmp_path, capsys):
         {"layers": [True, 8, 2]},
         {"layers": ["4", 8, 2]},
         {"validate_layers": [2.9]},
+        {"malicious_dos": [{"id": 1, "behavior": "random_gradient"},
+                           {"id": 1, "behavior": "bad_share"}]},
+        {"malicious_servers": [{"id": 2, "behavior": "corrupt_shares"},
+                               {"id": 2, "behavior": "false_complaint"}]},
     ],
     ids=["layers-int", "validate_layers-int", "malicious_dos-int", "rho-str",
          "gas_table-key", "deposit-negative", "rho-zero", "target_server-range",
          "rho_offset-negative", "rho_margin-negative", "rho_margin-nan", "layers-float",
-         "layers-bool", "layers-str", "validate_layers-float"],
+         "layers-bool", "layers-str", "validate_layers-float", "malicious_dos-duplicate",
+         "malicious_servers-duplicate"],
 )
 def test_malformed_clean_config_override_exits_2(tmp_path, capsys, override):
     doc = dict(json.loads((CONFIGS / "clean.json").read_text()), **override)

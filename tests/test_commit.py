@@ -1,8 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
-from gradmarket import commit, field
+from gradmarket import commit, field, sim
 from gradmarket.commit import (
     G,
     P,
@@ -180,16 +181,16 @@ def _per_term_product(basis, exponents):
 
 def test_multi_exp_empty_and_all_zero_vectors():
     key = _key_from_scalar(31337, 5)
-    assert commit._multi_exp((), []) == 1
-    assert commit._multi_exp(key.basis, [0] * 5) == 1
+    assert commit._multi_exp(CommitmentKey(()), []) == 1
+    assert commit._multi_exp(key, [0] * 5) == 1
 
 
 def test_multi_exp_single_term_and_top_exponent():
     key = _key_from_scalar(31337, 3)
     for e in (1, 2, Q - 1):
-        assert commit._multi_exp(key.basis[:1], [e]) == pow(G, e, P)
+        assert commit._multi_exp(CommitmentKey(key.basis[:1]), [e]) == pow(G, e, P)
     exps = [Q - 1, Q - 1, 5]
-    assert commit._multi_exp(key.basis, exps) == _per_term_product(key.basis, exps)
+    assert commit._multi_exp(key, exps) == _per_term_product(key.basis, exps)
 
 
 def test_multi_exp_reduces_exponents_mod_q():
@@ -199,11 +200,11 @@ def test_multi_exp_reduces_exponents_mod_q():
     expected = _per_term_product(key.basis, reduced)
     above = [e + Q * (k + 1) for k, e in enumerate(reduced)]
     below = [e - Q * (k + 1) for k, e in enumerate(reduced)]
-    assert commit._multi_exp(key.basis, above) == expected
-    assert commit._multi_exp(key.basis, below) == expected
+    assert commit._multi_exp(key, above) == expected
+    assert commit._multi_exp(key, below) == expected
     # the unreduced per-term powers agree too, since the basis has order q
     assert _per_term_product(key.basis, below) == expected
-    assert commit._multi_exp(key.basis, [Q, -Q, 2 * Q, 0, -1, Q + 1]) == \
+    assert commit._multi_exp(key, [Q, -Q, 2 * Q, 0, -1, Q + 1]) == \
         _per_term_product(key.basis, [0, 0, 0, 0, Q - 1, 1])
 
 
@@ -216,19 +217,86 @@ def test_multi_exp_small_signed_values():
     encoded = [v % Q for v in signed]
     assert any(v < 0 for v in signed) and 0 in signed
     expected = _per_term_product(key.basis, encoded)
-    assert commit._multi_exp(key.basis, encoded) == expected
-    assert commit._multi_exp(key.basis, signed) == expected
+    assert commit._multi_exp(key, encoded) == expected
+    assert commit._multi_exp(key, signed) == expected
 
 
-@pytest.mark.parametrize("m", [7, 64, 300, 2400])
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 64, 192, 300, 2400])
 def test_multi_exp_matches_per_term_product(m):
     rng = random.Random(m)
     key = _key_from_scalar(field.rand_element(rng), m)
     full = [field.rand_element(rng) for _ in range(m)]
-    assert commit._multi_exp(key.basis, full) == _per_term_product(key.basis, full)
+    assert commit._multi_exp(key, full) == _per_term_product(key.basis, full)
     # sparse vector with short exponents: fewer terms, fewer windows
     sparse = [rng.randrange(1 << 20) if rng.random() < 0.3 else 0 for _ in range(m)]
-    assert commit._multi_exp(key.basis, sparse) == _per_term_product(key.basis, sparse)
+    assert commit._multi_exp(key, sparse) == _per_term_product(key.basis, sparse)
+
+
+def test_multi_exp_alternating_keys():
+    # each key reads its own table: a table kept from the other key fails
+    rng = random.Random(23)
+    keys = [_key_from_scalar(field.rand_element(rng), m) for m in (40, 40, 192, 40)]
+    for _ in range(2):
+        for key in keys:
+            exps = [field.rand_element(rng) for _ in range(len(key))]
+            assert commit._multi_exp(key, exps) == _per_term_product(key.basis, exps)
+
+
+@pytest.mark.parametrize("m", [3, 192, 2400])
+def test_multi_exp_zero_top_windows(m):
+    # exponents below 2^(c*j) leave every window from j up empty; the
+    # bounds sit on and next to each window boundary (at most 64 nonzero
+    # exponents keep the per-term oracle fast)
+    rng = random.Random(24)
+    key = _key_from_scalar(field.rand_element(rng), m)
+    c = key.window
+    for j in range(1, commit._windows(c)):
+        for bound in (1 << (c * j), (1 << (c * j)) + 1):
+            exps = [0] * m
+            for k in rng.sample(range(m), min(m, 64)):
+                exps[k] = rng.randrange(bound)
+            exps[rng.randrange(m)] = bound - 1
+            assert commit._multi_exp(key, exps) == _per_term_product(key.basis, exps)
+
+
+def test_window_width_rule():
+    # the width minimizes m*ceil(127/c) + 2^(c+1) bucket multiplications
+    assert CommitmentKey(tuple(range(192))).window == 8
+    assert CommitmentKey(tuple(range(2400))).window == 11
+
+
+def test_key_table_built_once_on_first_use():
+    rng = random.Random(25)
+    key = setup_key(5, rng)
+    assert "columns" not in vars(key)  # setup_key leaves the table unbuilt
+    secret = [field.rand_element(rng) for _ in range(5)]
+    shares, masks = ss_share(secret, 1, 5, rng)
+    cm = commit.commit(secret, masks, key)
+    columns = vars(key)["columns"]
+    assert verify_share(shares[0], cm, key)
+    assert key.columns is columns
+    assert len(columns) == commit._windows(key.window)
+    assert columns[0] == key.basis
+    for col, nxt in zip(columns, columns[1:]):
+        assert nxt == tuple(pow(b, 1 << key.window, P) for b in col)
+
+
+# SHA-256 of the commitment elements and the share-check results below,
+# recorded with the per-call Pippenger multi-exp this table replaced
+COMMIT_VERIFY_2400_DIGEST = "23c6f843e6ca4305c358efced90e1cc4e2d3fcf90f99f44e173cccbd2a215a23"
+
+
+def test_commit_and_verify_golden_digest():
+    key = setup_key(2400, sim.rng_stream(3, "contract.setup"))
+    rng = random.Random(2400)
+    secret = [rng.randint(-40, 40) % Q for _ in range(2400)]
+    shares, masks = ss_share(secret, 1, 5, rng)
+    cm = commit.commit(secret, masks, key)
+    bad = ShareVector(3, ((shares[2].values[0] + 1) % Q,) + shares[2].values[1:])
+    results = [verify_share(s, cm, key) for s in [*shares, bad]]
+    assert results == [True] * 5 + [False]
+    digest = hashlib.sha256(cm.to_bytes() + bytes(results)).hexdigest()
+    assert digest == COMMIT_VERIFY_2400_DIGEST
 
 
 @pytest.mark.parametrize("alpha", [2, Q - 1, 0x1D3A_5B7C_9E0F_2468_ACE1_3579_BDF0_8642])
