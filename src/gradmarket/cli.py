@@ -52,10 +52,13 @@ def _cmd_run(args) -> int:
 
 def _cmd_train(args) -> int:
     config = _load_config(args.config)
-    report = sim.run_training(config, args.seed)
     out = Path(args.out)
-    _write_json(out, report)
     csv_path = out.with_suffix(".csv")
+    if csv_path == out:
+        raise ConfigError(f"--out {out} would be overwritten by the loss curve; "
+                          "use a suffix other than .csv")
+    report = sim.run_training(config, args.seed)
+    _write_json(out, report)
     csv_path.write_text(sim.loss_curve_csv(report))
     print(f"training finished: final mse {report['final_mse']:.6f}, "
           f"report at {out}, curve at {csv_path}")
@@ -106,6 +109,17 @@ def _selftest() -> int:
         if a:
             ok &= field.mul(a, field.inv(a)) == 1
     check("field axioms", ok)
+
+    # proof-trace extension (FFT convolution) on worst-case digits: every
+    # reduced w_i * y_i is q - 1
+    dom = field.EvalDomain(496)
+    values = [(field.Q - 1) * field.inv(w) % field.Q for w in dom.weights]
+    try:
+        ext = dom.extend(values, 495)
+        ok = all(ext[k - 1] == dom.interpolate_at(values, 496 + k) for k in (1, 2, 248, 494, 495))
+    except ArithmeticError:
+        ok = False
+    check("extension exactness", ok)
 
     # sharing round trip and robust reconstruction under one error
     secret = [field.rand_element(rng) for _ in range(6)]

@@ -111,6 +111,20 @@ def test_train_writes_report_and_csv(tmp_path):
     assert len(csv_lines) == 4
 
 
+def test_train_out_with_csv_suffix_exits_2_before_running(tmp_path, capsys, monkeypatch):
+    # The loss curve goes to out.with_suffix(".csv"); with --out curve.csv it
+    # would overwrite the JSON report.
+    cfg = _write_config(tmp_path, dict(TRAINING, iterations=2))
+
+    def fail(*args, **kwargs):
+        raise AssertionError("training ran")
+
+    monkeypatch.setattr("gradmarket.sim.run_training", fail)
+    assert main(["train", "--config", cfg, "--seed", "3", "--out", str(tmp_path / "curve.csv")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 def test_gas_compare_outputs_ratio(tmp_path):
     cfg = _write_config(tmp_path, SMALL_SESSION)
     out = tmp_path / "gas.json"

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from gradmarket import field
@@ -149,6 +150,51 @@ def test_eval_domain_extend_rejects_wrong_length():
         dom.extend([1, 2, 3], 2)
     with pytest.raises(ValueError):
         dom.extend([1, 2, 3, 4, 5], 2)
+    with pytest.raises(ValueError):
+        dom.extend([1, 2, 3, 4], -1)
+    assert -1 not in dom._extensions
+
+
+def _worst_case_values(dom):
+    # y_i = (q-1)/w_i, so every reduced w_i * y_i that `extend` writes as
+    # digits is q-1: the largest digit sums the convolution can see.
+    return [(Q - 1) * field.inv(w) % Q for w in dom.weights]
+
+
+@pytest.mark.parametrize("n", [496, 2048, 4096])
+def test_eval_domain_extend_worst_case_digits(n):
+    rng = random.Random(n)
+    dom = field.EvalDomain(n)
+    values = _worst_case_values(dom)
+    assert all(w * y % Q == Q - 1 for w, y in zip(dom.weights, values))
+    count = n - 1
+    got = dom.extend(values, count)
+    assert len(got) == count
+    ks = [1, 2, 3, count - 2, count - 1, count] + rng.sample(range(1, count + 1), 16)
+    for k in ks:
+        assert got[k - 1] == dom.interpolate_at(values, n + k), k
+
+
+def test_eval_domain_extend_spectrum_built_once_per_count():
+    rng = random.Random(31)
+    dom = field.EvalDomain(64)
+    values = [field.rand_element(rng) for _ in range(64)]
+    first = dom.extend(values, 63)
+    spectrum = dom._extensions[63][1]
+    assert dom.extend(values, 63) == first
+    assert dom._extensions[63][1] is spectrum
+    dom.extend(values, 5)
+    assert dom._extensions[63][1] is spectrum
+    assert set(dom._extensions) == {5, 63}
+
+
+def test_eval_domain_extend_rounding_guard(monkeypatch):
+    dom = field.EvalDomain(496)
+    values = _worst_case_values(dom)
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + 0.3)
+    with pytest.raises(ArithmeticError):
+        dom.extend(values, 495)
 
 
 def test_quantize_examples():
