@@ -16,9 +16,12 @@ and commitments aggregate by element-wise group multiplication, matching
 the coordinate-wise sum of shares.
 
 Both sides of that check are multi-exponentiations over the one basis, so
-the key precomputes each basis element's power at every c-bit window once
-(fixed-base precomputation, Brickell-Gordon-McCurley-Wilson), and a
-multi-exp is one bucket pass over all windows and one fold.
+the key precomputes each basis element's power at every byte position of
+an exponent once (fixed-base precomputation, Brickell-Gordon-McCurley-
+Wilson), and a multi-exp is one bucket pass over the exponents' byte
+digits and one fold. Vectors of small signed values, stored as q - k,
+are read as signed (Moeller's signed-digit multi-exponentiation in its
+simplest form): positives and negatives fold separately and divide.
 """
 
 from __future__ import annotations
@@ -37,16 +40,13 @@ P = GROUP_COFACTOR * Q + 1
 G = pow(2, GROUP_COFACTOR, P)
 
 GROUP_ELEMENT_BYTES = (P.bit_length() + 7) // 8
-# bit length of a reduced exponent, which the multi-exp splits into windows
-EXPONENT_BITS = Q.bit_length()
+# residues above HALF_Q are read as the negative values e - q
+HALF_Q = (Q - 1) // 2
+# multiplications of one bucket fold: 255 into the running product, 255 into the total
+FOLD_COST = 2 * 255
 
 assert (P - 1) % Q == 0
 assert G != 1 and pow(G, Q, P) == 1
-
-
-def _windows(c: int) -> int:
-    """Number of c-bit windows covering an exponent below q."""
-    return -(-EXPONENT_BITS // c)
 
 
 def element_to_bytes(a: int) -> bytes:
@@ -79,21 +79,12 @@ class CommitmentKey:
         return len(self.basis)
 
     @functools.cached_property
-    def window(self) -> int:
-        """Digit width c minimizing m*ceil(127/c) + 2^(c+1), the bucket
-        multiplications of one multi-exp plus its fold (8 at m = 192, 11
-        at m = 2400)."""
-        m = len(self.basis)
-        return min(range(1, EXPONENT_BITS + 1), key=lambda c: m * _windows(c) + (2 << c))
-
-    @functools.cached_property
     def columns(self) -> tuple[tuple[int, ...], ...]:
-        """columns[w][k] = basis[k]^(2^(c*w)) for every c-bit window w of an
-        exponent below q: about m*(127-c) squarings, done once per key."""
-        step = 1 << self.window
+        """columns[w][k] = basis[k]^(256^w) for the 16 byte positions w of a
+        field element: 120*m squarings, done once per key."""
         columns = [self.basis]
-        for _ in range(1, _windows(self.window)):
-            columns.append(tuple(pow(b, step, P) for b in columns[-1]))
+        for _ in range(1, field.ELEMENT_BYTES):
+            columns.append(tuple(pow(b, 256, P) for b in columns[-1]))
         return tuple(columns)
 
 
@@ -111,18 +102,20 @@ class VectorCommitment:
         return b"".join(element_to_bytes(e) for e in self.elements)
 
 
-def _comb_table() -> list[list[int]]:
+@functools.cache
+def _comb_table() -> tuple[tuple[int, ...], ...]:
     """Fixed-base comb for G: rows[j][d] = G^(d * 256^j) for every byte
-    position j of an exponent below q, about 4k multiplications."""
+    position j of an exponent below q, about 4k multiplications, built once
+    per process."""
     rows = []
     base = G  # G^(256^j)
     for _ in range(field.ELEMENT_BYTES):
         row = [1, base]
         for _ in range(254):
             row.append(row[-1] * base % P)
-        rows.append(row)
+        rows.append(tuple(row))
         base = row[-1] * base % P
-    return rows
+    return tuple(rows)
 
 
 def _key_from_scalar(alpha: int, m: int) -> CommitmentKey:
@@ -148,35 +141,68 @@ def setup_key(m: int, rng) -> CommitmentKey:
     return _key_from_scalar(alpha, m)
 
 
-def _multi_exp(key: CommitmentKey, exponents) -> int:
-    """prod_k basis[k]^exponents[k] mod p, over the key's fixed-base columns.
+def _bucket_fold(columns, values: list[int], width: int) -> int:
+    """prod_k basis[k]^values[k] mod p for values below 256^width.
 
-    The basis lies in the order-q subgroup, so each exponent is reduced
-    mod q first (negative ones included) without changing the product.
-    Written in c-bit digits e_k = sum_w d_(k,w) * 2^(c*w), the product is
-    prod_(k,w) columns[w][k]^d_(k,w): every term goes into the bucket of
-    its digit, and one running-product fold returns prod_d bucket[d]^d.
-    Windows above the largest exponent's bit length are skipped.
+    Byte w of values[k] is read from the values' little-endian encodings;
+    the term columns[w][k] goes into the bucket of that digit, and one
+    running-product fold returns prod_d bucket[d]^d.
     """
-    exps = [e % Q for e in exponents]
-    top = max(exps, default=0).bit_length()
-    if not top:
-        return 1
-    c = key.window
-    mask = (1 << c) - 1
-    buckets = [1] * (mask + 1)
-    for w, column in enumerate(key.columns[: -(-top // c)]):
-        shift = w * c
-        for b, e in zip(column, exps):
-            d = (e >> shift) & mask
+    digits = b"".join([v.to_bytes(width, "little") for v in values])
+    buckets = [1] * 256
+    for w in range(width):
+        for b, d in zip(columns[w], digits[w::width]):
             if d:
                 buckets[d] = buckets[d] * b % P
     running = 1
     acc = 1
-    for d in range(mask, 0, -1):
+    for d in range(255, 0, -1):
         running = running * buckets[d] % P
         acc = acc * running % P
     return acc
+
+
+def _signed_parts(exps: list[int]) -> tuple[list[int], list[int], int] | None:
+    """(positives, magnitudes of the negatives, their byte width) of reduced
+    exponents, each residue e above HALF_Q read as -(q - e), when the
+    magnitudes save more byte windows over the nonzero terms than a second
+    fold costs; otherwise None.
+    """
+    width = field.ELEMENT_BYTES
+    # the magnitudes need fewer windows only if every residue lies within
+    # 256^(width-1) of 0 or of q; a random residue fails at once
+    near = 1 << (8 * (width - 1))
+    if not all(e < near or e > Q - near for e in exps):
+        return None
+    pos = [e if e <= HALF_Q else 0 for e in exps]
+    neg = [Q - e if e > HALF_Q else 0 for e in exps]
+    signed_width = (max(max(pos), max(neg)).bit_length() + 7) // 8
+    terms = len(exps) - exps.count(0)
+    if (width - signed_width) * terms <= FOLD_COST:
+        return None
+    return pos, neg, signed_width
+
+
+def _multi_exp(key: CommitmentKey, exponents) -> int:
+    """prod_k basis[k]^exponents[k] mod p, over the key's byte columns.
+
+    The basis lies in the order-q subgroup, so each exponent is reduced
+    mod q first (negative ones included) without changing the product.
+    Byte windows above the largest residue are skipped. When some residues
+    exceed HALF_Q but all are small signed values (`_signed_parts`), the
+    positives and the negatives' magnitudes fold separately over fewer
+    windows, and the product is pos * neg^-1 mod p.
+    """
+    exps = [e % Q for e in exponents]
+    top = max(exps, default=0)
+    if not top:
+        return 1
+    parts = _signed_parts(exps) if top > HALF_Q else None
+    if parts is None:
+        return _bucket_fold(key.columns, exps, (top.bit_length() + 7) // 8)
+    pos, neg, width = parts
+    columns = key.columns
+    return _bucket_fold(columns, pos, width) * pow(_bucket_fold(columns, neg, width), -1, P) % P
 
 
 def commit(

@@ -23,6 +23,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from . import commit as commit_mod
+from . import field
 from .circuit import Circuit
 from .commit import CommitmentKey, VectorCommitment, verify_share
 from .field import Q
@@ -374,7 +375,7 @@ class TradeContract:
         if self.challenge is not None:
             self._reject("sample_challenge", caller, "challenge already sampled")
         before = self.phase
-        self.challenge = self.rng.randrange(Q)
+        self.challenge = field.rand_element(self.rng)
         self.slots["challenge"] = 1
         gas = self.meter.charge("sample_challenge", writes=1)
         self._log("sample_challenge", caller, gas, before, self.phase, 1)

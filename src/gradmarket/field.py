@@ -15,6 +15,7 @@ keep within that bound.
 from __future__ import annotations
 
 import operator
+import threading
 from dataclasses import dataclass
 from itertools import zip_longest
 
@@ -85,9 +86,29 @@ def batch_inv(values: list[int]) -> list[int]:
     return out
 
 
+# A draw is 127 random bits, rejected when it equals q, the one 127-bit
+# value outside the field: exactly the draws and rejections of
+# random.Random.randrange(q), so either consumes the same stream.
+DRAW_BITS = Q.bit_length()
+
+
 def rand_element(rng) -> int:
     """Uniform element of [0, q) from a random.Random-like source."""
-    return rng.randrange(Q)
+    r = rng.getrandbits(DRAW_BITS)
+    while r >= Q:
+        r = rng.getrandbits(DRAW_BITS)
+    return r
+
+
+def rand_elements(rng, n: int) -> list[int]:
+    """n uniform elements of [0, q), the same values as n `rand_element` calls."""
+    draw = rng.getrandbits
+    out = [draw(DRAW_BITS) for _ in range(n)]
+    while Q in out:
+        # the accepted values are the raw draws with q removed, in order
+        out = [r for r in out if r != Q]
+        out += [draw(DRAW_BITS) for _ in range(n - len(out))]
+    return out
 
 
 def to_bytes(a: int) -> bytes:
@@ -355,15 +376,22 @@ class EvalDomain:
         ]
 
 
-_DOMAINS: dict[int, EvalDomain] = {}
+# A proof uses two sizes, M and 2M-1; a calibrated training run visits
+# several M, so only the most recently used sizes are kept.
+DOMAIN_CACHE_SIZE = 2
+_DOMAINS: dict[int, EvalDomain] = {}  # least recently used first
+_DOMAINS_LOCK = threading.Lock()
 
 
 def eval_domain(n: int) -> EvalDomain:
-    """Shared EvalDomain cache keyed by size."""
-    dom = _DOMAINS.get(n)
-    if dom is None:
-        dom = EvalDomain(n)
+    """Shared EvalDomain for size n, from a cache of the last two sizes used."""
+    with _DOMAINS_LOCK:
+        dom = _DOMAINS.pop(n, None)
+        if dom is None:
+            dom = EvalDomain(n)
         _DOMAINS[n] = dom
+        while len(_DOMAINS) > DOMAIN_CACHE_SIZE:
+            del _DOMAINS[next(iter(_DOMAINS))]
     return dom
 
 

@@ -55,21 +55,22 @@ def share_with_masks(
     """Evaluate u_k(x) = secret[k] + sum_j masks[j-1][k] x^j at x = 1..K.
 
     Deterministic core of ss_share; masks[j] is the degree-(j+1) coefficient
-    vector Z^(j+1).
+    vector Z^(j+1). Each server's share is one Horner evaluation over whole
+    coefficient vectors, highest degree first.
     """
     m = len(secret)
     for z in masks:
         if len(z) != m:
             raise ValueError("mask length must match secret length")
+    *lower, top = [secret, *masks]
+    top = [c % Q for c in top]
+    lower.reverse()
     shares = []
     for i in range(1, K + 1):
-        vals = [0] * m
-        for k in range(m):
-            acc = 0
-            for z in reversed(masks):
-                acc = (acc * i + z[k]) % Q
-            vals[k] = (acc * i + secret[k]) % Q
-        shares.append(ShareVector(index=i, values=tuple(vals)))
+        acc = top
+        for coeffs in lower:
+            acc = [(a * i + c) % Q for a, c in zip(acc, coeffs)]
+        shares.append(ShareVector(index=i, values=tuple(acc)))
     return shares
 
 
@@ -83,7 +84,7 @@ def ss_share(
     if not 0 < T < K:
         raise ValueError(f"need 0 < T < K, got T={T}, K={K}")
     m = len(secret)
-    masks = [[field.rand_element(rng) for _ in range(m)] for _ in range(T)]
+    masks = [field.rand_elements(rng, m) for _ in range(T)]
     return share_with_masks(secret, masks, K), masks
 
 

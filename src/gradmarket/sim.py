@@ -30,7 +30,7 @@ from dataclasses import dataclass, field as dc_field, fields
 import numpy as np
 
 from . import commit as commit_mod
-from . import perturb, snip
+from . import field, perturb, snip
 from .circuit import build_norm_circuit
 from .commit import CommitmentKey, setup_key, verify_share
 from .contract import GasTable, TradeContract, merkle_root
@@ -435,14 +435,14 @@ class _Session:
             states[i], d_i, e_i = snip.server_round1(packages[i - 1], circ, r)
             if self.server_behaviors.get(i) == "corrupt_shares":
                 srng = rng_stream(seed, f"server.{i}.adversary.{n}.open")
-                d_i, e_i = srng.randrange(Q), srng.randrange(Q)
+                d_i, e_i = field.rand_elements(srng, 2)
             d_bc.append(d_i)
             e_bc.append(e_i)
         # round 2: every server reconstructs the openings and submits
         for i in self.servers:
             if self.server_behaviors.get(i) == "corrupt_shares":
                 srng = rng_stream(seed, f"server.{i}.adversary.{n}.verdict")
-                self.contract.submit_verdict(i, n, srng.randrange(Q), srng.randrange(Q), False)
+                self.contract.submit_verdict(i, n, *field.rand_elements(srng, 2), False)
             else:
                 v = snip.server_round2(states[i], d_bc, e_bc, config.T)
                 self.contract.submit_verdict(
@@ -465,7 +465,7 @@ class _Session:
             share = ShareVector(index=i, values=tuple(sum(c) % Q for c in columns))
             if self.server_behaviors.get(i) == "corrupt_shares":
                 srng = rng_stream(self.seed, f"server.{i}.adversary.aggregate")
-                share = ShareVector(index=i, values=tuple(srng.randrange(Q) for _ in share.values))
+                share = ShareVector(index=i, values=tuple(field.rand_elements(srng, len(share))))
             if verify_share(share, agg_commitment, self.key):
                 passing.append(share)
             else:

@@ -244,14 +244,13 @@ def test_multi_exp_alternating_keys():
 
 @pytest.mark.parametrize("m", [3, 192, 2400])
 def test_multi_exp_zero_top_windows(m):
-    # exponents below 2^(c*j) leave every window from j up empty; the
-    # bounds sit on and next to each window boundary (at most 64 nonzero
+    # exponents below 256^j leave every byte window from j up empty; the
+    # bounds sit on and next to each byte boundary (at most 64 nonzero
     # exponents keep the per-term oracle fast)
     rng = random.Random(24)
     key = _key_from_scalar(field.rand_element(rng), m)
-    c = key.window
-    for j in range(1, commit._windows(c)):
-        for bound in (1 << (c * j), (1 << (c * j)) + 1):
+    for j in range(1, field.ELEMENT_BYTES):
+        for bound in (1 << (8 * j), (1 << (8 * j)) + 1):
             exps = [0] * m
             for k in rng.sample(range(m), min(m, 64)):
                 exps[k] = rng.randrange(bound)
@@ -259,10 +258,15 @@ def test_multi_exp_zero_top_windows(m):
             assert commit._multi_exp(key, exps) == _per_term_product(key.basis, exps)
 
 
-def test_window_width_rule():
-    # the width minimizes m*ceil(127/c) + 2^(c+1) bucket multiplications
-    assert CommitmentKey(tuple(range(192))).window == 8
-    assert CommitmentKey(tuple(range(2400))).window == 11
+def test_byte_column_layout():
+    # one column per byte of a field element, each the previous to the 256th
+    key = _key_from_scalar(31337, 7)
+    columns = key.columns
+    assert len(columns) == field.ELEMENT_BYTES == 16
+    assert columns[0] == key.basis
+    for w in range(field.ELEMENT_BYTES - 1):
+        for k in range(7):
+            assert columns[w + 1][k] == pow(columns[w][k], 256, P)
 
 
 def test_key_table_built_once_on_first_use():
@@ -275,10 +279,34 @@ def test_key_table_built_once_on_first_use():
     columns = vars(key)["columns"]
     assert verify_share(shares[0], cm, key)
     assert key.columns is columns
-    assert len(columns) == commit._windows(key.window)
+    assert len(columns) == field.ELEMENT_BYTES
     assert columns[0] == key.basis
     for col, nxt in zip(columns, columns[1:]):
-        assert nxt == tuple(pow(b, 1 << key.window, P) for b in col)
+        assert nxt == tuple(pow(b, 256, P) for b in col)
+
+
+@pytest.mark.parametrize("m", [1, 192, 2400])
+def test_multi_exp_signed_split(m):
+    rng = random.Random(26)
+    key = _key_from_scalar(field.rand_element(rng), m)
+
+    def check(exps, signed):
+        assert (commit._signed_parts(exps) is not None) == signed
+        assert commit._multi_exp(key, exps) == _per_term_product(key.basis, exps)
+
+    # the largest positive and the most negative residue: magnitudes of 126 bits
+    for edge in (commit.HALF_Q, commit.HALF_Q + 1):
+        exps = [rng.randint(-50, 50) % Q for _ in range(m)]
+        exps[rng.randrange(m)] = edge
+        check(exps, signed=False)
+    # all-negative small values: two byte windows in place of sixteen, worth
+    # a second fold once more than 510 / 14 terms are nonzero
+    negative = [Q - rng.randint(1, 60000) for _ in range(m)]
+    check(negative, signed=m > 36)
+    # small signed values with one random residue keep the single set
+    mixed = [rng.randint(-60000, 60000) % Q for _ in range(m)]
+    mixed[rng.randrange(m)] = field.rand_element(rng)
+    check(mixed, signed=False)
 
 
 # SHA-256 of the commitment elements and the share-check results below,

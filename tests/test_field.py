@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -195,6 +197,92 @@ def test_eval_domain_extend_rounding_guard(monkeypatch):
     monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + 0.3)
     with pytest.raises(ArithmeticError):
         dom.extend(values, 495)
+
+
+def test_eval_domain_cache_keeps_two_most_recent_sizes(monkeypatch):
+    monkeypatch.setattr(field, "_DOMAINS", {})
+    rng = random.Random(37)
+    n = 40
+    values = [field.rand_element(rng) for _ in range(n)]
+    r = field.rand_element(rng)
+    first = field.eval_domain(n)
+    ext, at_r = first.extend(values, n - 1), first.interpolate_at(values, r)
+    assert field.eval_domain(2 * n - 1) is field.eval_domain(2 * n - 1)
+    assert field.eval_domain(n) is first  # a hit refreshes n
+    field.eval_domain(7)  # a third size evicts the oldest, 2n-1
+    assert list(field._DOMAINS) == [n, 7]
+    field.eval_domain(9)
+    assert list(field._DOMAINS) == [7, 9]
+    rebuilt = field.eval_domain(n)
+    assert rebuilt is not first
+    assert rebuilt.extend(values, n - 1) == ext
+    assert rebuilt.interpolate_at(values, r) == at_r
+
+
+def test_eval_domain_cache_under_threads(monkeypatch):
+    monkeypatch.setattr(field, "_DOMAINS", {})
+    errors, sizes = [], (3, 4, 5, 6)
+
+    def worker(offset):
+        try:
+            for t in range(300):
+                n = sizes[(t + offset) % len(sizes)]
+                assert field.eval_domain(n).n == n
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    assert len(field._DOMAINS) <= field.DOMAIN_CACHE_SIZE
+
+
+class _StubBits:
+    """A random source whose getrandbits returns q once, at draw `at`."""
+
+    def __init__(self, seed: int, at: int):
+        self.inner = random.Random(seed)
+        self.at = at
+        self.draws = 0
+
+    def getrandbits(self, k):
+        self.draws += 1
+        if self.draws == self.at + 1:
+            assert k == Q.bit_length()
+            return Q
+        return self.inner.getrandbits(k)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024, 99991])
+def test_rand_elements_match_randrange(seed):
+    expect_rng = random.Random(seed)
+    expect = [expect_rng.randrange(Q) for _ in range(300)]
+    rng = random.Random(seed)
+    assert [field.rand_element(rng) for _ in range(5)] == expect[:5]
+    assert field.rand_elements(rng, 295) == expect[5:]
+    assert rng.getstate() == expect_rng.getstate()
+    assert field.rand_elements(rng, 0) == []
+
+
+@pytest.mark.parametrize("at", [0, 3, 9])
+def test_rand_draws_reject_q(at):
+    # the rejected draw is skipped, and later draws shift by one
+    plain = random.Random(5)
+    raw = [plain.getrandbits(127) for _ in range(11)]
+    expect = raw[:at] + raw[at:10]
+    assert field.rand_elements(_StubBits(5, at), 10) == expect
+    stub = _StubBits(5, at)
+    assert [field.rand_element(stub) for _ in range(10)] == expect
+    assert stub.draws == 11
 
 
 def test_quantize_examples():

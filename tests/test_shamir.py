@@ -28,6 +28,33 @@ def test_share_with_known_mask():
     assert [s.index for s in shares] == [1, 2, 3]
 
 
+def _horner_shares(secret, masks, K):
+    """Reference: per-coordinate Horner evaluation at x = 1..K."""
+    out = []
+    for i in range(1, K + 1):
+        vals = []
+        for k in range(len(secret)):
+            acc = 0
+            for z in reversed(masks):
+                acc = (acc * i + z[k]) % Q
+            vals.append((acc * i + secret[k]) % Q)
+        out.append(ShareVector(index=i, values=tuple(vals)))
+    return out
+
+
+@pytest.mark.parametrize("T", [0, 1, 2, 3])
+@pytest.mark.parametrize("K", [2, 5, 7])
+@pytest.mark.parametrize("m", [1, 64, 991])
+def test_share_with_masks_matches_per_coordinate_horner(T, K, m):
+    rng = random.Random(1000 * T + 10 * K + m)
+    secret = [rng.randint(-50, 50) % Q for _ in range(m)]
+    secret[0] = -1  # unreduced: every share value is still reduced
+    masks = [field.rand_elements(rng, m) for _ in range(T)]
+    if masks:
+        masks[-1][-1] = Q - 1
+    assert share_with_masks(secret, masks, K) == _horner_shares(secret, masks, K)
+
+
 def test_recon_from_two_points():
     shares = [ShareVector(1, (9,)), ShareVector(2, (11,))]
     assert ss_recon(shares, 1) == [7]
