@@ -3,8 +3,10 @@
 Eight phases: Setup, Register, ShareCollection, ShareReady, GradValidation,
 Payment, Reconstruction, Finished. Transactions either apply (charging a
 modeled gas cost and possibly storing words) or are rejected, in which case
-state is unchanged and only the base transaction cost is charged. Events
-(round ticks, phase checkpoints) are free and are not transactions.
+state is unchanged and only the base transaction cost is charged. Every
+transaction, deployment included, runs through `TradeContract._tx`: one phase
+guard, one charge and one `tx_log` record. Events (round ticks, phase
+checkpoints) are free and are not transactions.
 
 Storage is modeled as named slots of 32-byte words; the live word count is
 what the storage-independence analysis measures. Verdict shares submitted
@@ -18,6 +20,7 @@ ground truth for any real chain.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 from dataclasses import asdict, dataclass
@@ -71,7 +74,9 @@ class GasTable:
         for k, v in overrides.items():
             if k not in base:
                 raise ValueError(f"unknown gas table entry {k!r}")
-            base[k] = int(v)
+            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+                raise ValueError(f"gas table entry {k!r} must be a non-negative integer, got {v!r}")
+            base[k] = v
         return cls(**base)
 
 
@@ -183,34 +188,48 @@ class TradeContract:
         self.aggregated: VectorCommitment | None = None
         self.register_rounds = 0
 
-        gas = self.meter.charge("deploy", writes=2)
-        self.slots["whitelist"] = 1
-        self.slots["deposit"] = 1
-        self._log("deploy", "mo", gas, SETUP, SETUP, 2)
+        with self._tx("deploy", "mo", SETUP) as cost:
+            self.slots["whitelist"] = 1
+            self.slots["deposit"] = 1
+            cost["writes"] = 2
 
     # ------------------------------------------------------------------
     # bookkeeping
     # ------------------------------------------------------------------
 
-    def _log(self, method, caller, gas, before, after, words_delta):
+    @contextlib.contextmanager
+    def _tx(self, method, caller, phase):
+        """Run the body of one transaction that is legal only in `phase`.
+
+        The body checks its arguments with `_reject` before it changes any
+        state, and puts its `GasMeter.charge` operands into the yielded dict.
+        If it returns normally, the meter is charged once and one `tx_log`
+        record is appended; its `stored_words_delta` is the change in the
+        live word count across the body."""
+        if self.phase != phase:
+            self._reject(method, caller, f"not allowed in phase {self.phase}")
+        words = self.on_chain_word_count()
+        cost: dict[str, int] = {}
+        yield cost
         self.tx_log.append(
             {
                 "method": method,
                 "caller": str(caller),
-                "gas": gas,
-                "phase_before": before,
-                "phase_after": after,
-                "stored_words_delta": words_delta,
+                "gas": self.meter.charge(method, **cost),
+                "phase_before": phase,
+                "phase_after": self.phase,
+                "stored_words_delta": self.on_chain_word_count() - words,
             }
         )
 
+    def _reject(self, method, caller, reason):
+        """Refuse a transaction: it still pays the base cost and is logged."""
+        with self._tx(method, caller, self.phase):
+            pass
+        raise TxRejected(f"{method}: {reason}")
+
     def _event(self, name, **info):
         self.events.append({"event": name, "phase": self.phase, **info})
-
-    def _reject(self, method, caller, reason):
-        gas = self.meter.charge(method)
-        self._log(method, caller, gas, self.phase, self.phase, 0)
-        raise TxRejected(f"{method}: {reason}")
 
     def on_chain_word_count(self) -> int:
         return sum(self.slots.values())
@@ -224,40 +243,31 @@ class TradeContract:
     # ------------------------------------------------------------------
 
     def start(self, root: bytes, M0: int, N_max: int, caller="mo"):
-        if self.phase != SETUP:
-            self._reject("start", caller, f"not allowed in phase {self.phase}")
-        if len(root) != 32:
-            self._reject("start", caller, "root must be 32 bytes")
-        if M0 < 1 or N_max < 1:
-            self._reject("start", caller, "M0 and N_max must be positive")
-        before = self.phase
-        self.root = bytes(root)
-        self.M0 = M0
-        self.N_max = N_max
-        self.slots["root"] = 1
-        self.slots["params"] = 1
-        self.phase = REGISTER
-        gas = self.meter.charge("start", writes=2, hash_words=1)
-        self._log("start", caller, gas, before, self.phase, 2)
+        with self._tx("start", caller, SETUP) as cost:
+            if len(root) != 32:
+                self._reject("start", caller, "root must be 32 bytes")
+            if M0 < 1 or N_max < 1:
+                self._reject("start", caller, "M0 and N_max must be positive")
+            self.root = bytes(root)
+            self.M0 = M0
+            self.N_max = N_max
+            self.slots["root"] = 1
+            self.slots["params"] = 1
+            self.phase = REGISTER
+            cost.update(writes=2, hash_words=1)
 
     def register(self, do_id: int):
-        if self.phase != REGISTER:
-            self._reject("register", do_id, f"not allowed in phase {self.phase}")
-        if do_id not in self.whitelist:
-            self._reject("register", do_id, "not whitelisted")
-        if do_id in self.registered:
-            self._reject("register", do_id, "already registered")
-        before = self.phase
-        self.registered.append(do_id)
-        delta = 0
-        if "registered" not in self.slots:
+        with self._tx("register", do_id, REGISTER) as cost:
+            if do_id not in self.whitelist:
+                self._reject("register", do_id, "not whitelisted")
+            if do_id in self.registered:
+                self._reject("register", do_id, "already registered")
+            self.registered.append(do_id)
             self.slots["registered"] = 1
-            delta = 1
-        if len(self.registered) >= self.N_max:
-            self.phase = SHARE_COLLECTION
-            self._event("registration_complete", count=len(self.registered))
-        gas = self.meter.charge("register", reads=1, writes=1)
-        self._log("register", do_id, gas, before, self.phase, delta)
+            if len(self.registered) >= self.N_max:
+                self.phase = SHARE_COLLECTION
+                self._event("registration_complete", count=len(self.registered))
+            cost.update(reads=1, writes=1)
 
     def advance_round(self):
         """Simulated round tick; triggers the registration timeout."""
@@ -271,62 +281,46 @@ class TradeContract:
 
     def store_commitment(self, do_id: int, commitment: VectorCommitment, caller=None):
         caller = do_id if caller is None else caller
-        if self.phase != SHARE_COLLECTION:
-            self._reject("store_commitment", caller, f"not allowed in phase {self.phase}")
-        if do_id not in self.registered:
-            self._reject("store_commitment", caller, "unregistered data owner")
-        if do_id in self.commitments:
-            self._reject("store_commitment", caller, "commitment already stored")
-        if len(commitment.elements) != self.T + 1:
-            self._reject("store_commitment", caller, "commitment width must be T+1")
-        before = self.phase
-        self.commitments[do_id] = commitment
-        words = self.T + 1
-        self.slots["commitments"] = self.slots.get("commitments", 0) + words
-        gas = self.meter.charge("store_commitment", writes=words)
-        self._log("store_commitment", caller, gas, before, self.phase, words)
+        with self._tx("store_commitment", caller, SHARE_COLLECTION) as cost:
+            if do_id not in self.registered:
+                self._reject("store_commitment", caller, "unregistered data owner")
+            if do_id in self.commitments:
+                self._reject("store_commitment", caller, "commitment already stored")
+            if len(commitment.elements) != self.T + 1:
+                self._reject("store_commitment", caller, "commitment width must be T+1")
+            self.commitments[do_id] = commitment
+            self.slots["commitments"] = self.slots.get("commitments", 0) + self.T + 1
+            cost["writes"] = self.T + 1
 
     def complain(self, server_i: int, do_id: int):
-        if self.phase != SHARE_COLLECTION:
-            self._reject("complain", server_i, f"not allowed in phase {self.phase}")
-        if do_id not in self.commitments:
-            self._reject("complain", server_i, "no commitment for that data owner")
-        if not 1 <= server_i <= self.K:
-            self._reject("complain", server_i, "unknown server index")
-        before = self.phase
-        self.pending_complaints.add((server_i, do_id))
-        gas = self.meter.charge("complain")
-        self._event("complaint", server=server_i, do=do_id)
-        self._log("complain", server_i, gas, before, self.phase, 0)
+        with self._tx("complain", server_i, SHARE_COLLECTION):
+            if do_id not in self.commitments:
+                self._reject("complain", server_i, "no commitment for that data owner")
+            if not 1 <= server_i <= self.K:
+                self._reject("complain", server_i, "unknown server index")
+            self.pending_complaints.add((server_i, do_id))
+            self._event("complaint", server=server_i, do=do_id)
 
     def resolve_complaint(self, do_id: int, share: ShareVector):
         """The accused data owner submits the disputed share; the contract
         re-runs the share check itself and rules."""
-        if self.phase != SHARE_COLLECTION:
-            self._reject("resolve_complaint", do_id, f"not allowed in phase {self.phase}")
-        key = (share.index, do_id)
-        if key not in self.pending_complaints:
-            self._reject("resolve_complaint", do_id, "no matching complaint")
-        if self.commit_key is None:
-            self._reject("resolve_complaint", do_id, "no commitment key configured")
-        before = self.phase
-        self.pending_complaints.discard(key)
-        m = len(self.commit_key)
-        ok = verify_share(share, self.commitments[do_id], self.commit_key)
-        if ok:
-            self.false_complaints.append((share.index, do_id))
-            self._event("complaint_dismissed", server=share.index, do=do_id)
-        else:
-            self.excluded_at_sharing.add(do_id)
-            self._event("complaint_upheld", server=share.index, do=do_id)
-        gas = self.meter.charge(
-            "resolve_complaint",
-            reads=(self.T + 1) + m,
-            group_ops=(self.T + 1) + m,
-            writes=1,
-        )
-        self._log("resolve_complaint", do_id, gas, before, self.phase, 0)
-        return ok
+        with self._tx("resolve_complaint", do_id, SHARE_COLLECTION) as cost:
+            key = (share.index, do_id)
+            if key not in self.pending_complaints:
+                self._reject("resolve_complaint", do_id, "no matching complaint")
+            if self.commit_key is None:
+                self._reject("resolve_complaint", do_id, "no commitment key configured")
+            self.pending_complaints.discard(key)
+            ok = verify_share(share, self.commitments[do_id], self.commit_key)
+            if ok:
+                self.false_complaints.append((share.index, do_id))
+                self._event("complaint_dismissed", server=share.index, do=do_id)
+            else:
+                self.excluded_at_sharing.add(do_id)
+                self._event("complaint_upheld", server=share.index, do=do_id)
+            checked = (self.T + 1) + len(self.commit_key)
+            cost.update(reads=checked, group_ops=checked, writes=1)
+            return ok
 
     def mark_shares_ready(self):
         """Checkpoint event: every registered owner resolved, complaints done.
@@ -352,34 +346,26 @@ class TradeContract:
         self._event("validation_started")
 
     def reveal_circuit(self, circ: Circuit, caller="mo"):
-        if self.phase != GRAD_VALIDATION:
-            self._reject("reveal_circuit", caller, f"not allowed in phase {self.phase}")
-        if not self.validation:
-            self._reject("reveal_circuit", caller, "validation disabled for this session")
-        if self.circuit is not None:
-            self._reject("reveal_circuit", caller, "circuit already revealed")
-        before = self.phase
-        blob = circ.to_json().encode()
-        self.circuit = circ
-        self.slots["circuit_hash"] = 1
-        gas = self.meter.charge(
-            "reveal_circuit", writes=1, hash_words=(len(blob) + 31) // 32
-        )
-        self._log("reveal_circuit", caller, gas, before, self.phase, 1)
+        with self._tx("reveal_circuit", caller, GRAD_VALIDATION) as cost:
+            if not self.validation:
+                self._reject("reveal_circuit", caller, "validation disabled for this session")
+            if self.circuit is not None:
+                self._reject("reveal_circuit", caller, "circuit already revealed")
+            blob = circ.to_json().encode()
+            self.circuit = circ
+            self.slots["circuit_hash"] = 1
+            cost.update(writes=1, hash_words=(len(blob) + 31) // 32)
 
     def sample_challenge(self, caller="mo") -> int:
-        if self.phase != GRAD_VALIDATION:
-            self._reject("sample_challenge", caller, f"not allowed in phase {self.phase}")
-        if self.circuit is None:
-            self._reject("sample_challenge", caller, "circuit not revealed yet")
-        if self.challenge is not None:
-            self._reject("sample_challenge", caller, "challenge already sampled")
-        before = self.phase
-        self.challenge = field.rand_element(self.rng)
-        self.slots["challenge"] = 1
-        gas = self.meter.charge("sample_challenge", writes=1)
-        self._log("sample_challenge", caller, gas, before, self.phase, 1)
-        return self.challenge
+        with self._tx("sample_challenge", caller, GRAD_VALIDATION) as cost:
+            if self.circuit is None:
+                self._reject("sample_challenge", caller, "circuit not revealed yet")
+            if self.challenge is not None:
+                self._reject("sample_challenge", caller, "challenge already sampled")
+            self.challenge = field.rand_element(self.rng)
+            self.slots["challenge"] = 1
+            cost["writes"] = 1
+            return self.challenge
 
     def submit_verdict(
         self,
@@ -389,36 +375,25 @@ class TradeContract:
         output_share: int,
         decode_failed: bool = False,
     ):
-        if self.phase != GRAD_VALIDATION:
-            self._reject("submit_verdict", server_i, f"not allowed in phase {self.phase}")
-        if self.challenge is None:
-            self._reject("submit_verdict", server_i, "challenge not sampled yet")
-        if not 1 <= server_i <= self.K:
-            self._reject("submit_verdict", server_i, "unknown server index")
-        if do_id not in self.validity:
-            self._reject("submit_verdict", server_i, "data owner not under validation")
-        buf = self.verdict_buffer.setdefault(do_id, {})
-        if server_i in buf:
-            self._reject("submit_verdict", server_i, "duplicate submission")
-        before = self.phase
-        buf[server_i] = (identity_share % Q, output_share % Q, bool(decode_failed))
-        self.slots["verdict_buffer"] = self.slots.get("verdict_buffer", 0) + 2
-        delta = 2
-        extra_field_ops = 0
-        if len(buf) == self.K:
-            extra_field_ops = self._finalize_verdict(do_id)
-            freed = 2 * self.K
-            self.slots["verdict_buffer"] -= freed
-            if self.slots["verdict_buffer"] == 0:
-                del self.slots["verdict_buffer"]
-            self.slots["verdicts"] = self.slots.get("verdicts", 0) + 1
-            delta = delta - freed + 1
-        gas = self.meter.charge(
-            "submit_verdict",
-            writes=2 + (1 if len(buf) == self.K else 0),
-            field_ops=extra_field_ops,
-        )
-        self._log("submit_verdict", server_i, gas, before, self.phase, delta)
+        with self._tx("submit_verdict", server_i, GRAD_VALIDATION) as cost:
+            if self.challenge is None:
+                self._reject("submit_verdict", server_i, "challenge not sampled yet")
+            if not 1 <= server_i <= self.K:
+                self._reject("submit_verdict", server_i, "unknown server index")
+            if do_id not in self.validity:
+                self._reject("submit_verdict", server_i, "data owner not under validation")
+            if server_i in self.verdict_buffer.get(do_id, {}):
+                self._reject("submit_verdict", server_i, "duplicate submission")
+            buf = self.verdict_buffer.setdefault(do_id, {})
+            buf[server_i] = (identity_share % Q, output_share % Q, bool(decode_failed))
+            self.slots["verdict_buffer"] = self.slots.get("verdict_buffer", 0) + 2
+            cost["writes"] = 2
+            if len(buf) == self.K:
+                cost.update(writes=3, field_ops=self._finalize_verdict(do_id))
+                self.slots["verdict_buffer"] -= 2 * self.K
+                if self.slots["verdict_buffer"] == 0:
+                    del self.slots["verdict_buffer"]
+                self.slots["verdicts"] = self.slots.get("verdicts", 0) + 1
 
     def _finalize_verdict(self, do_id: int) -> int:
         """Robustly reconstruct identity and output; update validity.
@@ -466,54 +441,36 @@ class TradeContract:
         self._event("validation_complete", validity=sorted(self.validity))
 
     def pay(self, caller="mo"):
-        if self.phase != PAYMENT:
-            self._reject("pay", caller, f"not allowed in phase {self.phase}")
-        before = self.phase
-        if self.validity:
-            per_do = self.deposit // len(self.validity)
-            for n in sorted(self.validity):
-                self.balances[n] = self.balances.get(n, 0) + per_do
-            retained = self.deposit - per_do * len(self.validity)
-            self._event("payment", per_do=per_do, retained=retained)
-            writes = len(self.validity)
-        else:
-            self.balances["mo"] = self.balances.get("mo", 0) + self.deposit
-            self._event("payment_refunded", amount=self.deposit)
-            writes = 1
-        self.phase = RECONSTRUCTION
-        gas = self.meter.charge("pay", writes=writes)
-        self._log("pay", caller, gas, before, self.phase, 0)
+        with self._tx("pay", caller, PAYMENT) as cost:
+            if self.validity:
+                per_do = self.deposit // len(self.validity)
+                for n in sorted(self.validity):
+                    self.balances[n] = self.balances.get(n, 0) + per_do
+                retained = self.deposit - per_do * len(self.validity)
+                self._event("payment", per_do=per_do, retained=retained)
+                cost["writes"] = len(self.validity)
+            else:
+                self.balances["mo"] = self.balances.get("mo", 0) + self.deposit
+                self._event("payment_refunded", amount=self.deposit)
+                cost["writes"] = 1
+            self.phase = RECONSTRUCTION
 
     def aggregate_commitment(self, caller="mo") -> VectorCommitment | None:
-        if self.phase != RECONSTRUCTION:
-            self._reject("aggregate_commitment", caller, f"not allowed in phase {self.phase}")
-        if self.aggregated is not None:
-            self._reject("aggregate_commitment", caller, "already aggregated")
-        before = self.phase
-        if not self.validity:
-            gas = self.meter.charge("aggregate_commitment")
-            self._log("aggregate_commitment", caller, gas, before, self.phase, 0)
-            return None
-        parts = [self.commitments[n] for n in sorted(self.validity)]
-        self.aggregated = commit_mod.aggregate_commitments(parts)
-        words = self.T + 1
-        self.slots["aggregate_commitment"] = words
-        gas = self.meter.charge(
-            "aggregate_commitment",
-            writes=words,
-            group_ops=len(parts) * (self.T + 1),
-            reads=len(parts) * (self.T + 1),
-        )
-        self._log("aggregate_commitment", caller, gas, before, self.phase, words)
-        return self.aggregated
+        with self._tx("aggregate_commitment", caller, RECONSTRUCTION) as cost:
+            if self.aggregated is not None:
+                self._reject("aggregate_commitment", caller, "already aggregated")
+            if not self.validity:
+                return None
+            parts = [self.commitments[n] for n in sorted(self.validity)]
+            self.aggregated = commit_mod.aggregate_commitments(parts)
+            self.slots["aggregate_commitment"] = self.T + 1
+            read = len(parts) * (self.T + 1)
+            cost.update(writes=self.T + 1, group_ops=read, reads=read)
+            return self.aggregated
 
     def finish(self, caller="mo"):
-        if self.phase != RECONSTRUCTION:
-            self._reject("finish", caller, f"not allowed in phase {self.phase}")
-        before = self.phase
-        self.phase = FINISHED
-        gas = self.meter.charge("finish")
-        self._log("finish", caller, gas, before, self.phase, 0)
+        with self._tx("finish", caller, RECONSTRUCTION):
+            self.phase = FINISHED
 
 
 def expected_word_count(N: int, T: int) -> int:

@@ -72,12 +72,17 @@ def test_malformed_config_exits_2(tmp_path, capsys):
                            {"id": 1, "behavior": "bad_share"}]},
         {"malicious_servers": [{"id": 2, "behavior": "corrupt_shares"},
                                {"id": 2, "behavior": "false_complaint"}]},
+        {"gas_table": {"storage_word_write": -100000}},
+        {"gas_table": {"tx_base": 1.9}},
+        {"gas_table": {"field_op": True}},
+        {"gas_table": {"hash_word": "36"}},
     ],
     ids=["layers-int", "validate_layers-int", "malicious_dos-int", "rho-str",
          "gas_table-key", "deposit-negative", "rho-zero", "target_server-range",
          "rho_offset-negative", "rho_margin-negative", "rho_margin-nan", "layers-float",
          "layers-bool", "layers-str", "validate_layers-float", "malicious_dos-duplicate",
-         "malicious_servers-duplicate"],
+         "malicious_servers-duplicate", "gas_table-negative", "gas_table-float",
+         "gas_table-bool", "gas_table-str"],
 )
 def test_malformed_clean_config_override_exits_2(tmp_path, capsys, override):
     doc = dict(json.loads((CONFIGS / "clean.json").read_text()), **override)

@@ -409,6 +409,8 @@ def test_state_machine_safety_exhaustive():
         "aggregate_commitment": (),
         "finish": (),
     }
+    # checkpoints are free: a refused one charges nothing and logs nothing
+    free = {"advance_round", "mark_shares_ready", "begin_validation", "complete_validation"}
     for phase in PHASES:
         for method, legal_phases in legal.items():
             if phase in legal_phases:
@@ -420,12 +422,23 @@ def test_state_machine_safety_exhaustive():
                 set(contract.validity),
                 sorted(contract.balances.items(), key=str),
             )
+            log_length, gas_total = len(contract.tx_log), contract.meter.total
             with pytest.raises(TxRejected):
                 getattr(contract, method)(*args[method])
             assert contract.phase == snapshot[0], (phase, method)
             assert contract.slots == snapshot[1], (phase, method)
             assert contract.validity == snapshot[2]
             assert sorted(contract.balances.items(), key=str) == snapshot[3]
+            if method in free:
+                assert len(contract.tx_log) == log_length, (phase, method)
+                assert contract.meter.total == gas_total, (phase, method)
+                continue
+            assert len(contract.tx_log) == log_length + 1, (phase, method)
+            record = contract.tx_log[-1]
+            assert record["method"] == method
+            assert record["gas"] == contract.meter.table.tx_base
+            assert record["phase_before"] == record["phase_after"] == phase
+            assert record["stored_words_delta"] == 0
 
 
 def test_tx_log_schema():
@@ -463,5 +476,8 @@ def test_baseline_estimate_scales_with_m():
 def test_gas_table_overrides():
     t = GasTable.from_dict({"field_op": 3})
     assert t.field_op == 3 and t.tx_base == 21000
-    with pytest.raises(ValueError):
-        GasTable.from_dict({"bogus": 1})
+    assert GasTable.from_dict({"tx_base": 0}).tx_base == 0
+    for bad in ({"bogus": 1}, {"storage_word_write": -100000}, {"tx_base": 1.9},
+                {"tx_base": 21000.0}, {"field_op": True}, {"hash_word": "36"}):
+        with pytest.raises(ValueError):
+            GasTable.from_dict(bad)

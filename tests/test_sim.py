@@ -276,3 +276,22 @@ def test_all_adversaries_report_golden_digest():
     assert _report_digest(report) == (
         "7ce9f872e0272afbde0fdfff9eabcaa9cd9210a731e070952ba2d80fcb90dc44"
     )
+
+
+def test_unvalidated_session_report_golden_digest():
+    report = run_session(small_session_config(validation=False), 3)
+    assert report["validity_set"] == [0, 1, 2, 3]
+    assert _report_digest(report) == (
+        "8c5c0b82a15aa7b71b28ed6ca760c2e6446a9862383fc05404c629b2c818dabb"
+    )
+
+
+def test_empty_validity_set_report_golden_digest():
+    # every owner is rejected: pay refunds the MO and nothing is aggregated
+    owners = tuple({"id": n, "behavior": "random_gradient"} for n in range(4))
+    report = run_session(small_session_config(malicious_dos=owners), 3)
+    assert report["validity_set"] == []
+    assert report["payments"] == {"mo": 1000}
+    assert _report_digest(report) == (
+        "9602403921ffebf4ff4668e343c17fda6d69995af255cb076738fb9d5a519352"
+    )
