@@ -203,7 +203,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--seed", type=int, default=0)
     p_train.add_argument("--out", default="training.json")
 
-    p_gas = sub.add_parser("gas-compare", help="compare off-chain vs fully on-chain gas")
+    p_gas = sub.add_parser(
+        "gas-compare",
+        help="compare off-chain vs fully on-chain gas",
+        description="Compare one session's gas with the fully on-chain baseline. "
+        "The baseline's norm circuit is the accept-zero one at the session's rho, "
+        "else the config's rho, else rho 64: a session run with validation off and "
+        "no rho in the config gets its baseline priced at rho 64.",
+    )
     p_gas.add_argument("--config", required=True)
     p_gas.add_argument("--seed", type=int, default=0)
     p_gas.add_argument("--out", default="gas.json")

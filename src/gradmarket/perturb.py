@@ -22,6 +22,7 @@ both.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,23 +176,27 @@ def apply_masks(model: MlpModel, masks: MaskSet) -> MlpModel:
     return MlpModel(model.layer_sizes, enc)
 
 
+def block_shapes(layer_sizes) -> list[tuple[int, int, int]]:
+    """The gradient layout, stated once: one block per weight layer.
+
+    Layer l's block has shape (p + 2, n_{l+1}, n_l): index 0 is the masked
+    gradient G, 1..p are sigma_1..sigma_p, and p + 1 is beta. The wire order
+    is the blocks in layer order, each in C (row-major) order.
+    """
+    sizes = tuple(layer_sizes)
+    return [(sizes[-1] + 2, sizes[l + 1], sizes[l]) for l in range(len(sizes) - 1)]
+
+
 @dataclass
 class EncryptedGradient:
-    """A data owner's report: masked gradient plus correction statistics.
+    """A data owner's report: per weight layer, the masked gradient and its
+    correction statistics as one block laid out by block_shapes.
 
-    sigma[l][i] has the shape of weight layer l, one matrix per output
-    index i, already scaled by r_out[i]. Flattened order per layer:
-    G, then sigma_1..sigma_p, then beta, row-major within each matrix.
+    blocks[l][1 + i] is sigma_{i+1}, already scaled by r_out[i].
     """
 
     layer_sizes: tuple[int, ...]
-    G: list[np.ndarray]
-    sigma: list[list[np.ndarray]]
-    beta: list[np.ndarray]
-
-    @property
-    def flat_length(self) -> int:
-        return flat_length(self.layer_sizes)
+    blocks: list[np.ndarray]
 
 
 def encrypted_gradient(
@@ -218,7 +223,6 @@ def encrypted_gradient(
 
     # standard backprop for the masked gradient
     ds = _backprop(W, relu_mask, resid, L - 1)
-    G = [ds[i].T @ acts[i] / M for i in range(L)]
 
     # backprop seeds: per-output unit vectors (output Jacobians) and the
     # all-ones seed at the last hidden layer (alpha Jacobian)
@@ -230,18 +234,17 @@ def encrypted_gradient(
     # alpha backprop d-matrices; A[L-1] is zero
     A = _backprop(W, relu_mask, relu_mask[L - 2].astype(float), L - 2) + [np.zeros((M, p))]
 
-    sigma: list[list[np.ndarray]] = []
-    beta: list[np.ndarray] = []
+    blocks = []
     for i in range(L):
         base = acts[i]
-        beta.append((A[i] * alpha[:, None]).T @ base / M)
-        layer_sigma = []
+        sigma = []
         for i_out in range(p):
             s = (J[i_out][i] * alpha[:, None]).T @ base
             s += (A[i] * resid[:, [i_out]]).T @ base
-            layer_sigma.append(r_out[i_out] * s / M)
-        sigma.append(layer_sigma)
-    return EncryptedGradient(layer_sizes=sizes, G=G, sigma=sigma, beta=beta)
+            sigma.append(r_out[i_out] * s / M)
+        beta = (A[i] * alpha[:, None]).T @ base / M
+        blocks.append(np.stack([ds[i].T @ base / M, *sigma, beta]))
+    return EncryptedGradient(layer_sizes=sizes, blocks=blocks)
 
 
 def decrypt_aggregate(agg: EncryptedGradient, masks: MaskSet) -> list[np.ndarray]:
@@ -249,11 +252,11 @@ def decrypt_aggregate(agg: EncryptedGradient, masks: MaskSet) -> list[np.ndarray
     sizes = agg.layer_sizes
     c2 = float(np.sum((masks.gamma * masks.r_out) ** 2))
     out = []
-    for i in range(len(sizes) - 1):
-        corr = agg.G[i].copy()
-        for i_out, s in enumerate(agg.sigma[i]):
+    for i, (G, *sigma, beta) in enumerate(agg.blocks):
+        corr = G.copy()
+        for i_out, s in enumerate(sigma):
             corr -= masks.gamma[i_out] * s
-        corr += c2 * agg.beta[i]
+        corr += c2 * beta
         out.append(masks.R(i, sizes) * corr)
     return out
 
@@ -263,57 +266,22 @@ def decrypt_aggregate(agg: EncryptedGradient, masks: MaskSet) -> list[np.ndarray
 # ---------------------------------------------------------------------------
 
 def flatten(eg: EncryptedGradient) -> np.ndarray:
-    """Fixed wire order: per layer, G | sigma_1..sigma_p | beta, row-major."""
-    parts = []
-    for i in range(len(eg.G)):
-        parts.append(eg.G[i].ravel())
-        for s in eg.sigma[i]:
-            parts.append(s.ravel())
-        parts.append(eg.beta[i].ravel())
-    return np.concatenate(parts)
+    """The wire vector: the blocks ravelled and concatenated."""
+    return np.concatenate([block.ravel() for block in eg.blocks])
 
 
 def unflatten(vec: np.ndarray, layer_sizes) -> EncryptedGradient:
-    sizes = tuple(layer_sizes)
-    L = len(sizes) - 1
-    p = sizes[-1]
-    G, sigma, beta = [], [], []
-    off = 0
-
-    def take(rows, cols):
-        nonlocal off
-        n = rows * cols
-        block = np.asarray(vec[off : off + n], dtype=float).reshape(rows, cols)
-        off += n
-        return block
-
-    for i in range(L):
-        rows, cols = sizes[i + 1], sizes[i]
-        G.append(take(rows, cols))
-        sigma.append([take(rows, cols) for _ in range(p)])
-        beta.append(take(rows, cols))
-    if off != len(vec):
+    shapes = block_shapes(layer_sizes)
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    if len(vec) != ends[-1]:
         raise ValueError("flattened vector length does not match layer sizes")
-    return EncryptedGradient(layer_sizes=sizes, G=G, sigma=sigma, beta=beta)
+    parts = np.split(np.asarray(vec, dtype=float), ends[:-1])
+    blocks = [part.reshape(shape) for part, shape in zip(parts, shapes)]
+    return EncryptedGradient(layer_sizes=tuple(layer_sizes), blocks=blocks)
 
 
 def flat_length(layer_sizes) -> int:
-    """Length of the flat vector: G, p sigma matrices and beta per layer."""
-    sizes = tuple(layer_sizes)
-    return (sizes[-1] + 2) * sum(sizes[i + 1] * sizes[i] for i in range(len(sizes) - 1))
-
-
-def gradient_slices(layer_sizes) -> list[tuple[int, int]]:
-    """(start, length) of each layer's masked-gradient block in the flat order."""
-    sizes = tuple(layer_sizes)
-    p = sizes[-1]
-    out = []
-    off = 0
-    for i in range(len(sizes) - 1):
-        n = sizes[i + 1] * sizes[i]
-        out.append((off, n))
-        off += (p + 2) * n
-    return out
+    return sum(math.prod(shape) for shape in block_shapes(layer_sizes))
 
 
 def quantize_vector(vec: np.ndarray, codec: FixedPointCodec) -> list[int]:

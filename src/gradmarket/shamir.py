@@ -41,11 +41,10 @@ class ShareVector:
             raise ValueError("share vector too short")
         index, length = struct.unpack("<II", data[:8])
         body = data[8:]
-        if len(body) != length * field.ELEMENT_BYTES:
+        step = field.ELEMENT_BYTES
+        if len(body) != length * step:
             raise ValueError("share vector length mismatch")
-        values = tuple(
-            field.from_bytes(body[i * 16 : (i + 1) * 16]) for i in range(length)
-        )
+        values = tuple(field.from_bytes(body[j : j + step]) for j in range(0, len(body), step))
         return cls(index=index, values=values)
 
 
@@ -161,20 +160,10 @@ def ss_robust_recon(shares: list[ShareVector], T: int) -> list[int]:
     Decodes each coordinate independently; raises DecodeFailure if any
     coordinate fails.
     """
-    K = len(shares)
-    if K < T + 2:
-        raise ValueError("robust reconstruction needs K >= T + 2")
     ordered = sorted(shares, key=lambda s: s.index)
-    if [s.index for s in ordered] != list(range(1, K + 1)):
+    if [s.index for s in ordered] != list(range(1, len(shares) + 1)):
         raise ValueError("robust reconstruction expects share indices 1..K")
-    xs = list(range(1, K + 1))
-    m = len(ordered[0].values)
-    out = [0] * m
-    for kcoord in range(m):
-        ys = [s.values[kcoord] for s in ordered]
-        f = gao_decode(xs, ys, T + 1)
-        out[kcoord] = f[0] if f else 0
-    return out
+    return [robust_recon_scalar(list(ys), T) for ys in zip(*(s.values for s in ordered))]
 
 
 def robust_recon_scalar(values: list[int], T: int) -> int:

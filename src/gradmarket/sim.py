@@ -35,7 +35,7 @@ from .circuit import build_norm_circuit
 from .commit import CommitmentKey, setup_key, verify_share
 from .contract import GasTable, TradeContract, merkle_root
 from .field import Q, FixedPointCodec
-from .perturb import MlpModel, gradient_slices, random_model
+from .perturb import MlpModel, random_model
 from .shamir import ShareVector, ss_recon, ss_share
 
 DO_BEHAVIORS = ("random_gradient", "norm_attack", "bad_share", "tampered_proof")
@@ -249,18 +249,14 @@ def build_world(config: SessionConfig, seed: int) -> World:
 
 
 def validation_indices(config: SessionConfig) -> list[int]:
-    """Flat-vector indices validated by the norm circuit: the masked-gradient
-    blocks of the chosen layers (all layers by default)."""
-    slices = gradient_slices(config.layers)
-    chosen = (
-        range(1, len(config.layers))
-        if config.validate_layers is None
-        else config.validate_layers
-    )
-    idx = []
-    for l in sorted(set(chosen)):
-        start, length = slices[l - 1]
-        idx.extend(range(start, start + length))
+    """Flat-vector indices validated by the norm circuit: the masked gradient
+    G of each chosen layer's block (all layers by default)."""
+    chosen = config.validate_layers or range(1, len(config.layers))
+    idx, start = [], 0
+    for l, (depth, rows, cols) in enumerate(perturb.block_shapes(config.layers), 1):
+        if l in chosen:
+            idx.extend(range(start, start + rows * cols))
+        start += depth * rows * cols
     return idx
 
 
@@ -282,10 +278,10 @@ def run_session(config: SessionConfig, seed: int) -> dict:
     world = build_world(config, seed)
     m = perturb.flat_length(config.layers)
     key = setup_key(m, rng_stream(seed, "contract.setup"))
-    return _run_session(config, seed, world, key)
+    return _run_session(config, seed, world, key).report()
 
 
-def _run_session(config: SessionConfig, seed: int, world: World, key: CommitmentKey) -> dict:
+def _run_session(config: SessionConfig, seed: int, world: World, key: CommitmentKey) -> _Session:
     session = _Session(config, seed, world, key)
     session.publish()
     session.share()
@@ -294,7 +290,7 @@ def _run_session(config: SessionConfig, seed: int, world: World, key: Commitment
     session.contract.pay()
     session.aggregate()
     session.contract.finish()
-    return session.report()
+    return session
 
 
 class _Session:
@@ -526,20 +522,16 @@ def run_training(config: SessionConfig, seed: int) -> dict:
     curve = [[0, perturb.mse(world.model, pooled_X, pooled_Y)]]
     sessions = []
     for t in range(1, config.iterations + 1):
-        report = _run_session(config, derive_seed(seed, f"iter.{t}"), world, key)
-        if report["decrypted_gradient"] is not None:
-            grads = [
-                np.array(flat).reshape(world.model.weights[l].shape)
-                for l, flat in enumerate(report["decrypted_gradient"])
-            ]
-            for w, g in zip(world.model.weights, grads):
+        session = _run_session(config, derive_seed(seed, f"iter.{t}"), world, key)
+        if session.decrypted is not None:
+            for w, g in zip(world.model.weights, session.decrypted):
                 w -= config.eta * g
         sessions.append(
             {
                 "iteration": t,
-                "validity_set": report["validity_set"],
-                "gas_total": report["gas"]["total"],
-                "gradient_max_abs_error": report["gradient_max_abs_error"],
+                "validity_set": session.validity,
+                "gas_total": session.contract.meter.total,
+                "gradient_max_abs_error": session.grad_error,
             }
         )
         curve.append([t, perturb.mse(world.model, pooled_X, pooled_Y)])

@@ -11,8 +11,8 @@ from gradmarket.perturb import (
     encrypt_model,
     encrypted_gradient,
     flatten,
+    flat_length,
     forward,
-    gradient_slices,
     plain_gradient,
     random_model,
     unflatten,
@@ -128,8 +128,8 @@ def test_encrypted_gradient_identity_masks_equals_plain():
     X, Y = _rand_data(rng, 8, model)
     eg = encrypted_gradient(enc, masks.r_out, X, Y)
     pg = plain_gradient(model, X, Y)
-    for a, b in zip(eg.G, pg):
-        assert np.allclose(a, b)
+    for block, b in zip(eg.blocks, pg):
+        assert np.allclose(block[0], b)
     assert decrypt_aggregate(eg, masks)[0] == pytest.approx(pg[0], abs=1e-12)
 
 
@@ -156,10 +156,10 @@ def test_zero_residual_zero_gamma_terms():
     X = rng.normal(0, 1, (6, 3))
     Y = forward(enc, X)
     eg = encrypted_gradient(enc, masks.r_out, X, Y)
-    for g in eg.G:
-        assert np.allclose(g, 0.0, atol=1e-12)
-    assert np.allclose(eg.beta[-1], 0.0)
-    assert not np.allclose(eg.beta[0], 0.0)
+    for block in eg.blocks:
+        assert np.allclose(block[0], 0.0, atol=1e-12)
+    assert np.allclose(eg.blocks[-1][-1], 0.0)
+    assert not np.allclose(eg.blocks[0][-1], 0.0)
 
 
 def test_decryption_identity_single_owner():
@@ -207,27 +207,47 @@ def test_flatten_roundtrip_and_length():
     X, Y = _rand_data(rng, 5, model)
     eg = encrypted_gradient(enc, r_out, X, Y)
     flat = flatten(eg)
-    assert len(flat) == (2 + 2) * model.num_params == eg.flat_length
+    assert len(flat) == (2 + 2) * model.num_params == flat_length(eg.layer_sizes)
     eg2 = unflatten(flat, model.layer_sizes)
     assert np.array_equal(flatten(eg2), flat)
-    for a, b in zip(eg.G, eg2.G):
-        assert np.array_equal(a, b)
+    for a, b in zip(eg.blocks, eg2.blocks):
+        assert np.array_equal(a[0], b[0])
     with pytest.raises(ValueError):
         unflatten(flat[:-1], model.layer_sizes)
 
 
 def test_gradient_slices_cover_g_blocks():
     sizes = (4, 8, 2)
-    slices = gradient_slices(sizes)
-    assert slices == [(0, 32), (4 * 32, 16)]
+    slices = [(0, 32), (4 * 32, 16)]
     rng = np.random.default_rng(13)
     model = random_model(sizes, rng)
     enc, r_out, _ = encrypt_model(model, rng)
     X, Y = _rand_data(rng, 5, model)
     eg = encrypted_gradient(enc, r_out, X, Y)
     flat = flatten(eg)
-    for (start, length), g in zip(slices, eg.G):
-        assert np.array_equal(flat[start : start + length], g.ravel())
+    for (start, length), block in zip(slices, eg.blocks):
+        assert np.array_equal(flat[start : start + length], block[0].ravel())
+
+
+@pytest.mark.parametrize("sizes", [(4, 8, 2), (3, 5, 4, 3)])
+def test_wire_order_of_every_block(sizes):
+    # per layer: G, sigma_1..sigma_p, beta, each n_{l+1} x n_l and row-major
+    p = sizes[-1]
+    m = (p + 2) * sum(sizes[l + 1] * sizes[l] for l in range(len(sizes) - 1))
+    assert flat_length(sizes) == m
+    vec = np.arange(m, dtype=float)
+    eg = unflatten(vec, sizes)
+    assert [b.shape for b in eg.blocks] == perturb.block_shapes(sizes)
+    off = 0
+    for l, (G, *sigma, beta) in enumerate(eg.blocks):
+        shape = (sizes[l + 1], sizes[l])
+        n = shape[0] * shape[1]
+        assert len(sigma) == p
+        for matrix in (G, *sigma, beta):
+            assert np.array_equal(matrix, np.arange(off, off + n).reshape(shape))
+            off += n
+    assert off == m
+    assert np.array_equal(flatten(eg), vec)
 
 
 def test_quantized_pipeline_roundtrip_error():

@@ -69,6 +69,12 @@ def test_validation_indices_default_and_per_layer():
     assert len(idx) == 32 + 16  # both masked-gradient blocks
     cfg2 = small_session_config(validate_layers=(2,))
     assert len(validation_indices(cfg2)) == 16
+    # layer 1's block is 4 * 32 long (G, sigma_1, sigma_2, beta), so layer
+    # 2's G starts at 128
+    assert idx == list(range(32)) + list(range(128, 144))
+    assert validation_indices(cfg2) == list(range(128, 144))
+    doubled = small_session_config(validate_layers=(2, 2))
+    assert validation_indices(doubled) == validation_indices(cfg2)
 
 
 def test_clean_session(small_config):
