@@ -1,8 +1,8 @@
 """Arithmetic-circuit IR, the norm-threshold circuit, and plain evaluation.
 
 A circuit is a topologically ordered gate list over F_q; evaluation records
-the (left, right, output) values at every multiplication gate, which is the
-trace the secret-shared validity proof consumes.
+the left and right inputs of every multiplication gate, which is the trace
+the secret-shared validity proof consumes.
 
 The norm-threshold predicate for bound rho is built as the product
 
@@ -16,8 +16,9 @@ norm bound but the bare product would reject it.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from . import field
 from .field import Q
@@ -44,12 +45,10 @@ class Circuit:
     num_inputs: int
     gates: tuple[Gate, ...]
     output: int
-    # gate id of the t-th multiplication gate, t = 1..M
-    mul_gates: tuple[int, ...] = dc_field(default=())
 
-    @property
+    @functools.cached_property
     def num_mul(self) -> int:
-        return len(self.mul_gates)
+        return sum(g.kind == MUL for g in self.gates)
 
     def to_json(self) -> str:
         gates = []
@@ -68,14 +67,10 @@ class CircuitBuilder:
     def __init__(self, num_inputs: int):
         self.num_inputs = num_inputs
         self.gates: list[Gate] = []
-        self.mul_gates: list[int] = []
 
     def _push(self, gate: Gate) -> int:
         self.gates.append(gate)
-        gid = len(self.gates) - 1
-        if gate.kind == MUL:
-            self.mul_gates.append(gid)
-        return gid
+        return len(self.gates) - 1
 
     def input(self, k: int) -> int:
         if not 0 <= k < self.num_inputs:
@@ -95,12 +90,7 @@ class CircuitBuilder:
         return self._push(Gate(MUL, a=a, b=b))
 
     def build(self, output: int) -> Circuit:
-        return Circuit(
-            num_inputs=self.num_inputs,
-            gates=tuple(self.gates),
-            output=output,
-            mul_gates=tuple(self.mul_gates),
-        )
+        return Circuit(num_inputs=self.num_inputs, gates=tuple(self.gates), output=output)
 
 
 def build_norm_circuit(m: int, rho: int, accept_zero: bool = False) -> Circuit:
@@ -128,40 +118,33 @@ def build_norm_circuit(m: int, rho: int, accept_zero: bool = False) -> Circuit:
     return b.build(prod)
 
 
-@dataclass(frozen=True)
+@dataclass
 class MulTrace:
-    """Values (u_t, v_t, w_t) at each multiplication gate, in gate order."""
+    """Left and right input values (or shares of them) of each
+    multiplication gate, in gate order."""
 
-    entries: tuple[tuple[int, int, int], ...]
+    left: list[int]
+    right: list[int]
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    @property
-    def left(self) -> list[int]:
-        return [u for u, _, _ in self.entries]
-
-    @property
-    def right(self) -> list[int]:
-        return [v for _, v, _ in self.entries]
+        return len(self.left)
 
 
 def eval_plain(circuit: Circuit, inputs: list[int]) -> tuple[int, MulTrace]:
     """Gate-by-gate evaluation over F_q, recording the multiplication trace."""
-    out, entries = _run_gates(circuit, [x % Q for x in inputs], field.mul)
-    return out, MulTrace(entries=tuple(entries))
+    return _run_gates(circuit, [x % Q for x in inputs], field.mul)
 
 
-def _run_gates(circuit: Circuit, inputs: list[int], mul_rule) -> tuple[int, list]:
+def _run_gates(circuit: Circuit, inputs: list[int], mul_rule) -> tuple[int, MulTrace]:
     """The gate loop of eval_plain and snip.server_eval: mul_rule(u, v) gives
     each multiplication gate's output, in gate order. Returns the output wire
-    and every multiplication gate's (u, v, w)."""
+    and the multiplication trace."""
     if len(inputs) != circuit.num_inputs:
         raise ValueError(
             f"circuit expects {circuit.num_inputs} inputs, got {len(inputs)}"
         )
     wires = [0] * len(circuit.gates)
-    trace = []
+    trace = MulTrace(left=[], right=[])
     for gid, g in enumerate(circuit.gates):
         if g.kind == INPUT:
             wires[gid] = inputs[g.a]
@@ -173,9 +156,9 @@ def _run_gates(circuit: Circuit, inputs: list[int], mul_rule) -> tuple[int, list
             wires[gid] = field.sub(wires[g.a], wires[g.b])
         elif g.kind == MUL:
             u, v = wires[g.a], wires[g.b]
-            w = mul_rule(u, v)
-            wires[gid] = w
-            trace.append((u, v, w))
+            wires[gid] = mul_rule(u, v)
+            trace.left.append(u)
+            trace.right.append(v)
         else:
             raise ValueError(f"unknown gate kind {g.kind!r}")
     return wires[circuit.output], trace

@@ -149,11 +149,7 @@ def _selftest() -> int:
     out, _ = eval_plain(circ, inputs)
     pkgs = snip.prove(inputs, circ, 1, 5, rng)
     r = field.rand_element(rng)
-    states, d_bc, e_bc = {}, [0] * 5, [0] * 5
-    for i in range(1, 6):
-        st, d, e = snip.server_round1(pkgs[i - 1], circ, r)
-        states[i], d_bc[i - 1], e_bc[i - 1] = st, d, e
-    verdicts = [snip.server_round2(states[i], d_bc, e_bc, 1) for i in range(1, 6)]
+    verdicts = snip.identity_test(pkgs, circ, r, 1)
     ident = robust_recon_scalar([v.identity_share for v in verdicts], 1)
     outv = robust_recon_scalar([v.output_share for v in verdicts], 1)
     check("validity proof completeness", out == 0 and ident == 0 and outv == 0)

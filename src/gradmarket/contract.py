@@ -118,11 +118,10 @@ class GasMeter:
         field_ops: int = 0,
         group_ops: int = 0,
         hash_words: int = 0,
-        base: bool = True,
     ) -> int:
         t = self.table
         gas = (
-            (t.tx_base if base else 0)
+            t.tx_base
             + writes * t.storage_word_write
             + reads * t.storage_word_read
             + field_ops * t.field_op
@@ -493,24 +492,13 @@ def baseline_gas_estimate(
     gradient), and aggregation sums the stored gradients on-chain. Used
     only for cost-ratio comparisons.
     """
-    t = table or GasTable()
-    per_method = {}
-    per_method["deploy"] = t.tx_base + 2 * t.storage_word_write
-    per_method["start"] = t.tx_base + t.hash_word + 2 * t.storage_word_write
-    per_method["register"] = N * (t.tx_base + t.storage_word_read + t.storage_word_write)
-    per_method["store_gradient"] = N * (t.tx_base + m * t.storage_word_write)
-    per_method["validate_gradient"] = N * (
-        t.tx_base
-        + m * t.storage_word_read
-        + circuit_gate_count * t.field_op
-        + t.storage_word_write
-    )
-    per_method["aggregate_gradient"] = (
-        t.tx_base
-        + N * m * t.storage_word_read
-        + (N - 1) * m * t.field_op
-        + m * t.storage_word_write
-    )
-    per_method["pay"] = t.tx_base + N * t.storage_word_write
-    total = sum(per_method.values())
-    return {"per_method": per_method, "total": total}
+    meter = GasMeter(table or GasTable())
+    meter.charge("deploy", writes=2)
+    meter.charge("start", hash_words=1, writes=2)
+    for _ in range(N):
+        meter.charge("register", reads=1, writes=1)
+        meter.charge("store_gradient", writes=m)
+        meter.charge("validate_gradient", reads=m, field_ops=circuit_gate_count, writes=1)
+    meter.charge("aggregate_gradient", reads=N * m, field_ops=(N - 1) * m, writes=m)
+    meter.charge("pay", writes=N)
+    return {"per_method": meter.per_method, "total": meter.total}

@@ -40,6 +40,8 @@ from .shamir import ShareVector, ss_recon, ss_share
 
 DO_BEHAVIORS = ("random_gradient", "norm_attack", "bad_share", "tampered_proof")
 SERVER_BEHAVIORS = ("corrupt_shares", "false_complaint")
+# the one optional key each parameterized behavior accepts
+SPEC_OPTIONS = {"norm_attack": ("factor",), "bad_share": ("target_server",)}
 
 
 class ConfigError(Exception):
@@ -123,18 +125,13 @@ class SessionConfig:
                 raise ConfigError("validate_layers entries must be in 1..L")
         servers = range(1, self.K + 1)
         for spec in self.malicious_dos:
-            if spec.get("behavior") not in DO_BEHAVIORS:
-                raise ConfigError(f"unknown data-owner behavior {spec.get('behavior')!r}")
-            if spec.get("id") not in range(self.N):
-                raise ConfigError("malicious_dos id out of range")
+            _check_spec("malicious_dos", spec, DO_BEHAVIORS, range(self.N))
+            _check_scalar("bad_share target_server", "int", spec.get("target_server", 1))
             if spec.get("target_server", 1) not in servers:
                 raise ConfigError("bad_share target_server must be in 1..K")
             _check_scalar("norm_attack factor", "float", spec.get("factor", 8.0))
         for spec in self.malicious_servers:
-            if spec.get("behavior") not in SERVER_BEHAVIORS:
-                raise ConfigError(f"unknown server behavior {spec.get('behavior')!r}")
-            if spec.get("id") not in servers:
-                raise ConfigError("malicious_servers id must be in 1..K")
+            _check_spec("malicious_servers", spec, SERVER_BEHAVIORS, servers)
         for name in ("malicious_dos", "malicious_servers"):
             ids = [spec["id"] for spec in getattr(self, name)]
             if len(set(ids)) != len(ids):
@@ -191,6 +188,20 @@ def _int_tuple(name: str, value) -> tuple[int, ...]:
     for n in value:
         _check_scalar(f"{name} entries", "int", n)
     return tuple(value)
+
+
+def _check_spec(name: str, spec: dict, behaviors: tuple[str, ...], ids: range) -> None:
+    """An adversary spec names a known behavior and an integer id in range,
+    and has no keys but those and the behavior's own option."""
+    behavior = spec.get("behavior")
+    if behavior not in behaviors:
+        raise ConfigError(f"{name}: unknown behavior {behavior!r}")
+    unknown = set(spec) - {"id", "behavior", *SPEC_OPTIONS.get(behavior, ())}
+    if unknown:
+        raise ConfigError(f"{name}: unknown keys for {behavior}: {sorted(unknown)}")
+    _check_scalar(f"{name} id", "int", spec.get("id"))
+    if spec["id"] not in ids:
+        raise ConfigError(f"{name} id must be in {ids.start}..{ids.stop - 1}")
 
 
 def _spec_tuple(name: str, value) -> tuple[dict, ...]:
@@ -380,7 +391,7 @@ class _Session:
             self.contract.store_commitment(n, commit_mod.commit(qvec, z_masks, self.key))
             sent = dict(zip(self.servers, shares))
             if self._behavior(n) == "bad_share":
-                target = int(self.do_specs[n].get("target_server", 1))
+                target = self.do_specs[n].get("target_server", 1)
                 values = list(sent[target].values)
                 values[0] = (values[0] + rng_stream(seed, f"do.{n}.adversary").randrange(1, Q)) % Q
                 sent[target] = ShareVector(index=target, values=tuple(values))
@@ -425,25 +436,18 @@ class _Session:
         packages = snip.package_proof(
             sub_shares, h, config.T, config.K, rng_stream(seed, f"do.{n}.proof")
         )
-        # round 1: local evaluation, then the barriered d/e opening
-        states, d_bc, e_bc = {}, [], []
-        for i in self.servers:
-            states[i], d_i, e_i = snip.server_round1(packages[i - 1], circ, r)
-            if self.server_behaviors.get(i) == "corrupt_shares":
-                srng = rng_stream(seed, f"server.{i}.adversary.{n}.open")
-                d_i, e_i = field.rand_elements(srng, 2)
-            d_bc.append(d_i)
-            e_bc.append(e_i)
-        # round 2: every server reconstructs the openings and submits
-        for i in self.servers:
-            if self.server_behaviors.get(i) == "corrupt_shares":
+        # a corrupt server broadcasts random d/e shares and submits a random verdict
+        lies = {
+            i: tuple(field.rand_elements(rng_stream(seed, f"server.{i}.adversary.{n}.open"), 2))
+            for i in self.servers
+            if self.server_behaviors.get(i) == "corrupt_shares"
+        }
+        verdicts = snip.identity_test(packages, circ, r, config.T, lies)
+        for i, v in zip(self.servers, verdicts):
+            if i in lies:
                 srng = rng_stream(seed, f"server.{i}.adversary.{n}.verdict")
-                self.contract.submit_verdict(i, n, *field.rand_elements(srng, 2), False)
-            else:
-                v = snip.server_round2(states[i], d_bc, e_bc, config.T)
-                self.contract.submit_verdict(
-                    i, n, v.identity_share, v.output_share, v.decode_failed
-                )
+                v = snip.VerdictShares(*field.rand_elements(srng, 2))
+            self.contract.submit_verdict(i, n, v.identity_share, v.output_share, v.decode_failed)
 
     def aggregate(self):
         """Servers sum the valid owners' shares; the model owner keeps the sums

@@ -12,6 +12,7 @@ the group runs one polynomial identity test at a public random point r:
 
 with the product computed through the Beaver triple so every on-wire value
 stays a degree-T Shamir share; [h](r) is one O(M) barycentric evaluation.
+`identity_test` runs both rounds for all K servers.
 A cheating prover whose shared h disagrees with f * g survives with
 probability at most deg(h - f*g)/q <= (2M-2)/q over r. A tampered value at
 t <= M breaks h(t) = u_t * v_t, since a gate's inputs do not depend on its
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import field
-from .circuit import Circuit, _run_gates, eval_plain
+from .circuit import Circuit, MulTrace, _run_gates, eval_plain
 from .field import Q
 from .shamir import DecodeFailure, ShareVector, robust_recon_scalar, ss_share
 
@@ -140,28 +141,19 @@ def prove(
     return package_proof(input_shares, h, T, K, rng)
 
 
-@dataclass(frozen=True)
-class WireShares:
-    """Per-server circuit evaluation: multiplication-gate input wire shares
-    (in gate order) and the output wire share."""
-
-    mul_inputs: tuple[tuple[int, int], ...]
-    output_share: int
-
-
-def server_eval(pkg: ProverPackage, circ: Circuit) -> WireShares:
-    """Evaluate the circuit on shares.
+def server_eval(pkg: ProverPackage, circ: Circuit) -> tuple[int, MulTrace]:
+    """Evaluate the circuit on shares; the same (output, MulTrace) form as
+    eval_plain, holding this server's shares.
 
     Input, constant, add, and sub gates are local (a public constant is its
     own share at every index); each multiplication gate t takes its output
-    share [h(t)]_i from the package. Records ([f(t)]_i, [g(t)]_i) per
-    multiplication gate.
+    share [h(t)]_i from the package, and the trace records its input shares
+    ([f(t)]_i, [g(t)]_i).
     """
     if circ.num_mul and len(pkg.h_coeff_shares) != 2 * circ.num_mul - 1:
         raise ValueError("h share count does not match the circuit")
     h_next = iter(pkg.h_coeff_shares).__next__
-    out, trace = _run_gates(circ, pkg.share.values, lambda u, v: h_next())
-    return WireShares(mul_inputs=tuple((u, v) for u, v, _ in trace), output_share=out)
+    return _run_gates(circ, pkg.share.values, lambda u, v: h_next())
 
 
 @dataclass(frozen=True)
@@ -191,22 +183,23 @@ class VerdictShares:
     decode_failed: bool = False
 
 
-def server_round1(pkg: ProverPackage, circ: Circuit, r: int) -> tuple[CheckState, int, int]:
-    """First identity-test round: derive and broadcast [d]_i and [e]_i.
+def server_round1(pkg: ProverPackage, circ: Circuit, r: int) -> CheckState:
+    """First identity-test round: derive [d]_i and [e]_i, the state's
+    broadcast shares.
 
     d = fhat(r) - a and e = ghat(r) - b open safely; a and b act as
     one-time pads.
     """
-    wires = server_eval(pkg, circ)
-    M = len(wires.mul_inputs)
+    output_share, trace = server_eval(pkg, circ)
+    M = len(trace)
     if M == 0:
         raise ValueError("circuit has no multiplication gates; nothing to check")
     dom = field.eval_domain(M)
-    f_r = dom.interpolate_at([u for u, _ in wires.mul_inputs], r)
-    g_r = dom.interpolate_at([v for _, v in wires.mul_inputs], r)
+    f_r = dom.interpolate_at(trace.left, r)
+    g_r = dom.interpolate_at(trace.right, r)
     h_r = field.eval_domain(2 * M - 1).interpolate_at(pkg.h_coeff_shares, r)
     a, b, c = pkg.triple
-    state = CheckState(
+    return CheckState(
         index=pkg.index,
         d_share=field.sub(f_r, a),
         e_share=field.sub(g_r, b),
@@ -214,9 +207,8 @@ def server_round1(pkg: ProverPackage, circ: Circuit, r: int) -> tuple[CheckState
         a_share=a,
         b_share=b,
         c_share=c,
-        output_share=wires.output_share,
+        output_share=output_share,
     )
-    return state, state.d_share, state.e_share
 
 
 def server_round2(
@@ -243,3 +235,15 @@ def server_round2(
         identity_share=field.sub(state.h_r_share, prod_share),
         output_share=state.output_share,
     )
+
+
+def identity_test(
+    packages: list[ProverPackage], circ: Circuit, r: int, T: int, lies: dict | None = None
+) -> list[VerdictShares]:
+    """Both rounds for one proof: every server's round 1, the barriered d/e
+    broadcast, then every server's round 2 verdict, in package order
+    (packages[i - 1] is server i's). lies[i] replaces server i's (d, e)."""
+    states = [server_round1(pkg, circ, r) for pkg in packages]
+    pairs = [(lies or {}).get(st.index, (st.d_share, st.e_share)) for st in states]
+    d_broadcast, e_broadcast = map(list, zip(*pairs))
+    return [server_round2(st, d_broadcast, e_broadcast, T) for st in states]

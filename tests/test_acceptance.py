@@ -74,12 +74,7 @@ def _snip_session(inputs, circ, T, K, rng, tamper=False):
         h[rng.randrange(len(h))] = (h[rng.randrange(len(h))] + rng.randrange(1, Q)) % Q
     packages = snip.package_proof(input_shares, h, T, K, rng)
     r = field.rand_element(rng)
-    states, d_bc, e_bc = [], [0] * K, [0] * K
-    for i in range(1, K + 1):
-        st, d, e = snip.server_round1(packages[i - 1], circ, r)
-        states.append(st)
-        d_bc[i - 1], e_bc[i - 1] = d, e
-    verdicts = [snip.server_round2(st, d_bc, e_bc, T) for st in states]
+    verdicts = snip.identity_test(packages, circ, r, T)
     ident = robust_recon_scalar([v.identity_share for v in verdicts], T)
     out = robust_recon_scalar([v.output_share for v in verdicts], T)
     return ident, out

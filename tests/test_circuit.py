@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from gradmarket.circuit import CircuitBuilder, build_norm_circuit, eval_plain
+from gradmarket.circuit import MUL, CircuitBuilder, build_norm_circuit, eval_plain
 from gradmarket.field import Q
 
 
@@ -39,7 +39,9 @@ def test_norm_circuit_zero_vector():
 
 def test_output_is_final_mul_gate():
     c = build_norm_circuit(3, 4, accept_zero=True)
-    assert c.output == c.mul_gates[-1]
+    muls = [gid for gid, g in enumerate(c.gates) if g.kind == MUL]
+    assert len(muls) == c.num_mul
+    assert c.output == muls[-1]
 
 
 def test_single_mul_trace():
@@ -48,7 +50,7 @@ def test_single_mul_trace():
     c = b.build(out)
     value, trace = eval_plain(c, [3, 4])
     assert value == 12
-    assert trace.entries == ((3, 4, 12),)
+    assert (trace.left, trace.right) == ([3], [4])
 
 
 def test_add_only_circuit_has_empty_trace():
@@ -97,6 +99,10 @@ def test_trace_products_hold():
     c = build_norm_circuit(3, 6, accept_zero=True)
     for _ in range(20):
         inputs = [rng.randrange(10) for _ in range(3)]
-        _, trace = eval_plain(c, inputs)
-        for u, v, w in trace.entries:
-            assert (u * v) % Q == w
+        out, trace = eval_plain(c, inputs)
+        # the m square gates read each input twice
+        assert trace.left[:3] == trace.right[:3] == inputs
+        # each chain gate's left input is the previous gate's product
+        products = [u * v % Q for u, v in zip(trace.left, trace.right)]
+        assert trace.left[4:] == products[3:-1]
+        assert out == products[-1]

@@ -76,13 +76,21 @@ def test_malformed_config_exits_2(tmp_path, capsys):
         {"gas_table": {"tx_base": 1.9}},
         {"gas_table": {"field_op": True}},
         {"gas_table": {"hash_word": "36"}},
+        {"malicious_dos": [{"id": True, "behavior": "random_gradient"}]},
+        {"malicious_servers": [{"id": 2.0, "behavior": "corrupt_shares"}]},
+        {"malicious_dos": [{"id": 0, "behavior": "bad_share", "target_server": 2.0}]},
+        {"malicious_dos": [{"id": 0, "behavior": "bad_share", "taget_server": 3}]},
+        {"malicious_dos": [{"id": 0, "behavior": "random_gradient", "factor": 2.0}]},
+        {"malicious_servers": [{"id": 2, "behavior": "false_complaint", "mode": "all"}]},
     ],
     ids=["layers-int", "validate_layers-int", "malicious_dos-int", "rho-str",
          "gas_table-key", "deposit-negative", "rho-zero", "target_server-range",
          "rho_offset-negative", "rho_margin-negative", "rho_margin-nan", "layers-float",
          "layers-bool", "layers-str", "validate_layers-float", "malicious_dos-duplicate",
          "malicious_servers-duplicate", "gas_table-negative", "gas_table-float",
-         "gas_table-bool", "gas_table-str"],
+         "gas_table-bool", "gas_table-str", "malicious_dos-id-bool",
+         "malicious_servers-id-float", "target_server-float", "malicious_dos-misspelt-key",
+         "malicious_dos-option-of-other-behavior", "malicious_servers-unknown-key"],
 )
 def test_malformed_clean_config_override_exits_2(tmp_path, capsys, override):
     doc = dict(json.loads((CONFIGS / "clean.json").read_text()), **override)

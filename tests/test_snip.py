@@ -11,15 +11,8 @@ from gradmarket.shamir import ShareVector, robust_recon_scalar, ss_recon, ss_sha
 
 def _run_protocol(packages, circ, r, T, corrupt_servers=(), corrupt_rng=None):
     """Drive the two-round identity test; returns the per-server verdicts."""
-    K = len(packages)
-    states, d_bc, e_bc = [], [0] * K, [0] * K
-    for i in range(1, K + 1):
-        st, d, e = snip.server_round1(packages[i - 1], circ, r)
-        if i in corrupt_servers:
-            d, e = corrupt_rng.randrange(Q), corrupt_rng.randrange(Q)
-        states.append(st)
-        d_bc[i - 1], e_bc[i - 1] = d, e
-    return [snip.server_round2(st, d_bc, e_bc, T) for st in states]
+    lies = {i: (corrupt_rng.randrange(Q), corrupt_rng.randrange(Q)) for i in corrupt_servers}
+    return snip.identity_test(packages, circ, r, T, lies)
 
 
 def _contract_view(verdicts, T):
@@ -42,7 +35,7 @@ def test_prove_single_mul_constant_h():
     shares = [ShareVector(p.index, p.h_coeff_shares) for p in packages]
     assert ss_recon(shares[:2], 1) == [12]
     r_shares = [
-        ShareVector(p.index, (snip.server_round1(p, circ, 77)[0].h_r_share,))
+        ShareVector(p.index, (snip.server_round1(p, circ, 77).h_r_share,))
         for p in packages
     ]
     assert ss_recon(r_shares[:2], 1) == ss_recon(r_shares[1:], 1) == [12]
@@ -61,8 +54,8 @@ def test_h_reconstructs_trace_products():
     for j in range(2 * M - 1):
         value_shares = [ShareVector(p.index, (p.h_coeff_shares[j],)) for p in packages[:3]]
         h.append(ss_recon(value_shares, 2)[0])
-    for t, (u, v, w) in enumerate(trace.entries, start=1):
-        assert h[t - 1] == field.mul(u, v) == w
+    for t, (u, v) in enumerate(zip(trace.left, trace.right), start=1):
+        assert h[t - 1] == field.mul(u, v)
     # oracle: the coefficient-form product of the interpolated f and g
     f = field.poly_interpolate([(t, u) for t, u in enumerate(trace.left, start=1)])
     g = field.poly_interpolate([(t, v) for t, v in enumerate(trace.right, start=1)])
@@ -100,14 +93,32 @@ def test_server_eval_reconstructs_wire_values():
     out = b.mul(b.input(0), b.input(1))
     circ = b.build(out)
     packages = snip.prove([5, 7], circ, 1, 4, rng)
-    wire_shares = [snip.server_eval(p, circ) for p in packages]
+    evals = [snip.server_eval(p, circ) for p in packages]
     # left input of gate 1 reconstructs to 5
-    left = [ShareVector(p.index, (w.mul_inputs[0][0],)) for p, w in zip(packages, wire_shares)]
-    right = [ShareVector(p.index, (w.mul_inputs[0][1],)) for p, w in zip(packages, wire_shares)]
+    left = [ShareVector(p.index, (tr.left[0],)) for p, (_, tr) in zip(packages, evals)]
+    right = [ShareVector(p.index, (tr.right[0],)) for p, (_, tr) in zip(packages, evals)]
     assert ss_recon(left[:2], 1) == [5]
     assert ss_recon(right[:2], 1) == [7]
-    outs = [ShareVector(p.index, (w.output_share,)) for p, w in zip(packages, wire_shares)]
+    outs = [ShareVector(p.index, (o,)) for p, (o, _) in zip(packages, evals)]
     assert ss_recon(outs[:2], 1) == [35]
+
+    # a norm circuit: every gate's input shares reconstruct to eval_plain's
+    # values, and the output shares to the plain output
+    T = 2
+    circ = build_norm_circuit(3, 5, accept_zero=True)
+    inputs = [1, 2, 1]
+    out_plain, plain = eval_plain(circ, inputs)
+    packages = snip.prove(inputs, circ, T, 5, rng)
+    evals = [snip.server_eval(p, circ) for p in packages[: T + 1]]
+    indices = [p.index for p in packages[: T + 1]]
+
+    def recon(values):
+        return ss_recon([ShareVector(i, (v,)) for i, v in zip(indices, values)], T)[0]
+
+    for t in range(circ.num_mul):
+        assert recon([tr.left[t] for _, tr in evals]) == plain.left[t]
+        assert recon([tr.right[t] for _, tr in evals]) == plain.right[t]
+    assert recon([o for o, _ in evals]) == out_plain
 
 
 def test_share_of_public_constant_is_constant():
@@ -118,9 +129,9 @@ def test_share_of_public_constant_is_constant():
     rng = random.Random(5)
     packages = snip.prove([9], circ, 1, 3, rng)
     for p in packages:
-        w = snip.server_eval(p, circ)
+        _, trace = snip.server_eval(p, circ)
         # the right input wire of the single mul gate is the constant itself
-        assert w.mul_inputs[0][1] == 5
+        assert trace.right[0] == 5
 
 
 def test_all_add_circuit_has_no_wire_shares_and_rejects_proving():
@@ -130,7 +141,7 @@ def test_all_add_circuit_has_no_wire_shares_and_rejects_proving():
     rng = random.Random(6)
     shares, _ = ss_share([1, 2], 1, 3, rng)
     pkg = snip.ProverPackage(share=shares[0], h_coeff_shares=(), triple=(0, 0, 0))
-    assert snip.server_eval(pkg, circ).mul_inputs == ()
+    assert len(snip.server_eval(pkg, circ)[1]) == 0
     with pytest.raises(ValueError):
         snip.compute_h(circ, [1, 2])
 
@@ -263,15 +274,11 @@ def test_decode_failure_reported_when_openings_unrecoverable():
     T, K = 1, 4  # budget floor((4-1-1)/2) = 1, two liars exceed it
     circ = build_norm_circuit(2, 4, accept_zero=True)
     packages = snip.prove([1, 1], circ, T, K, rng)
-    states, d_bc, e_bc = [], [0] * K, [0] * K
-    for i in range(1, K + 1):
-        st, d, e = snip.server_round1(packages[i - 1], circ, field.rand_element(random.Random(50)))
-        states.append(st)
-        d_bc[i - 1], e_bc[i - 1] = d, e
-    d_bc[0] = field.rand_element(rng)
-    d_bc[2] = field.rand_element(rng)
-    verdict = snip.server_round2(states[1], d_bc, e_bc, T)
-    assert verdict.decode_failed
+    r = field.rand_element(random.Random(50))
+    d1, d3 = field.rand_element(rng), field.rand_element(rng)
+    lies = {1: (d1, field.rand_element(rng)), 3: (d3, field.rand_element(rng))}
+    verdicts = snip.identity_test(packages, circ, r, T, lies)
+    assert verdicts[1].decode_failed
 
 
 def test_on_wire_shares_have_shamir_degree_T():
