@@ -54,15 +54,6 @@ def element_to_bytes(a: int) -> bytes:
     return a.to_bytes(GROUP_ELEMENT_BYTES, "big")
 
 
-def element_from_bytes(data: bytes) -> int:
-    if len(data) != GROUP_ELEMENT_BYTES:
-        raise ValueError(f"group element must be {GROUP_ELEMENT_BYTES} bytes")
-    a = int.from_bytes(data, "big")
-    if not 0 < a < P:
-        raise ValueError("encoded group element out of range")
-    return a
-
-
 @dataclass(frozen=True)
 class CommitmentKey:
     """Public power basis (g^(a^0), ..., g^(a^(m-1))); the scalar a is gone.
@@ -93,10 +84,6 @@ class VectorCommitment:
     """T+1 group elements: C[0] binds the secret, C[j] binds mask Z^(j)."""
 
     elements: tuple[int, ...]
-
-    @property
-    def threshold(self) -> int:
-        return len(self.elements) - 1
 
     def to_bytes(self) -> bytes:
         return b"".join(element_to_bytes(e) for e in self.elements)

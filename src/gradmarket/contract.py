@@ -41,6 +41,9 @@ PAYMENT = "Payment"
 RECONSTRUCTION = "Reconstruction"
 FINISHED = "Finished"
 
+# round ticks in Register before the session proceeds with whoever registered
+REGISTER_TIMEOUT = 3
+
 PHASES = (
     SETUP,
     REGISTER,
@@ -136,8 +139,11 @@ class GasMeter:
 class TradeContract:
     """One trading session's on-chain side.
 
-    The rng argument stands in for on-chain randomness; the challenge for
-    the validity proofs is drawn from it exactly once.
+    Disputed shares are checked against commit_key. The rng argument
+    stands in for on-chain randomness; the challenge for the validity
+    proofs is drawn from it exactly once. A `tx_log` caller is "mo", the
+    owner id (`register`, `store_commitment`, `resolve_complaint`) or the
+    server index (`complain`, `submit_verdict`).
     """
 
     def __init__(
@@ -146,11 +152,10 @@ class TradeContract:
         whitelist,
         K: int,
         T: int,
-        commit_key: CommitmentKey | None = None,
+        commit_key: CommitmentKey,
+        rng,
         gas_table: GasTable | None = None,
-        rng=None,
         validation: bool = True,
-        register_timeout: int = 3,
     ):
         if deposit < 0:
             raise ValueError("deposit must be non-negative")
@@ -163,7 +168,6 @@ class TradeContract:
         self.T = T
         self.commit_key = commit_key
         self.validation = validation
-        self.register_timeout = register_timeout
         self.rng = rng
         self.meter = GasMeter(gas_table or GasTable())
         self.slots: dict[str, int] = {}
@@ -241,12 +245,12 @@ class TradeContract:
     # transactions
     # ------------------------------------------------------------------
 
-    def start(self, root: bytes, M0: int, N_max: int, caller="mo"):
-        with self._tx("start", caller, SETUP) as cost:
+    def start(self, root: bytes, M0: int, N_max: int):
+        with self._tx("start", "mo", SETUP) as cost:
             if len(root) != 32:
-                self._reject("start", caller, "root must be 32 bytes")
+                self._reject("start", "mo", "root must be 32 bytes")
             if M0 < 1 or N_max < 1:
-                self._reject("start", caller, "M0 and N_max must be positive")
+                self._reject("start", "mo", "M0 and N_max must be positive")
             self.root = bytes(root)
             self.M0 = M0
             self.N_max = N_max
@@ -272,21 +276,20 @@ class TradeContract:
         """Simulated round tick; triggers the registration timeout."""
         if self.phase == REGISTER:
             self.register_rounds += 1
-            if self.register_rounds >= self.register_timeout:
+            if self.register_rounds >= REGISTER_TIMEOUT:
                 self.phase = SHARE_COLLECTION
                 self._event("registration_timeout", count=len(self.registered))
         else:
             raise TxRejected("advance_round: only meaningful during Register")
 
-    def store_commitment(self, do_id: int, commitment: VectorCommitment, caller=None):
-        caller = do_id if caller is None else caller
-        with self._tx("store_commitment", caller, SHARE_COLLECTION) as cost:
+    def store_commitment(self, do_id: int, commitment: VectorCommitment):
+        with self._tx("store_commitment", do_id, SHARE_COLLECTION) as cost:
             if do_id not in self.registered:
-                self._reject("store_commitment", caller, "unregistered data owner")
+                self._reject("store_commitment", do_id, "unregistered data owner")
             if do_id in self.commitments:
-                self._reject("store_commitment", caller, "commitment already stored")
+                self._reject("store_commitment", do_id, "commitment already stored")
             if len(commitment.elements) != self.T + 1:
-                self._reject("store_commitment", caller, "commitment width must be T+1")
+                self._reject("store_commitment", do_id, "commitment width must be T+1")
             self.commitments[do_id] = commitment
             self.slots["commitments"] = self.slots.get("commitments", 0) + self.T + 1
             cost["writes"] = self.T + 1
@@ -307,8 +310,6 @@ class TradeContract:
             key = (share.index, do_id)
             if key not in self.pending_complaints:
                 self._reject("resolve_complaint", do_id, "no matching complaint")
-            if self.commit_key is None:
-                self._reject("resolve_complaint", do_id, "no commitment key configured")
             self.pending_complaints.discard(key)
             ok = verify_share(share, self.commitments[do_id], self.commit_key)
             if ok:
@@ -344,23 +345,23 @@ class TradeContract:
         self.phase = GRAD_VALIDATION
         self._event("validation_started")
 
-    def reveal_circuit(self, circ: Circuit, caller="mo"):
-        with self._tx("reveal_circuit", caller, GRAD_VALIDATION) as cost:
+    def reveal_circuit(self, circ: Circuit):
+        with self._tx("reveal_circuit", "mo", GRAD_VALIDATION) as cost:
             if not self.validation:
-                self._reject("reveal_circuit", caller, "validation disabled for this session")
+                self._reject("reveal_circuit", "mo", "validation disabled for this session")
             if self.circuit is not None:
-                self._reject("reveal_circuit", caller, "circuit already revealed")
+                self._reject("reveal_circuit", "mo", "circuit already revealed")
             blob = circ.to_json().encode()
             self.circuit = circ
             self.slots["circuit_hash"] = 1
             cost.update(writes=1, hash_words=(len(blob) + 31) // 32)
 
-    def sample_challenge(self, caller="mo") -> int:
-        with self._tx("sample_challenge", caller, GRAD_VALIDATION) as cost:
+    def sample_challenge(self) -> int:
+        with self._tx("sample_challenge", "mo", GRAD_VALIDATION) as cost:
             if self.circuit is None:
-                self._reject("sample_challenge", caller, "circuit not revealed yet")
+                self._reject("sample_challenge", "mo", "circuit not revealed yet")
             if self.challenge is not None:
-                self._reject("sample_challenge", caller, "challenge already sampled")
+                self._reject("sample_challenge", "mo", "challenge already sampled")
             self.challenge = field.rand_element(self.rng)
             self.slots["challenge"] = 1
             cost["writes"] = 1
@@ -439,8 +440,8 @@ class TradeContract:
         self.phase = PAYMENT
         self._event("validation_complete", validity=sorted(self.validity))
 
-    def pay(self, caller="mo"):
-        with self._tx("pay", caller, PAYMENT) as cost:
+    def pay(self):
+        with self._tx("pay", "mo", PAYMENT) as cost:
             if self.validity:
                 per_do = self.deposit // len(self.validity)
                 for n in sorted(self.validity):
@@ -454,10 +455,10 @@ class TradeContract:
                 cost["writes"] = 1
             self.phase = RECONSTRUCTION
 
-    def aggregate_commitment(self, caller="mo") -> VectorCommitment | None:
-        with self._tx("aggregate_commitment", caller, RECONSTRUCTION) as cost:
+    def aggregate_commitment(self) -> VectorCommitment | None:
+        with self._tx("aggregate_commitment", "mo", RECONSTRUCTION) as cost:
             if self.aggregated is not None:
-                self._reject("aggregate_commitment", caller, "already aggregated")
+                self._reject("aggregate_commitment", "mo", "already aggregated")
             if not self.validity:
                 return None
             parts = [self.commitments[n] for n in sorted(self.validity)]
@@ -467,8 +468,8 @@ class TradeContract:
             cost.update(writes=self.T + 1, group_ops=read, reads=read)
             return self.aggregated
 
-    def finish(self, caller="mo"):
-        with self._tx("finish", caller, RECONSTRUCTION):
+    def finish(self):
+        with self._tx("finish", "mo", RECONSTRUCTION):
             self.phase = FINISHED
 
 

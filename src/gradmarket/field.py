@@ -14,6 +14,7 @@ keep within that bound.
 
 from __future__ import annotations
 
+import functools
 import operator
 import threading
 from dataclasses import dataclass
@@ -116,15 +117,6 @@ def to_bytes(a: int) -> bytes:
     return a.to_bytes(ELEMENT_BYTES, "little")
 
 
-def from_bytes(data: bytes) -> int:
-    if len(data) != ELEMENT_BYTES:
-        raise ValueError(f"field element must be {ELEMENT_BYTES} bytes, got {len(data)}")
-    a = int.from_bytes(data, "little")
-    if a >= Q:
-        raise ValueError("encoded value out of field range")
-    return a
-
-
 # ---------------------------------------------------------------------------
 # Polynomials (coefficient lists, lowest degree first)
 # ---------------------------------------------------------------------------
@@ -155,10 +147,6 @@ def poly_eval(coeffs: list[int], x: int) -> int:
         if result >= q:
             result -= q
     return result
-
-
-def poly_add(p: list[int], q: list[int]) -> list[int]:
-    return [add(a, b) for a, b in zip_longest(p, q, fillvalue=0)]
 
 
 def poly_sub(p: list[int], q: list[int]) -> list[int]:
@@ -257,11 +245,11 @@ class EvalDomain:
     the domain is one dot product with the Lagrange row ell(x) w_i / (x - i);
     the row for the last x is memoized, so repeated evaluations at one
     challenge cost O(n) each and the row's batched inversion is paid once.
-    Extending the interpolant to the next consecutive points is one exact
-    integer convolution over byte digits, done with a real FFT (see
-    `extend`). Per count, the domain caches the inverse side's spectrum,
-    (L/2 + 1) complex doubles for the transform length L: 256 KB at
-    n = 496, count = 495.
+    Extending the interpolant to the next n-1 points is one exact integer
+    convolution over byte digits, done with a real FFT (see `extend`). The
+    domain builds the inverse side's spectrum on the first extension and
+    keeps it, (L/2 + 1) complex doubles for the transform length L: 256 KB
+    at n = 496.
 
     The memo is one tuple swapped in whole, so a concurrent caller sees
     either the old or the new row; results never depend on it.
@@ -284,7 +272,6 @@ class EvalDomain:
         # A slot of `extend`'s convolution holds a sum of n products below q^2.
         self.slot_bytes = (254 + n.bit_length() + 7) // 8
         self._row: tuple[int | None, list[int]] = (None, [])
-        self._extensions: dict[int, tuple[int, np.ndarray, list[int]]] = {}
 
     def interpolate_at(self, values: list[int], x: int) -> int:
         """Value at x of the interpolant through {(i, values[i-1])}."""
@@ -309,35 +296,34 @@ class EvalDomain:
         width = self.slot_bytes
         return np.frombuffer(b"".join([v.to_bytes(width, "little") for v in values]), np.uint8)
 
-    def _extension(self, count: int) -> tuple[int, np.ndarray, list[int]]:
-        """Transform length, spectrum of 1/1..1/(n+count-1), and ell(n+1..n+count)."""
-        ext = self._extensions.get(count)
-        if ext is None:
-            n = self.n
-            # invs[d] = 1/d for d = 1..n+count-1, from 1/d = -(q div d) / (q mod d)
-            invs = [0, 1] + [0] * (n + count - 2)
-            for d in range(2, n + count):
-                invs[d] = (Q - Q // d) * invs[Q % d] % Q
-            size = 1 << ((n + count) * self.slot_bytes - 1).bit_length()
-            spectrum = np.fft.rfft(self._digits(invs[1:n + count]), size)
-            # ell(n+1) = n!, ell(x+1) = ell(x) * x / (x - n)
-            ells = []
-            ell = self.fact_n
-            for x in range(n + 1, n + count + 1):
-                ells.append(ell)
-                ell = ell * x % Q * invs[x - n] % Q
-            ext = self._extensions[count] = (size, spectrum, ells)
-        return ext
+    @functools.cached_property
+    def _extension(self) -> tuple[int, np.ndarray, list[int]]:
+        """Transform length, spectrum of 1/1..1/(2n-2), and ell(n+1..2n-1)."""
+        n = self.n
+        # invs[d] = 1/d for d = 1..2n-2, from 1/d = -(q div d) / (q mod d)
+        invs = [0, 1] + [0] * (2 * n - 3)
+        for d in range(2, 2 * n - 1):
+            invs[d] = (Q - Q // d) * invs[Q % d] % Q
+        size = 1 << ((2 * n - 1) * self.slot_bytes - 1).bit_length()
+        spectrum = np.fft.rfft(self._digits(invs[1:2 * n - 1]), size)
+        # ell(n+1) = n!, ell(x+1) = ell(x) * x / (x - n)
+        ells = []
+        ell = self.fact_n
+        for x in range(n + 1, 2 * n):
+            ells.append(ell)
+            ell = ell * x % Q * invs[x - n] % Q
+        return size, spectrum, ells
 
-    def extend(self, values: list[int], count: int) -> list[int]:
-        """Values at n+1..n+count of the interpolant through {(i, values[i-1])}.
+    def extend(self, values: list[int]) -> list[int]:
+        """Values at n+1..2n-1 of the interpolant through {(i, values[i-1])}:
+        with them, a trace polynomial is known where a proof's h is shared.
 
         At x = n+k the barycentric form is ell(x) * sum_i w_i y_i / (n+k-i),
         which is coefficient n-2+k of the product of sum_i (w_i y_i) z^(i-1)
-        and sum_d (1/d) z^(d-1), d = 1..n+count-1. Both sides are written
-        as byte digits in `slot_bytes`-wide slots (Kronecker substitution)
-        and convolved with a real FFT of length L, the smallest power of two
-        >= (n+count) * slot_bytes. Each slot sums at most n products of
+        and sum_d (1/d) z^(d-1), d = 1..2n-2. Both sides are written as byte
+        digits in `slot_bytes`-wide slots (Kronecker substitution) and
+        convolved with a real FFT of length L, the smallest power of two
+        >= (2n-1) * slot_bytes. Each slot sums at most n products of
         reduced values, below n q^2, so no carry crosses a slot.
 
         Exactness: each digit product sum is an integer below 16 n 255^2
@@ -345,31 +331,29 @@ class EvalDomain:
         to the nearest integer, and an `ArithmeticError` is raised if any
         output lies more than 1/4 from it (on worst-case digits the largest
         distance is 9e-8 at n = 496 and 1e-6 at n = 4096). The convolution
-        is cyclic, but true digit positions end below (2n+count-1) *
-        slot_bytes, so wrapped terms land below slot n-1, and only slots
-        n-1..n+count-2 are read back: the rounded digit sums become one int
-        from 8 interleaved uint64 lanes, whose entries never overlap. The
-        inverse side's spectrum and the ell factors depend only on
-        (n, count) and are cached on the domain.
+        is cyclic, but true digit positions end below (3n-2) * slot_bytes,
+        so wrapped terms land below slot n-1, and only slots n-1..2n-3 are
+        read back: the rounded digit sums become one int from 8 interleaved
+        uint64 lanes, whose entries never overlap. The inverse side's
+        spectrum and the ell factors depend only on n and are cached on the
+        domain.
         """
         n = self.n
         if len(values) != n:
             raise ValueError("value count must match domain size")
-        if count < 0:
-            raise ValueError("count must be >= 0")
         width = self.slot_bytes
-        size, spectrum, ells = self._extension(count)
+        size, spectrum, ells = self._extension
         digits = self._digits([w * y % Q for w, y in zip(self.weights, values)])
         product = np.fft.rfft(digits, size)
         product *= spectrum
-        conv = np.fft.irfft(product, size)[(n - 1) * width:(n + count - 1) * width]
+        conv = np.fft.irfft(product, size)[(n - 1) * width:(2 * n - 2) * width]
         block = np.rint(conv)
         conv -= block
         if block.size and np.max(np.abs(conv)) > 0.25:
             raise ArithmeticError("FFT rounding error above 1/4 in EvalDomain.extend")
         block = block.astype("<u8")
         total = sum(int.from_bytes(block[r::8].tobytes(), "little") << 8 * r for r in range(8))
-        buf = total.to_bytes(count * width, "little")
+        buf = total.to_bytes((n - 1) * width, "little")
         return [
             int.from_bytes(buf[s * width:(s + 1) * width], "little") % Q * ell % Q
             for s, ell in enumerate(ells)

@@ -67,12 +67,7 @@ def random_model(layer_sizes, rng: np.random.Generator, scale: float = 0.5) -> M
 
 def forward(model: MlpModel, X: np.ndarray) -> np.ndarray:
     """Batch prediction: ReLU hidden layers, linear output."""
-    a = X
-    last = model.num_layers - 1
-    for i, w in enumerate(model.weights):
-        z = a @ w.T
-        a = z if i == last else np.maximum(z, 0.0)
-    return a
+    return _forward_trace(model.weights, X)[0][-1]
 
 
 def mse(model: MlpModel, X: np.ndarray, Y: np.ndarray) -> float:
@@ -155,14 +150,6 @@ def sample_masks(
     r_out = rng.normal(0.0, additive_sigma, layer_sizes[L])
     gamma = rng.normal(0.0, additive_sigma, layer_sizes[L])
     return MaskSet(r_hidden=r_hidden, r_out=r_out, gamma=gamma)
-
-
-def encrypt_model(
-    model: MlpModel, rng: np.random.Generator, additive_sigma: float = 1.0
-) -> tuple[MlpModel, np.ndarray, MaskSet]:
-    """Mask the model; returns (masked model, public r_out, private masks)."""
-    masks = sample_masks(model.layer_sizes, rng, additive_sigma)
-    return apply_masks(model, masks), masks.r_out.copy(), masks
 
 
 def apply_masks(model: MlpModel, masks: MaskSet) -> MlpModel:

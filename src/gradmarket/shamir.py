@@ -35,18 +35,6 @@ class ShareVector:
         head = struct.pack("<II", self.index, len(self.values))
         return head + b"".join(field.to_bytes(v) for v in self.values)
 
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "ShareVector":
-        if len(data) < 8:
-            raise ValueError("share vector too short")
-        index, length = struct.unpack("<II", data[:8])
-        body = data[8:]
-        step = field.ELEMENT_BYTES
-        if len(body) != length * step:
-            raise ValueError("share vector length mismatch")
-        values = tuple(field.from_bytes(body[j : j + step]) for j in range(0, len(body), step))
-        return cls(index=index, values=values)
-
 
 def share_with_masks(
     secret: list[int], masks: list[list[int]], K: int

@@ -129,7 +129,11 @@ class SessionConfig:
             _check_scalar("bad_share target_server", "int", spec.get("target_server", 1))
             if spec.get("target_server", 1) not in servers:
                 raise ConfigError("bad_share target_server must be in 1..K")
-            _check_scalar("norm_attack factor", "float", spec.get("factor", 8.0))
+            factor = spec.get("factor", 8.0)
+            _check_scalar("norm_attack factor", "float", factor)
+            # NaN fails this; a factor near 0 quantizes to a zero vector, which passes
+            if not 1 <= abs(factor) <= 2**20:
+                raise ConfigError("norm_attack factor must be finite with 1 <= |factor| <= 2^20")
         for spec in self.malicious_servers:
             _check_spec("malicious_servers", spec, SERVER_BEHAVIORS, servers)
         for name in ("malicious_dos", "malicious_servers"):

@@ -41,6 +41,9 @@ class ProverPackage:
     h_coeff_shares[j] is this server's Shamir share of h(j + 1), j < 2M-1:
     h's coefficients in the Lagrange basis on 1..2M-1 (the name is kept for
     the benchmark tracer). triple holds shares of (a, b, c = a*b).
+
+    Packages pass between actors as objects; `to_bytes` gives the wire
+    form only to count a proof's bytes, and nothing decodes it.
     """
 
     share: ShareVector
@@ -58,25 +61,6 @@ class ProverPackage:
         body += b"".join(field.to_bytes(v) for v in self.triple)
         return body
 
-    @classmethod
-    def from_bytes(cls, data: bytes, num_mul: int) -> "ProverPackage":
-        if len(data) < 8:
-            raise ValueError("prover package too short")
-        share_len = int.from_bytes(data[4:8], "little")
-        off = 8 + share_len * field.ELEMENT_BYTES
-        share = ShareVector.from_bytes(data[:off])
-        n_h = 2 * num_mul - 1
-        need = off + (n_h + 3) * field.ELEMENT_BYTES
-        if len(data) != need:
-            raise ValueError("prover package length mismatch")
-        step = field.ELEMENT_BYTES
-        vals = [field.from_bytes(data[j : j + step]) for j in range(off, need, step)]
-        return cls(
-            share=share,
-            h_coeff_shares=tuple(vals[:n_h]),
-            triple=(vals[n_h], vals[n_h + 1], vals[n_h + 2]),
-        )
-
 
 def compute_h(circ: Circuit, inputs: list[int]) -> tuple[list[int], list[int], list[int]]:
     """Return (f, g, h) as their values at 1..2M-1, with h = f * g pointwise.
@@ -88,8 +72,8 @@ def compute_h(circ: Circuit, inputs: list[int]) -> tuple[list[int], list[int], l
     if M == 0:
         raise ValueError("circuit has no multiplication gates; nothing to prove")
     dom = field.eval_domain(M)
-    f = trace.left + dom.extend(trace.left, M - 1)
-    g = trace.right + dom.extend(trace.right, M - 1)
+    f = trace.left + dom.extend(trace.left)
+    g = trace.right + dom.extend(trace.right)
     h = [u * v % Q for u, v in zip(f, g)]
     return f, g, h
 

@@ -7,8 +7,14 @@ used by the iterated runs.
 """
 
 import pytest
+from hypothesis import settings
 
 from gradmarket.sim import SessionConfig
+
+# Every run draws the same examples (CI on each Python version and local
+# runs alike) and writes no example database.
+settings.register_profile("gradmarket", derandomize=True, database=None, deadline=None)
+settings.load_profile("gradmarket")
 
 SMALL_SESSION = dict(
     layers=(4, 8, 2),

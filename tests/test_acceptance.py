@@ -30,7 +30,8 @@ def test_criterion_1_decryption_identity_real_path():
     start = time.monotonic()
     rng = np.random.default_rng(2024)
     model = perturb.random_model((4, 8, 2), rng)
-    enc, r_out, masks = perturb.encrypt_model(model, rng)
+    masks = perturb.sample_masks(model.layer_sizes, rng)
+    enc, r_out = perturb.apply_masks(model, masks), masks.r_out
     shards = [
         (rng.normal(0, 1, (8, 4)), rng.normal(0, 1, (8, 2))) for _ in range(4)
     ]

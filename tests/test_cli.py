@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -82,6 +83,8 @@ def test_malformed_config_exits_2(tmp_path, capsys):
         {"malicious_dos": [{"id": 0, "behavior": "bad_share", "taget_server": 3}]},
         {"malicious_dos": [{"id": 0, "behavior": "random_gradient", "factor": 2.0}]},
         {"malicious_servers": [{"id": 2, "behavior": "false_complaint", "mode": "all"}]},
+        *({"malicious_dos": [{"id": 0, "behavior": "norm_attack", "factor": f}]}
+          for f in (float("nan"), float("inf"), 1e308, 0, 1e-300)),
     ],
     ids=["layers-int", "validate_layers-int", "malicious_dos-int", "rho-str",
          "gas_table-key", "deposit-negative", "rho-zero", "target_server-range",
@@ -90,7 +93,8 @@ def test_malformed_config_exits_2(tmp_path, capsys):
          "malicious_servers-duplicate", "gas_table-negative", "gas_table-float",
          "gas_table-bool", "gas_table-str", "malicious_dos-id-bool",
          "malicious_servers-id-float", "target_server-float", "malicious_dos-misspelt-key",
-         "malicious_dos-option-of-other-behavior", "malicious_servers-unknown-key"],
+         "malicious_dos-option-of-other-behavior", "malicious_servers-unknown-key",
+         "factor-nan", "factor-inf", "factor-huge", "factor-zero", "factor-tiny"],
 )
 def test_malformed_clean_config_override_exits_2(tmp_path, capsys, override):
     doc = dict(json.loads((CONFIGS / "clean.json").read_text()), **override)
@@ -155,6 +159,17 @@ def test_gas_compare_m2400_config_meets_ratio_bound(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["m"] == 2400
     assert doc["ratio"] <= 0.10
+
+
+def test_gas_compare_clean_config_golden_digest(tmp_path):
+    # every value in the result is an integer count or a ratio of two, so
+    # the file's bytes are the same on every machine
+    out = tmp_path / "gas.json"
+    cfg = str(CONFIGS / "clean.json")
+    assert main(["gas-compare", "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "863a833166bf5ea73f6e5f78b6ded0d69fd1b37133ee8bcb29c664d610dc12af"
+    )
 
 
 def test_gas_compare_baseline_only(tmp_path):

@@ -160,15 +160,20 @@ def test_aggregate_verifies_summed_shares():
         assert verify_share(summed, agg, key)
 
 
-def test_group_element_bytes_roundtrip():
+def test_group_element_bytes_layout():
+    # fixed width, most significant byte first; a commitment is its
+    # elements in order
+    width = commit.GROUP_ELEMENT_BYTES
+    assert width == 17  # p < 2^134
+    assert commit.element_to_bytes(0x0102) == b"\x00" * (width - 2) + b"\x01\x02"
     rng = random.Random(17)
     key = setup_key(2, rng)
     for e in key.basis:
         data = commit.element_to_bytes(e)
-        assert len(data) == commit.GROUP_ELEMENT_BYTES
-        assert commit.element_from_bytes(data) == e
-    with pytest.raises(ValueError):
-        commit.element_from_bytes(b"\x00" * commit.GROUP_ELEMENT_BYTES)
+        assert len(data) == width
+        assert int.from_bytes(data, "big") == e
+    cm = commit.VectorCommitment(elements=key.basis)
+    assert cm.to_bytes() == b"".join(commit.element_to_bytes(e) for e in key.basis)
 
 
 def _per_term_product(basis, exponents):

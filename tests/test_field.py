@@ -49,17 +49,16 @@ def test_batch_inv_matches_inv():
     assert field.batch_inv(values) == [field.inv(v) for v in values]
 
 
-def test_element_bytes_roundtrip():
+def test_element_bytes_layout():
+    # 16 bytes, least significant first
+    assert field.to_bytes(0x0102) == b"\x02\x01" + b"\x00" * 14
+    assert field.to_bytes(Q - 1) == b"\xfe" + b"\xff" * 14 + b"\x7f"
     rng = random.Random(3)
     for _ in range(20):
         a = field.rand_element(rng)
         data = field.to_bytes(a)
         assert len(data) == 16
-        assert field.from_bytes(data) == a
-    with pytest.raises(ValueError):
-        field.from_bytes(b"\xff" * 16)  # 2^128-1 is out of range
-    with pytest.raises(ValueError):
-        field.from_bytes(b"\x00" * 15)
+        assert int.from_bytes(data, "little") == a
 
 
 def test_interpolate_examples():
@@ -92,8 +91,7 @@ def test_poly_divmod():
         b = [field.rand_element(rng) for _ in range(rng.randint(1, 6))]
         b = field.poly_trim(b) or [1]
         quo, rem = field.poly_divmod(a, b)
-        recon = field.poly_add(field.poly_mul(quo, b), rem)
-        assert field.poly_trim(recon) == field.poly_trim(a)
+        assert field.poly_trim(field.poly_sub(a, field.poly_mul(quo, b))) == rem
         assert field.poly_deg(rem) < field.poly_deg(b) or field.poly_deg(b) == 0
 
 
@@ -141,20 +139,16 @@ def test_eval_domain_extend_matches_horner():
         dom = field.EvalDomain(n)
         for coeffs in ([Q - 1], [field.rand_element(rng) for _ in range(n)]):
             values = [field.poly_eval(coeffs, x) for x in range(1, n + 1)]
-            expect = [field.poly_eval(coeffs, x) for x in range(n + 1, 2 * n + 6)]
-            for count in (0, 1, n - 1, n + 5):
-                assert dom.extend(values, count) == expect[:count]
+            expect = [field.poly_eval(coeffs, x) for x in range(n + 1, 2 * n)]
+            assert dom.extend(values) == expect
 
 
 def test_eval_domain_extend_rejects_wrong_length():
     dom = field.EvalDomain(4)
     with pytest.raises(ValueError):
-        dom.extend([1, 2, 3], 2)
+        dom.extend([1, 2, 3])
     with pytest.raises(ValueError):
-        dom.extend([1, 2, 3, 4, 5], 2)
-    with pytest.raises(ValueError):
-        dom.extend([1, 2, 3, 4], -1)
-    assert -1 not in dom._extensions
+        dom.extend([1, 2, 3, 4, 5])
 
 
 def _worst_case_values(dom):
@@ -170,7 +164,7 @@ def test_eval_domain_extend_worst_case_digits(n):
     values = _worst_case_values(dom)
     assert all(w * y % Q == Q - 1 for w, y in zip(dom.weights, values))
     count = n - 1
-    got = dom.extend(values, count)
+    got = dom.extend(values)
     assert len(got) == count
     ks = [1, 2, 3, count - 2, count - 1, count] + rng.sample(range(1, count + 1), 16)
     for k in ks:
@@ -181,13 +175,11 @@ def test_eval_domain_extend_spectrum_built_once_per_count():
     rng = random.Random(31)
     dom = field.EvalDomain(64)
     values = [field.rand_element(rng) for _ in range(64)]
-    first = dom.extend(values, 63)
-    spectrum = dom._extensions[63][1]
-    assert dom.extend(values, 63) == first
-    assert dom._extensions[63][1] is spectrum
-    dom.extend(values, 5)
-    assert dom._extensions[63][1] is spectrum
-    assert set(dom._extensions) == {5, 63}
+    first = dom.extend(values)
+    spectrum = dom._extension[1]
+    assert dom.extend([field.rand_element(rng) for _ in range(64)]) != first
+    assert dom.extend(values) == first
+    assert dom._extension[1] is spectrum
 
 
 def test_eval_domain_extend_rounding_guard(monkeypatch):
@@ -196,7 +188,7 @@ def test_eval_domain_extend_rounding_guard(monkeypatch):
     irfft = np.fft.irfft
     monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + 0.3)
     with pytest.raises(ArithmeticError):
-        dom.extend(values, 495)
+        dom.extend(values)
 
 
 def test_eval_domain_cache_keeps_two_most_recent_sizes(monkeypatch):
@@ -206,7 +198,7 @@ def test_eval_domain_cache_keeps_two_most_recent_sizes(monkeypatch):
     values = [field.rand_element(rng) for _ in range(n)]
     r = field.rand_element(rng)
     first = field.eval_domain(n)
-    ext, at_r = first.extend(values, n - 1), first.interpolate_at(values, r)
+    ext, at_r = first.extend(values), first.interpolate_at(values, r)
     assert field.eval_domain(2 * n - 1) is field.eval_domain(2 * n - 1)
     assert field.eval_domain(n) is first  # a hit refreshes n
     field.eval_domain(7)  # a third size evicts the oldest, 2n-1
@@ -215,7 +207,7 @@ def test_eval_domain_cache_keeps_two_most_recent_sizes(monkeypatch):
     assert list(field._DOMAINS) == [7, 9]
     rebuilt = field.eval_domain(n)
     assert rebuilt is not first
-    assert rebuilt.extend(values, n - 1) == ext
+    assert rebuilt.extend(values) == ext
     assert rebuilt.interpolate_at(values, r) == at_r
 
 

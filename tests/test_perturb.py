@@ -8,13 +8,13 @@ from gradmarket.perturb import (
     MlpModel,
     apply_masks,
     decrypt_aggregate,
-    encrypt_model,
     encrypted_gradient,
     flatten,
     flat_length,
     forward,
     plain_gradient,
     random_model,
+    sample_masks,
     unflatten,
 )
 
@@ -72,7 +72,8 @@ def test_relu_pattern_invariant_under_masking():
     # positive multiplicative masks preserve every hidden layer's sign mask
     rng = np.random.default_rng(2)
     model = random_model((4, 7, 5, 2), rng)
-    enc, _, _ = encrypt_model(model, rng)
+    masks = sample_masks(model.layer_sizes, rng)
+    enc = apply_masks(model, masks)
     X = rng.normal(0, 1, (20, 4))
     _, plain_masks = perturb._forward_trace(model.weights, X)
     _, masked_masks = perturb._forward_trace(enc.weights, X)
@@ -136,7 +137,8 @@ def test_encrypted_gradient_identity_masks_equals_plain():
 def test_duplicated_samples_leave_averages_unchanged():
     rng = np.random.default_rng(7)
     model = random_model((3, 5, 2), rng)
-    enc, r_out, _ = encrypt_model(model, rng)
+    masks = sample_masks(model.layer_sizes, rng)
+    enc, r_out = apply_masks(model, masks), masks.r_out
     X, Y = _rand_data(rng, 4, model)
     eg1 = encrypted_gradient(enc, r_out, X, Y)
     eg2 = encrypted_gradient(enc, r_out, np.vstack([X, X]), np.vstack([Y, Y]))
@@ -165,7 +167,8 @@ def test_zero_residual_zero_gamma_terms():
 def test_decryption_identity_single_owner():
     rng = np.random.default_rng(9)
     model = random_model((4, 8, 2), rng)
-    enc, r_out, masks = encrypt_model(model, rng)
+    masks = sample_masks(model.layer_sizes, rng)
+    enc, r_out = apply_masks(model, masks), masks.r_out
     X, Y = _rand_data(rng, 8, model)
     eg = encrypted_gradient(enc, r_out, X, Y)
     dec = decrypt_aggregate(eg, masks)
@@ -177,7 +180,8 @@ def test_decryption_identity_single_owner():
 def test_decryption_identity_pooled_owners():
     rng = np.random.default_rng(10)
     model = random_model((4, 8, 2), rng)
-    enc, r_out, masks = encrypt_model(model, rng)
+    masks = sample_masks(model.layer_sizes, rng)
+    enc, r_out = apply_masks(model, masks), masks.r_out
     shards = [_rand_data(rng, 8, model) for _ in range(4)]
     egs = [encrypted_gradient(enc, r_out, X, Y) for X, Y in shards]
     mean = np.mean([flatten(g) for g in egs], axis=0)
@@ -192,7 +196,8 @@ def test_decryption_identity_pooled_owners():
 def test_decryption_identity_three_layers():
     rng = np.random.default_rng(11)
     model = random_model((3, 6, 5, 2), rng)
-    enc, r_out, masks = encrypt_model(model, rng)
+    masks = sample_masks(model.layer_sizes, rng)
+    enc, r_out = apply_masks(model, masks), masks.r_out
     X, Y = _rand_data(rng, 10, model)
     dec = decrypt_aggregate(encrypted_gradient(enc, r_out, X, Y), masks)
     pg = plain_gradient(model, X, Y)
@@ -203,7 +208,8 @@ def test_decryption_identity_three_layers():
 def test_flatten_roundtrip_and_length():
     rng = np.random.default_rng(12)
     model = random_model((4, 8, 2), rng)
-    enc, r_out, _ = encrypt_model(model, rng)
+    masks = sample_masks(model.layer_sizes, rng)
+    enc, r_out = apply_masks(model, masks), masks.r_out
     X, Y = _rand_data(rng, 5, model)
     eg = encrypted_gradient(enc, r_out, X, Y)
     flat = flatten(eg)
@@ -221,7 +227,8 @@ def test_gradient_slices_cover_g_blocks():
     slices = [(0, 32), (4 * 32, 16)]
     rng = np.random.default_rng(13)
     model = random_model(sizes, rng)
-    enc, r_out, _ = encrypt_model(model, rng)
+    masks = sample_masks(model.layer_sizes, rng)
+    enc, r_out = apply_masks(model, masks), masks.r_out
     X, Y = _rand_data(rng, 5, model)
     eg = encrypted_gradient(enc, r_out, X, Y)
     flat = flatten(eg)
@@ -253,7 +260,8 @@ def test_wire_order_of_every_block(sizes):
 def test_quantized_pipeline_roundtrip_error():
     rng = np.random.default_rng(14)
     model = random_model((4, 8, 2), rng)
-    enc, r_out, masks = encrypt_model(model, rng)
+    masks = sample_masks(model.layer_sizes, rng)
+    enc, r_out = apply_masks(model, masks), masks.r_out
     X, Y = _rand_data(rng, 8, model)
     eg = encrypted_gradient(enc, r_out, X, Y)
     flat = flatten(eg)
@@ -265,7 +273,8 @@ def test_quantized_pipeline_roundtrip_error():
 def test_published_model_serialization_is_stable():
     rng = np.random.default_rng(17)
     model = random_model((3, 4, 2), rng)
-    enc, r_out, _ = encrypt_model(model, rng)
+    masks = sample_masks(model.layer_sizes, rng)
+    enc, r_out = apply_masks(model, masks), masks.r_out
     blob1 = perturb.serialize_published_model(enc, r_out)
     blob2 = perturb.serialize_published_model(enc, r_out)
     assert blob1 == blob2

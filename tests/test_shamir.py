@@ -208,12 +208,16 @@ def test_mask_to_share_map_is_bijective():
                 assert det_mod_q(mat) != 0, (K, T, subset)
 
 
-def test_wire_format_roundtrip():
+def test_wire_format_layout():
+    # 4-byte index, 4-byte length, then the values in order, all little-endian
+    assert ShareVector(index=3, values=(1, 0x0102)).to_bytes() == (
+        b"\x03\x00\x00\x00" + b"\x02\x00\x00\x00"
+        + b"\x01" + b"\x00" * 15 + b"\x02\x01" + b"\x00" * 14
+    )
     rng = random.Random(21)
     shares, _ = ss_share([field.rand_element(rng) for _ in range(5)], 2, 4, rng)
     for s in shares:
         data = s.to_bytes()
         assert len(data) == 8 + 5 * 16
-        assert ShareVector.from_bytes(data) == s
-    with pytest.raises(ValueError):
-        ShareVector.from_bytes(shares[0].to_bytes()[:-1])
+        assert data[:8] == s.index.to_bytes(4, "little") + (5).to_bytes(4, "little")
+        assert data[8:] == b"".join(field.to_bytes(v) for v in s.values)

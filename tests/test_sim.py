@@ -5,12 +5,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import small_session_config, training_config
+from conftest import SMALL_SESSION, small_session_config, training_config
 from gradmarket.sim import (
+    DO_BEHAVIORS,
+    SERVER_BEHAVIORS,
     ConfigError,
     SessionConfig,
     build_world,
+    loss_curve_csv,
     run_session,
     run_training,
     validation_indices,
@@ -153,6 +157,45 @@ def test_corrupt_server_within_budget_is_bit_transparent():
     clean_events = [e for e in clean["events"]]
     attacked_events = [e for e in attacked["events"] if e["event"] != "aggregate_share_rejected"]
     assert attacked_events == clean_events
+
+
+@st.composite
+def _adversary_mixes(draw):
+    """A seed, K/T, a behavior (or none) per owner, and up to `budget`
+    misbehaving servers."""
+    K, T = draw(st.sampled_from([(5, 1), (7, 2)]))
+    owners = []
+    for n in range(SMALL_SESSION["N"]):
+        behavior = draw(st.none() | st.sampled_from(DO_BEHAVIORS))  # honest half the time
+        if behavior == "bad_share":
+            owners.append({"id": n, "behavior": behavior,
+                           "target_server": draw(st.integers(1, K))})
+        elif behavior is not None:
+            owners.append({"id": n, "behavior": behavior})
+    budget = (K - T - 1) // 2
+    ids = draw(st.permutations(range(1, K + 1)))[:draw(st.integers(0, budget))]
+    servers = [{"id": i, "behavior": draw(st.sampled_from(SERVER_BEHAVIORS))} for i in ids]
+    return draw(st.integers(0, 39)), K, T, tuple(owners), tuple(servers)
+
+
+@settings(max_examples=25)
+@given(_adversary_mixes())
+# servers 1..T+1 hold the shares a reconstruction reads first
+@example((3, 7, 2, ({"id": 0, "behavior": "norm_attack"},),
+          ({"id": 1, "behavior": "corrupt_shares"}, {"id": 2, "behavior": "corrupt_shares"})))
+def test_random_adversary_mixes_exclude_only_adversaries(mix):
+    seed, K, T, owners, servers = mix
+    mixed = run_session(small_session_config(K=K, T=T, malicious_dos=owners,
+                                             malicious_servers=servers), seed)
+    owners_only = run_session(small_session_config(K=K, T=T, malicious_dos=owners), seed)
+    clean = run_session(small_session_config(K=K, T=T), seed)
+    bad = {spec["id"] for spec in owners}
+    for n in bad:
+        assert n not in mixed["validity_set"] and str(n) not in mixed["payments"]
+    for n in set(range(SMALL_SESSION["N"])) - bad:
+        assert (n in mixed["validity_set"]) == (n in clean["validity_set"])
+    for key in ("decrypted_gradient", "validity_set", "payments"):
+        assert mixed[key] == owners_only[key], key
 
 
 def test_budget_flag_on_violating_config():
@@ -300,4 +343,29 @@ def test_empty_validity_set_report_golden_digest():
     assert report["payments"] == {"mo": 1000}
     assert _report_digest(report) == (
         "9602403921ffebf4ff4668e343c17fda6d69995af255cb076738fb9d5a519352"
+    )
+
+
+def _rounded(obj):
+    if isinstance(obj, float):
+        return float(f"{obj:.10g}")
+    if isinstance(obj, dict):
+        return {k: _rounded(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_rounded(v) for v in obj]
+    return obj
+
+
+def test_attacked_training_report_and_curve_golden_digest():
+    # the losses and gradient errors are BLAS float sums, whose last bit may
+    # differ between machines, so floats are pinned to 10 significant digits
+    path = Path(__file__).resolve().parent.parent / "configs" / "train_attacked.json"
+    doc = dict(json.loads(path.read_text()), iterations=3)
+    report = _rounded(run_training(SessionConfig.from_dict(doc), 3))
+    assert [s["validity_set"] for s in report["sessions"]] == [[1, 2, 3]] * 3
+    assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == (
+        "98c4307dd5e619b5a39c32732daa4693bca1330fbcf7948189142bbc078b3d7b"
+    )
+    assert hashlib.sha256(loss_curve_csv(report).encode()).hexdigest() == (
+        "f85da55f86bdee7af0e47133a9d66a2b62aaac90f4aca841531daa5032b648ac"
     )

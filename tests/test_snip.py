@@ -295,7 +295,8 @@ def test_on_wire_shares_have_shamir_degree_T():
         assert field.poly_deg(poly) <= T
 
 
-def test_package_wire_format_roundtrip():
+def test_package_wire_format_layout():
+    # the input share, then the h shares and the triple as field elements
     rng = random.Random(13)
     circ = build_norm_circuit(2, 3, accept_zero=True)
     packages = snip.prove([1, 0], circ, 1, 3, rng)
@@ -304,4 +305,6 @@ def test_package_wire_format_roundtrip():
         data = p.to_bytes()
         expect_len = (8 + 2 * 16) + (2 * M - 1) * 16 + 3 * 16
         assert len(data) == expect_len
-        assert snip.ProverPackage.from_bytes(data, M) == p
+        assert data == p.share.to_bytes() + b"".join(
+            field.to_bytes(v) for v in (*p.h_coeff_shares, *p.triple)
+        )
