@@ -2,11 +2,13 @@
 
 Eight phases: Setup, Register, ShareCollection, ShareReady, GradValidation,
 Payment, Reconstruction, Finished. Transactions either apply (charging a
-modeled gas cost and possibly storing words) or are rejected, in which case
-state is unchanged and only the base transaction cost is charged. Every
-transaction, deployment included, runs through `TradeContract._tx`: one phase
-guard, one charge and one `tx_log` record. Events (round ticks, phase
-checkpoints) are free and are not transactions.
+modeled gas cost and possibly storing words) or are refused by a raised
+`TxRejected`, in which case state is unchanged and only the base transaction
+cost is charged. Every transaction, deployment included, runs through
+`TradeContract._tx`, the only code that charges and logs: one phase guard,
+one charge and one `tx_log` record, refused or not. Events (round ticks,
+phase checkpoints) share the phase guard but are free and are not
+transactions. `verdicts` holds one outcome per owner.
 
 Storage is modeled as named slots of 32-byte words; the live word count is
 what the storage-independence analysis measures. Verdict shares submitted
@@ -182,11 +184,12 @@ class TradeContract:
         self.commitments: dict[int, VectorCommitment] = {}
         self.pending_complaints: set[tuple[int, int]] = set()
         self.false_complaints: list[tuple[int, int]] = []
-        self.excluded_at_sharing: set[int] = set()
         self.circuit: Circuit | None = None
         self.challenge: int | None = None
         self.verdict_buffer: dict[int, dict[int, tuple[int, int, bool]]] = {}
-        self.verdicts: dict[int, dict] = {}
+        # why an owner is out ("complaint_upheld", "decode_failed",
+        # "identity_nonzero" or "output_nonzero"), or None once accepted
+        self.verdicts: dict[int, str | None] = {}
         self.balances: dict[str | int, int] = {}
         self.aggregated: VectorCommitment | None = None
         self.register_rounds = 0
@@ -201,19 +204,34 @@ class TradeContract:
     # ------------------------------------------------------------------
 
     @contextlib.contextmanager
-    def _tx(self, method, caller, phase):
-        """Run the body of one transaction that is legal only in `phase`.
+    def _checkpoint(self, method, phase):
+        """Guard an entry point legal only in `phase`; charge and log nothing.
 
-        The body checks its arguments with `_reject` before it changes any
-        state, and puts its `GasMeter.charge` operands into the yielded dict.
-        If it returns normally, the meter is charged once and one `tx_log`
-        record is appended; its `stored_words_delta` is the change in the
-        live word count across the body."""
-        if self.phase != phase:
-            self._reject(method, caller, f"not allowed in phase {self.phase}")
+        The phase check, and the body's checks before it changes any state,
+        refuse with `TxRejected(reason)`, re-raised as "<method>: <reason>"."""
+        try:
+            if self.phase != phase:
+                raise TxRejected(f"not allowed in phase {self.phase}")
+            yield
+        except TxRejected as exc:
+            raise TxRejected(f"{method}: {exc}") from None
+
+    @contextlib.contextmanager
+    def _tx(self, method, caller, phase):
+        """Run one transaction's body behind `_checkpoint`; charge and log it.
+
+        The body puts its `GasMeter.charge` operands into the yielded dict.
+        Applied or refused, it costs one charge and one `tx_log` record, whose
+        `stored_words_delta` is the live word count's change across the body.
+        A refusal pays the base cost, keeps its phase and is re-raised."""
         words = self.on_chain_word_count()
         cost: dict[str, int] = {}
-        yield cost
+        refusal = None
+        try:
+            with self._checkpoint(method, phase):
+                yield cost
+        except TxRejected as exc:
+            refusal, phase, cost = exc, self.phase, {}
         self.tx_log.append(
             {
                 "method": method,
@@ -224,12 +242,8 @@ class TradeContract:
                 "stored_words_delta": self.on_chain_word_count() - words,
             }
         )
-
-    def _reject(self, method, caller, reason):
-        """Refuse a transaction: it still pays the base cost and is logged."""
-        with self._tx(method, caller, self.phase):
-            pass
-        raise TxRejected(f"{method}: {reason}")
+        if refusal is not None:
+            raise refusal
 
     def _event(self, name, **info):
         self.events.append({"event": name, "phase": self.phase, **info})
@@ -248,9 +262,9 @@ class TradeContract:
     def start(self, root: bytes, M0: int, N_max: int):
         with self._tx("start", "mo", SETUP) as cost:
             if len(root) != 32:
-                self._reject("start", "mo", "root must be 32 bytes")
+                raise TxRejected("root must be 32 bytes")
             if M0 < 1 or N_max < 1:
-                self._reject("start", "mo", "M0 and N_max must be positive")
+                raise TxRejected("M0 and N_max must be positive")
             self.root = bytes(root)
             self.M0 = M0
             self.N_max = N_max
@@ -262,9 +276,9 @@ class TradeContract:
     def register(self, do_id: int):
         with self._tx("register", do_id, REGISTER) as cost:
             if do_id not in self.whitelist:
-                self._reject("register", do_id, "not whitelisted")
+                raise TxRejected("not whitelisted")
             if do_id in self.registered:
-                self._reject("register", do_id, "already registered")
+                raise TxRejected("already registered")
             self.registered.append(do_id)
             self.slots["registered"] = 1
             if len(self.registered) >= self.N_max:
@@ -274,22 +288,20 @@ class TradeContract:
 
     def advance_round(self):
         """Simulated round tick; triggers the registration timeout."""
-        if self.phase == REGISTER:
+        with self._checkpoint("advance_round", REGISTER):
             self.register_rounds += 1
             if self.register_rounds >= REGISTER_TIMEOUT:
                 self.phase = SHARE_COLLECTION
                 self._event("registration_timeout", count=len(self.registered))
-        else:
-            raise TxRejected("advance_round: only meaningful during Register")
 
     def store_commitment(self, do_id: int, commitment: VectorCommitment):
         with self._tx("store_commitment", do_id, SHARE_COLLECTION) as cost:
             if do_id not in self.registered:
-                self._reject("store_commitment", do_id, "unregistered data owner")
+                raise TxRejected("unregistered data owner")
             if do_id in self.commitments:
-                self._reject("store_commitment", do_id, "commitment already stored")
+                raise TxRejected("commitment already stored")
             if len(commitment.elements) != self.T + 1:
-                self._reject("store_commitment", do_id, "commitment width must be T+1")
+                raise TxRejected("commitment width must be T+1")
             self.commitments[do_id] = commitment
             self.slots["commitments"] = self.slots.get("commitments", 0) + self.T + 1
             cost["writes"] = self.T + 1
@@ -297,9 +309,9 @@ class TradeContract:
     def complain(self, server_i: int, do_id: int):
         with self._tx("complain", server_i, SHARE_COLLECTION):
             if do_id not in self.commitments:
-                self._reject("complain", server_i, "no commitment for that data owner")
+                raise TxRejected("no commitment for that data owner")
             if not 1 <= server_i <= self.K:
-                self._reject("complain", server_i, "unknown server index")
+                raise TxRejected("unknown server index")
             self.pending_complaints.add((server_i, do_id))
             self._event("complaint", server=server_i, do=do_id)
 
@@ -309,14 +321,14 @@ class TradeContract:
         with self._tx("resolve_complaint", do_id, SHARE_COLLECTION) as cost:
             key = (share.index, do_id)
             if key not in self.pending_complaints:
-                self._reject("resolve_complaint", do_id, "no matching complaint")
+                raise TxRejected("no matching complaint")
             self.pending_complaints.discard(key)
             ok = verify_share(share, self.commitments[do_id], self.commit_key)
             if ok:
                 self.false_complaints.append((share.index, do_id))
                 self._event("complaint_dismissed", server=share.index, do=do_id)
             else:
-                self.excluded_at_sharing.add(do_id)
+                self.verdicts[do_id] = "complaint_upheld"
                 self._event("complaint_upheld", server=share.index, do=do_id)
             checked = (self.T + 1) + len(self.commit_key)
             cost.update(reads=checked, group_ops=checked, writes=1)
@@ -325,32 +337,30 @@ class TradeContract:
     def mark_shares_ready(self):
         """Checkpoint event: every registered owner resolved, complaints done.
 
-        Writes the validity set: registered owners minus those excluded by an
-        upheld complaint."""
-        if self.phase != SHARE_COLLECTION:
-            raise TxRejected("mark_shares_ready: wrong phase")
-        if self.pending_complaints:
-            raise TxRejected("mark_shares_ready: complaints still pending")
-        missing = [n for n in self.registered if n not in self.commitments]
-        if missing:
-            raise TxRejected(f"mark_shares_ready: missing commitments for {missing}")
-        self.validity = {n for n in self.registered if n not in self.excluded_at_sharing}
-        self.slots["validity"] = 1
-        self.phase = SHARE_READY
-        self._event("shares_ready", validity=sorted(self.validity))
+        Writes the validity set: the registered owners with no verdict yet,
+        that is, all but those excluded by an upheld complaint."""
+        with self._checkpoint("mark_shares_ready", SHARE_COLLECTION):
+            if self.pending_complaints:
+                raise TxRejected("complaints still pending")
+            missing = [n for n in self.registered if n not in self.commitments]
+            if missing:
+                raise TxRejected(f"missing commitments for {missing}")
+            self.validity = {n for n in self.registered if n not in self.verdicts}
+            self.slots["validity"] = 1
+            self.phase = SHARE_READY
+            self._event("shares_ready", validity=sorted(self.validity))
 
     def begin_validation(self):
-        if self.phase != SHARE_READY:
-            raise TxRejected("begin_validation: wrong phase")
-        self.phase = GRAD_VALIDATION
-        self._event("validation_started")
+        with self._checkpoint("begin_validation", SHARE_READY):
+            self.phase = GRAD_VALIDATION
+            self._event("validation_started")
 
     def reveal_circuit(self, circ: Circuit):
         with self._tx("reveal_circuit", "mo", GRAD_VALIDATION) as cost:
             if not self.validation:
-                self._reject("reveal_circuit", "mo", "validation disabled for this session")
+                raise TxRejected("validation disabled for this session")
             if self.circuit is not None:
-                self._reject("reveal_circuit", "mo", "circuit already revealed")
+                raise TxRejected("circuit already revealed")
             blob = circ.to_json().encode()
             self.circuit = circ
             self.slots["circuit_hash"] = 1
@@ -359,9 +369,9 @@ class TradeContract:
     def sample_challenge(self) -> int:
         with self._tx("sample_challenge", "mo", GRAD_VALIDATION) as cost:
             if self.circuit is None:
-                self._reject("sample_challenge", "mo", "circuit not revealed yet")
+                raise TxRejected("circuit not revealed yet")
             if self.challenge is not None:
-                self._reject("sample_challenge", "mo", "challenge already sampled")
+                raise TxRejected("challenge already sampled")
             self.challenge = field.rand_element(self.rng)
             self.slots["challenge"] = 1
             cost["writes"] = 1
@@ -377,13 +387,13 @@ class TradeContract:
     ):
         with self._tx("submit_verdict", server_i, GRAD_VALIDATION) as cost:
             if self.challenge is None:
-                self._reject("submit_verdict", server_i, "challenge not sampled yet")
+                raise TxRejected("challenge not sampled yet")
             if not 1 <= server_i <= self.K:
-                self._reject("submit_verdict", server_i, "unknown server index")
+                raise TxRejected("unknown server index")
             if do_id not in self.validity:
-                self._reject("submit_verdict", server_i, "data owner not under validation")
+                raise TxRejected("data owner not under validation")
             if server_i in self.verdict_buffer.get(do_id, {}):
-                self._reject("submit_verdict", server_i, "duplicate submission")
+                raise TxRejected("duplicate submission")
             buf = self.verdict_buffer.setdefault(do_id, {})
             buf[server_i] = (identity_share % Q, output_share % Q, bool(decode_failed))
             self.slots["verdict_buffer"] = self.slots.get("verdict_buffer", 0) + 2
@@ -396,49 +406,38 @@ class TradeContract:
                 self.slots["verdicts"] = self.slots.get("verdicts", 0) + 1
 
     def _finalize_verdict(self, do_id: int) -> int:
-        """Robustly reconstruct identity and output; update validity.
+        """Robustly reconstruct identity and output; record the verdict.
 
         Returns the modeled field-op count charged to the finalizing tx."""
         buf = self.verdict_buffer[do_id]
-        id_shares = [buf[i][0] for i in range(1, self.K + 1)]
-        out_shares = [buf[i][1] for i in range(1, self.K + 1)]
-        any_fail = any(buf[i][2] for i in range(1, self.K + 1))
+        id_shares, out_shares, failed = map(list, zip(*(buf[i] for i in range(1, self.K + 1))))
         field_ops = rs_decode_field_ops(self.K)
-        valid = False
-        identity = None
-        output = None
-        if not any_fail:
-            try:
-                identity = robust_recon_scalar(id_shares, self.T)
-                if identity == 0:
+        reason = "decode_failed"
+        if not any(failed):
+            with contextlib.suppress(DecodeFailure):
+                if robust_recon_scalar(id_shares, self.T) != 0:
+                    reason = "identity_nonzero"
+                else:
                     field_ops += rs_decode_field_ops(self.K)
                     output = robust_recon_scalar(out_shares, self.T)
-                    valid = output == 0
-            except DecodeFailure:
-                valid = False
-        self.verdicts[do_id] = {
-            "identity_zero": identity == 0 if identity is not None else False,
-            "output_zero": output == 0 if output is not None else False,
-            "valid": valid,
-            "decode_failed": any_fail or identity is None,
-        }
-        if not valid:
+                    reason = "output_nonzero" if output != 0 else None
+        self.verdicts[do_id] = reason
+        if reason is None:
+            self._event("gradient_accepted", do=do_id)
+        else:
             self.validity.discard(do_id)
             self._event("gradient_rejected", do=do_id)
-        else:
-            self._event("gradient_accepted", do=do_id)
         return field_ops
 
     def complete_validation(self):
         """Event: all validity verdicts are in (or validation is disabled)."""
-        if self.phase != GRAD_VALIDATION:
-            raise TxRejected("complete_validation: wrong phase")
-        if self.validation:
-            pending = [n for n in self.validity if n not in self.verdicts]
-            if pending:
-                raise TxRejected(f"complete_validation: verdicts pending for {pending}")
-        self.phase = PAYMENT
-        self._event("validation_complete", validity=sorted(self.validity))
+        with self._checkpoint("complete_validation", GRAD_VALIDATION):
+            if self.validation:
+                pending = [n for n in self.validity if n not in self.verdicts]
+                if pending:
+                    raise TxRejected(f"verdicts pending for {pending}")
+            self.phase = PAYMENT
+            self._event("validation_complete", validity=sorted(self.validity))
 
     def pay(self):
         with self._tx("pay", "mo", PAYMENT) as cost:
@@ -458,7 +457,7 @@ class TradeContract:
     def aggregate_commitment(self) -> VectorCommitment | None:
         with self._tx("aggregate_commitment", "mo", RECONSTRUCTION) as cost:
             if self.aggregated is not None:
-                self._reject("aggregate_commitment", "mo", "already aggregated")
+                raise TxRejected("already aggregated")
             if not self.validity:
                 return None
             parts = [self.commitments[n] for n in sorted(self.validity)]

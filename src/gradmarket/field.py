@@ -394,8 +394,8 @@ class FixedPointCodec:
     scale_bits: int
 
     def __post_init__(self):
-        if self.scale_bits < 0:
-            raise ValueError("scale_bits must be >= 0")
+        if not 0 <= self.scale_bits <= 126:
+            raise ValueError("scale_bits must be in 0..126")
 
     @property
     def bound(self) -> float:

@@ -105,12 +105,14 @@ class SessionConfig:
             raise ConfigError("need K > T + 1 >= 2 for robust reconstruction")
         if self.rho is not None and self.rho < 1:
             raise ConfigError("rho must be >= 1")
-        if not 0 <= self.rho_margin < math.inf or self.rho_offset < 1:
-            raise ConfigError("need finite rho_margin >= 0 and rho_offset >= 1, so rho >= 1")
+        if self.rho_margin < 0 or self.rho_offset < 1:
+            raise ConfigError("need rho_margin >= 0 and rho_offset >= 1, so rho >= 1")
         if self.rho_cap < 1:
             raise ConfigError("rho_cap must be >= 1")
-        if self.scale_bits < 1:
-            raise ConfigError("scale_bits must be >= 1")
+        if not 1 <= self.scale_bits <= 126:
+            raise ConfigError("scale_bits must be in 1..126")
+        if min(self.teacher_scale, self.init_scale, self.mask_additive_sigma) < 0:
+            raise ConfigError("teacher_scale, init_scale and mask_additive_sigma must be >= 0")
         if self.deposit < 0:
             raise ConfigError("deposit must be >= 0")
         if self.iterations < 1:
@@ -131,9 +133,9 @@ class SessionConfig:
                 raise ConfigError("bad_share target_server must be in 1..K")
             factor = spec.get("factor", 8.0)
             _check_scalar("norm_attack factor", "float", factor)
-            # NaN fails this; a factor near 0 quantizes to a zero vector, which passes
+            # a factor near 0 quantizes to a zero vector, which passes
             if not 1 <= abs(factor) <= 2**20:
-                raise ConfigError("norm_attack factor must be finite with 1 <= |factor| <= 2^20")
+                raise ConfigError("norm_attack factor must have 1 <= |factor| <= 2^20")
         for spec in self.malicious_servers:
             _check_spec("malicious_servers", spec, SERVER_BEHAVIORS, servers)
         for name in ("malicious_dos", "malicious_servers"):
@@ -169,7 +171,7 @@ class SessionConfig:
 
 # JSON types each scalar field accepts, keyed by its annotation text (the
 # annotations are strings under `from __future__ import annotations`);
-# bool is not a number here.
+# bool is not a number here, and a float must be finite.
 _SCALAR_TYPES = {
     "int": (int,),
     "int | None": (int, type(None)),
@@ -184,6 +186,8 @@ def _check_scalar(name: str, annotation: str, value) -> None:
         return
     if isinstance(value, bool) != (bool in allowed) or not isinstance(value, allowed):
         raise ConfigError(f"{name} must be {annotation}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
 def _int_tuple(name: str, value) -> tuple[int, ...]:

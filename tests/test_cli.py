@@ -85,6 +85,17 @@ def test_malformed_config_exits_2(tmp_path, capsys):
         {"malicious_servers": [{"id": 2, "behavior": "false_complaint", "mode": "all"}]},
         *({"malicious_dos": [{"id": 0, "behavior": "norm_attack", "factor": f}]}
           for f in (float("nan"), float("inf"), 1e308, 0, 1e-300)),
+        {"scale_bits": 127},
+        {"scale_bits": 200},
+        {"eta": float("nan")},
+        {"eta": float("inf")},
+        {"data_scale": float("inf")},
+        {"teacher_noise": float("nan")},
+        {"mask_additive_sigma": float("nan")},
+        {"init_scale": float("-inf")},
+        {"mask_additive_sigma": -0.5},
+        {"teacher_scale": -0.5},
+        {"init_scale": -0.5},
     ],
     ids=["layers-int", "validate_layers-int", "malicious_dos-int", "rho-str",
          "gas_table-key", "deposit-negative", "rho-zero", "target_server-range",
@@ -94,7 +105,10 @@ def test_malformed_config_exits_2(tmp_path, capsys):
          "gas_table-bool", "gas_table-str", "malicious_dos-id-bool",
          "malicious_servers-id-float", "target_server-float", "malicious_dos-misspelt-key",
          "malicious_dos-option-of-other-behavior", "malicious_servers-unknown-key",
-         "factor-nan", "factor-inf", "factor-huge", "factor-zero", "factor-tiny"],
+         "factor-nan", "factor-inf", "factor-huge", "factor-zero", "factor-tiny",
+         "scale_bits-127", "scale_bits-200", "eta-nan", "eta-inf", "data_scale-inf",
+         "teacher_noise-nan", "mask_additive_sigma-nan", "init_scale-neg-inf",
+         "mask_additive_sigma-negative", "teacher_scale-negative", "init_scale-negative"],
 )
 def test_malformed_clean_config_override_exits_2(tmp_path, capsys, override):
     doc = dict(json.loads((CONFIGS / "clean.json").read_text()), **override)

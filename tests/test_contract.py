@@ -105,8 +105,15 @@ def test_register_full_set_advances_phase():
 def test_register_rejections():
     contract, _, _ = _fresh(N=4)
     contract.start(b"\x05" * 32, M0=4, N_max=4)
-    with pytest.raises(TxRejected):
-        contract.register(99)  # not whitelisted
+    log_length, gas_total = len(contract.tx_log), contract.meter.total
+    with pytest.raises(TxRejected, match="^register: not whitelisted$"):
+        contract.register(99)
+    # a refused body check is charged and logged once, under its caller
+    assert contract.tx_log[log_length:] == [{
+        "method": "register", "caller": "99", "gas": GasTable().tx_base,
+        "phase_before": REGISTER, "phase_after": REGISTER, "stored_words_delta": 0,
+    }]
+    assert contract.meter.total == gas_total + GasTable().tx_base
     contract.register(1)
     with pytest.raises(TxRejected):
         contract.register(1)  # duplicate
@@ -145,6 +152,7 @@ def test_complaint_upheld_excludes_owner():
     bad = ShareVector(index=3, values=(1, 2, 3))
     contract.complain(3, 1)
     assert contract.resolve_complaint(1, bad) is False
+    assert contract.verdicts == {1: "complaint_upheld"}
     contract.mark_shares_ready()
     assert contract.validity == {0}
 
@@ -210,12 +218,14 @@ def test_challenge_deterministic_per_seed():
     assert challenge(1) != challenge(2)
 
 
-def _submit_shared_value(contract, n, identity_value, output_value, rng):
-    """Shamir-share two scalars across K servers and submit all verdicts."""
+def _submit_shared_value(contract, n, identity_value, output_value, rng, failed_server=None):
+    """Shamir-share two scalars across K servers and submit all verdicts;
+    `failed_server`, if given, reports a failed decode."""
     id_shares, _ = ss_share([identity_value], contract.T, contract.K, rng)
     out_shares, _ = ss_share([output_value], contract.T, contract.K, rng)
     for i in range(1, contract.K + 1):
-        contract.submit_verdict(i, n, id_shares[i - 1].values[0], out_shares[i - 1].values[0])
+        contract.submit_verdict(i, n, id_shares[i - 1].values[0], out_shares[i - 1].values[0],
+                                decode_failed=i == failed_server)
 
 
 def test_verdict_flow_accept_and_reject():
@@ -226,10 +236,11 @@ def test_verdict_flow_accept_and_reject():
     _submit_shared_value(contract, 0, 0, 0, rng)  # identity 0, output 0: valid
     _submit_shared_value(contract, 1, 0, 5, rng)  # output nonzero: rejected
     _submit_shared_value(contract, 2, 7, 0, rng)  # identity nonzero: rejected
-    _submit_shared_value(contract, 3, 0, 0, rng)
-    assert contract.validity == {0, 3}
-    assert contract.verdicts[1]["valid"] is False
-    assert contract.verdicts[2]["valid"] is False
+    _submit_shared_value(contract, 3, 0, 0, rng, failed_server=2)  # a server's decode failed
+    assert contract.validity == {0}
+    assert contract.verdicts == {
+        0: None, 1: "output_nonzero", 2: "identity_nonzero", 3: "decode_failed",
+    }
     contract.complete_validation()
     assert contract.phase == PAYMENT
 
@@ -423,8 +434,9 @@ def test_state_machine_safety_exhaustive():
                 sorted(contract.balances.items(), key=str),
             )
             log_length, gas_total = len(contract.tx_log), contract.meter.total
-            with pytest.raises(TxRejected):
+            with pytest.raises(TxRejected) as refusal:
                 getattr(contract, method)(*args[method])
+            assert str(refusal.value).startswith(f"{method}:"), (phase, method, refusal.value)
             assert contract.phase == snapshot[0], (phase, method)
             assert contract.slots == snapshot[1], (phase, method)
             assert contract.validity == snapshot[2]

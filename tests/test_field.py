@@ -292,6 +292,13 @@ def test_quantize_overflow():
         c.quantize(c.bound)
 
 
+def test_codec_scale_bits_range():
+    assert FixedPointCodec(126).bound == 1.0
+    for bad in (-1, 127, 200):
+        with pytest.raises(ValueError):
+            FixedPointCodec(bad)
+
+
 def test_quantization_roundtrip_error_bound():
     rng = random.Random(23)
     for s in (4, 8, 16):
