@@ -135,7 +135,6 @@ def _selftest() -> int:
 
     # commitment completeness
     key = setup_key(6, rng)
-    cm = commit(secret, [[field.rand_element(rng) for _ in range(6)]], key)
     shares2, masks2 = ss_share(secret, 1, 5, rng)
     cm2 = commit(secret, masks2, key)
     ok = all(verify_share(s, cm2, key) for s in shares2)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import operator
-import threading
 from dataclasses import dataclass
 from itertools import zip_longest
 
@@ -361,22 +360,11 @@ class EvalDomain:
 
 
 # A proof uses two sizes, M and 2M-1; a calibrated training run visits
-# several M, so only the most recently used sizes are kept.
-DOMAIN_CACHE_SIZE = 2
-_DOMAINS: dict[int, EvalDomain] = {}  # least recently used first
-_DOMAINS_LOCK = threading.Lock()
-
-
+# several M, so only the two most recently used sizes are kept.
+@functools.lru_cache(maxsize=2)
 def eval_domain(n: int) -> EvalDomain:
     """Shared EvalDomain for size n, from a cache of the last two sizes used."""
-    with _DOMAINS_LOCK:
-        dom = _DOMAINS.pop(n, None)
-        if dom is None:
-            dom = EvalDomain(n)
-        _DOMAINS[n] = dom
-        while len(_DOMAINS) > DOMAIN_CACHE_SIZE:
-            del _DOMAINS[next(iter(_DOMAINS))]
-    return dom
+    return EvalDomain(n)
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +377,7 @@ class FixedPointCodec:
 
     Representable magnitudes are below bound = 2^(126 - scale_bits), so any
     embedded value (and moderate sums of them) stays within (-q/2, q/2).
+    NaN and infinities are not representable either.
     """
 
     scale_bits: int
@@ -402,8 +391,9 @@ class FixedPointCodec:
         return float(1 << (126 - self.scale_bits))
 
     def quantize(self, x: float) -> int:
-        if abs(x) >= self.bound:
-            raise OverflowError(f"value {x} exceeds fixed-point bound {self.bound}")
+        bound = self.bound
+        if not abs(x) < bound:  # also true for NaN
+            raise OverflowError(f"value {x} is outside the fixed-point range (-{bound}, {bound})")
         v = round(x * (1 << self.scale_bits))
         if v < 0:
             return Q - (-v)

@@ -56,10 +56,10 @@ class MlpModel:
         return sum(w.size for w in self.weights)
 
 
-def random_model(layer_sizes, rng: np.random.Generator, scale: float = 0.5) -> MlpModel:
-    """He-style random init: scale/sqrt(fan_in) normal entries."""
+def random_model(layer_sizes, rng: np.random.Generator) -> MlpModel:
+    """He-style random init: 0.5/sqrt(fan_in) normal entries."""
     weights = [
-        rng.normal(0.0, scale / np.sqrt(layer_sizes[i]), (layer_sizes[i + 1], layer_sizes[i]))
+        rng.normal(0.0, 0.5 / np.sqrt(layer_sizes[i]), (layer_sizes[i + 1], layer_sizes[i]))
         for i in range(len(layer_sizes) - 1)
     ]
     return MlpModel(tuple(layer_sizes), weights)

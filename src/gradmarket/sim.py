@@ -40,8 +40,8 @@ from .shamir import ShareVector, ss_recon, ss_share
 
 DO_BEHAVIORS = ("random_gradient", "norm_attack", "bad_share", "tampered_proof")
 SERVER_BEHAVIORS = ("corrupt_shares", "false_complaint")
-# the one optional key each parameterized behavior accepts
-SPEC_OPTIONS = {"norm_attack": ("factor",), "bad_share": ("target_server",)}
+# the one optional key each parameterized behavior accepts, with its default
+SPEC_OPTIONS = {"norm_attack": {"factor": 8.0}, "bad_share": {"target_server": 1}}
 
 
 class ConfigError(Exception):
@@ -52,27 +52,31 @@ class ProtocolError(Exception):
     """The session could not complete (guarantees exceeded or broken state)."""
 
 
+def _bounded(default, lo, hi=math.inf):
+    """A config field whose value must lie in lo..hi."""
+    return dc_field(default=default, metadata={"bounds": (lo, hi)})
+
+
 @dataclass
 class SessionConfig:
+    """Each field states its type, default and range once; `__post_init__`
+    adds only the rules on tuples and specs and those that relate two values."""
+
     layers: tuple[int, ...] = (4, 8, 2)
-    N: int = 4
+    N: int = _bounded(4, 1)
     K: int = 5
-    T: int = 1
-    rho: int | None = None  # None: the model owner calibrates it per session
-    rho_margin: float = 4.0
-    rho_offset: int = 64
-    rho_cap: int = 1024
-    scale_bits: int = 6
-    deposit: int = 1000
-    samples_per_do: int = 8
-    mo_samples: int = 16
+    T: int = _bounded(1, 1)
+    rho: int | None = _bounded(None, 1)  # None: the model owner calibrates it per session
+    rho_margin: float = _bounded(4.0, 0)
+    rho_cap: int = _bounded(1024, 1)
+    scale_bits: int = _bounded(6, 1, 126)
+    deposit: int = _bounded(1000, 0)
+    samples_per_do: int = _bounded(8, 1)
+    mo_samples: int = _bounded(16, 1)
     eta: float = 0.05
-    iterations: int = 1
+    iterations: int = _bounded(1, 1)
     data_scale: float = 1.0
-    teacher_scale: float = 0.5
-    teacher_noise: float = 0.05
-    init_scale: float = 0.5
-    mask_additive_sigma: float = 1.0
+    mask_additive_sigma: float = _bounded(1.0, 0)
     validation: bool = True
     validate_layers: tuple[int, ...] | None = None  # 1-indexed; None: all layers
     malicious_dos: tuple[dict, ...] = ()
@@ -81,7 +85,7 @@ class SessionConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            _check_scalar(f.name, f.type, getattr(self, f.name))
+            _check_scalar(f.name, f.type, getattr(self, f.name), *f.metadata.get("bounds", ()))
         self.layers = _int_tuple("layers", self.layers)
         if self.validate_layers is not None:
             self.validate_layers = _int_tuple("validate_layers", self.validate_layers)
@@ -99,26 +103,8 @@ class SessionConfig:
             raise ConfigError("layers must describe an MLP with at least two weight layers")
         if any(n < 1 for n in self.layers):
             raise ConfigError("layer sizes must be positive")
-        if self.N < 1:
-            raise ConfigError("need at least one data owner")
-        if self.T < 1 or self.K <= self.T + 1:
-            raise ConfigError("need K > T + 1 >= 2 for robust reconstruction")
-        if self.rho is not None and self.rho < 1:
-            raise ConfigError("rho must be >= 1")
-        if self.rho_margin < 0 or self.rho_offset < 1:
-            raise ConfigError("need rho_margin >= 0 and rho_offset >= 1, so rho >= 1")
-        if self.rho_cap < 1:
-            raise ConfigError("rho_cap must be >= 1")
-        if not 1 <= self.scale_bits <= 126:
-            raise ConfigError("scale_bits must be in 1..126")
-        if min(self.teacher_scale, self.init_scale, self.mask_additive_sigma) < 0:
-            raise ConfigError("teacher_scale, init_scale and mask_additive_sigma must be >= 0")
-        if self.deposit < 0:
-            raise ConfigError("deposit must be >= 0")
-        if self.iterations < 1:
-            raise ConfigError("iterations must be >= 1")
-        if self.samples_per_do < 1 or self.mo_samples < 1:
-            raise ConfigError("samples_per_do and mo_samples must be >= 1")
+        if self.K <= self.T + 1:
+            raise ConfigError("need K > T + 1 for robust reconstruction")
         L = len(self.layers) - 1
         if self.validate_layers is not None:
             if not self.validate_layers:
@@ -128,13 +114,11 @@ class SessionConfig:
         servers = range(1, self.K + 1)
         for spec in self.malicious_dos:
             _check_spec("malicious_dos", spec, DO_BEHAVIORS, range(self.N))
-            _check_scalar("bad_share target_server", "int", spec.get("target_server", 1))
-            if spec.get("target_server", 1) not in servers:
+            # an omitted option takes its default from SPEC_OPTIONS, which is in range
+            if "target_server" in spec and spec["target_server"] not in servers:
                 raise ConfigError("bad_share target_server must be in 1..K")
-            factor = spec.get("factor", 8.0)
-            _check_scalar("norm_attack factor", "float", factor)
             # a factor near 0 quantizes to a zero vector, which passes
-            if not 1 <= abs(factor) <= 2**20:
+            if "factor" in spec and not 1 <= abs(spec["factor"]) <= 2**20:
                 raise ConfigError("norm_attack factor must have 1 <= |factor| <= 2^20")
         for spec in self.malicious_servers:
             _check_spec("malicious_servers", spec, SERVER_BEHAVIORS, servers)
@@ -180,7 +164,9 @@ _SCALAR_TYPES = {
 }
 
 
-def _check_scalar(name: str, annotation: str, value) -> None:
+def _check_scalar(name: str, annotation: str, value, lo=-math.inf, hi=math.inf) -> None:
+    """Check a scalar's JSON type, finiteness and range lo..hi; other
+    annotations pass unchecked."""
     allowed = _SCALAR_TYPES.get(annotation)
     if allowed is None:
         return
@@ -188,6 +174,9 @@ def _check_scalar(name: str, annotation: str, value) -> None:
         raise ConfigError(f"{name} must be {annotation}, got {value!r}")
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"{name} must be finite, got {value!r}")
+    if value is not None and not lo <= value <= hi:
+        expected = f">= {lo}" if hi == math.inf else f"in {lo}..{hi}"
+        raise ConfigError(f"{name} must be {expected}, got {value!r}")
 
 
 def _int_tuple(name: str, value) -> tuple[int, ...]:
@@ -204,9 +193,13 @@ def _check_spec(name: str, spec: dict, behaviors: tuple[str, ...], ids: range) -
     behavior = spec.get("behavior")
     if behavior not in behaviors:
         raise ConfigError(f"{name}: unknown behavior {behavior!r}")
-    unknown = set(spec) - {"id", "behavior", *SPEC_OPTIONS.get(behavior, ())}
+    options = SPEC_OPTIONS.get(behavior, {})
+    unknown = set(spec) - {"id", "behavior", *options}
     if unknown:
         raise ConfigError(f"{name}: unknown keys for {behavior}: {sorted(unknown)}")
+    for key, default in options.items():
+        if key in spec:  # an option has its default's type
+            _check_scalar(f"{behavior} {key}", type(default).__name__, spec[key])
     _check_scalar(f"{name} id", "int", spec.get("id"))
     if spec["id"] not in ids:
         raise ConfigError(f"{name} id must be in {ids.start}..{ids.stop - 1}")
@@ -250,15 +243,13 @@ class World:
 def _make_shard(config: SessionConfig, seed: int, name: str, teacher: MlpModel, count: int):
     rng = np_stream(seed, name)
     X = rng.normal(0.0, 1.0, (count, config.layers[0])) * config.data_scale
-    Y = perturb.forward(teacher, X) + config.teacher_noise * rng.normal(
-        0.0, 1.0, (count, config.layers[-1])
-    )
+    Y = perturb.forward(teacher, X) + 0.05 * rng.normal(0.0, 1.0, (count, config.layers[-1]))
     return X, Y
 
 
 def build_world(config: SessionConfig, seed: int) -> World:
-    teacher = random_model(config.layers, np_stream(seed, "teacher"), config.teacher_scale)
-    model = random_model(config.layers, np_stream(seed, "mo.model"), config.init_scale)
+    teacher = random_model(config.layers, np_stream(seed, "teacher"))
+    model = random_model(config.layers, np_stream(seed, "mo.model"))
     shards = [
         _make_shard(config, seed, f"do.{n}.data", teacher, config.samples_per_do)
         for n in range(config.N)
@@ -327,7 +318,10 @@ class _Session:
         self.sub_idx = validation_indices(config)
         self.do_ids = list(range(config.N))
         self.servers = range(1, config.K + 1)
-        self.do_specs = {s["id"]: s for s in config.malicious_dos}
+        # each owner spec with its behavior's omitted options filled in
+        self.do_specs = {
+            s["id"]: {**SPEC_OPTIONS.get(s["behavior"], {}), **s} for s in config.malicious_dos
+        }
         self.server_behaviors = {s["id"]: s["behavior"] for s in config.malicious_servers}
         self.contract = TradeContract(
             deposit=config.deposit,
@@ -350,6 +344,14 @@ class _Session:
     def _behavior(self, n: int) -> str | None:
         return self.do_specs.get(n, {}).get("behavior")
 
+    def _quantize(self, flat: np.ndarray, who: str) -> list[int]:
+        """Quantize a flat gradient; a value the codec cannot represent (out of
+        range, NaN or infinite) ends the session as a protocol failure."""
+        try:
+            return perturb.quantize_vector(flat, self.codec)
+        except OverflowError as exc:
+            raise ProtocolError(f"{who}: {exc}") from exc
+
     def publish(self):
         """Mask and publish the model, open the session, register the owners
         and calibrate the norm bound rho."""
@@ -369,9 +371,9 @@ class _Session:
                 probe = perturb.encrypted_gradient(
                     self.enc_model, self.masks.r_out, world.mo_data[0], world.mo_data[1]
                 )
-                probe_q = perturb.quantize_vector(perturb.flatten(probe), self.codec)
+                probe_q = self._quantize(perturb.flatten(probe), "model owner's probe")
                 margin = math.ceil(config.rho_margin * self._sub_norm(probe_q))
-                self.rho = margin + config.rho_offset
+                self.rho = margin + 64  # additive slack, so a calibrated rho is >= 1
             if self.rho > config.rho_cap:
                 self.rho, self.rho_clamped = config.rho_cap, True
 
@@ -389,17 +391,17 @@ class _Session:
             if self._behavior(n) == "random_gradient":
                 flat = np_stream(seed, f"do.{n}.adversary").normal(0.0, 1.0, flat.shape)
             elif self._behavior(n) == "norm_attack":
-                flat = flat * float(self.do_specs[n].get("factor", 8.0))
+                flat = flat * float(self.do_specs[n]["factor"])
                 for _ in range(40):
-                    if self._sub_norm(perturb.quantize_vector(flat, self.codec)) > (self.rho or 0):
+                    if self._sub_norm(self._quantize(flat, f"data owner {n}")) > (self.rho or 0):
                         break
                     flat = flat * 2.0
-            qvec = perturb.quantize_vector(flat, self.codec)
+            qvec = self._quantize(flat, f"data owner {n}")
             shares, z_masks = ss_share(qvec, config.T, config.K, rng_stream(seed, f"do.{n}.share"))
             self.contract.store_commitment(n, commit_mod.commit(qvec, z_masks, self.key))
             sent = dict(zip(self.servers, shares))
             if self._behavior(n) == "bad_share":
-                target = self.do_specs[n].get("target_server", 1)
+                target = self.do_specs[n]["target_server"]
                 values = list(sent[target].values)
                 values[0] = (values[0] + rng_stream(seed, f"do.{n}.adversary").randrange(1, Q)) % Q
                 sent[target] = ShareVector(index=target, values=tuple(values))
@@ -420,17 +422,23 @@ class _Session:
         self.contract.begin_validation()
 
     def validate(self):
-        """Each owner in the validity set proves its norm bound to the servers."""
+        """Each owner in the validity set proves its norm bound to the servers.
+
+        Every owner's proof packages reach the servers before the contract
+        draws the challenge r; then the servers test each proof at r.
+        """
         if self.config.validation:
             circ = build_norm_circuit(len(self.sub_idx), self.rho, accept_zero=True)
             self.contract.reveal_circuit(circ)
+            owners = sorted(self.contract.validity)
+            packages = {n: self._prove(n, circ) for n in owners}
             r = self.contract.sample_challenge()
-            for n in sorted(self.contract.validity):
-                self._check_proof(n, circ, r)
+            for n in owners:
+                self._test_proof(n, packages[n], circ, r)
         self.contract.complete_validation()
 
-    def _check_proof(self, n: int, circ, r: int):
-        """Owner n shares its proof; the servers run both rounds and post verdicts."""
+    def _prove(self, n: int, circ) -> list[snip.ProverPackage]:
+        """Owner n's proof packages, one per server, over its validated slice."""
         config, seed, sub_idx = self.config, self.seed, self.sub_idx
         sub_shares = [
             ShareVector(index=i, values=tuple(s.values[j] for j in sub_idx))
@@ -441,9 +449,13 @@ class _Session:
             arng = rng_stream(seed, f"do.{n}.adversary")
             pos = arng.randrange(len(h))
             h[pos] = (h[pos] + arng.randrange(1, Q)) % Q
-        packages = snip.package_proof(
+        return snip.package_proof(
             sub_shares, h, config.T, config.K, rng_stream(seed, f"do.{n}.proof")
         )
+
+    def _test_proof(self, n: int, packages: list[snip.ProverPackage], circ, r: int):
+        """The servers run both rounds on owner n's packages and post verdicts."""
+        config, seed = self.config, self.seed
         # a corrupt server broadcasts random d/e shares and submits a random verdict
         lies = {
             i: tuple(field.rand_elements(rng_stream(seed, f"server.{i}.adversary.{n}.open"), 2))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,8 @@ import pytest
 from conftest import SMALL_SESSION, TRAINING
 from gradmarket.cli import main
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def _write_config(tmp_path, doc, name="config.json"):
@@ -115,6 +117,33 @@ def test_malformed_clean_config_override_exits_2(tmp_path, capsys, override):
     cfg = _write_config(tmp_path, doc)
     assert main(["run", "--config", cfg, "--seed", "3", "--out", str(tmp_path / "r.json")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, config, override, who",
+    [
+        ("run", "clean.json", {"data_scale": 1e30}, "model owner's probe"),
+        # the first update leaves the weights non-finite
+        ("train", "train.json", {"eta": 1e300, "iterations": 3}, "model owner's probe"),
+        ("run", "clean.json",
+         {"scale_bits": 126, "malicious_dos": [{"id": 0, "behavior": "random_gradient"}]},
+         "data owner 0"),
+    ],
+    ids=["run-data_scale-1e30", "train-eta-1e300", "run-scale_bits-126"],
+)
+def test_unrepresentable_value_is_a_protocol_failure(tmp_path, command, config, override, who):
+    # run in a child process: numpy's overflow warnings must not become errors
+    cfg = _write_config(tmp_path, dict(json.loads((CONFIGS / config).read_text()), **override))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gradmarket.cli", command, "--config", cfg, "--seed", "3",
+         "--out", str(tmp_path / "out.json")],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert f"protocol failure: {who}: " in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_unknown_flag_rejected(tmp_path):

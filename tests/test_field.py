@@ -191,8 +191,8 @@ def test_eval_domain_extend_rounding_guard(monkeypatch):
         dom.extend(values)
 
 
-def test_eval_domain_cache_keeps_two_most_recent_sizes(monkeypatch):
-    monkeypatch.setattr(field, "_DOMAINS", {})
+def test_eval_domain_cache_keeps_two_most_recent_sizes():
+    field.eval_domain.cache_clear()
     rng = random.Random(37)
     n = 40
     values = [field.rand_element(rng) for _ in range(n)]
@@ -201,18 +201,22 @@ def test_eval_domain_cache_keeps_two_most_recent_sizes(monkeypatch):
     ext, at_r = first.extend(values), first.interpolate_at(values, r)
     assert field.eval_domain(2 * n - 1) is field.eval_domain(2 * n - 1)
     assert field.eval_domain(n) is first  # a hit refreshes n
-    field.eval_domain(7)  # a third size evicts the oldest, 2n-1
-    assert list(field._DOMAINS) == [n, 7]
-    field.eval_domain(9)
-    assert list(field._DOMAINS) == [7, 9]
+    seven = field.eval_domain(7)  # a third size evicts the oldest, 2n-1
+    info = field.eval_domain.cache_info()
+    assert (info.maxsize, info.currsize, info.misses) == (2, 2, 3)
+    assert field.eval_domain(n) is first and field.eval_domain(7) is seven  # n, then 7
+    field.eval_domain(9)  # evicts n
+    assert field.eval_domain(7) is seven
+    assert field.eval_domain.cache_info().misses == 4
     rebuilt = field.eval_domain(n)
+    assert field.eval_domain.cache_info().misses == 5
     assert rebuilt is not first
     assert rebuilt.extend(values) == ext
     assert rebuilt.interpolate_at(values, r) == at_r
 
 
-def test_eval_domain_cache_under_threads(monkeypatch):
-    monkeypatch.setattr(field, "_DOMAINS", {})
+def test_eval_domain_cache_under_threads():
+    field.eval_domain.cache_clear()
     errors, sizes = [], (3, 4, 5, 6)
 
     def worker(offset):
@@ -235,7 +239,8 @@ def test_eval_domain_cache_under_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert errors == []
-    assert len(field._DOMAINS) <= field.DOMAIN_CACHE_SIZE
+    assert field.eval_domain.cache_info().currsize <= 2
+    assert field.eval_domain(6) is field.eval_domain(6)
 
 
 class _StubBits:
@@ -288,8 +293,9 @@ def test_quantize_examples():
 
 def test_quantize_overflow():
     c = FixedPointCodec(16)
-    with pytest.raises(OverflowError):
-        c.quantize(c.bound)
+    for x in (c.bound, -c.bound, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(OverflowError):
+            c.quantize(x)
 
 
 def test_codec_scale_bits_range():

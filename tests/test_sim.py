@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import SMALL_SESSION, small_session_config, training_config
+from gradmarket import snip
+from gradmarket.contract import TradeContract
 from gradmarket.sim import (
     DO_BEHAVIORS,
     SERVER_BEHAVIORS,
@@ -65,6 +68,45 @@ def test_config_schema_is_the_dataclass_fields():
 def test_config_rejects_register_timeout():
     with pytest.raises(ConfigError, match="register_timeout"):
         SessionConfig.from_dict({"register_timeout": 3})
+
+
+@pytest.mark.parametrize("key, value", [("teacher_scale", 0.5), ("teacher_noise", 0.05),
+                                        ("init_scale", 0.5), ("rho_offset", 64)])
+def test_config_rejects_removed_knobs(key, value):
+    # these are now constants at their one use; their old defaults are rejected too
+    with pytest.raises(ConfigError, match=key):
+        SessionConfig.from_dict({key: value})
+
+
+def test_config_bounds_are_declared_on_their_fields():
+    bounded = {f.name: f.metadata["bounds"] for f in dataclasses.fields(SessionConfig)
+               if "bounds" in f.metadata}
+    assert set(bounded) == {"N", "T", "rho", "rho_margin", "rho_cap", "scale_bits", "deposit",
+                            "samples_per_do", "mo_samples", "iterations", "mask_additive_sigma"}
+    for name, (lo, hi) in bounded.items():
+        edges = {lo: True, lo - 1: False}
+        if hi != math.inf:
+            edges.update({hi: True, hi + 1: False})
+        for value, accepted in edges.items():
+            if accepted:
+                assert getattr(SessionConfig(**{name: value}), name) == value
+            else:
+                with pytest.raises(ConfigError, match=f"{name} must be"):
+                    SessionConfig(**{name: value})
+
+
+def test_readme_config_table_matches_the_schema():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Config schema", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
+    table = {key.strip().strip("`"): json.loads(default.strip().strip("`"))
+             for key, default in rows}
+    defaults = SessionConfig().to_dict()
+    assert list(table) == list(defaults)
+    # canonical JSON, so 4.0 and 4 differ
+    assert {k: json.dumps(v) for k, v in table.items()} == {
+        k: json.dumps(v) for k, v in defaults.items()
+    }
 
 
 def test_validation_indices_default_and_per_layer():
@@ -198,6 +240,30 @@ def test_random_adversary_mixes_exclude_only_adversaries(mix):
         assert mixed[key] == owners_only[key], key
 
 
+def test_every_proof_is_packaged_before_the_challenge(monkeypatch):
+    # a prover that knew r could fit its proof to it, so every owner's
+    # packages must reach the servers before the contract draws r
+    calls = []
+    package_proof, sample_challenge = snip.package_proof, TradeContract.sample_challenge
+
+    def package(*args, **kwargs):
+        calls.append("package_proof")
+        return package_proof(*args, **kwargs)
+
+    def challenge(self):
+        calls.append("sample_challenge")
+        return sample_challenge(self)
+
+    monkeypatch.setattr(snip, "package_proof", package)
+    monkeypatch.setattr(TradeContract, "sample_challenge", challenge)
+    cfg = small_session_config(malicious_dos=({"id": 1, "behavior": "bad_share"},
+                                              {"id": 3, "behavior": "tampered_proof"}))
+    report = run_session(cfg, 3)
+    # owner 1 is excluded by complaint, so three owners prove
+    assert calls == ["package_proof"] * 3 + ["sample_challenge"]
+    assert report["validity_set"] == [0, 2]
+
+
 def test_budget_flag_on_violating_config():
     cfg = small_session_config(
         malicious_servers=(
@@ -314,7 +380,7 @@ def test_clean_config_report_golden_digest():
     path = Path(__file__).resolve().parent.parent / "configs" / "clean.json"
     report = run_session(SessionConfig.from_dict(json.loads(path.read_text())), 3)
     assert _report_digest(report) == (
-        "c7a6cec54f5a63d7d09de93712a449156397c387358dcb27b8a599870d5c94f3"
+        "1e4e49ce8d398216d3f54bc39e6f6ac8905a111527bde1c0cd42d63ea1346645"
     )
 
 
@@ -323,7 +389,7 @@ def test_all_adversaries_report_golden_digest():
     assert report["validity_set"] == [4, 5]
     assert report["aggregate_share_failures"] == [2]
     assert _report_digest(report) == (
-        "7ce9f872e0272afbde0fdfff9eabcaa9cd9210a731e070952ba2d80fcb90dc44"
+        "c330304a2bdc7184f8da6b585287235f94bd089a94d75ab03dab5cc6fbfa4d2f"
     )
 
 
@@ -331,7 +397,7 @@ def test_unvalidated_session_report_golden_digest():
     report = run_session(small_session_config(validation=False), 3)
     assert report["validity_set"] == [0, 1, 2, 3]
     assert _report_digest(report) == (
-        "8c5c0b82a15aa7b71b28ed6ca760c2e6446a9862383fc05404c629b2c818dabb"
+        "f9c7130f8a65c59b10c85b2c7edc6b93f714768b76d6e3c3c0e25b4d394ef3c1"
     )
 
 
@@ -342,7 +408,7 @@ def test_empty_validity_set_report_golden_digest():
     assert report["validity_set"] == []
     assert report["payments"] == {"mo": 1000}
     assert _report_digest(report) == (
-        "9602403921ffebf4ff4668e343c17fda6d69995af255cb076738fb9d5a519352"
+        "16ff1f5dfb1527380fff8356beb4c1ab6f521e7c88f2263a183ab5c34aa9d8df"
     )
 
 
@@ -364,7 +430,7 @@ def test_attacked_training_report_and_curve_golden_digest():
     report = _rounded(run_training(SessionConfig.from_dict(doc), 3))
     assert [s["validity_set"] for s in report["sessions"]] == [[1, 2, 3]] * 3
     assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == (
-        "98c4307dd5e619b5a39c32732daa4693bca1330fbcf7948189142bbc078b3d7b"
+        "7a44451ae16b27b9536343832c0608dc4be827fbcedd3a8515ba1d05bbf62248"
     )
     assert hashlib.sha256(loss_curve_csv(report).encode()).hexdigest() == (
         "f85da55f86bdee7af0e47133a9d66a2b62aaac90f4aca841531daa5032b648ac"
