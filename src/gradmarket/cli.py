@@ -16,7 +16,7 @@ from . import field, perturb, sim
 from .circuit import build_norm_circuit, eval_plain
 from .commit import commit, setup_key, verify_share
 from .contract import GasTable, baseline_gas_estimate
-from .shamir import ss_robust_recon, ss_share
+from .shamir import robust_recon, ss_share
 from .sim import ConfigError, ProtocolError, SessionConfig
 
 
@@ -130,7 +130,8 @@ def _selftest() -> int:
     tampered = list(bad[2].values)
     tampered[0] = (tampered[0] + 1) % field.Q
     bad[2] = ShareVector(index=3, values=tuple(tampered))
-    ok &= ss_robust_recon(bad, 1) == secret
+    xs = [s.index for s in bad]
+    ok &= [robust_recon(xs, list(ys), 1) for ys in zip(*(s.values for s in bad))] == secret
     check("sharing and robust reconstruction", ok)
 
     # commitment completeness
@@ -142,15 +143,15 @@ def _selftest() -> int:
 
     # honest proof accepted end to end
     from . import snip
-    from .shamir import robust_recon_scalar
     circ = build_norm_circuit(3, 10, accept_zero=True)
     inputs = [1, 2, 1]  # norm^2 = 6 <= 10
     out, _ = eval_plain(circ, inputs)
     pkgs = snip.prove(inputs, circ, 1, 5, rng)
     r = field.rand_element(rng)
     verdicts = snip.identity_test(pkgs, circ, r, 1)
-    ident = robust_recon_scalar([v.identity_share for v in verdicts], 1)
-    outv = robust_recon_scalar([v.output_share for v in verdicts], 1)
+    xs = [p.index for p in pkgs]
+    ident = robust_recon(xs, [v.identity_share for v in verdicts], 1)
+    outv = robust_recon(xs, [v.output_share for v in verdicts], 1)
     check("validity proof completeness", out == 0 and ident == 0 and outv == 0)
 
     # decryption identity on the real path

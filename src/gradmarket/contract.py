@@ -32,7 +32,7 @@ from . import field
 from .circuit import Circuit
 from .commit import CommitmentKey, VectorCommitment, verify_share
 from .field import Q
-from .shamir import DecodeFailure, ShareVector, robust_recon_scalar
+from .shamir import DecodeFailure, ShareVector, robust_recon
 
 SETUP = "Setup"
 REGISTER = "Register"
@@ -410,16 +410,17 @@ class TradeContract:
 
         Returns the modeled field-op count charged to the finalizing tx."""
         buf = self.verdict_buffer[do_id]
-        id_shares, out_shares, failed = map(list, zip(*(buf[i] for i in range(1, self.K + 1))))
-        field_ops = rs_decode_field_ops(self.K)
+        xs = sorted(buf)
+        id_shares, out_shares, failed = map(list, zip(*(buf[i] for i in xs)))
+        field_ops = rs_decode_field_ops(len(xs))
         reason = "decode_failed"
         if not any(failed):
             with contextlib.suppress(DecodeFailure):
-                if robust_recon_scalar(id_shares, self.T) != 0:
+                if robust_recon(xs, id_shares, self.T) != 0:
                     reason = "identity_nonzero"
                 else:
-                    field_ops += rs_decode_field_ops(self.K)
-                    output = robust_recon_scalar(out_shares, self.T)
+                    field_ops += rs_decode_field_ops(len(xs))
+                    output = robust_recon(xs, out_shares, self.T)
                     reason = "output_nonzero" if output != 0 else None
         self.verdicts[do_id] = reason
         if reason is None:

@@ -2,9 +2,10 @@
 
 Shares are evaluations of per-coordinate degree-T polynomials at the fixed
 points x = 1..K. Plain reconstruction interpolates any T+1 consistent
-shares; robust reconstruction treats the K share values of each coordinate
-as a [K, T+1] Reed-Solomon codeword and decodes with Gao's algorithm,
-correcting up to floor((K-T-1)/2) arbitrary errors.
+shares; robust reconstruction treats the K' share values of one scalar that
+were received, at any distinct indices, as a [K', T+1] Reed-Solomon
+codeword and decodes with Gao's algorithm, correcting up to
+floor((K'-T-1)/2) arbitrary errors.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def ss_recon(shares: list[ShareVector], T: int) -> list[int]:
     """Reconstruct u(0) coordinate-wise from >= T+1 shares.
 
     No consistency check is performed across extra shares; callers that
-    need error tolerance use ss_robust_recon.
+    need error tolerance use robust_recon, one scalar at a time.
     """
     if len(shares) < T + 1:
         raise ValueError(f"need at least {T + 1} shares, got {len(shares)}")
@@ -142,22 +143,15 @@ def gao_decode(xs: list[int], ys: list[int], k: int) -> list[int]:
     return f
 
 
-def ss_robust_recon(shares: list[ShareVector], T: int) -> list[int]:
-    """Error-correcting reconstruction from exactly K shares at indices 1..K.
+def robust_recon(xs: list[int], ys: list[int], T: int) -> int:
+    """Error-correcting reconstruction of one shared scalar from its shares
+    ys[j] at the distinct indices xs[j], any subset of 1..K.
 
-    Decodes each coordinate independently; raises DecodeFailure if any
-    coordinate fails.
+    From K' shares it corrects up to floor((K'-T-1)/2) wrong ones: with s of
+    the K shares missing, e errors while 2e + s <= K - T - 1. Raises
+    DecodeFailure when the received shares are beyond that.
     """
-    ordered = sorted(shares, key=lambda s: s.index)
-    if [s.index for s in ordered] != list(range(1, len(shares) + 1)):
-        raise ValueError("robust reconstruction expects share indices 1..K")
-    return [robust_recon_scalar(list(ys), T) for ys in zip(*(s.values for s in ordered))]
-
-
-def robust_recon_scalar(values: list[int], T: int) -> int:
-    """Robust reconstruction of a single shared scalar from values at 1..K."""
-    K = len(values)
-    if K < T + 2:
-        raise ValueError("robust reconstruction needs K >= T + 2")
-    f = gao_decode(list(range(1, K + 1)), values, T + 1)
+    if len(xs) < T + 2:
+        raise ValueError(f"robust reconstruction needs at least {T + 2} shares, got {len(xs)}")
+    f = gao_decode(xs, ys, T + 1)
     return f[0] if f else 0

@@ -534,7 +534,8 @@ def run_training(config: SessionConfig, seed: int) -> dict:
 
     The synthetic data and initial model derive from the run seed; each
     iteration runs a full session with per-iteration randomness streams and
-    applies W <- W - eta * gradient.
+    applies W <- W - eta * gradient. An update that leaves the weights or
+    the loss non-finite is a ProtocolError naming the iteration.
     """
     world = build_world(config, seed)
     m = perturb.flat_length(config.layers)
@@ -558,7 +559,10 @@ def run_training(config: SessionConfig, seed: int) -> dict:
                 "gradient_max_abs_error": session.grad_error,
             }
         )
-        curve.append([t, perturb.mse(world.model, pooled_X, pooled_Y)])
+        loss = perturb.mse(world.model, pooled_X, pooled_Y)
+        if not (math.isfinite(loss) and all(np.isfinite(w).all() for w in world.model.weights)):
+            raise ProtocolError(f"iteration {t}: the model update is not finite (mse {loss})")
+        curve.append([t, loss])
 
     return {
         "seed": seed,

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from . import field
 from .circuit import Circuit, MulTrace, _run_gates, eval_plain
 from .field import Q
-from .shamir import DecodeFailure, ShareVector, robust_recon_scalar, ss_share
+from .shamir import DecodeFailure, ShareVector, robust_recon, ss_share
 
 
 @dataclass(frozen=True)
@@ -148,9 +148,7 @@ class CheckState:
     d_share: int
     e_share: int
     h_r_share: int
-    a_share: int
-    b_share: int
-    c_share: int
+    triple: tuple[int, int, int]
     output_share: int
 
 
@@ -182,39 +180,35 @@ def server_round1(pkg: ProverPackage, circ: Circuit, r: int) -> CheckState:
     f_r = dom.interpolate_at(trace.left, r)
     g_r = dom.interpolate_at(trace.right, r)
     h_r = field.eval_domain(2 * M - 1).interpolate_at(pkg.h_coeff_shares, r)
-    a, b, c = pkg.triple
+    a, b, _ = pkg.triple
     return CheckState(
         index=pkg.index,
         d_share=field.sub(f_r, a),
         e_share=field.sub(g_r, b),
         h_r_share=h_r,
-        a_share=a,
-        b_share=b,
-        c_share=c,
+        triple=pkg.triple,
         output_share=output_share,
     )
 
 
 def server_round2(
-    state: CheckState, d_broadcast: list[int], e_broadcast: list[int], T: int
+    state: CheckState, broadcast: dict[int, tuple[int, int]], T: int
 ) -> VerdictShares:
     """Second round: open d and e robustly, then form the verdict shares.
 
-    The broadcast lists hold every server's d/e share in index order 1..K;
-    up to floor((K-T-1)/2) of them may be garbage. The Beaver identity
-    gives the product share as d*e + d*[b] + e*[a] + [c].
+    broadcast maps each server index to its (d, e) shares, over whichever
+    servers broadcast; up to floor((K'-T-1)/2) of the K' pairs may be
+    garbage. The Beaver identity gives the product share as
+    d*e + d*[b] + e*[a] + [c].
     """
+    xs = sorted(broadcast)
     try:
-        d = robust_recon_scalar(d_broadcast, T)
-        e = robust_recon_scalar(e_broadcast, T)
+        d = robust_recon(xs, [broadcast[i][0] for i in xs], T)
+        e = robust_recon(xs, [broadcast[i][1] for i in xs], T)
     except DecodeFailure:
         return VerdictShares(identity_share=0, output_share=0, decode_failed=True)
-    prod_share = (
-        field.mul(d, e)
-        + field.mul(d, state.b_share)
-        + field.mul(e, state.a_share)
-        + state.c_share
-    ) % Q
+    a, b, c = state.triple
+    prod_share = (field.mul(d, e) + field.mul(d, b) + field.mul(e, a) + c) % Q
     return VerdictShares(
         identity_share=field.sub(state.h_r_share, prod_share),
         output_share=state.output_share,
@@ -225,9 +219,8 @@ def identity_test(
     packages: list[ProverPackage], circ: Circuit, r: int, T: int, lies: dict | None = None
 ) -> list[VerdictShares]:
     """Both rounds for one proof: every server's round 1, the barriered d/e
-    broadcast, then every server's round 2 verdict, in package order
-    (packages[i - 1] is server i's). lies[i] replaces server i's (d, e)."""
+    broadcast, then every server's round 2 verdict, in package order.
+    lies[i] replaces the (d, e) of server i, if it has a package."""
     states = [server_round1(pkg, circ, r) for pkg in packages]
-    pairs = [(lies or {}).get(st.index, (st.d_share, st.e_share)) for st in states]
-    d_broadcast, e_broadcast = map(list, zip(*pairs))
-    return [server_round2(st, d_broadcast, e_broadcast, T) for st in states]
+    broadcast = {st.index: (lies or {}).get(st.index, (st.d_share, st.e_share)) for st in states}
+    return [server_round2(st, broadcast, T) for st in states]

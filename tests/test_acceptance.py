@@ -16,7 +16,7 @@ from gradmarket import commit, field, perturb, snip
 from gradmarket.circuit import build_norm_circuit, eval_plain
 from gradmarket.contract import GasTable, baseline_gas_estimate, expected_word_count
 from gradmarket.field import Q
-from gradmarket.shamir import ShareVector, robust_recon_scalar, ss_robust_recon, ss_share
+from gradmarket.shamir import ShareVector, robust_recon, ss_share
 from gradmarket.sim import SessionConfig, run_session, run_training, validation_indices
 
 
@@ -76,8 +76,9 @@ def _snip_session(inputs, circ, T, K, rng, tamper=False):
     packages = snip.package_proof(input_shares, h, T, K, rng)
     r = field.rand_element(rng)
     verdicts = snip.identity_test(packages, circ, r, T)
-    ident = robust_recon_scalar([v.identity_share for v in verdicts], T)
-    out = robust_recon_scalar([v.output_share for v in verdicts], T)
+    xs = [p.index for p in packages]
+    ident = robust_recon(xs, [v.identity_share for v in verdicts], T)
+    out = robust_recon(xs, [v.output_share for v in verdicts], T)
     return ident, out
 
 
@@ -135,7 +136,7 @@ def test_criterion_6_robust_decoding_trials():
         for pos in rng.sample(range(K), errors):
             values = (rng.randrange(Q),)
             shares[pos] = ShareVector(index=pos + 1, values=values)
-        if ss_robust_recon(shares, T) != secret:
+        if robust_recon([s.index for s in shares], [s.values[0] for s in shares], T) != secret[0]:
             failures += 1
     _report(6, failures == 0, f"{trials - failures}/{trials} exact recoveries within the error budget")
 

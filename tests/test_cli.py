@@ -123,13 +123,16 @@ def test_malformed_clean_config_override_exits_2(tmp_path, capsys, override):
     "command, config, override, who",
     [
         ("run", "clean.json", {"data_scale": 1e30}, "model owner's probe"),
-        # the first update leaves the weights non-finite
-        ("train", "train.json", {"eta": 1e300, "iterations": 3}, "model owner's probe"),
+        # the first update leaves the loss non-finite (the weights stay
+        # finite, near 1e298), which ends training at once
+        ("train", "train.json", {"eta": 1e300, "iterations": 3}, "iteration 1"),
+        ("train", "train.json", {"eta": 1e300, "iterations": 1}, "iteration 1"),
         ("run", "clean.json",
          {"scale_bits": 126, "malicious_dos": [{"id": 0, "behavior": "random_gradient"}]},
          "data owner 0"),
     ],
-    ids=["run-data_scale-1e30", "train-eta-1e300", "run-scale_bits-126"],
+    ids=["run-data_scale-1e30", "train-eta-1e300", "train-eta-1e300-iterations-1",
+         "run-scale_bits-126"],
 )
 def test_unrepresentable_value_is_a_protocol_failure(tmp_path, command, config, override, who):
     # run in a child process: numpy's overflow warnings must not become errors
@@ -144,6 +147,7 @@ def test_unrepresentable_value_is_a_protocol_failure(tmp_path, command, config, 
     assert proc.returncode == 1, proc.stderr
     assert f"protocol failure: {who}: " in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_unknown_flag_rejected(tmp_path):

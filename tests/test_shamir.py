@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -9,9 +10,9 @@ from gradmarket.shamir import (
     DecodeFailure,
     ShareVector,
     gao_decode,
+    robust_recon,
     share_with_masks,
     ss_recon,
-    ss_robust_recon,
     ss_share,
 )
 
@@ -114,11 +115,17 @@ def _bruteforce_decode(shares, T):
     return None
 
 
+def _robust_recon_vector(shares, T):
+    """robust_recon of every coordinate over the shares' own indices."""
+    xs = [s.index for s in shares]
+    return [robust_recon(xs, list(ys), T) for ys in zip(*(s.values for s in shares))]
+
+
 def test_robust_recon_no_errors_equals_recon():
     rng = random.Random(9)
     secret = [field.rand_element(rng) for _ in range(3)]
     shares, _ = ss_share(secret, 1, 5, rng)
-    assert ss_robust_recon(shares, 1) == ss_recon(shares, 1) == secret
+    assert _robust_recon_vector(shares, 1) == ss_recon(shares, 1) == secret
 
 
 def test_robust_recon_single_error_k5():
@@ -128,32 +135,53 @@ def test_robust_recon_single_error_k5():
     for bad_pos in range(5):
         tampered = list(shares)
         tampered[bad_pos] = _corrupt(tampered[bad_pos], rng)
-        assert ss_robust_recon(tampered, 1) == secret
+        assert _robust_recon_vector(tampered, 1) == secret
         assert _bruteforce_decode(tampered, 1) == secret
 
 
 def test_robust_recon_beyond_budget_never_silently_wrong():
-    # two errors at K=5, T=1 exceed floor((5-1-1)/2) = 1; decoding may fail
-    # outright, correctness is only promised up to the bound
-    rng = random.Random(12)
-    secret = [field.rand_element(rng)]
-    shares, _ = ss_share(secret, 1, 5, rng)
-    tampered = list(shares)
-    tampered[0] = _corrupt(tampered[0], rng)
-    tampered[3] = _corrupt(tampered[3], rng)
-    try:
-        ss_robust_recon(tampered, 1)
-    except DecodeFailure:
-        pass
+    # budget + 1 errors exceed floor((K-T-1)/2). Decoding then either fails
+    # or lands on another codeword within the radius, exactly when the
+    # exhaustive oracle does. Odd seeds move the errors onto a neighbouring
+    # codeword (one that agrees with the sharing at T indices), which is
+    # within the radius when K - T - 1 is even.
+    outcomes = set()
+    for seed in range(12, 28):
+        rng = random.Random(seed)
+        K = rng.randint(4, 8)
+        T = rng.randint(1, K - 2)
+        budget = (K - T - 1) // 2
+        shares, _ = ss_share([field.rand_element(rng)], T, K, rng)
+        agree = rng.sample(range(1, K + 1), T)
+        bad = rng.sample([i for i in range(1, K + 1) if i not in agree], budget + 1)
+        c = rng.randrange(1, Q)
+
+        def tamper(s):
+            if seed % 2:  # the neighbour is the sharing plus c * prod(x - j), j in agree
+                return ShareVector(s.index, ((s.values[0] + c * math.prod(s.index - j for j in agree)) % Q,))
+            return _corrupt(s, rng)
+
+        tampered = [tamper(s) if s.index in bad else s for s in shares]
+        expected = _bruteforce_decode(tampered, T)
+        xs, ys = [s.index for s in tampered], [s.values[0] for s in tampered]
+        if expected is None:
+            with pytest.raises(DecodeFailure):
+                robust_recon(xs, ys, T)
+        else:
+            assert robust_recon(xs, ys, T) == expected[0]
+        outcomes.add(expected is None)
+    assert outcomes == {True, False}
 
 
 def test_robust_recon_index_requirements():
     rng = random.Random(13)
     shares, _ = ss_share([5], 1, 5, rng)
+    xs, ys = [s.index for s in shares], [s.values[0] for s in shares]
+    assert robust_recon(xs[1:4], ys[1:4], 1) == 5  # indices 2..4: any index set
     with pytest.raises(ValueError):
-        ss_robust_recon(shares[1:4], 1)  # indices 2..4, not 1..3
+        robust_recon(xs, ys, 4)  # fewer than T + 2 points
     with pytest.raises(ValueError):
-        ss_robust_recon(shares, 4)  # K < T + 2
+        robust_recon([1, 2, 2, 4], ys[:4], 1)  # duplicate indices
 
 
 def test_gao_decode_zero_word():
@@ -161,20 +189,23 @@ def test_gao_decode_zero_word():
 
 
 def test_robust_recon_randomized_within_budget():
+    # errors and erasures: s of the K shares missing and e wrong among the
+    # rest, with 2e + s <= K - T - 1 and at least T + 2 shares received
     rng = random.Random(99)
     for _ in range(60):
         K = rng.randint(4, 16)
         T = rng.randint(1, K - 2)
-        budget = (K - T - 1) // 2
-        errors = rng.randint(0, budget)
+        erasures = rng.randint(0, K - T - 2)
+        errors = rng.randint(0, (K - T - 1 - erasures) // 2)
         secret = [field.rand_element(rng) for _ in range(2)]
         shares, _ = ss_share(secret, T, K, rng)
-        bad = rng.sample(range(K), errors)
+        kept = rng.sample(shares, K - erasures)
+        bad = rng.sample(range(len(kept)), errors)
         tampered = [
             _corrupt(s, rng, coord=rng.randrange(2)) if i in bad else s
-            for i, s in enumerate(shares)
+            for i, s in enumerate(kept)
         ]
-        assert ss_robust_recon(tampered, T) == secret
+        assert _robust_recon_vector(tampered, T) == secret
 
 
 def test_mask_to_share_map_is_bijective():

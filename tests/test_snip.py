@@ -6,7 +6,7 @@ import pytest
 from gradmarket import field, snip
 from gradmarket.circuit import CircuitBuilder, build_norm_circuit, eval_plain
 from gradmarket.field import Q
-from gradmarket.shamir import ShareVector, robust_recon_scalar, ss_recon, ss_share
+from gradmarket.shamir import ShareVector, robust_recon, ss_recon, ss_share
 
 
 def _run_protocol(packages, circ, r, T, corrupt_servers=(), corrupt_rng=None):
@@ -16,8 +16,9 @@ def _run_protocol(packages, circ, r, T, corrupt_servers=(), corrupt_rng=None):
 
 
 def _contract_view(verdicts, T):
-    ident = robust_recon_scalar([v.identity_share for v in verdicts], T)
-    out = robust_recon_scalar([v.output_share for v in verdicts], T)
+    xs = list(range(1, len(verdicts) + 1))
+    ident = robust_recon(xs, [v.identity_share for v in verdicts], T)
+    out = robust_recon(xs, [v.output_share for v in verdicts], T)
     return ident, out
 
 
@@ -267,6 +268,27 @@ def test_malformed_triple_only_hurts_the_prover():
     verdicts = _run_protocol(packages, circ, field.rand_element(rng), T)
     ident, _ = _contract_view(verdicts, T)
     assert ident != 0
+
+
+def test_identity_test_takes_packages_in_any_order():
+    rng = random.Random(17)
+    T, K = 1, 5
+    circ = build_norm_circuit(3, 10, accept_zero=True)
+    packages = snip.prove([1, 2, 2], circ, T, K, rng)
+    r = field.rand_element(rng)
+    lies = {4: (field.rand_element(rng), field.rand_element(rng))}
+    in_order = dict(zip(range(1, K + 1), snip.identity_test(packages, circ, r, T, lies)))
+    assert not any(v.decode_failed for v in in_order.values())
+    shuffled = [packages[i] for i in (3, 0, 4, 2, 1)]
+    verdicts = snip.identity_test(shuffled, circ, r, T, lies)
+    assert {p.index: v for p, v in zip(shuffled, verdicts)} == in_order
+    # without server 2 the other servers open d and e from four pairs, one
+    # of them a lie, and reach the same verdicts
+    rest = [p for p in shuffled if p.index != 2]
+    verdicts = snip.identity_test(rest, circ, r, T, lies)
+    assert {p.index: v for p, v in zip(rest, verdicts)} == {
+        i: v for i, v in in_order.items() if i != 2
+    }
 
 
 def test_decode_failure_reported_when_openings_unrecoverable():
