@@ -2,9 +2,11 @@
 
 A circuit is a topologically ordered gate list over F_q; evaluation records
 the left and right inputs of every multiplication gate, which is the trace
-the secret-shared validity proof consumes.
+the secret-shared validity proof consumes. Every other gate (input, const,
+add, sub, and cmul, a wire times a public constant) is affine, so it is
+local on shares and adds nothing to the trace.
 
-The norm-threshold predicate for bound rho is built as the product
+The norm-threshold predicate for bound rho is the product
 
     (S - 1)(S - 2) ... (S - rho),    S = sum of squared inputs,
 
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 
 from . import field
@@ -28,6 +31,7 @@ CONST = "const"
 ADD = "add"
 SUB = "sub"
 MUL = "mul"
+CMUL = "cmul"
 
 
 @dataclass(frozen=True)
@@ -35,7 +39,7 @@ class Gate:
     kind: str
     a: int = 0  # input index for INPUT, operand gate id otherwise
     b: int = 0
-    value: int = 0  # CONST only
+    value: int = 0  # CONST and CMUL only
 
 
 @dataclass(frozen=True)
@@ -57,6 +61,8 @@ class Circuit:
                 gates.append({"kind": INPUT, "k": g.a})
             elif g.kind == CONST:
                 gates.append({"kind": CONST, "value": str(g.value)})
+            elif g.kind == CMUL:
+                gates.append({"kind": CMUL, "a": g.a, "value": str(g.value)})
             else:
                 gates.append({"kind": g.kind, "a": g.a, "b": g.b})
         doc = {"inputs": self.num_inputs, "gates": gates, "output": self.output}
@@ -89,6 +95,10 @@ class CircuitBuilder:
     def mul(self, a: int, b: int) -> int:
         return self._push(Gate(MUL, a=a, b=b))
 
+    def cmul(self, a: int, value: int) -> int:
+        """Wire a times a public constant: affine, not a multiplication gate."""
+        return self._push(Gate(CMUL, a=a, value=value % Q))
+
     def build(self, output: int) -> Circuit:
         return Circuit(num_inputs=self.num_inputs, gates=tuple(self.gates), output=output)
 
@@ -96,9 +106,17 @@ class CircuitBuilder:
 def build_norm_circuit(m: int, rho: int, accept_zero: bool = False) -> Circuit:
     """Norm-threshold circuit on m inputs with bound rho.
 
-    Multiplication gates: m squaring gates, then the factor chain. Without
-    the zero carve-out M = m + rho - 1; with it M = m + rho. The output is
-    the final multiplication gate.
+    The d roots J (1..rho, or 0..rho with accept_zero) split into
+    consecutive blocks of at most k = ceil(sqrt(d)) roots. Each block's
+    monic polynomial prod_{j in block} (x - j) is expanded once and
+    evaluated at S from the powers S, S^2, ..., S^k with cmul and add gates
+    (Paterson-Stockmeyer baby steps), and the block values are multiplied
+    together. The output is the same field element as the unary product
+    prod_{j in J} (S - j) for every input.
+
+    Multiplication gates: m squares, k - 1 powers and ceil(d/k) - 1 block
+    products, so M <= m + 2k - 2. The output is the last block product, or
+    the single block's value when d = 1.
     """
     if m < 1 or rho < 1:
         raise ValueError("need m >= 1 and rho >= 1")
@@ -107,15 +125,31 @@ def build_norm_circuit(m: int, rho: int, accept_zero: bool = False) -> Circuit:
     total = squares[0]
     for s in squares[1:]:
         total = b.add(total, s)
-    factors = []
-    if accept_zero:
-        factors.append(total)  # (S - 0)
-    for j in range(1, rho + 1):
-        factors.append(b.sub(total, b.const(j)))
-    prod = factors[0]
-    for f in factors[1:]:
-        prod = b.mul(prod, f)
+    roots = range(0 if accept_zero else 1, rho + 1)
+    k = math.isqrt(len(roots) - 1) + 1
+    powers = [total]  # powers[i] is S^(i+1)
+    for _ in range(k - 1):
+        powers.append(b.mul(powers[-1], total))
+    prod = None
+    for start in range(0, len(roots), k):
+        block = roots[start:start + k]
+        coeffs = _monic_from_roots(block)
+        value = b.const(coeffs[0])
+        for c, power in zip(coeffs[1:-1], powers):
+            value = b.add(value, b.cmul(power, c))
+        value = b.add(value, powers[len(block) - 1])  # the monic term S^len(block)
+        prod = value if prod is None else b.mul(prod, value)
     return b.build(prod)
+
+
+def _monic_from_roots(roots) -> list[int]:
+    """Coefficients of prod (x - j) over roots, constant term first; the last
+    (leading) coefficient is 1. Integer arithmetic: cmul reduces mod q."""
+    coeffs = [1]
+    for j in roots:
+        # multiply by (x - j): c_i <- c_{i-1} - j * c_i
+        coeffs = [lo - j * hi for lo, hi in zip([0] + coeffs, coeffs + [0])]
+    return coeffs
 
 
 @dataclass
@@ -154,6 +188,8 @@ def _run_gates(circuit: Circuit, inputs: list[int], mul_rule) -> tuple[int, MulT
             wires[gid] = field.add(wires[g.a], wires[g.b])
         elif g.kind == SUB:
             wires[gid] = field.sub(wires[g.a], wires[g.b])
+        elif g.kind == CMUL:
+            wires[gid] = wires[g.a] * g.value % Q
         elif g.kind == MUL:
             u, v = wires[g.a], wires[g.b]
             wires[gid] = mul_rule(u, v)

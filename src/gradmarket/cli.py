@@ -141,18 +141,24 @@ def _selftest() -> int:
     ok = all(verify_share(s, cm2, key) for s in shares2)
     check("commitment completeness", ok)
 
-    # honest proof accepted end to end
+    # an honest proof end to end: an in-bound input is accepted, and an
+    # out-of-bound one reconstructs its nonzero plain output
     from . import snip
     circ = build_norm_circuit(3, 10, accept_zero=True)
-    inputs = [1, 2, 1]  # norm^2 = 6 <= 10
-    out, _ = eval_plain(circ, inputs)
-    pkgs = snip.prove(inputs, circ, 1, 5, rng)
-    r = field.rand_element(rng)
-    verdicts = snip.identity_test(pkgs, circ, r, 1)
-    xs = [p.index for p in pkgs]
-    ident = robust_recon(xs, [v.identity_share for v in verdicts], 1)
-    outv = robust_recon(xs, [v.output_share for v in verdicts], 1)
+
+    def prove_and_test(inputs):
+        out, _ = eval_plain(circ, inputs)
+        pkgs = snip.prove(inputs, circ, 1, 5, rng)
+        verdicts = snip.identity_test(pkgs, circ, field.rand_element(rng), 1)
+        xs = [p.index for p in pkgs]
+        ident = robust_recon(xs, [v.identity_share for v in verdicts], 1)
+        outv = robust_recon(xs, [v.output_share for v in verdicts], 1)
+        return out, ident, outv
+
+    out, ident, outv = prove_and_test([1, 2, 1])  # norm^2 = 6 <= 10
     check("validity proof completeness", out == 0 and ident == 0 and outv == 0)
+    out, ident, outv = prove_and_test([2, 2, 2])  # norm^2 = 12 > 10
+    check("validity proof rejects an out-of-bound input", ident == 0 and outv == out != 0)
 
     # decryption identity on the real path
     import numpy as np

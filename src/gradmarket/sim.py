@@ -374,8 +374,8 @@ class _Session:
                 probe_q = self._quantize(perturb.flatten(probe), "model owner's probe")
                 margin = math.ceil(config.rho_margin * self._sub_norm(probe_q))
                 self.rho = margin + 64  # additive slack, so a calibrated rho is >= 1
-            if self.rho > config.rho_cap:
-                self.rho, self.rho_clamped = config.rho_cap, True
+                if self.rho > config.rho_cap:
+                    self.rho, self.rho_clamped = config.rho_cap, True
 
     def share(self):
         """Each owner commits to its gradient on chain and sends each server a share."""

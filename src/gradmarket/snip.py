@@ -129,8 +129,9 @@ def server_eval(pkg: ProverPackage, circ: Circuit) -> tuple[int, MulTrace]:
     """Evaluate the circuit on shares; the same (output, MulTrace) form as
     eval_plain, holding this server's shares.
 
-    Input, constant, add, and sub gates are local (a public constant is its
-    own share at every index); each multiplication gate t takes its output
+    Input, constant, add, sub, and cmul gates are local (a public constant is
+    its own share at every index, and a public multiple of a share is a share
+    of the multiple); each multiplication gate t takes its output
     share [h(t)]_i from the package, and the trace records its input shares
     ([f(t)]_i, [g(t)]_i).
     """

@@ -1,10 +1,28 @@
 import itertools
+import json
+import math
 import random
 
 import pytest
 
-from gradmarket.circuit import MUL, CircuitBuilder, build_norm_circuit, eval_plain
+from gradmarket.circuit import CMUL, MUL, CircuitBuilder, build_norm_circuit, eval_plain
 from gradmarket.field import Q
+
+
+def _expected_num_mul(m, rho, accept_zero):
+    """m squares, k - 1 powers of S and ceil(d/k) - 1 block products for
+    d roots in blocks of k = ceil(sqrt(d))."""
+    d = rho + 1 if accept_zero else rho
+    k = math.isqrt(d - 1) + 1
+    return m + (k - 1) + (-(-d // k) - 1)
+
+
+def _unary_product(inputs, rho, accept_zero):
+    s = sum(x * x for x in inputs) % Q
+    out = 1
+    for j in range(0 if accept_zero else 1, rho + 1):
+        out = out * (s - j) % Q
+    return out
 
 
 def test_norm_circuit_hand_evaluations():
@@ -18,12 +36,18 @@ def test_norm_circuit_hand_evaluations():
 
 
 def test_norm_circuit_mul_count():
-    # m squares plus rho-1 chain products
-    c = build_norm_circuit(2, 2)
+    # m squares, then about 2 sqrt(rho) multiplications for the roots
+    c = build_norm_circuit(2, 2)  # d = 2: k = 2, one block
     assert c.num_mul == 3
-    for m, rho in [(1, 1), (3, 5), (4, 2)]:
-        assert build_norm_circuit(m, rho).num_mul == m + rho - 1
-        assert build_norm_circuit(m, rho, accept_zero=True).num_mul == m + rho
+    assert build_norm_circuit(3, 1).num_mul == 3  # d = 1: no power, no product
+    for m, rho in [(1, 1), (3, 5), (4, 2), (2, 130), (48, 448)]:
+        for accept_zero in (False, True):
+            k = math.isqrt(rho if accept_zero else rho - 1) + 1  # ceil(sqrt(d))
+            M = build_norm_circuit(m, rho, accept_zero=accept_zero).num_mul
+            assert M == _expected_num_mul(m, rho, accept_zero)
+            assert M <= m + 2 * k - 2
+    # the deep-proof circuit: 48 + 2 * ceil(sqrt(449)) - 2 = 90 at most
+    assert build_norm_circuit(48, 448, accept_zero=True).num_mul == 89
 
 
 def test_norm_circuit_zero_vector():
@@ -70,19 +94,49 @@ def test_eval_arity_mismatch():
 
 def test_norm_circuit_against_integer_oracle():
     """Exhaustive small-range check: zero output exactly when the true
-    integer sum of squares falls in 1..rho (and the carve-out adds 0)."""
+    integer sum of squares falls in 1..rho (and the carve-out adds 0).
+    The rho values put d (rho, or rho + 1 with the carve-out) at block
+    boundaries: d = 2, perfect squares, k^2 +- 1, and several blocks."""
     for m in (1, 2, 3):
-        for rho in (1, 3, 7, 20):
+        for rho in (1, 2, 3, 7, 8, 9, 10, 15, 16, 17, 20, 24, 25, 26, 130):
             plain = build_norm_circuit(m, rho)
             carved = build_norm_circuit(m, rho, accept_zero=True)
-            for entries in itertools.product(range(5), repeat=m):
+            for entries in itertools.product(range(8), repeat=m):
                 total = sum(e * e for e in entries)
                 out, trace = eval_plain(plain, list(entries))
                 assert (out == 0) == (1 <= total <= rho), (entries, rho)
-                assert len(trace) == m + rho - 1
+                assert len(trace) == _expected_num_mul(m, rho, False)
                 out_c, trace_c = eval_plain(carved, list(entries))
                 assert (out_c == 0) == (total <= rho)
-                assert len(trace_c) == m + rho
+                assert len(trace_c) == _expected_num_mul(m, rho, True)
+
+
+def test_norm_circuit_output_is_the_unary_product():
+    """The blocked circuit computes prod (S - j) mod q exactly, for any field
+    input, including inputs near +-(q-1)/2 whose sum of squares wraps mod q,
+    so the predicate is the unary one."""
+    rng = random.Random(18)
+    half = (Q - 1) // 2
+    for m, rho in [(1, 1), (2, 2), (3, 8), (2, 15), (3, 24), (4, 130)]:
+        for accept_zero in (False, True):
+            c = build_norm_circuit(m, rho, accept_zero=accept_zero)
+            draws = [[rng.randrange(Q) for _ in range(m)] for _ in range(10)]
+            draws += [[half - rng.randrange(4) for _ in range(m)] for _ in range(5)]
+            draws += [[(half + 1 + rng.randrange(4)) % Q for _ in range(m)] for _ in range(5)]
+            for inputs in draws:
+                out, _ = eval_plain(c, inputs)
+                assert out == _unary_product(inputs, rho, accept_zero), (m, rho, inputs)
+
+
+def test_cmul_gate_evaluates_locally_and_serializes():
+    b = CircuitBuilder(1)
+    scaled = b.cmul(b.input(0), -3)
+    c = b.build(b.add(scaled, b.const(1)))
+    value, trace = eval_plain(c, [5])
+    assert value == (1 - 15) % Q
+    assert len(trace) == 0 and c.num_mul == 0
+    gate = json.loads(c.to_json())["gates"][1]
+    assert gate == {"kind": "cmul", "a": 0, "value": str(Q - 3)}
 
 
 def test_negative_embeddings_square_correctly():
@@ -96,13 +150,19 @@ def test_negative_embeddings_square_correctly():
 
 def test_trace_products_hold():
     rng = random.Random(4)
-    c = build_norm_circuit(3, 6, accept_zero=True)
+    m, rho = 3, 15  # d = 16 roots: k = 4, three powers, four blocks
+    c = build_norm_circuit(m, rho, accept_zero=True)
+    assert any(g.kind == CMUL for g in c.gates)
     for _ in range(20):
-        inputs = [rng.randrange(10) for _ in range(3)]
+        inputs = [rng.randrange(10) for _ in range(m)]
         out, trace = eval_plain(c, inputs)
         # the m square gates read each input twice
-        assert trace.left[:3] == trace.right[:3] == inputs
-        # each chain gate's left input is the previous gate's product
+        assert trace.left[:m] == trace.right[:m] == inputs
         products = [u * v % Q for u, v in zip(trace.left, trace.right)]
-        assert trace.left[4:] == products[3:-1]
+        S = sum(products[:m]) % Q
+        # the k - 1 power gates each multiply the previous power by S
+        assert trace.right[m:m + 3] == [S] * 3
+        assert trace.left[m:m + 3] == [S, *products[m:m + 2]]
+        # each block product's left input is the previous product
+        assert trace.left[m + 4:] == products[m + 3:-1]
         assert out == products[-1]

@@ -215,7 +215,7 @@ def test_gas_compare_clean_config_golden_digest(tmp_path):
     cfg = str(CONFIGS / "clean.json")
     assert main(["gas-compare", "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "863a833166bf5ea73f6e5f78b6ded0d69fd1b37133ee8bcb29c664d610dc12af"
+        "da87ab995a783d9f3bfca2ec3dbb3ef4c4849898049142e0d1ec6317cb1383d9"
     )
 
 

@@ -283,6 +283,15 @@ def test_explicit_rho_skips_calibration():
     assert report["validity_set"] == [0, 1, 2, 3]
 
 
+def test_fixed_rho_above_the_cap_is_not_clamped():
+    # rho_cap bounds only a calibrated rho; a fixed bound is taken as given
+    path = Path(__file__).resolve().parent.parent / "configs" / "clean.json"
+    doc = dict(json.loads(path.read_text()), rho=2000)
+    report = run_session(SessionConfig.from_dict(doc), 3)
+    assert (report["rho"], report["rho_clamped"]) == (2000, False)
+    assert report["validity_set"] == [0, 1, 2, 3]
+
+
 def test_validation_disabled_keeps_all_owners():
     cfg = small_session_config(validation=False,
                                malicious_dos=({"id": 0, "behavior": "random_gradient"},))
@@ -380,7 +389,7 @@ def test_clean_config_report_golden_digest():
     path = Path(__file__).resolve().parent.parent / "configs" / "clean.json"
     report = run_session(SessionConfig.from_dict(json.loads(path.read_text())), 3)
     assert _report_digest(report) == (
-        "1e4e49ce8d398216d3f54bc39e6f6ac8905a111527bde1c0cd42d63ea1346645"
+        "4e1b0991c92327874cbf537bbd8a81c2a1d71e57b683792615077fbb1c2d5e7a"
     )
 
 
@@ -389,7 +398,7 @@ def test_all_adversaries_report_golden_digest():
     assert report["validity_set"] == [4, 5]
     assert report["aggregate_share_failures"] == [2]
     assert _report_digest(report) == (
-        "c330304a2bdc7184f8da6b585287235f94bd089a94d75ab03dab5cc6fbfa4d2f"
+        "085c03d3cf5e7e064037b1d339181bdd936ef462facfbe33d778e25031625a9b"
     )
 
 
@@ -408,7 +417,7 @@ def test_empty_validity_set_report_golden_digest():
     assert report["validity_set"] == []
     assert report["payments"] == {"mo": 1000}
     assert _report_digest(report) == (
-        "16ff1f5dfb1527380fff8356beb4c1ab6f521e7c88f2263a183ab5c34aa9d8df"
+        "98dd4f1d33d7cd2666b185f19c5b476a044e1bb201d26f3385f549fe8a045ca9"
     )
 
 
@@ -430,7 +439,7 @@ def test_attacked_training_report_and_curve_golden_digest():
     report = _rounded(run_training(SessionConfig.from_dict(doc), 3))
     assert [s["validity_set"] for s in report["sessions"]] == [[1, 2, 3]] * 3
     assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == (
-        "7a44451ae16b27b9536343832c0608dc4be827fbcedd3a8515ba1d05bbf62248"
+        "112004376c05af58904d752813d20ea5c953143bf6d771ee0d1762999c72cf1e"
     )
     assert hashlib.sha256(loss_curve_csv(report).encode()).hexdigest() == (
         "f85da55f86bdee7af0e47133a9d66a2b62aaac90f4aca841531daa5032b648ac"

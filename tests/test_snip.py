@@ -4,7 +4,7 @@ import random
 import pytest
 
 from gradmarket import field, snip
-from gradmarket.circuit import CircuitBuilder, build_norm_circuit, eval_plain
+from gradmarket.circuit import CMUL, CircuitBuilder, build_norm_circuit, eval_plain
 from gradmarket.field import Q
 from gradmarket.shamir import ShareVector, robust_recon, ss_recon, ss_share
 
@@ -64,10 +64,25 @@ def test_h_reconstructs_trace_products():
     assert h == [field.poly_eval(fg, t) for t in range(1, 2 * M)]
 
 
+def _unary_norm_circuit(m, rho):
+    """The unary norm circuit S (S - 1) ... (S - rho): m squares and a chain
+    of rho products, M = m + rho. It pins the extension at a fixed M."""
+    b = CircuitBuilder(m)
+    squares = [b.mul(b.input(k), b.input(k)) for k in range(m)]
+    total = squares[0]
+    for s in squares[1:]:
+        total = b.add(total, s)
+    prod = total
+    for j in range(1, rho + 1):
+        prod = b.mul(prod, b.sub(total, b.const(j)))
+    return b.build(prod)
+
+
 def test_compute_h_golden_digest():
     # M = 496, 991 values of h. The digest was recorded with the per-point
     # barycentric extension; any exact extension of f and g reproduces it.
-    circ = build_norm_circuit(48, 448, accept_zero=True)
+    circ = _unary_norm_circuit(48, 448)
+    assert circ.num_mul == 496
     rng = random.Random(4)
     inputs = [rng.randrange(-3, 4) % Q for _ in range(48)]
     h = snip.compute_h(circ, inputs)[2]
@@ -103,10 +118,25 @@ def test_server_eval_reconstructs_wire_values():
     outs = [ShareVector(p.index, (o,)) for p, (o, _) in zip(packages, evals)]
     assert ss_recon(outs[:2], 1) == [35]
 
-    # a norm circuit: every gate's input shares reconstruct to eval_plain's
-    # values, and the output shares to the plain output
+    # a public constant times a share is a share of the product
+    b = CircuitBuilder(2)
+    out = b.mul(b.cmul(b.input(0), -2), b.add(b.input(1), b.cmul(b.input(0), 3)))
+    circ = b.build(out)
+    packages = snip.prove([5, 7], circ, 1, 4, rng)
+    evals = [snip.server_eval(p, circ) for p in packages]
+    left = [ShareVector(p.index, (tr.left[0],)) for p, (_, tr) in zip(packages, evals)]
+    right = [ShareVector(p.index, (tr.right[0],)) for p, (_, tr) in zip(packages, evals)]
+    assert ss_recon(left[:2], 1) == [Q - 10]
+    assert ss_recon(right[2:], 1) == [22]
+    outs = [ShareVector(p.index, (o,)) for p, (o, _) in zip(packages, evals)]
+    assert ss_recon(outs[1:3], 1) == [Q - 220]
+
+    # a norm circuit (its block polynomials use cmul gates): every gate's
+    # input shares reconstruct to eval_plain's values, and the output shares
+    # to the plain output
     T = 2
     circ = build_norm_circuit(3, 5, accept_zero=True)
+    assert any(g.kind == CMUL for g in circ.gates)
     inputs = [1, 2, 1]
     out_plain, plain = eval_plain(circ, inputs)
     packages = snip.prove(inputs, circ, T, 5, rng)
@@ -150,15 +180,19 @@ def test_all_add_circuit_has_no_wire_shares_and_rejects_proving():
 def test_honest_completeness():
     rng = random.Random(7)
     T, K = 1, 5
-    circ = build_norm_circuit(3, 10, accept_zero=True)
-    inputs = [1, 2, 2]  # sum sq 9 <= 10
-    out_plain, _ = eval_plain(circ, inputs)
-    assert out_plain == 0
-    packages = snip.prove(inputs, circ, T, K, rng)
-    r = field.rand_element(rng)
-    verdicts = _run_protocol(packages, circ, r, T)
-    ident, out = _contract_view(verdicts, T)
-    assert ident == 0 and out == 0
+    for rho, inputs in [
+        (10, [1, 2, 2]),  # sum sq 9 <= 10: three blocks of cmul gates
+        (130, [Q - 5, 7, 6]),  # 25 + 49 + 36 = 110 <= 130: eleven blocks
+    ]:
+        circ = build_norm_circuit(3, rho, accept_zero=True)
+        assert any(g.kind == CMUL for g in circ.gates)
+        out_plain, _ = eval_plain(circ, inputs)
+        assert out_plain == 0
+        packages = snip.prove(inputs, circ, T, K, rng)
+        r = field.rand_element(rng)
+        verdicts = _run_protocol(packages, circ, r, T)
+        ident, out = _contract_view(verdicts, T)
+        assert ident == 0 and out == 0
 
 
 def test_invalid_input_detected_through_output_wire():
@@ -177,20 +211,21 @@ def test_invalid_input_detected_through_output_wire():
 def test_tampered_h_rejected():
     rng = random.Random(9)
     T, K = 1, 5
-    circ = build_norm_circuit(2, 6, accept_zero=True)
-    inputs = [1, 1]
-    rejections = 0
     trials = 30
-    for _ in range(trials):
-        input_shares, _ = ss_share(inputs, T, K, rng)
-        _, _, h = snip.compute_h(circ, inputs)
-        h[rng.randrange(len(h))] = (h[rng.randrange(len(h))] + rng.randrange(1, Q)) % Q
-        packages = snip.package_proof(input_shares, h, T, K, rng)
-        verdicts = _run_protocol(packages, circ, field.rand_element(rng), T)
-        ident, _ = _contract_view(verdicts, T)
-        if ident != 0:
-            rejections += 1
-    assert rejections == trials
+    for rho, inputs in [(6, [1, 1]), (130, [Q - 5, 7])]:
+        circ = build_norm_circuit(2, rho, accept_zero=True)
+        assert any(g.kind == CMUL for g in circ.gates)
+        rejections = 0
+        for _ in range(trials):
+            input_shares, _ = ss_share(inputs, T, K, rng)
+            _, _, h = snip.compute_h(circ, inputs)
+            h[rng.randrange(len(h))] = (h[rng.randrange(len(h))] + rng.randrange(1, Q)) % Q
+            packages = snip.package_proof(input_shares, h, T, K, rng)
+            verdicts = _run_protocol(packages, circ, field.rand_element(rng), T)
+            ident, _ = _contract_view(verdicts, T)
+            if ident != 0:
+                rejections += 1
+        assert rejections == trials
 
 
 def _tampered_h_rejections(positions, seed, trials=30):
