@@ -8,13 +8,14 @@ cost is charged. Every transaction, deployment included, runs through
 `TradeContract._tx`, the only code that charges and logs: one phase guard,
 one charge and one `tx_log` record, refused or not. Events (round ticks,
 phase checkpoints) share the phase guard but are free and are not
-transactions. `verdicts` holds one outcome per owner.
+transactions. `verdicts` holds one outcome per owner; the validity set is
+derived from it and is not stored.
 
-Storage is modeled as named slots of 32-byte words; the live word count is
-what the storage-independence analysis measures. Verdict shares submitted
+Storage is keyed records of 32-byte words, written only by `_store`, which
+charges a transaction exactly the words it stores. Verdict shares submitted
 by servers are buffered, consumed by the robust reconstruction when the
-last server reports, and freed, so the end-of-session footprint stays
-O(N*T) regardless of gradient length.
+last server reports, and freed uncharged, so the end-of-session footprint
+stays O(N*T) regardless of gradient length.
 
 Gas numbers are calibration constants with EVM-flavored defaults, not
 ground truth for any real chain.
@@ -172,7 +173,7 @@ class TradeContract:
         self.validation = validation
         self.rng = rng
         self.meter = GasMeter(gas_table or GasTable())
-        self.slots: dict[str, int] = {}
+        self.slots: dict[str | tuple, int] = {}
         self.tx_log: list[dict] = []
         self.events: list[dict] = []
 
@@ -180,7 +181,6 @@ class TradeContract:
         self.M0 = 0
         self.N_max = 0
         self.registered: list[int] = []
-        self.validity: set[int] = set()
         self.commitments: dict[int, VectorCommitment] = {}
         self.pending_complaints: set[tuple[int, int]] = set()
         self.false_complaints: list[tuple[int, int]] = []
@@ -195,9 +195,8 @@ class TradeContract:
         self.register_rounds = 0
 
         with self._tx("deploy", "mo", SETUP) as cost:
-            self.slots["whitelist"] = 1
-            self.slots["deposit"] = 1
-            cost["writes"] = 2
+            self._store(cost, "whitelist", 1)
+            self._store(cost, "deposit", 1)
 
     # ------------------------------------------------------------------
     # bookkeeping
@@ -220,10 +219,10 @@ class TradeContract:
     def _tx(self, method, caller, phase):
         """Run one transaction's body behind `_checkpoint`; charge and log it.
 
-        The body puts its `GasMeter.charge` operands into the yielded dict.
-        Applied or refused, it costs one charge and one `tx_log` record, whose
-        `stored_words_delta` is the live word count's change across the body.
-        A refusal pays the base cost, keeps its phase and is re-raised."""
+        The body and `_store` put `GasMeter.charge` operands into the yielded
+        dict. Applied or refused, it costs one charge and one `tx_log` record,
+        whose `stored_words_delta` is the live word count's change across the
+        body. A refusal pays the base cost, keeps its phase, is re-raised."""
         words = self.on_chain_word_count()
         cost: dict[str, int] = {}
         refusal = None
@@ -245,11 +244,24 @@ class TradeContract:
         if refusal is not None:
             raise refusal
 
+    def _store(self, cost, key, words):
+        """Set record `key` to `words` words (0 frees it) and charge the words."""
+        if words:
+            self.slots[key] = words
+        else:
+            del self.slots[key]
+        cost["writes"] = cost.get("writes", 0) + words
+
     def _event(self, name, **info):
         self.events.append({"event": name, "phase": self.phase, **info})
 
     def on_chain_word_count(self) -> int:
         return sum(self.slots.values())
+
+    @property
+    def validity(self) -> set[int]:
+        """Registered owners not excluded: no verdict yet, or accepted."""
+        return {n for n in self.registered if self.verdicts.get(n) is None}
 
     def gas_report(self) -> dict:
         return {"per_method": dict(sorted(self.meter.per_method.items())),
@@ -268,10 +280,10 @@ class TradeContract:
             self.root = bytes(root)
             self.M0 = M0
             self.N_max = N_max
-            self.slots["root"] = 1
-            self.slots["params"] = 1
+            self._store(cost, "root", 1)
+            self._store(cost, "params", 1)
             self.phase = REGISTER
-            cost.update(writes=2, hash_words=1)
+            cost["hash_words"] = 1
 
     def register(self, do_id: int):
         with self._tx("register", do_id, REGISTER) as cost:
@@ -280,11 +292,11 @@ class TradeContract:
             if do_id in self.registered:
                 raise TxRejected("already registered")
             self.registered.append(do_id)
-            self.slots["registered"] = 1
+            self._store(cost, "registered", 1)
             if len(self.registered) >= self.N_max:
                 self.phase = SHARE_COLLECTION
                 self._event("registration_complete", count=len(self.registered))
-            cost.update(reads=1, writes=1)
+            cost["reads"] = 1
 
     def advance_round(self):
         """Simulated round tick; triggers the registration timeout."""
@@ -303,8 +315,7 @@ class TradeContract:
             if len(commitment.elements) != self.T + 1:
                 raise TxRejected("commitment width must be T+1")
             self.commitments[do_id] = commitment
-            self.slots["commitments"] = self.slots.get("commitments", 0) + self.T + 1
-            cost["writes"] = self.T + 1
+            self._store(cost, ("commitment", do_id), self.T + 1)
 
     def complain(self, server_i: int, do_id: int):
         with self._tx("complain", server_i, SHARE_COLLECTION):
@@ -329,24 +340,21 @@ class TradeContract:
                 self._event("complaint_dismissed", server=share.index, do=do_id)
             else:
                 self.verdicts[do_id] = "complaint_upheld"
+                self._store(cost, ("verdict", do_id), 1)
                 self._event("complaint_upheld", server=share.index, do=do_id)
             checked = (self.T + 1) + len(self.commit_key)
-            cost.update(reads=checked, group_ops=checked, writes=1)
+            cost.update(reads=checked, group_ops=checked)
             return ok
 
     def mark_shares_ready(self):
-        """Checkpoint event: every registered owner resolved, complaints done.
-
-        Writes the validity set: the registered owners with no verdict yet,
-        that is, all but those excluded by an upheld complaint."""
+        """Checkpoint event: every registered owner resolved, complaints done;
+        the validity set is all but the owners an upheld complaint excluded."""
         with self._checkpoint("mark_shares_ready", SHARE_COLLECTION):
             if self.pending_complaints:
                 raise TxRejected("complaints still pending")
             missing = [n for n in self.registered if n not in self.commitments]
             if missing:
                 raise TxRejected(f"missing commitments for {missing}")
-            self.validity = {n for n in self.registered if n not in self.verdicts}
-            self.slots["validity"] = 1
             self.phase = SHARE_READY
             self._event("shares_ready", validity=sorted(self.validity))
 
@@ -363,8 +371,8 @@ class TradeContract:
                 raise TxRejected("circuit already revealed")
             blob = circ.to_json().encode()
             self.circuit = circ
-            self.slots["circuit_hash"] = 1
-            cost.update(writes=1, hash_words=(len(blob) + 31) // 32)
+            self._store(cost, "circuit_hash", 1)
+            cost["hash_words"] = (len(blob) + 31) // 32
 
     def sample_challenge(self) -> int:
         with self._tx("sample_challenge", "mo", GRAD_VALIDATION) as cost:
@@ -373,8 +381,7 @@ class TradeContract:
             if self.challenge is not None:
                 raise TxRejected("challenge already sampled")
             self.challenge = field.rand_element(self.rng)
-            self.slots["challenge"] = 1
-            cost["writes"] = 1
+            self._store(cost, "challenge", 1)
             return self.challenge
 
     def submit_verdict(
@@ -396,25 +403,25 @@ class TradeContract:
                 raise TxRejected("duplicate submission")
             buf = self.verdict_buffer.setdefault(do_id, {})
             buf[server_i] = (identity_share % Q, output_share % Q, bool(decode_failed))
-            self.slots["verdict_buffer"] = self.slots.get("verdict_buffer", 0) + 2
-            cost["writes"] = 2
+            self._store(cost, ("verdict_share", do_id, server_i), 2)
             if len(buf) == self.K:
-                cost.update(writes=3, field_ops=self._finalize_verdict(do_id))
-                self.slots["verdict_buffer"] -= 2 * self.K
-                if self.slots["verdict_buffer"] == 0:
-                    del self.slots["verdict_buffer"]
-                self.slots["verdicts"] = self.slots.get("verdicts", 0) + 1
+                cost["field_ops"] = self._finalize_verdict(do_id)
+                for i in buf:
+                    self._store(cost, ("verdict_share", do_id, i), 0)
+                self._store(cost, ("verdict", do_id), 1)
 
     def _finalize_verdict(self, do_id: int) -> int:
         """Robustly reconstruct identity and output; record the verdict.
 
+        Honest servers decode the same broadcast and flag together, so up
+        to (K-T-1)//2 flags are liars' and decode as erasures; more reject.
         Returns the modeled field-op count charged to the finalizing tx."""
         buf = self.verdict_buffer[do_id]
-        xs = sorted(buf)
-        id_shares, out_shares, failed = map(list, zip(*(buf[i] for i in xs)))
+        xs = sorted(i for i in buf if not buf[i][2])
+        id_shares, out_shares = ([buf[i][j] for i in xs] for j in (0, 1))
         field_ops = rs_decode_field_ops(len(xs))
         reason = "decode_failed"
-        if not any(failed):
+        if len(buf) - len(xs) <= (self.K - self.T - 1) // 2:
             with contextlib.suppress(DecodeFailure):
                 if robust_recon(xs, id_shares, self.T) != 0:
                     reason = "identity_nonzero"
@@ -423,11 +430,7 @@ class TradeContract:
                     output = robust_recon(xs, out_shares, self.T)
                     reason = "output_nonzero" if output != 0 else None
         self.verdicts[do_id] = reason
-        if reason is None:
-            self._event("gradient_accepted", do=do_id)
-        else:
-            self.validity.discard(do_id)
-            self._event("gradient_rejected", do=do_id)
+        self._event("gradient_rejected" if reason else "gradient_accepted", do=do_id)
         return field_ops
 
     def complete_validation(self):
@@ -444,15 +447,14 @@ class TradeContract:
         with self._tx("pay", "mo", PAYMENT) as cost:
             if self.validity:
                 per_do = self.deposit // len(self.validity)
-                for n in sorted(self.validity):
-                    self.balances[n] = self.balances.get(n, 0) + per_do
+                self.balances = dict.fromkeys(sorted(self.validity), per_do)
                 retained = self.deposit - per_do * len(self.validity)
                 self._event("payment", per_do=per_do, retained=retained)
-                cost["writes"] = len(self.validity)
             else:
-                self.balances["mo"] = self.balances.get("mo", 0) + self.deposit
+                self.balances = {"mo": self.deposit}
                 self._event("payment_refunded", amount=self.deposit)
-                cost["writes"] = 1
+            for account in self.balances:
+                self._store(cost, ("balance", account), 1)
             self.phase = RECONSTRUCTION
 
     def aggregate_commitment(self) -> VectorCommitment | None:
@@ -463,9 +465,9 @@ class TradeContract:
                 return None
             parts = [self.commitments[n] for n in sorted(self.validity)]
             self.aggregated = commit_mod.aggregate_commitments(parts)
-            self.slots["aggregate_commitment"] = self.T + 1
+            self._store(cost, "aggregate_commitment", self.T + 1)
             read = len(parts) * (self.T + 1)
-            cost.update(writes=self.T + 1, group_ops=read, reads=read)
+            cost.update(group_ops=read, reads=read)
             return self.aggregated
 
     def finish(self):
@@ -473,11 +475,11 @@ class TradeContract:
             self.phase = FINISHED
 
 
-def expected_word_count(N: int, T: int) -> int:
-    """Closed-form live storage at session end, independent of gradient size:
-    8 constant slots + N*(T+1) commitment words + N verdict records + T+1
-    aggregate commitment words."""
-    return 8 + N * (T + 1) + N + (T + 1)
+def expected_word_count(N: int, T: int, paid: int) -> int:
+    """Live words at the end of a validated session with a non-empty validity
+    set, independent of gradient size: 7 constant records, T+1 commitment
+    words and a verdict per owner, T+1 aggregate words, a balance per payee."""
+    return 7 + N * (T + 1) + N + (T + 1) + paid
 
 
 def baseline_gas_estimate(

@@ -187,7 +187,7 @@ def test_criterion_8_storage_independence():
                 samples_per_do=4, mo_samples=8, deposit=60,
             )
             rep = run_session(cfg, 1)
-            if rep["on_chain_words"] != expected_word_count(N, T):
+            if rep["on_chain_words"] != expected_word_count(N, T, paid=N):
                 formula_ok = False
     _report(8, same and formula_ok,
             f"words(m=192) = words(m=768) = {small['on_chain_words']}; "

@@ -215,7 +215,7 @@ def test_gas_compare_clean_config_golden_digest(tmp_path):
     cfg = str(CONFIGS / "clean.json")
     assert main(["gas-compare", "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "da87ab995a783d9f3bfca2ec3dbb3ef4c4849898049142e0d1ec6317cb1383d9"
+        "e4f0941a3217ebbdb66554c7c6d3fc34bdc0434d3301220cf112ac220e06bcdb"
     )
 
 

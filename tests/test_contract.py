@@ -153,6 +153,13 @@ def test_complaint_upheld_excludes_owner():
     contract.complain(3, 1)
     assert contract.resolve_complaint(1, bad) is False
     assert contract.verdicts == {1: "complaint_upheld"}
+    # the upheld complaint stores the owner's verdict record and pays its write
+    t, checked = GasTable(), (contract.T + 1) + len(key)
+    assert contract.slots[("verdict", 1)] == 1
+    assert contract.tx_log[-1]["stored_words_delta"] == 1
+    assert contract.tx_log[-1]["gas"] == (
+        t.tx_base + checked * (t.storage_word_read + t.group_op) + t.storage_word_write
+    )
     contract.mark_shares_ready()
     assert contract.validity == {0}
 
@@ -166,6 +173,10 @@ def test_false_complaint_dismissed_owner_retained():
     contract.complain(2, 0)
     assert contract.resolve_complaint(0, shares[1]) is True
     assert contract.false_complaints == [(2, 0)]
+    # a dismissed complaint stores nothing and is charged no write
+    t, checked = GasTable(), (contract.T + 1) + len(key)
+    assert contract.tx_log[-1]["stored_words_delta"] == 0
+    assert contract.tx_log[-1]["gas"] == t.tx_base + checked * (t.storage_word_read + t.group_op)
     contract.mark_shares_ready()
     assert contract.validity == {0}
 
@@ -218,28 +229,29 @@ def test_challenge_deterministic_per_seed():
     assert challenge(1) != challenge(2)
 
 
-def _submit_shared_value(contract, n, identity_value, output_value, rng, failed_server=None):
+def _submit_shared_value(contract, n, identity_value, output_value, rng, failed_servers=()):
     """Shamir-share two scalars across K servers and submit all verdicts;
-    `failed_server`, if given, reports a failed decode."""
+    each of `failed_servers` reports a failed decode."""
     id_shares, _ = ss_share([identity_value], contract.T, contract.K, rng)
     out_shares, _ = ss_share([output_value], contract.T, contract.K, rng)
     for i in range(1, contract.K + 1):
         contract.submit_verdict(i, n, id_shares[i - 1].values[0], out_shares[i - 1].values[0],
-                                decode_failed=i == failed_server)
+                                decode_failed=i in failed_servers)
 
 
 def test_verdict_flow_accept_and_reject():
-    contract, key, rng = _fresh()
-    _advance_to_validation(contract, key, rng)
+    contract, key, rng = _fresh(N=5)  # K=5, T=1: at most one flag is a liar's
+    _advance_to_validation(contract, key, rng, N=5)
     contract.reveal_circuit(build_norm_circuit(3, 4, accept_zero=True))
     contract.sample_challenge()
     _submit_shared_value(contract, 0, 0, 0, rng)  # identity 0, output 0: valid
     _submit_shared_value(contract, 1, 0, 5, rng)  # output nonzero: rejected
     _submit_shared_value(contract, 2, 7, 0, rng)  # identity nonzero: rejected
-    _submit_shared_value(contract, 3, 0, 0, rng, failed_server=2)  # a server's decode failed
-    assert contract.validity == {0}
+    _submit_shared_value(contract, 3, 0, 0, rng, failed_servers=(2, 4))  # too many flags
+    _submit_shared_value(contract, 4, 0, 0, rng, failed_servers=(5,))  # one liar flags
+    assert contract.validity == {0, 4}
     assert contract.verdicts == {
-        0: None, 1: "output_nonzero", 2: "identity_nonzero", 3: "decode_failed",
+        0: None, 1: "output_nonzero", 2: "identity_nonzero", 3: "decode_failed", 4: None,
     }
     contract.complete_validation()
     assert contract.phase == PAYMENT
@@ -261,8 +273,8 @@ def test_verdict_buffer_freed_after_reconstruction():
     contract.reveal_circuit(build_norm_circuit(3, 4, accept_zero=True))
     contract.sample_challenge()
     _submit_shared_value(contract, 0, 0, 0, rng)
-    assert "verdict_buffer" not in contract.slots
-    assert contract.slots["verdicts"] == 1
+    assert all(("verdict_share", 0, i) not in contract.slots for i in range(1, contract.K + 1))
+    assert contract.slots[("verdict", 0)] == 1
 
 
 def _complete_session(contract, key, rng, N=4, identity=0, output=0):
@@ -328,7 +340,7 @@ def test_aggregate_commitment_matches_validity_product():
 def test_word_count_matches_closed_form():
     contract, key, rng = _fresh(deposit=100, N=4, T=1)
     _complete_session(contract, key, rng)
-    assert contract.on_chain_word_count() == expected_word_count(4, 1)
+    assert contract.on_chain_word_count() == expected_word_count(4, 1, paid=4)
 
 
 def test_word_count_closed_form_across_parameters():
@@ -342,7 +354,29 @@ def test_word_count_closed_form_across_parameters():
                 commit_key=key, rng=random.Random(1),
             )
             _complete_session(contract, key, rng, N=N)
-            assert contract.on_chain_word_count() == expected_word_count(N, T), (N, T)
+            assert contract.on_chain_word_count() == expected_word_count(N, T, paid=N), (N, T)
+
+
+def test_charged_writes_are_the_stored_words():
+    # with only storage writes priced, gas counts the words each transaction
+    # stores: the live words, each owner's 2K verdict-share words (freed,
+    # uncharged, by its final verdict), and the `registered` word that every
+    # register after the first rewrites
+    N, K = 4, 5
+    rng = random.Random(7)
+    key = setup_key(3, rng)
+    write = GasTable(storage_word_read=0, field_op=0, group_op=0, hash_word=0, tx_base=0)
+    contract = TradeContract(
+        deposit=100, whitelist=range(N), K=K, T=1, commit_key=key,
+        rng=random.Random(11), gas_table=write,
+    )
+    _complete_session(contract, key, rng, N=N)
+    words = contract.on_chain_word_count()
+    assert sum(r["stored_words_delta"] for r in contract.tx_log) == words
+    assert contract.meter.total == (words + N * 2 * K + N - 1) * write.storage_word_write
+    for record in contract.tx_log:
+        if record["method"] != "register" and record["stored_words_delta"] >= 0:
+            assert record["gas"] == record["stored_words_delta"] * write.storage_word_write
 
 
 def test_state_machine_safety_exhaustive():

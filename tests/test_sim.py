@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import SMALL_SESSION, small_session_config, training_config
 from gradmarket import snip
-from gradmarket.contract import TradeContract
+from gradmarket.contract import TradeContract, expected_word_count
 from gradmarket.sim import (
     DO_BEHAVIORS,
     SERVER_BEHAVIORS,
@@ -317,6 +317,29 @@ def test_on_chain_words_independent_of_gradient_length():
     assert small["on_chain_words"] == big["on_chain_words"]
 
 
+@pytest.mark.parametrize("name", ["clean", "gas2400", "train", "train_attacked"])
+def test_tx_log_deltas_sum_to_on_chain_words(name):
+    path = Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"
+    config = SessionConfig.from_dict(json.loads(path.read_text()))
+    report = run_session(config, 3)
+    words = report["on_chain_words"]
+    assert sum(tx["stored_words_delta"] for tx in report["transactions"]) == words
+    assert words == expected_word_count(config.N, config.T, paid=len(report["payments"]))
+
+
+def test_upheld_complaint_storage_matches_closed_form():
+    # the excluded owner's verdict record is stored by its upheld complaint
+    path = Path(__file__).resolve().parent.parent / "configs" / "clean.json"
+    doc = dict(json.loads(path.read_text()), N=5, K=7,
+               malicious_dos=[{"id": 0, "behavior": "bad_share"}])
+    report = run_session(SessionConfig.from_dict(doc), 3)
+    assert report["validity_set"] == [1, 2, 3, 4]
+    assert report["on_chain_words"] == 28 == expected_word_count(5, 1, paid=4)
+    assert sum(tx["stored_words_delta"] for tx in report["transactions"]) == 28
+    resolved = [tx for tx in report["transactions"] if tx["method"] == "resolve_complaint"]
+    assert [tx["stored_words_delta"] for tx in resolved] == [1]
+
+
 def test_session_liveness_reaches_finished():
     for seed in range(3):
         report = run_session(small_session_config(), seed)
@@ -389,7 +412,7 @@ def test_clean_config_report_golden_digest():
     path = Path(__file__).resolve().parent.parent / "configs" / "clean.json"
     report = run_session(SessionConfig.from_dict(json.loads(path.read_text())), 3)
     assert _report_digest(report) == (
-        "4e1b0991c92327874cbf537bbd8a81c2a1d71e57b683792615077fbb1c2d5e7a"
+        "456082b7d810e0fb5b3c22c73df3f5c1a3a79a3bde5c5dd35ac9b7ba35fef0b9"
     )
 
 
@@ -398,7 +421,7 @@ def test_all_adversaries_report_golden_digest():
     assert report["validity_set"] == [4, 5]
     assert report["aggregate_share_failures"] == [2]
     assert _report_digest(report) == (
-        "085c03d3cf5e7e064037b1d339181bdd936ef462facfbe33d778e25031625a9b"
+        "09b748dfb48fc802063cb688d73ff663f3b5d4d8217d8bad81cbf28503f43d6d"
     )
 
 
@@ -406,7 +429,7 @@ def test_unvalidated_session_report_golden_digest():
     report = run_session(small_session_config(validation=False), 3)
     assert report["validity_set"] == [0, 1, 2, 3]
     assert _report_digest(report) == (
-        "f9c7130f8a65c59b10c85b2c7edc6b93f714768b76d6e3c3c0e25b4d394ef3c1"
+        "94fc399414693a8604b68403eabb7a2141af7700d88ba9da45a41a22ddb95081"
     )
 
 
@@ -417,7 +440,7 @@ def test_empty_validity_set_report_golden_digest():
     assert report["validity_set"] == []
     assert report["payments"] == {"mo": 1000}
     assert _report_digest(report) == (
-        "98dd4f1d33d7cd2666b185f19c5b476a044e1bb201d26f3385f549fe8a045ca9"
+        "a04cae5532dfa61eeaf7e2177981963b8363300ff5ca15ab973736687dfe0737"
     )
 
 

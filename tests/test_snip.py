@@ -219,7 +219,8 @@ def test_tampered_h_rejected():
         for _ in range(trials):
             input_shares, _ = ss_share(inputs, T, K, rng)
             _, _, h = snip.compute_h(circ, inputs)
-            h[rng.randrange(len(h))] = (h[rng.randrange(len(h))] + rng.randrange(1, Q)) % Q
+            t = rng.randrange(len(h))
+            h[t] = (h[t] + rng.randrange(1, Q)) % Q
             packages = snip.package_proof(input_shares, h, T, K, rng)
             verdicts = _run_protocol(packages, circ, field.rand_element(rng), T)
             ident, _ = _contract_view(verdicts, T)
