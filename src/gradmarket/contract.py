@@ -339,8 +339,9 @@ class TradeContract:
                 self.false_complaints.append((share.index, do_id))
                 self._event("complaint_dismissed", server=share.index, do=do_id)
             else:
-                self.verdicts[do_id] = "complaint_upheld"
-                self._store(cost, ("verdict", do_id), 1)
+                if do_id not in self.verdicts:  # a later upheld complaint keeps the first verdict
+                    self.verdicts[do_id] = "complaint_upheld"
+                    self._store(cost, ("verdict", do_id), 1)
                 self._event("complaint_upheld", server=share.index, do=do_id)
             checked = (self.T + 1) + len(self.commit_key)
             cost.update(reads=checked, group_ops=checked)

@@ -51,10 +51,6 @@ class MlpModel:
     def num_layers(self) -> int:
         return len(self.weights)
 
-    @property
-    def num_params(self) -> int:
-        return sum(w.size for w in self.weights)
-
 
 def random_model(layer_sizes, rng: np.random.Generator) -> MlpModel:
     """He-style random init: 0.5/sqrt(fan_in) normal entries."""

@@ -129,11 +129,10 @@ def server_eval(pkg: ProverPackage, circ: Circuit) -> tuple[int, MulTrace]:
     """Evaluate the circuit on shares; the same (output, MulTrace) form as
     eval_plain, holding this server's shares.
 
-    Input, constant, add, sub, and cmul gates are local (a public constant is
-    its own share at every index, and a public multiple of a share is a share
-    of the multiple); each multiplication gate t takes its output
-    share [h(t)]_i from the package, and the trace records its input shares
-    ([f(t)]_i, [g(t)]_i).
+    Lin gates are local (a public constant is its own share at every index,
+    and a public combination of shares is a share of the combination); each
+    multiplication gate t takes its output share [h(t)]_i from the package,
+    and the trace records its input shares ([f(t)]_i, [g(t)]_i).
     """
     if circ.num_mul and len(pkg.h_coeff_shares) != 2 * circ.num_mul - 1:
         raise ValueError("h share count does not match the circuit")

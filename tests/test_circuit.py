@@ -5,7 +5,15 @@ import random
 
 import pytest
 
-from gradmarket.circuit import CMUL, MUL, CircuitBuilder, build_norm_circuit, eval_plain
+from gradmarket.circuit import (
+    LIN,
+    MUL,
+    Circuit,
+    CircuitBuilder,
+    Gate,
+    build_norm_circuit,
+    eval_plain,
+)
 from gradmarket.field import Q
 
 
@@ -50,6 +58,19 @@ def test_norm_circuit_mul_count():
     assert build_norm_circuit(48, 448, accept_zero=True).num_mul == 89
 
 
+def test_norm_circuit_gate_count():
+    # one lin gate for S and one per block besides the multiplications
+    for m, rho in [(1, 1), (3, 5), (4, 2), (2, 130)]:
+        for accept_zero in (False, True):
+            d = rho + 1 if accept_zero else rho
+            blocks = -(-d // (math.isqrt(d - 1) + 1))
+            c = build_norm_circuit(m, rho, accept_zero=accept_zero)
+            assert len(c.gates) == c.num_mul + 1 + blocks
+    # the deep-proof, wide-commit and train-adversarial circuits
+    for m, rho, gates in [(48, 448, 111), (40, 64, 64), (16, 128, 49)]:
+        assert len(build_norm_circuit(m, rho, accept_zero=True).gates) == gates
+
+
 def test_norm_circuit_zero_vector():
     # without the carve-out a zero vector is rejected: output (0-1) = -1
     c = build_norm_circuit(1, 1)
@@ -63,7 +84,7 @@ def test_norm_circuit_zero_vector():
 
 def test_output_is_final_mul_gate():
     c = build_norm_circuit(3, 4, accept_zero=True)
-    muls = [gid for gid, g in enumerate(c.gates) if g.kind == MUL]
+    muls = [c.num_inputs + gid for gid, g in enumerate(c.gates) if g.kind == MUL]
     assert len(muls) == c.num_mul
     assert c.output == muls[-1]
 
@@ -79,7 +100,7 @@ def test_single_mul_trace():
 
 def test_add_only_circuit_has_empty_trace():
     b = CircuitBuilder(2)
-    out = b.add(b.input(0), b.input(1))
+    out = b.lin([(b.input(0), 1), (b.input(1), 1)])
     c = b.build(out)
     value, trace = eval_plain(c, [3, 4])
     assert value == 7
@@ -90,6 +111,9 @@ def test_eval_arity_mismatch():
     c = build_norm_circuit(2, 1)
     with pytest.raises(ValueError):
         eval_plain(c, [1, 2, 3])
+    # a gate of any kind but mul and lin is refused
+    with pytest.raises(ValueError):
+        eval_plain(Circuit(1, (Gate("cmul", a=0, value=3),), 1), [1])
 
 
 def test_norm_circuit_against_integer_oracle():
@@ -128,15 +152,21 @@ def test_norm_circuit_output_is_the_unary_product():
                 assert out == _unary_product(inputs, rho, accept_zero), (m, rho, inputs)
 
 
-def test_cmul_gate_evaluates_locally_and_serializes():
-    b = CircuitBuilder(1)
-    scaled = b.cmul(b.input(0), -3)
-    c = b.build(b.add(scaled, b.const(1)))
-    value, trace = eval_plain(c, [5])
-    assert value == (1 - 15) % Q
+def test_lin_gate_evaluates_locally_and_serializes():
+    b = CircuitBuilder(2)
+    affine = b.lin([(b.input(0), -3), (b.input(1), 1)], 1)
+    assert affine == 2  # gate 0 drives the wire after the two inputs
+    c = b.build(b.lin([(affine, 2)]))
+    value, trace = eval_plain(c, [5, 4])
+    assert value == 2 * (1 - 15 + 4) % Q
     assert len(trace) == 0 and c.num_mul == 0
-    gate = json.loads(c.to_json())["gates"][1]
-    assert gate == {"kind": "cmul", "a": 0, "value": str(Q - 3)}
+    doc = json.loads(c.to_json())
+    assert doc["gates"][0] == {"kind": "lin", "terms": [[0, str(Q - 3)], [1, "1"]], "value": "1"}
+    assert doc["gates"][1] == {"kind": "lin", "terms": [[2, "2"]], "value": "0"}
+    assert (doc["inputs"], doc["output"]) == (2, 3)
+    b = CircuitBuilder(2)
+    c = b.build(b.mul(b.input(1), b.input(0)))
+    assert json.loads(c.to_json())["gates"] == [{"kind": "mul", "a": 1, "b": 0}]
 
 
 def test_negative_embeddings_square_correctly():
@@ -152,7 +182,7 @@ def test_trace_products_hold():
     rng = random.Random(4)
     m, rho = 3, 15  # d = 16 roots: k = 4, three powers, four blocks
     c = build_norm_circuit(m, rho, accept_zero=True)
-    assert any(g.kind == CMUL for g in c.gates)
+    assert any(g.kind == LIN for g in c.gates)
     for _ in range(20):
         inputs = [rng.randrange(10) for _ in range(m)]
         out, trace = eval_plain(c, inputs)

@@ -215,7 +215,7 @@ def test_gas_compare_clean_config_golden_digest(tmp_path):
     cfg = str(CONFIGS / "clean.json")
     assert main(["gas-compare", "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "e4f0941a3217ebbdb66554c7c6d3fc34bdc0434d3301220cf112ac220e06bcdb"
+        "bf91a14507f32c543b610ac1b5e6b1edeb279d3368a295fe5dc81cb990dc0ae5"
     )
 
 

@@ -164,6 +164,28 @@ def test_complaint_upheld_excludes_owner():
     assert contract.validity == {0}
 
 
+def test_second_upheld_complaint_keeps_the_verdict():
+    contract, key, rng = _fresh(N=1)
+    contract.start(b"\x0b" * 32, M0=4, N_max=1)
+    contract.register(0)
+    _, _, cm = _honest_sharing(key, rng)
+    contract.store_commitment(0, cm)
+    # owner 0 gave bad shares to servers 2 and 4
+    contract.complain(2, 0)
+    contract.complain(4, 0)
+    assert contract.resolve_complaint(0, ShareVector(index=2, values=(1, 2, 3))) is False
+    slots = dict(contract.slots)
+    assert contract.resolve_complaint(0, ShareVector(index=4, values=(4, 5, 6))) is False
+    # the second ruling stores nothing and is charged no write
+    t, checked = GasTable(), (contract.T + 1) + len(key)
+    assert contract.slots == slots
+    assert contract.tx_log[-1]["stored_words_delta"] == 0
+    assert contract.tx_log[-1]["gas"] == t.tx_base + checked * (t.storage_word_read + t.group_op)
+    assert contract.verdicts == {0: "complaint_upheld"}
+    contract.mark_shares_ready()
+    assert contract.validity == set()
+
+
 def test_false_complaint_dismissed_owner_retained():
     contract, key, rng = _fresh(N=1)
     contract.start(b"\x09" * 32, M0=4, N_max=1)

@@ -213,7 +213,7 @@ def test_flatten_roundtrip_and_length():
     X, Y = _rand_data(rng, 5, model)
     eg = encrypted_gradient(enc, r_out, X, Y)
     flat = flatten(eg)
-    assert len(flat) == (2 + 2) * model.num_params == flat_length(eg.layer_sizes)
+    assert len(flat) == (2 + 2) * (4 * 8 + 8 * 2) == flat_length(eg.layer_sizes)
     eg2 = unflatten(flat, model.layer_sizes)
     assert np.array_equal(flatten(eg2), flat)
     for a, b in zip(eg.blocks, eg2.blocks):
@@ -278,4 +278,4 @@ def test_published_model_serialization_is_stable():
     blob1 = perturb.serialize_published_model(enc, r_out)
     blob2 = perturb.serialize_published_model(enc, r_out)
     assert blob1 == blob2
-    assert len(blob1) == 8 * (model.num_params + 2)
+    assert len(blob1) == 8 * (3 * 4 + 4 * 2 + 2)

@@ -412,7 +412,7 @@ def test_clean_config_report_golden_digest():
     path = Path(__file__).resolve().parent.parent / "configs" / "clean.json"
     report = run_session(SessionConfig.from_dict(json.loads(path.read_text())), 3)
     assert _report_digest(report) == (
-        "456082b7d810e0fb5b3c22c73df3f5c1a3a79a3bde5c5dd35ac9b7ba35fef0b9"
+        "5dc5e97677e44b40ee3ebd750eca40e3d8a98733c593f4a56252cd5469f9ae39"
     )
 
 
@@ -421,7 +421,7 @@ def test_all_adversaries_report_golden_digest():
     assert report["validity_set"] == [4, 5]
     assert report["aggregate_share_failures"] == [2]
     assert _report_digest(report) == (
-        "09b748dfb48fc802063cb688d73ff663f3b5d4d8217d8bad81cbf28503f43d6d"
+        "c9905b5c3653457d4bff588f901f4b6573a96c6a0a862547605ed94ee705ba33"
     )
 
 
@@ -440,7 +440,7 @@ def test_empty_validity_set_report_golden_digest():
     assert report["validity_set"] == []
     assert report["payments"] == {"mo": 1000}
     assert _report_digest(report) == (
-        "a04cae5532dfa61eeaf7e2177981963b8363300ff5ca15ab973736687dfe0737"
+        "883a9ee505ab44696ba6c2a2fab21118b569138453df117f279acfaaa5bea4b0"
     )
 
 
@@ -462,7 +462,7 @@ def test_attacked_training_report_and_curve_golden_digest():
     report = _rounded(run_training(SessionConfig.from_dict(doc), 3))
     assert [s["validity_set"] for s in report["sessions"]] == [[1, 2, 3]] * 3
     assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == (
-        "112004376c05af58904d752813d20ea5c953143bf6d771ee0d1762999c72cf1e"
+        "d51f2a20701ec7b8a6e6db79fc5818e986b90bbe2a221563776d2a0de2e7b52d"
     )
     assert hashlib.sha256(loss_curve_csv(report).encode()).hexdigest() == (
         "f85da55f86bdee7af0e47133a9d66a2b62aaac90f4aca841531daa5032b648ac"

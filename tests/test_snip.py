@@ -4,7 +4,7 @@ import random
 import pytest
 
 from gradmarket import field, snip
-from gradmarket.circuit import CMUL, CircuitBuilder, build_norm_circuit, eval_plain
+from gradmarket.circuit import LIN, CircuitBuilder, build_norm_circuit, eval_plain
 from gradmarket.field import Q
 from gradmarket.shamir import ShareVector, robust_recon, ss_recon, ss_share
 
@@ -69,12 +69,10 @@ def _unary_norm_circuit(m, rho):
     of rho products, M = m + rho. It pins the extension at a fixed M."""
     b = CircuitBuilder(m)
     squares = [b.mul(b.input(k), b.input(k)) for k in range(m)]
-    total = squares[0]
-    for s in squares[1:]:
-        total = b.add(total, s)
+    total = b.lin([(s, 1) for s in squares])
     prod = total
     for j in range(1, rho + 1):
-        prod = b.mul(prod, b.sub(total, b.const(j)))
+        prod = b.mul(prod, b.lin([(total, 1)], -j))
     return b.build(prod)
 
 
@@ -120,7 +118,7 @@ def test_server_eval_reconstructs_wire_values():
 
     # a public constant times a share is a share of the product
     b = CircuitBuilder(2)
-    out = b.mul(b.cmul(b.input(0), -2), b.add(b.input(1), b.cmul(b.input(0), 3)))
+    out = b.mul(b.lin([(b.input(0), -2)]), b.lin([(b.input(1), 1), (b.input(0), 3)]))
     circ = b.build(out)
     packages = snip.prove([5, 7], circ, 1, 4, rng)
     evals = [snip.server_eval(p, circ) for p in packages]
@@ -131,12 +129,12 @@ def test_server_eval_reconstructs_wire_values():
     outs = [ShareVector(p.index, (o,)) for p, (o, _) in zip(packages, evals)]
     assert ss_recon(outs[1:3], 1) == [Q - 220]
 
-    # a norm circuit (its block polynomials use cmul gates): every gate's
+    # a norm circuit (its block polynomials are lin gates): every gate's
     # input shares reconstruct to eval_plain's values, and the output shares
     # to the plain output
     T = 2
     circ = build_norm_circuit(3, 5, accept_zero=True)
-    assert any(g.kind == CMUL for g in circ.gates)
+    assert any(g.kind == LIN for g in circ.gates)
     inputs = [1, 2, 1]
     out_plain, plain = eval_plain(circ, inputs)
     packages = snip.prove(inputs, circ, T, 5, rng)
@@ -154,7 +152,7 @@ def test_server_eval_reconstructs_wire_values():
 
 def test_share_of_public_constant_is_constant():
     b = CircuitBuilder(1)
-    c5 = b.const(5)
+    c5 = b.lin([], 5)
     out = b.mul(b.input(0), c5)
     circ = b.build(out)
     rng = random.Random(5)
@@ -167,7 +165,7 @@ def test_share_of_public_constant_is_constant():
 
 def test_all_add_circuit_has_no_wire_shares_and_rejects_proving():
     b = CircuitBuilder(2)
-    out = b.add(b.input(0), b.input(1))
+    out = b.lin([(b.input(0), 1), (b.input(1), 1)])
     circ = b.build(out)
     rng = random.Random(6)
     shares, _ = ss_share([1, 2], 1, 3, rng)
@@ -181,11 +179,11 @@ def test_honest_completeness():
     rng = random.Random(7)
     T, K = 1, 5
     for rho, inputs in [
-        (10, [1, 2, 2]),  # sum sq 9 <= 10: three blocks of cmul gates
+        (10, [1, 2, 2]),  # sum sq 9 <= 10: three block lin gates
         (130, [Q - 5, 7, 6]),  # 25 + 49 + 36 = 110 <= 130: eleven blocks
     ]:
         circ = build_norm_circuit(3, rho, accept_zero=True)
-        assert any(g.kind == CMUL for g in circ.gates)
+        assert any(g.kind == LIN for g in circ.gates)
         out_plain, _ = eval_plain(circ, inputs)
         assert out_plain == 0
         packages = snip.prove(inputs, circ, T, K, rng)
@@ -214,7 +212,7 @@ def test_tampered_h_rejected():
     trials = 30
     for rho, inputs in [(6, [1, 1]), (130, [Q - 5, 7])]:
         circ = build_norm_circuit(2, rho, accept_zero=True)
-        assert any(g.kind == CMUL for g in circ.gates)
+        assert any(g.kind == LIN for g in circ.gates)
         rejections = 0
         for _ in range(trials):
             input_shares, _ = ss_share(inputs, T, K, rng)
