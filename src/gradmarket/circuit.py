@@ -53,6 +53,12 @@ class Circuit:
     def num_mul(self) -> int:
         return sum(g.kind == MUL for g in self.gates)
 
+    @functools.cached_property
+    def field_ops(self) -> int:
+        """Field multiplications of one plain evaluation: one per mul gate
+        and one per lin term."""
+        return sum(1 if g.kind == MUL else len(g.terms) for g in self.gates)
+
     def to_json(self) -> str:
         gates = [
             {"kind": MUL, "a": g.a, "b": g.b} if g.kind == MUL
@@ -78,16 +84,23 @@ class CircuitBuilder:
             raise ValueError("input index out of range")
         return k
 
+    def _wire(self, w: int) -> int:
+        """w, if it is an input or a gate already pushed; else ValueError."""
+        if not 0 <= w < self.num_inputs + len(self.gates):
+            raise ValueError(f"wire {w} does not exist yet")
+        return w
+
     def mul(self, a: int, b: int) -> int:
-        return self._push(Gate(MUL, a=a, b=b))
+        return self._push(Gate(MUL, a=self._wire(a), b=self._wire(b)))
 
     def lin(self, terms, value: int = 0) -> int:
         """value + sum of c * wire over (wire, c) terms, with public
         constants: affine, not a multiplication gate."""
-        terms = tuple((w, c % Q) for w, c in terms)
+        terms = tuple((self._wire(w), c % Q) for w, c in terms)
         return self._push(Gate(LIN, terms=terms, value=value % Q))
 
     def build(self, output: int) -> Circuit:
+        self._wire(output)
         return Circuit(num_inputs=self.num_inputs, gates=tuple(self.gates), output=output)
 
 

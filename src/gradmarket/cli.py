@@ -8,13 +8,14 @@ with the same config and seed write byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from pathlib import Path
 
 from . import field, perturb, sim
 from .circuit import build_norm_circuit, eval_plain
-from .commit import commit, setup_key, verify_share
+from .commit import GENERATOR_LABEL, GROUP_COFACTOR, P, commit, setup_key, verify_share
 from .contract import GasTable, baseline_gas_estimate
 from .shamir import robust_recon, ss_share
 from .sim import ConfigError, ProtocolError, SessionConfig
@@ -71,9 +72,9 @@ def _cmd_gas_compare(args) -> int:
     report = None if args.baseline else sim.run_session(config, args.seed)
     # a session without validation reports no rho; price the baseline at 64
     rho = (report and report["rho"]) or config.rho or 64
-    gates = len(build_norm_circuit(len(sim.validation_indices(config)), rho,
-                                   accept_zero=True).gates)
-    baseline = baseline_gas_estimate(m, config.N, gates, GasTable.from_dict(config.gas_table))
+    ops = build_norm_circuit(len(sim.validation_indices(config)), rho,
+                             accept_zero=True).field_ops
+    baseline = baseline_gas_estimate(m, config.N, ops, GasTable.from_dict(config.gas_table))
     result = {"m": m, "N": config.N, "K": config.K, "T": config.T, "baseline": baseline}
     if report is not None:
         result["offchain"] = report["gas"]
@@ -134,8 +135,13 @@ def _selftest() -> int:
     ok &= [robust_recon(xs, list(ys), 1) for ys in zip(*(s.values for s in bad))] == secret
     check("sharing and robust reconstruction", ok)
 
-    # commitment completeness
+    # a transparent commitment key: no rng input, generator 0 from the label
     key = setup_key(6, rng)
+    g0 = int.from_bytes(hashlib.sha256(GENERATOR_LABEL + bytes(8)).digest(), "big")
+    check("transparent commitment key", key == setup_key(6, _random.Random(1))
+          and key.basis[0] == pow(g0, GROUP_COFACTOR, P))
+
+    # commitment completeness
     shares2, masks2 = ss_share(secret, 1, 5, rng)
     cm2 = commit(secret, masks2, key)
     ok = all(verify_share(s, cm2, key) for s in shares2)

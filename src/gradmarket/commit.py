@@ -3,9 +3,11 @@
 The commitment lives in the order-q subgroup of Z_p^* where p = 114*q + 1
 and q = 2^127 - 1 is the sharing field modulus (114 is the smallest even
 multiplier making p prime; exponents are then arithmetic mod q, which the
-share-verification identity requires). The public key is the power basis
-(g^(a^0), ..., g^(a^(m-1))) for a trusted-setup scalar a that is discarded
-after setup.
+share-verification identity requires). The public key is transparent:
+generator k is SHA-256(GENERATOR_LABEL || k) mod p raised to the cofactor
+114, so nobody knows a discrete-log relation between generators, and there
+is no setup secret. Generator k does not depend on m or on any seed, so one
+key per length serves every session in a process.
 
 A commitment to a shared vector is T+1 group elements: one binding the
 secret, one binding each sharing mask vector. Share verification checks
@@ -27,6 +29,7 @@ simplest form): positives and negatives fold separately and divide.
 from __future__ import annotations
 
 import functools
+import hashlib
 from dataclasses import dataclass
 
 from . import field
@@ -36,8 +39,8 @@ from .shamir import ShareVector
 # p = 114*q + 1, the smallest prime of the form (even c)*q + 1.
 GROUP_COFACTOR = 114
 P = GROUP_COFACTOR * Q + 1
-# generator of the order-q subgroup: 2^114 mod p (nontrivial, order divides q prime)
-G = pow(2, GROUP_COFACTOR, P)
+# the one public label hashed into every generator of the market
+GENERATOR_LABEL = b"gradmarket commitment generators v1"
 
 GROUP_ELEMENT_BYTES = (P.bit_length() + 7) // 8
 # residues above HALF_Q are read as the negative values e - q
@@ -46,7 +49,6 @@ HALF_Q = (Q - 1) // 2
 FOLD_COST = 2 * 255
 
 assert (P - 1) % Q == 0
-assert G != 1 and pow(G, Q, P) == 1
 
 
 def element_to_bytes(a: int) -> bytes:
@@ -56,7 +58,7 @@ def element_to_bytes(a: int) -> bytes:
 
 @dataclass(frozen=True)
 class CommitmentKey:
-    """Public power basis (g^(a^0), ..., g^(a^(m-1))); the scalar a is gone.
+    """Public generators (g_0, ..., g_(m-1)) of the order-q subgroup.
 
     The key also owns the fixed-base table its multi-exps read. It is a
     pure function of the basis, built on first use and cached on the
@@ -89,43 +91,33 @@ class VectorCommitment:
         return b"".join(element_to_bytes(e) for e in self.elements)
 
 
-@functools.cache
-def _comb_table() -> tuple[tuple[int, ...], ...]:
-    """Fixed-base comb for G: rows[j][d] = G^(d * 256^j) for every byte
-    position j of an exponent below q, about 4k multiplications, built once
-    per process."""
-    rows = []
-    base = G  # G^(256^j)
-    for _ in range(field.ELEMENT_BYTES):
-        row = [1, base]
-        for _ in range(254):
-            row.append(row[-1] * base % P)
-        rows.append(tuple(row))
-        base = row[-1] * base % P
-    return tuple(rows)
+def generator(k: int) -> int:
+    """g_k = (SHA-256(GENERATOR_LABEL || k as 8 big-endian bytes) mod p)^114
+    mod p, an element of order q. A digest giving 0 or 1 (probability about
+    2^-127) is hashed again until one does not."""
+    digest = hashlib.sha256(GENERATOR_LABEL + k.to_bytes(8, "big")).digest()
+    while (g := pow(int.from_bytes(digest, "big"), GROUP_COFACTOR, P)) < 2:
+        digest = hashlib.sha256(digest).digest()
+    return g
 
 
-def _key_from_scalar(alpha: int, m: int) -> CommitmentKey:
-    """Power basis for a known setup scalar. Tests may call this directly;
-    production setup discards the scalar immediately."""
-    rows = _comb_table()
-    basis = []
-    power = 1  # a^k mod q
-    for _ in range(m):
-        acc = 1
-        for row, d in zip(rows, power.to_bytes(field.ELEMENT_BYTES, "little")):
-            acc = acc * row[d] % P
-        basis.append(acc)
-        power = field.mul(power, alpha)
-    return CommitmentKey(basis=tuple(basis))
+# the keys of the two most recently used lengths stay, with their columns
+@functools.lru_cache(maxsize=2)
+def _transparent_key(m: int) -> CommitmentKey:
+    return CommitmentKey(basis=tuple(generator(k) for k in range(m)))
 
 
 def setup_key(m: int, rng) -> CommitmentKey:
-    """Trusted-setup simulation: sample the scalar, emit powers, discard it."""
+    """The transparent key of length m: no trusted setup and no secret.
+
+    Keys are memoized per length, so every session of one process shares
+    the key and, after its first multi-exp, its byte columns. `rng` is not
+    read; it stays for the callers that pass one until ROADMAP item 6
+    drops it.
+    """
     if m < 1:
         raise ValueError("need m >= 1")
-    alpha = field.rand_element(rng)
-    return _key_from_scalar(alpha, m)
+    return _transparent_key(m)
 
 
 def _bucket_fold(columns, values: list[int], width: int) -> int:

@@ -492,9 +492,9 @@ def baseline_gas_estimate(
     """Gas accounting for the fully on-chain comparison mode.
 
     Every gradient is stored on-chain (m words each), the validity circuit
-    is evaluated by the contract (one field op per gate, reading the
-    gradient), and aggregation sums the stored gradients on-chain. Used
-    only for cost-ratio comparisons.
+    is evaluated by the contract (`circuit_gate_count` field ops reading
+    the gradient), and aggregation sums the stored gradients on-chain.
+    Used only for cost-ratio comparisons.
     """
     meter = GasMeter(table or GasTable())
     meter.charge("deploy", writes=2)

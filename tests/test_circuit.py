@@ -71,6 +71,38 @@ def test_norm_circuit_gate_count():
         assert len(build_norm_circuit(m, rho, accept_zero=True).gates) == gates
 
 
+def test_field_ops_counts_muls_and_lin_terms():
+    # the S gate has m terms and the block gates d terms between them
+    for m, rho in [(1, 1), (3, 5), (4, 2), (48, 106), (2, 130)]:
+        for accept_zero in (False, True):
+            d = rho + 1 if accept_zero else rho
+            c = build_norm_circuit(m, rho, accept_zero=accept_zero)
+            assert c.field_ops == c.num_mul + m + d
+    b = CircuitBuilder(2)
+    s = b.lin([(0, 1), (1, 2)], 5)
+    c = b.build(b.mul(s, b.lin([(s, 3)])))
+    assert c.field_ops == 4
+
+
+def test_builder_rejects_wires_that_do_not_exist():
+    # an operand or output that is a later or out-of-range wire would make
+    # eval_plain and snip.server_eval raise IndexError
+    with pytest.raises(ValueError):
+        CircuitBuilder(1).mul(0, 5)
+    with pytest.raises(ValueError):
+        CircuitBuilder(1).build(7)
+    b = CircuitBuilder(1)
+    with pytest.raises(ValueError):
+        b.mul(0, 1)  # wire 1 would be this gate's own output
+    with pytest.raises(ValueError):
+        b.lin([(0, 1), (-1, 1)])
+    assert b.gates == []
+    out = b.mul(0, 0)
+    with pytest.raises(ValueError):
+        b.build(out + 1)
+    assert eval_plain(b.build(out), [3])[0] == 9
+
+
 def test_norm_circuit_zero_vector():
     # without the carve-out a zero vector is rejected: output (0-1) = -1
     c = build_norm_circuit(1, 1)

@@ -8,7 +8,10 @@ from pathlib import Path
 import pytest
 
 from conftest import SMALL_SESSION, TRAINING
+from gradmarket.circuit import build_norm_circuit
 from gradmarket.cli import main
+from gradmarket.contract import GasTable, baseline_gas_estimate
+from gradmarket.sim import SessionConfig, run_session, validation_indices
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -215,8 +218,23 @@ def test_gas_compare_clean_config_golden_digest(tmp_path):
     cfg = str(CONFIGS / "clean.json")
     assert main(["gas-compare", "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "bf91a14507f32c543b610ac1b5e6b1edeb279d3368a295fe5dc81cb990dc0ae5"
+        "f243d2aefa51290e1f506cc20f011241e5f1a0e65dd02ad2c4aba33138263d8a"
     )
+
+
+def test_gas_compare_prices_the_baseline_from_field_ops(tmp_path):
+    # the baseline contract does one field op per mul gate and per lin term,
+    # more than one per gate
+    path = CONFIGS / "clean.json"
+    out = tmp_path / "gas.json"
+    assert main(["gas-compare", "--config", str(path), "--seed", "3", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    config = SessionConfig.from_dict(json.loads(path.read_text()))
+    rho = run_session(config, 3)["rho"]
+    circuit = build_norm_circuit(len(validation_indices(config)), rho, accept_zero=True)
+    assert circuit.field_ops > len(circuit.gates)
+    table = GasTable.from_dict(config.gas_table)
+    assert doc["baseline"] == baseline_gas_estimate(doc["m"], config.N, circuit.field_ops, table)
 
 
 def test_gas_compare_baseline_only(tmp_path):

@@ -1,46 +1,74 @@
+import functools
 import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 
-from gradmarket import commit, field, sim
+from gradmarket import commit, field, perturb, sim
+from gradmarket.cli import main
 from gradmarket.commit import (
-    G,
+    GENERATOR_LABEL,
+    GROUP_COFACTOR,
     P,
     CommitmentKey,
-    _key_from_scalar,
     aggregate_commitments,
+    generator,
     setup_key,
     verify_share,
 )
 from gradmarket.field import Q
 from gradmarket.shamir import ShareVector, ss_share
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _explicit_key(rng, m):
+    """A key of m random elements of the order-q subgroup (a residue raised
+    to the cofactor), independent of the transparent generators."""
+    return CommitmentKey(tuple(pow(rng.randrange(2, P), GROUP_COFACTOR, P) for _ in range(m)))
+
+
+def _label_generator(k):
+    """Generator k recomputed from the published label alone."""
+    digest = hashlib.sha256(GENERATOR_LABEL + k.to_bytes(8, "big")).digest()
+    return pow(int.from_bytes(digest, "big"), GROUP_COFACTOR, P)
+
 
 def test_group_parameters():
-    # q divides p - 1 and the generator spans an order-q subgroup
+    # q divides p - 1 and the first generator spans the order-q subgroup
+    assert P == GROUP_COFACTOR * Q + 1
     assert (P - 1) % Q == 0
-    assert G != 1
-    assert pow(G, Q, P) == 1
+    assert generator(0) != 1
+    assert pow(generator(0), Q, P) == 1
 
 
 def test_setup_single_element_is_generator():
     rng = random.Random(1)
     key = setup_key(1, rng)
-    assert key.basis == (G,)
+    assert key.basis == (_label_generator(0),)
+    assert key.basis[0] != 1 and pow(key.basis[0], Q, P) == 1
 
 
-def test_setup_powers_consistent_with_exposed_scalar():
-    key = _key_from_scalar(12345, 4)
-    assert key.basis[0] == G
-    for k in range(1, 4):
-        assert key.basis[k] == pow(key.basis[k - 1], 12345, P)
+def test_generators_are_nothing_up_my_sleeve():
+    # every generator recomputes from the label with hashlib, has order q
+    # and is not 1, and no two coincide
+    basis = setup_key(2400, None).basis
+    for k in (0, 1, 2, 191, 1000, 2399):
+        assert basis[k] == _label_generator(k) == generator(k)
+    assert all(g != 1 and pow(g, Q, P) == 1 for g in basis)
+    assert len(set(basis)) == 2400
 
 
-def test_setups_with_different_seeds_differ():
-    k1 = setup_key(3, random.Random(1))
-    k2 = setup_key(3, random.Random(2))
-    assert k1.basis[1] != k2.basis[1]
+def test_setups_with_different_seeds_agree():
+    # the key has no setup secret: it reads nothing from rng
+    r1, r2 = random.Random(1), random.Random(2)
+    state = r1.getstate()
+    assert setup_key(3, r1).basis == setup_key(3, r2).basis
+    assert r1.getstate() == state
+    commit._transparent_key.cache_clear()
+    assert setup_key(3, r1).basis == setup_key(5, r2).basis[:3]
 
 
 def test_commit_zero_is_identity():
@@ -52,23 +80,21 @@ def test_commit_zero_is_identity():
 def test_commit_single_term():
     key = setup_key(1, random.Random(4))
     c = commit.commit([5], [], key)
-    assert c.elements == (pow(G, 5, P),)
+    assert c.elements == (pow(key.basis[0], 5, P),)
 
 
 def test_commit_matches_exponent_sum_oracle():
-    # recompute the exponent sum with a test-only scalar
-    alpha = 987654321
+    # a key of known discrete logs e_k to one generator g: the commitment
+    # is g to the exponent sum
     m = 6
-    key = _key_from_scalar(alpha, m)
     rng = random.Random(8)
+    g = generator(0)
+    logs = [field.rand_element(rng) for _ in range(m)]
+    key = CommitmentKey(tuple(pow(g, e, P) for e in logs))
     secret = [field.rand_element(rng) for _ in range(m)]
     c = commit.commit(secret, [], key)
-    exponent = 0
-    apow = 1
-    for v in secret:
-        exponent = (exponent + apow * v) % Q
-        apow = (apow * alpha) % Q
-    assert c.elements[0] == pow(G, exponent, P)
+    exponent = sum(e * v for e, v in zip(logs, secret)) % Q
+    assert c.elements[0] == pow(g, exponent, P)
 
 
 def test_commit_length_mismatch():
@@ -185,22 +211,22 @@ def _per_term_product(basis, exponents):
 
 
 def test_multi_exp_empty_and_all_zero_vectors():
-    key = _key_from_scalar(31337, 5)
+    key = _explicit_key(random.Random(20), 5)
     assert commit._multi_exp(CommitmentKey(()), []) == 1
     assert commit._multi_exp(key, [0] * 5) == 1
 
 
 def test_multi_exp_single_term_and_top_exponent():
-    key = _key_from_scalar(31337, 3)
+    key = _explicit_key(random.Random(20), 3)
     for e in (1, 2, Q - 1):
-        assert commit._multi_exp(CommitmentKey(key.basis[:1]), [e]) == pow(G, e, P)
+        assert commit._multi_exp(CommitmentKey(key.basis[:1]), [e]) == pow(key.basis[0], e, P)
     exps = [Q - 1, Q - 1, 5]
     assert commit._multi_exp(key, exps) == _per_term_product(key.basis, exps)
 
 
 def test_multi_exp_reduces_exponents_mod_q():
     rng = random.Random(21)
-    key = _key_from_scalar(424242, 6)
+    key = _explicit_key(rng, 6)
     reduced = [field.rand_element(rng) for _ in range(6)]
     expected = _per_term_product(key.basis, reduced)
     above = [e + Q * (k + 1) for k, e in enumerate(reduced)]
@@ -217,7 +243,7 @@ def test_multi_exp_small_signed_values():
     # quantized negative gradient entries are stored as q - k
     rng = random.Random(22)
     m = 50
-    key = _key_from_scalar(7777777, m)
+    key = _explicit_key(rng, m)
     signed = [rng.randint(-40, 40) for _ in range(m)]
     encoded = [v % Q for v in signed]
     assert any(v < 0 for v in signed) and 0 in signed
@@ -229,7 +255,7 @@ def test_multi_exp_small_signed_values():
 @pytest.mark.parametrize("m", [1, 2, 3, 7, 64, 192, 300, 2400])
 def test_multi_exp_matches_per_term_product(m):
     rng = random.Random(m)
-    key = _key_from_scalar(field.rand_element(rng), m)
+    key = _explicit_key(rng, m)
     full = [field.rand_element(rng) for _ in range(m)]
     assert commit._multi_exp(key, full) == _per_term_product(key.basis, full)
     # sparse vector with short exponents: fewer terms, fewer windows
@@ -240,7 +266,7 @@ def test_multi_exp_matches_per_term_product(m):
 def test_multi_exp_alternating_keys():
     # each key reads its own table: a table kept from the other key fails
     rng = random.Random(23)
-    keys = [_key_from_scalar(field.rand_element(rng), m) for m in (40, 40, 192, 40)]
+    keys = [_explicit_key(rng, m) for m in (40, 40, 192, 40)]
     for _ in range(2):
         for key in keys:
             exps = [field.rand_element(rng) for _ in range(len(key))]
@@ -253,7 +279,7 @@ def test_multi_exp_zero_top_windows(m):
     # bounds sit on and next to each byte boundary (at most 64 nonzero
     # exponents keep the per-term oracle fast)
     rng = random.Random(24)
-    key = _key_from_scalar(field.rand_element(rng), m)
+    key = _explicit_key(rng, m)
     for j in range(1, field.ELEMENT_BYTES):
         for bound in (1 << (8 * j), (1 << (8 * j)) + 1):
             exps = [0] * m
@@ -265,7 +291,7 @@ def test_multi_exp_zero_top_windows(m):
 
 def test_byte_column_layout():
     # one column per byte of a field element, each the previous to the 256th
-    key = _key_from_scalar(31337, 7)
+    key = _explicit_key(random.Random(20), 7)
     columns = key.columns
     assert len(columns) == field.ELEMENT_BYTES == 16
     assert columns[0] == key.basis
@@ -276,6 +302,7 @@ def test_byte_column_layout():
 
 def test_key_table_built_once_on_first_use():
     rng = random.Random(25)
+    commit._transparent_key.cache_clear()
     key = setup_key(5, rng)
     assert "columns" not in vars(key)  # setup_key leaves the table unbuilt
     secret = [field.rand_element(rng) for _ in range(5)]
@@ -293,7 +320,7 @@ def test_key_table_built_once_on_first_use():
 @pytest.mark.parametrize("m", [1, 192, 2400])
 def test_multi_exp_signed_split(m):
     rng = random.Random(26)
-    key = _key_from_scalar(field.rand_element(rng), m)
+    key = _explicit_key(rng, m)
 
     def check(exps, signed):
         assert (commit._signed_parts(exps) is not None) == signed
@@ -315,8 +342,8 @@ def test_multi_exp_signed_split(m):
 
 
 # SHA-256 of the commitment elements and the share-check results below,
-# recorded with the per-call Pippenger multi-exp this table replaced
-COMMIT_VERIFY_2400_DIGEST = "23c6f843e6ca4305c358efced90e1cc4e2d3fcf90f99f44e173cccbd2a215a23"
+# recorded with the transparent key and checked against per-term powers
+COMMIT_VERIFY_2400_DIGEST = "41e5b72989f424a437d8fe26b1ae9067684c45ad006fcefc17180a8e3048c23d"
 
 
 def test_commit_and_verify_golden_digest():
@@ -332,12 +359,38 @@ def test_commit_and_verify_golden_digest():
     assert digest == COMMIT_VERIFY_2400_DIGEST
 
 
-@pytest.mark.parametrize("alpha", [2, Q - 1, 0x1D3A_5B7C_9E0F_2468_ACE1_3579_BDF0_8642])
-def test_key_from_scalar_matches_per_element_pow(alpha):
-    m = 300
-    key = _key_from_scalar(alpha, m)
-    exponents = [pow(alpha, k, Q) for k in range(m)]
-    assert key.basis == tuple(pow(G, e, P) for e in exponents)
-    # both an empty and an occupied top byte of the comb occur
-    top_bytes = {e >> 120 for e in exponents}
-    assert 0 in top_bytes and len(top_bytes) > 1
+def _counting_columns(monkeypatch):
+    """Record the length of every key whose byte columns get built."""
+    builds = []
+    build = CommitmentKey.columns.func
+
+    def counted(key):
+        builds.append(len(key))
+        return build(key)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(CommitmentKey, "columns")
+    monkeypatch.setattr(CommitmentKey, "columns", prop)
+    return builds
+
+
+def test_sessions_at_two_seeds_build_the_columns_once(monkeypatch):
+    config = sim.SessionConfig.from_dict(json.loads((CONFIGS / "clean.json").read_text()))
+    commit._transparent_key.cache_clear()
+    builds = _counting_columns(monkeypatch)
+    sim.run_session(config, 3)
+    sim.run_session(config, 4)
+    assert builds == [perturb.flat_length(config.layers)]
+
+
+def test_session_outputs_same_with_cold_and_warm_key_cache(tmp_path):
+    config = str(CONFIGS / "clean.json")
+    commit._transparent_key.cache_clear()
+    outs = []
+    for name in ("cold", "warm"):
+        out = tmp_path / f"{name}.json"
+        assert main(["run", "--config", config, "--seed", "3", "--out", str(out)]) == 0
+        outs.append((out.read_bytes(), Path(f"{out}.txlog.jsonl").read_bytes()))
+    # the cold run built the key, the warm run read it from the memo
+    assert commit._transparent_key.cache_info()[:2] == (1, 1)
+    assert outs[0] == outs[1]
