@@ -12,15 +12,15 @@ The norm-threshold predicate for bound rho is the product
     (S - 1)(S - 2) ... (S - rho),    S = sum of squared inputs,
 
 which is zero exactly when S falls in {1..rho}. With accept_zero=True a
-leading (S - 0) factor is prepended so an all-zero input also passes; the
-contract uses that variant, since a zero vector trivially satisfies the
-norm bound but the bare product would reject it.
+leading (S - 0) factor is prepended so an all-zero input also passes;
+sessions validate with that variant, built from the rho posted when the
+contract starts, since a zero vector trivially satisfies the norm bound
+but the bare product would reject it.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 
@@ -58,15 +58,6 @@ class Circuit:
         """Field multiplications of one plain evaluation: one per mul gate
         and one per lin term."""
         return sum(1 if g.kind == MUL else len(g.terms) for g in self.gates)
-
-    def to_json(self) -> str:
-        gates = [
-            {"kind": MUL, "a": g.a, "b": g.b} if g.kind == MUL
-            else {"kind": LIN, "terms": [[w, str(c)] for w, c in g.terms], "value": str(g.value)}
-            for g in self.gates
-        ]
-        doc = {"inputs": self.num_inputs, "gates": gates, "output": self.output}
-        return json.dumps(doc, sort_keys=True)
 
 
 class CircuitBuilder:

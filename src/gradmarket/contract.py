@@ -30,7 +30,6 @@ from dataclasses import asdict, dataclass
 
 from . import commit as commit_mod
 from . import field
-from .circuit import Circuit
 from .commit import CommitmentKey, VectorCommitment, verify_share
 from .field import Q
 from .shamir import DecodeFailure, ShareVector, robust_recon
@@ -144,9 +143,12 @@ class TradeContract:
 
     Disputed shares are checked against commit_key. The rng argument
     stands in for on-chain randomness; the challenge for the validity
-    proofs is drawn from it exactly once. A `tx_log` caller is "mo", the
-    owner id (`register`, `store_commitment`, `resolve_complaint`) or the
-    server index (`complain`, `submit_verdict`).
+    proofs is drawn from it exactly once. The norm bound rho posted at
+    `start` fixes the validity predicate before any owner registers; a
+    session started without one is not validated. A `tx_log` caller is
+    "mo", the owner id (`register`, `store_commitment`,
+    `resolve_complaint`) or the server index (`complain`,
+    `submit_verdict`).
     """
 
     def __init__(
@@ -158,7 +160,6 @@ class TradeContract:
         commit_key: CommitmentKey,
         rng,
         gas_table: GasTable | None = None,
-        validation: bool = True,
     ):
         if deposit < 0:
             raise ValueError("deposit must be non-negative")
@@ -170,7 +171,6 @@ class TradeContract:
         self.K = K
         self.T = T
         self.commit_key = commit_key
-        self.validation = validation
         self.rng = rng
         self.meter = GasMeter(gas_table or GasTable())
         self.slots: dict[str | tuple, int] = {}
@@ -180,11 +180,11 @@ class TradeContract:
         self.root: bytes | None = None
         self.M0 = 0
         self.N_max = 0
+        self.rho: int | None = None
         self.registered: list[int] = []
         self.commitments: dict[int, VectorCommitment] = {}
         self.pending_complaints: set[tuple[int, int]] = set()
         self.false_complaints: list[tuple[int, int]] = []
-        self.circuit: Circuit | None = None
         self.challenge: int | None = None
         self.verdict_buffer: dict[int, dict[int, tuple[int, int, bool]]] = {}
         # why an owner is out ("complaint_upheld", "decode_failed",
@@ -271,17 +271,25 @@ class TradeContract:
     # transactions
     # ------------------------------------------------------------------
 
-    def start(self, root: bytes, M0: int, N_max: int):
+    def start(self, root: bytes, M0: int, N_max: int, rho: int | None = None):
+        """Open registration under the published model's root. A given rho
+        is the norm bound of the session's validity predicate, stored as
+        its own word; None leaves the session unvalidated."""
         with self._tx("start", "mo", SETUP) as cost:
             if len(root) != 32:
                 raise TxRejected("root must be 32 bytes")
             if M0 < 1 or N_max < 1:
                 raise TxRejected("M0 and N_max must be positive")
+            if rho is not None and (isinstance(rho, bool) or not isinstance(rho, int) or rho < 1):
+                raise TxRejected(f"rho must be a positive integer, got {rho!r}")
             self.root = bytes(root)
             self.M0 = M0
             self.N_max = N_max
             self._store(cost, "root", 1)
             self._store(cost, "params", 1)
+            if rho is not None:
+                self.rho = rho
+                self._store(cost, "rho", 1)
             self.phase = REGISTER
             cost["hash_words"] = 1
 
@@ -364,21 +372,10 @@ class TradeContract:
             self.phase = GRAD_VALIDATION
             self._event("validation_started")
 
-    def reveal_circuit(self, circ: Circuit):
-        with self._tx("reveal_circuit", "mo", GRAD_VALIDATION) as cost:
-            if not self.validation:
-                raise TxRejected("validation disabled for this session")
-            if self.circuit is not None:
-                raise TxRejected("circuit already revealed")
-            blob = circ.to_json().encode()
-            self.circuit = circ
-            self._store(cost, "circuit_hash", 1)
-            cost["hash_words"] = (len(blob) + 31) // 32
-
     def sample_challenge(self) -> int:
         with self._tx("sample_challenge", "mo", GRAD_VALIDATION) as cost:
-            if self.circuit is None:
-                raise TxRejected("circuit not revealed yet")
+            if self.rho is None:
+                raise TxRejected("validation disabled for this session")
             if self.challenge is not None:
                 raise TxRejected("challenge already sampled")
             self.challenge = field.rand_element(self.rng)
@@ -435,9 +432,9 @@ class TradeContract:
         return field_ops
 
     def complete_validation(self):
-        """Event: all validity verdicts are in (or validation is disabled)."""
+        """Event: all validity verdicts are in (or no rho was posted)."""
         with self._checkpoint("complete_validation", GRAD_VALIDATION):
-            if self.validation:
+            if self.rho is not None:
                 pending = [n for n in self.validity if n not in self.verdicts]
                 if pending:
                     raise TxRejected(f"verdicts pending for {pending}")
@@ -478,8 +475,10 @@ class TradeContract:
 
 def expected_word_count(N: int, T: int, paid: int) -> int:
     """Live words at the end of a validated session with a non-empty validity
-    set, independent of gradient size: 7 constant records, T+1 commitment
-    words and a verdict per owner, T+1 aggregate words, a balance per payee."""
+    set, independent of gradient size: 7 constant one-word records
+    (`whitelist`, `deposit`, `root`, `params`, `rho`, `registered`,
+    `challenge`), T+1 commitment words and a verdict per owner, T+1
+    aggregate words, a balance per payee."""
     return 7 + N * (T + 1) + N + (T + 1) + paid
 
 

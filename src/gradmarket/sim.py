@@ -331,7 +331,6 @@ class _Session:
             commit_key=key,
             gas_table=GasTable.from_dict(config.gas_table),
             rng=rng_stream(seed, "contract.challenge"),
-            validation=config.validation,
         )
         self.qvecs: dict[int, list[int]] = {}
         # per owner and server, the share as delivered (possibly corrupted)
@@ -353,29 +352,32 @@ class _Session:
             raise ProtocolError(f"{who}: {exc}") from exc
 
     def publish(self):
-        """Mask and publish the model, open the session, register the owners
-        and calibrate the norm bound rho."""
+        """Mask and publish the model, calibrate the norm bound rho, open the
+        session with rho posted and register the owners."""
         config, world = self.config, self.world
         self.masks = perturb.sample_masks(
             config.layers, np_stream(self.seed, "mo.masks"), config.mask_additive_sigma
         )
         self.enc_model = perturb.apply_masks(world.model, self.masks)
+        # The model owner calibrates the norm bound from its own probe
+        # gradient, before any owner registers.
+        self.rho, self.rho_clamped = config.rho, False
+        if config.validation and self.rho is None:
+            probe = perturb.encrypted_gradient(
+                self.enc_model, self.masks.r_out, world.mo_data[0], world.mo_data[1]
+            )
+            probe_q = self._quantize(perturb.flatten(probe), "model owner's probe")
+            margin = math.ceil(config.rho_margin * self._sub_norm(probe_q))
+            self.rho = margin + 64  # additive slack, so a calibrated rho is >= 1
+            if self.rho > config.rho_cap:
+                self.rho, self.rho_clamped = config.rho_cap, True
         published = perturb.serialize_published_model(self.enc_model, self.masks.r_out)
-        self.contract.start(merkle_root(published), M0=config.samples_per_do, N_max=config.N)
+        self.contract.start(
+            merkle_root(published), M0=config.samples_per_do, N_max=config.N,
+            rho=self.rho if config.validation else None,
+        )
         for n in self.do_ids:
             self.contract.register(n)
-        # The model owner calibrates the norm bound from its own probe gradient.
-        self.rho, self.rho_clamped = config.rho, False
-        if config.validation:
-            if self.rho is None:
-                probe = perturb.encrypted_gradient(
-                    self.enc_model, self.masks.r_out, world.mo_data[0], world.mo_data[1]
-                )
-                probe_q = self._quantize(perturb.flatten(probe), "model owner's probe")
-                margin = math.ceil(config.rho_margin * self._sub_norm(probe_q))
-                self.rho = margin + 64  # additive slack, so a calibrated rho is >= 1
-                if self.rho > config.rho_cap:
-                    self.rho, self.rho_clamped = config.rho_cap, True
 
     def share(self):
         """Each owner commits to its gradient on chain and sends each server a share."""
@@ -424,12 +426,12 @@ class _Session:
     def validate(self):
         """Each owner in the validity set proves its norm bound to the servers.
 
-        Every owner's proof packages reach the servers before the contract
-        draws the challenge r; then the servers test each proof at r.
+        The circuit is the norm circuit for the rho posted at `start`. Every
+        owner's proof packages reach the servers before the contract draws
+        the challenge r; then the servers test each proof at r.
         """
-        if self.config.validation:
-            circ = build_norm_circuit(len(self.sub_idx), self.rho, accept_zero=True)
-            self.contract.reveal_circuit(circ)
+        if self.contract.rho is not None:
+            circ = build_norm_circuit(len(self.sub_idx), self.contract.rho, accept_zero=True)
             owners = sorted(self.contract.validity)
             packages = {n: self._prove(n, circ) for n in owners}
             r = self.contract.sample_challenge()

@@ -115,8 +115,8 @@ def prove(
 ) -> list[ProverPackage]:
     """Produce the K prover packages for a circuit input.
 
-    When the input vector is already shared (the usual flow: sharing happens
-    before the circuit is revealed), pass those shares so the proof binds to
+    When the input vector is already shared (the usual flow: an owner shares
+    its gradient before it proves), pass those shares so the proof binds to
     them; otherwise a fresh sharing is drawn from rng.
     """
     if input_shares is None:

@@ -218,7 +218,7 @@ def test_gas_compare_clean_config_golden_digest(tmp_path):
     cfg = str(CONFIGS / "clean.json")
     assert main(["gas-compare", "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "f243d2aefa51290e1f506cc20f011241e5f1a0e65dd02ad2c4aba33138263d8a"
+        "98b2595105fac6af7c87ab448b2bf94863a2d524b4ce5c9e5a9904e2be1d738d"
     )
 
 

@@ -23,12 +23,11 @@ from gradmarket.contract import (
     merkle_root,
     rs_decode_field_ops,
 )
-from gradmarket.circuit import build_norm_circuit
 from gradmarket.field import Q
 from gradmarket.shamir import ShareVector, ss_share
 
 
-def _fresh(deposit=100, N=4, K=5, T=1, m=3, validation=True):
+def _fresh(deposit=100, N=4, K=5, T=1, m=3):
     rng = random.Random(7)
     key = setup_key(m, rng)
     contract = TradeContract(
@@ -38,7 +37,6 @@ def _fresh(deposit=100, N=4, K=5, T=1, m=3, validation=True):
         T=T,
         commit_key=key,
         rng=random.Random(11),
-        validation=validation,
     )
     return contract, key, rng
 
@@ -49,8 +47,8 @@ def _honest_sharing(key, rng, m=3, T=1, K=5):
     return secret, shares, commit.commit(secret, masks, key)
 
 
-def _advance_to_validation(contract, key, rng, N=4):
-    contract.start(b"\x01" * 32, M0=8, N_max=N)
+def _advance_to_validation(contract, key, rng, N=4, rho=4):
+    contract.start(b"\x01" * 32, M0=8, N_max=N, rho=rho)
     sharings = {}
     for n in range(N):
         contract.register(n)
@@ -78,6 +76,31 @@ def test_gas_of_start_from_cost_table():
     contract.start(b"\x03" * 32, M0=4, N_max=4)
     t = GasTable()
     assert contract.meter.per_method["start"] == t.tx_base + t.hash_word + 2 * t.storage_word_write
+
+
+def test_start_stores_a_rho_word_only_when_rho_is_given():
+    t = GasTable()
+    for rho, words in ((None, 2), (5, 3)):
+        contract, _, _ = _fresh()
+        contract.start(b"\x03" * 32, M0=4, N_max=4, rho=rho)
+        assert contract.rho == rho
+        assert ("rho" in contract.slots) == (rho is not None)
+        assert contract.tx_log[-1]["stored_words_delta"] == words
+        assert contract.tx_log[-1]["gas"] == t.tx_base + t.hash_word + words * t.storage_word_write
+
+
+@pytest.mark.parametrize("rho", [True, 0, -1, 2.5])
+def test_start_refuses_a_rho_that_is_not_a_positive_integer(rho):
+    contract, _, _ = _fresh()
+    log_length, gas_total = len(contract.tx_log), contract.meter.total
+    with pytest.raises(TxRejected, match="^start: rho must be a positive integer"):
+        contract.start(b"\x03" * 32, M0=4, N_max=4, rho=rho)
+    assert contract.tx_log[log_length:] == [{
+        "method": "start", "caller": "mo", "gas": GasTable().tx_base,
+        "phase_before": SETUP, "phase_after": SETUP, "stored_words_delta": 0,
+    }]
+    assert contract.meter.total == gas_total + GasTable().tx_base
+    assert contract.rho is None and "rho" not in contract.slots
 
 
 def test_rejected_tx_charges_base_and_preserves_state():
@@ -220,15 +243,23 @@ def test_challenge_ordering_enforced():
     contract, key, rng = _fresh()
     _advance_to_validation(contract, key, rng)
     with pytest.raises(TxRejected):
-        contract.sample_challenge()  # before reveal
-    circ = build_norm_circuit(3, 4, accept_zero=True)
-    contract.reveal_circuit(circ)
+        contract.submit_verdict(1, 0, 1, 1)  # before the challenge
     r = contract.sample_challenge()
     assert 0 <= r < Q
     with pytest.raises(TxRejected):
         contract.sample_challenge()  # only once
-    with pytest.raises(TxRejected):
-        contract.reveal_circuit(circ)  # only once
+
+
+def test_session_without_rho_is_not_validated():
+    contract, key, rng = _fresh()
+    _advance_to_validation(contract, key, rng, rho=None)
+    with pytest.raises(TxRejected, match="^sample_challenge: validation disabled for this session$"):
+        contract.sample_challenge()
+    assert contract.tx_log[-1]["gas"] == GasTable().tx_base
+    assert contract.challenge is None
+    contract.complete_validation()  # no verdicts to wait for
+    assert contract.phase == PAYMENT
+    assert contract.validity == {0, 1, 2, 3}
 
 
 def test_challenge_deterministic_per_seed():
@@ -238,13 +269,12 @@ def test_challenge_deterministic_per_seed():
             commit_key=setup_key(3, random.Random(5)),
             rng=random.Random(seed),
         )
-        contract.start(b"\x0b" * 32, M0=1, N_max=1)
+        contract.start(b"\x0b" * 32, M0=1, N_max=1, rho=2)
         contract.register(0)
         _, _, cm = _honest_sharing(setup_key(3, random.Random(5)), random.Random(6), K=4)
         contract.store_commitment(0, cm)
         contract.mark_shares_ready()
         contract.begin_validation()
-        contract.reveal_circuit(build_norm_circuit(3, 2, accept_zero=True))
         return contract.sample_challenge()
 
     assert challenge(1) == challenge(1)
@@ -264,7 +294,6 @@ def _submit_shared_value(contract, n, identity_value, output_value, rng, failed_
 def test_verdict_flow_accept_and_reject():
     contract, key, rng = _fresh(N=5)  # K=5, T=1: at most one flag is a liar's
     _advance_to_validation(contract, key, rng, N=5)
-    contract.reveal_circuit(build_norm_circuit(3, 4, accept_zero=True))
     contract.sample_challenge()
     _submit_shared_value(contract, 0, 0, 0, rng)  # identity 0, output 0: valid
     _submit_shared_value(contract, 1, 0, 5, rng)  # output nonzero: rejected
@@ -282,7 +311,6 @@ def test_verdict_flow_accept_and_reject():
 def test_duplicate_verdict_rejected():
     contract, key, rng = _fresh()
     _advance_to_validation(contract, key, rng)
-    contract.reveal_circuit(build_norm_circuit(3, 4, accept_zero=True))
     contract.sample_challenge()
     contract.submit_verdict(1, 0, 1, 1)
     with pytest.raises(TxRejected):
@@ -292,7 +320,6 @@ def test_duplicate_verdict_rejected():
 def test_verdict_buffer_freed_after_reconstruction():
     contract, key, rng = _fresh()
     _advance_to_validation(contract, key, rng)
-    contract.reveal_circuit(build_norm_circuit(3, 4, accept_zero=True))
     contract.sample_challenge()
     _submit_shared_value(contract, 0, 0, 0, rng)
     assert all(("verdict_share", 0, i) not in contract.slots for i in range(1, contract.K + 1))
@@ -301,7 +328,6 @@ def test_verdict_buffer_freed_after_reconstruction():
 
 def _complete_session(contract, key, rng, N=4, identity=0, output=0):
     sharings = _advance_to_validation(contract, key, rng, N=N)
-    contract.reveal_circuit(build_norm_circuit(3, 4, accept_zero=True))
     contract.sample_challenge()
     for n in range(N):
         _submit_shared_value(contract, n, identity, output, rng)
@@ -328,7 +354,6 @@ def test_payment_floor_and_remainder():
 def test_payment_refund_on_empty_validity():
     contract, key, rng = _fresh(deposit=100, N=2)
     _advance_to_validation(contract, key, rng, N=2)
-    contract.reveal_circuit(build_norm_circuit(3, 4, accept_zero=True))
     contract.sample_challenge()
     for n in range(2):
         _submit_shared_value(contract, n, 0, 9, rng)  # everyone invalid
@@ -343,7 +368,6 @@ def test_payment_refund_on_empty_validity():
 def test_aggregate_commitment_matches_validity_product():
     contract, key, rng = _fresh(N=3)
     sharings = _advance_to_validation(contract, key, rng, N=3)
-    contract.reveal_circuit(build_norm_circuit(3, 4, accept_zero=True))
     contract.sample_challenge()
     for n in range(3):
         _submit_shared_value(contract, n, 0, 0, rng)
@@ -413,7 +437,6 @@ def test_state_machine_safety_exhaustive():
         "resolve_complaint": {SHARE_COLLECTION},
         "mark_shares_ready": {SHARE_COLLECTION},
         "begin_validation": {SHARE_READY},
-        "reveal_circuit": {GRAD_VALIDATION},
         "sample_challenge": {GRAD_VALIDATION},
         "submit_verdict": {GRAD_VALIDATION},
         "complete_validation": {GRAD_VALIDATION},
@@ -426,7 +449,7 @@ def test_state_machine_safety_exhaustive():
         contract, key, rng = _fresh(N=2)
         if phase == SETUP:
             return contract
-        contract.start(b"\x0c" * 32, M0=4, N_max=2)
+        contract.start(b"\x0c" * 32, M0=4, N_max=2, rho=4)
         if phase == REGISTER:
             return contract
         contract.register(0)
@@ -442,7 +465,6 @@ def test_state_machine_safety_exhaustive():
         contract.begin_validation()
         if phase == GRAD_VALIDATION:
             return contract
-        contract.reveal_circuit(build_norm_circuit(3, 4, accept_zero=True))
         contract.sample_challenge()
         for n in range(2):
             _submit_shared_value(contract, n, 0, 0, rng)
@@ -468,7 +490,6 @@ def test_state_machine_safety_exhaustive():
         "resolve_complaint": (0, spare_shares[0]),
         "mark_shares_ready": (),
         "begin_validation": (),
-        "reveal_circuit": (build_norm_circuit(3, 4, accept_zero=True),),
         "sample_challenge": (),
         "submit_verdict": (1, 0, 1, 1),
         "complete_validation": (),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import SMALL_SESSION, small_session_config, training_config
-from gradmarket import snip
+from gradmarket import sim, snip
 from gradmarket.contract import TradeContract, expected_word_count
 from gradmarket.sim import (
     DO_BEHAVIORS,
@@ -264,6 +264,28 @@ def test_every_proof_is_packaged_before_the_challenge(monkeypatch):
     assert report["validity_set"] == [0, 2]
 
 
+def test_the_norm_bound_is_fixed_at_start(monkeypatch):
+    # rho is posted before any owner registers, and the servers validate
+    # against the posted rho, not the model owner's local copy
+    cfg = small_session_config(malicious_dos=({"id": 0, "behavior": "random_gradient"},))
+    sessions = []
+    publish = sim._Session.publish
+
+    def publish_then_overwrite(self):
+        publish(self)
+        sessions.append(self)
+        self.rho = 1  # every honest owner's norm is above 1
+
+    posted = run_session(cfg, 3)
+    methods = [tx["method"] for tx in posted["transactions"]]
+    assert methods.count("start") == 1 and "register" not in methods[:methods.index("start")]
+    monkeypatch.setattr(sim._Session, "publish", publish_then_overwrite)
+    overwritten = run_session(cfg, 3)
+    assert sessions[0].contract.rho == posted["rho"] > 1
+    assert overwritten["validity_set"] == posted["validity_set"] == [1, 2, 3]
+    assert overwritten["events"] == posted["events"]
+
+
 def test_budget_flag_on_violating_config():
     cfg = small_session_config(
         malicious_servers=(
@@ -412,7 +434,7 @@ def test_clean_config_report_golden_digest():
     path = Path(__file__).resolve().parent.parent / "configs" / "clean.json"
     report = run_session(SessionConfig.from_dict(json.loads(path.read_text())), 3)
     assert _report_digest(report) == (
-        "5dc5e97677e44b40ee3ebd750eca40e3d8a98733c593f4a56252cd5469f9ae39"
+        "c5192e2a8afeab6148e1b2840896b68e7cbc7b3ca065bb06ee3782fdb967c405"
     )
 
 
@@ -421,7 +443,7 @@ def test_all_adversaries_report_golden_digest():
     assert report["validity_set"] == [4, 5]
     assert report["aggregate_share_failures"] == [2]
     assert _report_digest(report) == (
-        "c9905b5c3653457d4bff588f901f4b6573a96c6a0a862547605ed94ee705ba33"
+        "027885fc8ba8bab421100d48afdac76107e868ba56378c0138f3844b1b95b728"
     )
 
 
@@ -440,7 +462,7 @@ def test_empty_validity_set_report_golden_digest():
     assert report["validity_set"] == []
     assert report["payments"] == {"mo": 1000}
     assert _report_digest(report) == (
-        "883a9ee505ab44696ba6c2a2fab21118b569138453df117f279acfaaa5bea4b0"
+        "13145f0cc9e11d8b5a5fcb3d109447475b6073cdac4dcc642ed6db2dadb4d72f"
     )
 
 
@@ -462,7 +484,7 @@ def test_attacked_training_report_and_curve_golden_digest():
     report = _rounded(run_training(SessionConfig.from_dict(doc), 3))
     assert [s["validity_set"] for s in report["sessions"]] == [[1, 2, 3]] * 3
     assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == (
-        "d51f2a20701ec7b8a6e6db79fc5818e986b90bbe2a221563776d2a0de2e7b52d"
+        "906c59ecc1e56bfd738c13dc1ee19be13a906b48b2d074045a08b0e7a35c7fe1"
     )
     assert hashlib.sha256(loss_curve_csv(report).encode()).hexdigest() == (
         "f85da55f86bdee7af0e47133a9d66a2b62aaac90f4aca841531daa5032b648ac"
