@@ -24,7 +24,6 @@ import functools
 import math
 from dataclasses import dataclass
 
-from . import field
 from .field import Q
 
 MUL = "mul"
@@ -154,7 +153,7 @@ class MulTrace:
 
 def eval_plain(circuit: Circuit, inputs: list[int]) -> tuple[int, MulTrace]:
     """Gate-by-gate evaluation over F_q, recording the multiplication trace."""
-    return _run_gates(circuit, [x % Q for x in inputs], field.mul)
+    return _run_gates(circuit, [x % Q for x in inputs], lambda u, v: u * v % Q)
 
 
 def _run_gates(circuit: Circuit, inputs: list[int], mul_rule) -> tuple[int, MulTrace]:

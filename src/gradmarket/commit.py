@@ -211,7 +211,7 @@ def verify_share(
     ipow = 1  # i^j mod q
     for c in commitment.elements:
         lhs = lhs * pow(c, ipow, P) % P
-        ipow = field.mul(ipow, i % Q)
+        ipow = ipow * i % Q
     rhs = _multi_exp(key, share.values)
     return lhs == rhs
 

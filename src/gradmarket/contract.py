@@ -497,7 +497,8 @@ def baseline_gas_estimate(
     """
     meter = GasMeter(table or GasTable())
     meter.charge("deploy", writes=2)
-    meter.charge("start", hash_words=1, writes=2)
+    # root, params and rho: the contract evaluates the norm circuit itself
+    meter.charge("start", hash_words=1, writes=3)
     for _ in range(N):
         meter.charge("register", reads=1, writes=1)
         meter.charge("store_gradient", writes=m)

@@ -1,9 +1,10 @@
-"""Prime field arithmetic over F_q with q = 2^127 - 1 (Mersenne prime).
+"""Prime field arithmetic over F_q with q = 2^127 - 1, a Mersenne prime;
+the commitment group is built on the prime p = 114q + 1.
 
-All field elements are plain Python ints in [0, q). Polynomials are lists
-of field elements, lowest degree first. Python ints carry the 254-bit
-intermediate products without overflow; reduction exploits the Mersenne
-structure of q.
+All field elements are plain Python ints in [0, q). Arithmetic is Python
+int arithmetic reduced with `% Q`; one inverse is `pow(a, -1, Q)` (`inv`),
+and many are one inversion with `batch_inv`. Polynomials are lists of
+field elements, lowest degree first.
 
 Also provides signed fixed-point quantization between reals and F_q:
 a real x maps to round(x * 2^s) embedded symmetrically, with negatives
@@ -26,41 +27,11 @@ Q = (1 << 127) - 1  # 2^127 - 1, prime
 ELEMENT_BYTES = 16
 
 
-def _reduce(x: int) -> int:
-    """Reduce a non-negative int < 2^254 mod q using the Mersenne split."""
-    r = (x >> 127) + (x & Q)
-    if r >= Q:
-        r -= Q
-    return r
-
-
-def add(a: int, b: int) -> int:
-    s = a + b
-    if s >= Q:
-        s -= Q
-    return s
-
-
-def sub(a: int, b: int) -> int:
-    s = a - b
-    if s < 0:
-        s += Q
-    return s
-
-
-def mul(a: int, b: int) -> int:
-    return _reduce(a * b)
-
-
-def neg(a: int) -> int:
-    return Q - a if a else 0
-
-
 def inv(a: int) -> int:
-    """Multiplicative inverse via Fermat: a^(q-2) mod q."""
-    if a == 0:
+    """Multiplicative inverse mod q; raises ZeroDivisionError on any multiple of q."""
+    if a % Q == 0:
         raise ZeroDivisionError("cannot invert zero in F_q")
-    return pow(a, Q - 2, Q)
+    return pow(a, -1, Q)
 
 
 def batch_inv(values: list[int]) -> list[int]:
@@ -137,19 +108,15 @@ def poly_deg(coeffs: list[int]) -> int:
 
 
 def poly_eval(coeffs: list[int], x: int) -> int:
-    """Horner evaluation, with the Mersenne reduction inlined."""
-    q = Q
+    """Horner evaluation."""
     result = 0
     for c in reversed(coeffs):
-        v = result * x + c
-        result = (v >> 127) + (v & q)
-        if result >= q:
-            result -= q
+        result = (result * x + c) % Q
     return result
 
 
 def poly_sub(p: list[int], q: list[int]) -> list[int]:
-    return [sub(a, b) for a, b in zip_longest(p, q, fillvalue=0)]
+    return [(a - b) % Q for a, b in zip_longest(p, q, fillvalue=0)]
 
 
 def poly_mul(p: list[int], q: list[int]) -> list[int]:
@@ -177,32 +144,19 @@ def poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     quo = [0] * (dn - dd + 1)
     lead_inv = inv(den[dd])
     for k in range(dn - dd, -1, -1):
-        coef = mul(rem[dd + k], lead_inv)
+        coef = rem[dd + k] * lead_inv % Q
         quo[k] = coef
         if coef:
             for j in range(dd + 1):
-                rem[j + k] = sub(rem[j + k], mul(den[j], coef))
+                rem[j + k] = (rem[j + k] - den[j] * coef) % Q
     return poly_trim(quo), poly_trim(rem)
-
-
-# Cache of inverses of small differences (x_i - x_j); domains reuse the
-# same few values heavily, e.g. consecutive share indices.
-_INV_CACHE: dict[int, int] = {}
-
-
-def _cached_inv(a: int) -> int:
-    r = _INV_CACHE.get(a)
-    if r is None:
-        r = inv(a)
-        if len(_INV_CACHE) < 65536:
-            _INV_CACHE[a] = r
-    return r
 
 
 def poly_interpolate(points: list[tuple[int, int]]) -> list[int]:
     """Coefficients of the unique polynomial of degree < n through n points.
 
-    Newton divided differences, O(n^2). Raises ValueError on duplicate x.
+    Newton divided differences, O(n^2), with one `inv` per difference of
+    x-coordinates. Raises ValueError on duplicate x.
     """
     if not points:
         raise ValueError("need at least one point")
@@ -214,9 +168,7 @@ def poly_interpolate(points: list[tuple[int, int]]) -> list[int]:
     dd = [y for _, y in points]
     for level in range(1, n):
         for i in range(n - 1, level - 1, -1):
-            num = sub(dd[i], dd[i - 1])
-            den = sub(xs[i], xs[i - level])
-            dd[i] = mul(num, _cached_inv(den))
+            dd[i] = (dd[i] - dd[i - 1]) * inv(xs[i] - xs[i - level]) % Q
     # expand Newton form: p(x) = dd[0] + dd[1](x-x0) + dd[2](x-x0)(x-x1) + ...
     coeffs = [0] * n
     basis = [1]  # running product (x-x0)...(x-x_{k-1})
@@ -224,14 +176,13 @@ def poly_interpolate(points: list[tuple[int, int]]) -> list[int]:
         c = dd[k]
         if c:
             for j, b in enumerate(basis):
-                coeffs[j] = add(coeffs[j], mul(c, b))
+                coeffs[j] = (coeffs[j] + c * b) % Q
         if k < n - 1:
             # basis *= (x - xs[k])
-            nxk = neg(xs[k])
             nxt = [0] * (len(basis) + 1)
             for j, b in enumerate(basis):
-                nxt[j] = add(nxt[j], mul(b, nxk))
-                nxt[j + 1] = add(nxt[j + 1], b)
+                nxt[j] = (nxt[j] - b * xs[k]) % Q
+                nxt[j + 1] = (nxt[j + 1] + b) % Q
             basis = nxt
     return poly_trim(coeffs)
 
@@ -299,12 +250,9 @@ class EvalDomain:
     def _extension(self) -> tuple[int, np.ndarray, list[int]]:
         """Transform length, spectrum of 1/1..1/(2n-2), and ell(n+1..2n-1)."""
         n = self.n
-        # invs[d] = 1/d for d = 1..2n-2, from 1/d = -(q div d) / (q mod d)
-        invs = [0, 1] + [0] * (2 * n - 3)
-        for d in range(2, 2 * n - 1):
-            invs[d] = (Q - Q // d) * invs[Q % d] % Q
+        invs = [0] + [inv(d) for d in range(1, 2 * n - 1)]  # invs[d] = 1/d
         size = 1 << ((2 * n - 1) * self.slot_bytes - 1).bit_length()
-        spectrum = np.fft.rfft(self._digits(invs[1:2 * n - 1]), size)
+        spectrum = np.fft.rfft(self._digits(invs[1:]), size)
         # ell(n+1) = n!, ell(x+1) = ell(x) * x / (x - n)
         ells = []
         ell = self.fact_n

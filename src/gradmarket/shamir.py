@@ -95,9 +95,9 @@ def ss_recon(shares: list[ShareVector], T: int) -> list[int]:
         num, den = 1, 1
         for j, xj in enumerate(xs):
             if j != i:
-                num = field.mul(num, field.neg(xj))
-                den = field.mul(den, field.sub(xi, xj))
-        lam.append(field.mul(num, field.inv(den)))
+                num = num * -xj % Q
+                den = den * (xi - xj) % Q
+        lam.append(num * field.inv(den) % Q)
     out = [0] * m
     for k in range(m):
         acc = 0
@@ -120,7 +120,7 @@ def gao_decode(xs: list[int], ys: list[int], k: int) -> list[int]:
     # g0 = prod (x - x_i), g1 = interpolant through the received points
     g0 = [1]
     for x in xs:
-        g0 = field.poly_mul(g0, [field.neg(x), 1])
+        g0 = field.poly_mul(g0, [-x % Q, 1])
     g1 = field.poly_interpolate(list(zip(xs, ys)))
     if field.poly_deg(g1) < 0:
         return []  # all-zero word is the zero codeword

@@ -91,7 +91,7 @@ def package_proof(
     h_shares, _ = ss_share(h_values, T, K, rng)
     a = field.rand_element(rng)
     b = field.rand_element(rng)
-    c = field.mul(a, b)
+    c = a * b % Q
     a_sh, _ = ss_share([a], T, K, rng)
     b_sh, _ = ss_share([b], T, K, rng)
     c_sh, _ = ss_share([c], T, K, rng)
@@ -183,8 +183,8 @@ def server_round1(pkg: ProverPackage, circ: Circuit, r: int) -> CheckState:
     a, b, _ = pkg.triple
     return CheckState(
         index=pkg.index,
-        d_share=field.sub(f_r, a),
-        e_share=field.sub(g_r, b),
+        d_share=(f_r - a) % Q,
+        e_share=(g_r - b) % Q,
         h_r_share=h_r,
         triple=pkg.triple,
         output_share=output_share,
@@ -208,9 +208,9 @@ def server_round2(
     except DecodeFailure:
         return VerdictShares(identity_share=0, output_share=0, decode_failed=True)
     a, b, c = state.triple
-    prod_share = (field.mul(d, e) + field.mul(d, b) + field.mul(e, a) + c) % Q
+    prod_share = (d * e + d * b + e * a + c) % Q
     return VerdictShares(
-        identity_share=field.sub(state.h_r_share, prod_share),
+        identity_share=(state.h_r_share - prod_share) % Q,
         output_share=state.output_share,
     )
 

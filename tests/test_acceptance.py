@@ -163,7 +163,7 @@ def test_criterion_7_commitment_scheme():
         agg = commit.aggregate_commitments([c1, c2])
         summed = ShareVector(
             sh1[i].index,
-            tuple(field.add(a, b) for a, b in zip(sh1[i].values, sh2[i].values)),
+            tuple((a + b) % Q for a, b in zip(sh1[i].values, sh2[i].values)),
         )
         if commit.verify_share(summed, agg, key):
             agg_ok += 1

@@ -218,8 +218,17 @@ def test_gas_compare_clean_config_golden_digest(tmp_path):
     cfg = str(CONFIGS / "clean.json")
     assert main(["gas-compare", "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "98b2595105fac6af7c87ab448b2bf94863a2d524b4ce5c9e5a9904e2be1d738d"
+        "9862804a827a9e43bee5dac7c67e3aaa1293d6d6611029601679359e78e66beb"
     )
+
+
+def test_gas_compare_baseline_start_stores_rho_like_the_offchain_start(tmp_path):
+    # both contracts store root, params and the norm bound at start
+    out = tmp_path / "gas.json"
+    cfg = str(CONFIGS / "clean.json")
+    assert main(["gas-compare", "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["baseline"]["per_method"]["start"] == doc["offchain"]["per_method"]["start"]
 
 
 def test_gas_compare_prices_the_baseline_from_field_ops(tmp_path):

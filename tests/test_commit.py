@@ -145,8 +145,8 @@ def test_homomorphism():
     z2 = [[field.rand_element(rng) for _ in range(m)]]
     c1 = commit.commit(s1, z1, key)
     c2 = commit.commit(s2, z2, key)
-    s12 = [field.add(a, b) for a, b in zip(s1, s2)]
-    z12 = [[field.add(a, b) for a, b in zip(z1[0], z2[0])]]
+    s12 = [(a + b) % Q for a, b in zip(s1, s2)]
+    z12 = [[(a + b) % Q for a, b in zip(z1[0], z2[0])]]
     c12 = commit.commit(s12, z12, key)
     prod = aggregate_commitments([c1, c2])
     assert prod.elements == c12.elements
@@ -179,7 +179,7 @@ def test_aggregate_verifies_summed_shares():
         summed = ShareVector(
             index=i + 1,
             values=tuple(
-                field.add(a, b)
+                (a + b) % Q
                 for a, b in zip(all_shares[0][i].values, all_shares[1][i].values)
             ),
         )

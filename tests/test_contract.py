@@ -379,7 +379,7 @@ def test_aggregate_commitment_matches_validity_product():
         summed = [0, 0, 0]
         for n in range(3):
             for k in range(3):
-                summed[k] = field.add(summed[k], sharings[n][1][i].values[k])
+                summed[k] = (summed[k] + sharings[n][1][i].values[k]) % Q
         assert commit.verify_share(ShareVector(i + 1, tuple(summed)), agg, key)
 
 

@@ -222,14 +222,14 @@ def test_mask_to_share_map_is_bijective():
                 return 0
             if pivot != col:
                 m[col], m[pivot] = m[pivot], m[col]
-                det = field.neg(det)
-            det = field.mul(det, m[col][col])
+                det = -det % Q
+            det = det * m[col][col] % Q
             inv_p = field.inv(m[col][col])
             for r in range(col + 1, n):
-                factor = field.mul(m[r][col], inv_p)
+                factor = m[r][col] * inv_p % Q
                 if factor:
                     for c in range(col, n):
-                        m[r][c] = field.sub(m[r][c], field.mul(factor, m[col][c]))
+                        m[r][c] = (m[r][c] - factor * m[col][c]) % Q
         return det
 
     for K in (4, 8, 16):

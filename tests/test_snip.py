@@ -56,7 +56,7 @@ def test_h_reconstructs_trace_products():
         value_shares = [ShareVector(p.index, (p.h_coeff_shares[j],)) for p in packages[:3]]
         h.append(ss_recon(value_shares, 2)[0])
     for t, (u, v) in enumerate(zip(trace.left, trace.right), start=1):
-        assert h[t - 1] == field.mul(u, v)
+        assert h[t - 1] == u * v % Q
     # oracle: the coefficient-form product of the interpolated f and g
     f = field.poly_interpolate([(t, u) for t, u in enumerate(trace.left, start=1)])
     g = field.poly_interpolate([(t, v) for t, v in enumerate(trace.right, start=1)])
@@ -98,7 +98,7 @@ def test_beaver_triple_reconstructs_consistently():
         shares = [ShareVector(p.index, (p.triple[pos],)) for p in packages[:2]]
         abc.append(ss_recon(shares, 1)[0])
     a, b, c = abc
-    assert field.mul(a, b) == c
+    assert a * b % Q == c
 
 
 def test_server_eval_reconstructs_wire_values():
@@ -295,7 +295,7 @@ def test_malformed_triple_only_hurts_the_prover():
             share=p.share,
             h_coeff_shares=p.h_coeff_shares,
             triple=(p.triple[0], p.triple[1],
-                    field.add(p.triple[2], d.values[0])),
+                    (p.triple[2] + d.values[0]) % Q),
         )
         for p, d in zip(packages, delta_shares)
     ]
