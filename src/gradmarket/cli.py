@@ -15,7 +15,16 @@ from pathlib import Path
 
 from . import field, perturb, sim
 from .circuit import build_norm_circuit, eval_plain
-from .commit import GENERATOR_LABEL, GROUP_COFACTOR, P, commit, setup_key, verify_share
+from .commit import (
+    GENERATOR_LABEL,
+    GROUP_COFACTOR,
+    HALF_Q,
+    P,
+    VECTOR_MIN_M,
+    commit,
+    setup_key,
+    verify_share,
+)
 from .contract import GasTable, baseline_gas_estimate
 from .shamir import robust_recon, ss_share
 from .sim import ConfigError, ProtocolError, SessionConfig
@@ -144,6 +153,15 @@ def _selftest() -> int:
     cm2 = commit(secret, masks2, key)
     ok = all(verify_share(s, cm2, key) for s in shares2)
     check("commitment completeness", ok)
+
+    # the vector pass of a long key on the largest residues, whose byte
+    # digits are nearly all 255, against one pow per term
+    long_key = setup_key(VECTOR_MIN_M, rng)
+    worst = [field.Q - 1 if k % 2 else HALF_Q for k in range(VECTOR_MIN_M)]
+    expected = 1
+    for b, e in zip(long_key.basis, worst):
+        expected = expected * pow(b, e, P) % P
+    check("long-key multi-exp", commit(worst, [], long_key).elements == (expected,))
 
     # an honest proof end to end: an in-bound input is accepted, and an
     # out-of-bound one reconstructs its nonzero plain output

@@ -4,6 +4,7 @@ import json
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gradmarket import commit, field, perturb, sim
@@ -252,21 +253,33 @@ def test_multi_exp_small_signed_values():
     assert commit._multi_exp(key, signed) == expected
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 7, 64, 192, 300, 2400])
+@pytest.mark.parametrize(
+    "m", [1, 2, 3, 7, 64, 192, 300, commit.VECTOR_MIN_M - 1, commit.VECTOR_MIN_M, 2400]
+)
 def test_multi_exp_matches_per_term_product(m):
+    # keys below VECTOR_MIN_M take the byte pass, the others the vector
+    # pass, and a key builds only the table of its own pass
     rng = random.Random(m)
     key = _explicit_key(rng, m)
     full = [field.rand_element(rng) for _ in range(m)]
-    assert commit._multi_exp(key, full) == _per_term_product(key.basis, full)
     # sparse vector with short exponents: fewer terms, fewer windows
     sparse = [rng.randrange(1 << 20) if rng.random() < 0.3 else 0 for _ in range(m)]
-    assert commit._multi_exp(key, sparse) == _per_term_product(key.basis, sparse)
+    # 16 different digits: one term per bucket, a product tree of depth 0
+    single = [0] * m
+    single[rng.randrange(m)] = int.from_bytes(bytes(range(1, field.ELEMENT_BYTES + 1)), "little")
+    for exps in (full, sparse, [Q - 1] * m, [commit.HALF_Q] * m, [commit.HALF_Q + 1] * m,
+                 single, [0] * m):
+        assert commit._multi_exp(key, exps) == _per_term_product(key.basis, exps)
+    vector = m >= commit.VECTOR_MIN_M
+    assert ("limbs" in vars(key), "columns" in vars(key)) == (vector, not vector)
 
 
 def test_multi_exp_alternating_keys():
-    # each key reads its own table: a table kept from the other key fails
+    # each key reads its own table: a table kept from the other key fails,
+    # and so does a table kept per length on the two long keys
     rng = random.Random(23)
-    keys = [_explicit_key(rng, m) for m in (40, 40, 192, 40)]
+    long = commit.VECTOR_MIN_M
+    keys = [_explicit_key(rng, m) for m in (40, 40, 192, 40, long, long)]
     for _ in range(2):
         for key in keys:
             exps = [field.rand_element(rng) for _ in range(len(key))]
@@ -315,6 +328,45 @@ def test_key_table_built_once_on_first_use():
     assert columns[0] == key.basis
     for col, nxt in zip(columns, columns[1:]):
         assert nxt == tuple(pow(b, 256, P) for b in col)
+
+
+def test_montgomery_invariants():
+    # lanes at the edges of the inputs' range, below 2p: every product
+    # comes back in limbs below 2^28, below 2p and equal to a*b/R mod p
+    assert commit._R > 4 * P
+    edges = [2 * P - 1, P - 1, 0]
+    a = commit._to_limbs([x for x in edges for _ in edges])
+    b = commit._to_limbs(edges * len(edges))
+    out = np.empty_like(a)
+    commit._mont_mul(a, b, out)
+    assert out.dtype == np.uint32 and int(out.max()) < 1 << commit._LIMB_BITS
+    r_inv = pow(commit._R, -1, P)
+    products = commit._from_limbs(out)
+    for x, y, r in zip(commit._from_limbs(a), commit._from_limbs(b), products):
+        assert r < 2 * P and r % P == x * y * r_inv % P
+    # the output may overwrite an input, as the table build does
+    commit._mont_mul(a, b, a)
+    assert commit._from_limbs(a) == products
+
+
+def test_long_key_builds_only_the_limb_table():
+    commit._transparent_key.cache_clear()
+    m = 2400
+    key = setup_key(m, None)
+    assert "limbs" not in vars(key) and "columns" not in vars(key)
+    rng = random.Random(28)
+    exps = [field.rand_element(rng) for _ in range(m)]
+    assert commit._multi_exp(key, exps) == _per_term_product(key.basis, exps)
+    table = vars(key)["limbs"]
+    assert "columns" not in vars(key)
+    assert key.limbs is table and not table.flags.writeable
+    # entry w*m + k is basis[k]^(256^w) in Montgomery form, below 2p; the
+    # last entry is one
+    assert table.shape == (commit._LIMBS, field.ELEMENT_BYTES * m + 1)
+    values = commit._from_limbs(table)
+    assert max(values) < 2 * P and values[-1] == commit._R % P
+    for w, k in [(0, 0), (1, 7), (8, 1200), (15, m - 1)]:
+        assert values[w * m + k] % P == pow(key.basis[k], 256**w, P) * commit._R % P
 
 
 @pytest.mark.parametrize("m", [1, 192, 2400])
