@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import field
-from .field import Q
+from .field import HALF_Q, Q
 from .shamir import ShareVector
 
 # p = 114*q + 1, the smallest prime of the form (even c)*q + 1.
@@ -49,10 +49,6 @@ P = GROUP_COFACTOR * Q + 1
 GENERATOR_LABEL = b"gradmarket commitment generators v1"
 
 GROUP_ELEMENT_BYTES = (P.bit_length() + 7) // 8
-# residues above HALF_Q are read as the negative values e - q
-HALF_Q = (Q - 1) // 2
-# multiplications of one bucket fold: 255 into the running product, 255 into the total
-FOLD_COST = 2 * 255
 
 assert (P - 1) % Q == 0
 
@@ -289,26 +285,16 @@ def _bucket_fold(key: CommitmentKey, values: list[int], width: int) -> int:
 
 def _signed_parts(exps: list[int]) -> tuple[list[int], list[int], int] | None:
     """(positives, magnitudes of the negatives, their byte width) of reduced
-    exponents, each residue e above HALF_Q read as -(q - e), when the
-    magnitudes save more byte windows over the nonzero terms than a second
-    fold costs; otherwise None. The rule was set on the byte pass. It is
-    conservative on the vector pass, whose cost per pass falls with the
-    windows read: at the rule's edge (37 nonzero terms in 2 windows) on a
-    length-2400 key the split took 0.7 ms against 1.7 ms for one set.
+    exponents, each residue e above HALF_Q read as -(q - e), when every
+    residue lies within 256^15 of 0 or of q: then both sets fold over at
+    most 15 byte windows. Otherwise None; a random residue fails at once.
     """
-    width = field.ELEMENT_BYTES
-    # the magnitudes need fewer windows only if every residue lies within
-    # 256^(width-1) of 0 or of q; a random residue fails at once
-    near = 1 << (8 * (width - 1))
+    near = 1 << (8 * (field.ELEMENT_BYTES - 1))
     if not all(e < near or e > Q - near for e in exps):
         return None
     pos = [e if e <= HALF_Q else 0 for e in exps]
     neg = [Q - e if e > HALF_Q else 0 for e in exps]
-    signed_width = (max(max(pos), max(neg)).bit_length() + 7) // 8
-    terms = len(exps) - exps.count(0)
-    if (width - signed_width) * terms <= FOLD_COST:
-        return None
-    return pos, neg, signed_width
+    return pos, neg, (max(max(pos), max(neg)).bit_length() + 7) // 8
 
 
 def _multi_exp(key: CommitmentKey, exponents) -> int:

@@ -178,7 +178,6 @@ class TradeContract:
         self.events: list[dict] = []
 
         self.root: bytes | None = None
-        self.M0 = 0
         self.N_max = 0
         self.rho: int | None = None
         self.registered: list[int] = []
@@ -283,7 +282,6 @@ class TradeContract:
             if rho is not None and (isinstance(rho, bool) or not isinstance(rho, int) or rho < 1):
                 raise TxRejected(f"rho must be a positive integer, got {rho!r}")
             self.root = bytes(root)
-            self.M0 = M0
             self.N_max = N_max
             self._store(cost, "root", 1)
             self._store(cost, "params", 1)

@@ -23,6 +23,8 @@ from itertools import zip_longest
 import numpy as np
 
 Q = (1 << 127) - 1  # 2^127 - 1, prime
+# a residue above HALF_Q stands for the negative value e - q
+HALF_Q = (Q - 1) // 2
 
 ELEMENT_BYTES = 16
 
@@ -59,7 +61,7 @@ def batch_inv(values: list[int]) -> list[int]:
 
 # A draw is 127 random bits, rejected when it equals q, the one 127-bit
 # value outside the field: exactly the draws and rejections of
-# random.Random.randrange(q), so either consumes the same stream.
+# random.Random.randrange(q), so both consume the same stream.
 DRAW_BITS = Q.bit_length()
 
 
@@ -69,17 +71,6 @@ def rand_element(rng) -> int:
     while r >= Q:
         r = rng.getrandbits(DRAW_BITS)
     return r
-
-
-def rand_elements(rng, n: int) -> list[int]:
-    """n uniform elements of [0, q), the same values as n `rand_element` calls."""
-    draw = rng.getrandbits
-    out = [draw(DRAW_BITS) for _ in range(n)]
-    while Q in out:
-        # the accepted values are the raw draws with q removed, in order
-        out = [r for r in out if r != Q]
-        out += [draw(DRAW_BITS) for _ in range(n - len(out))]
-    return out
 
 
 def to_bytes(a: int) -> bytes:
@@ -348,6 +339,6 @@ class FixedPointCodec:
         return v % Q
 
     def dequantize(self, a: int) -> float:
-        if a > Q // 2:
+        if a > HALF_Q:
             return -float(Q - a) / (1 << self.scale_bits)
         return float(a) / (1 << self.scale_bits)

@@ -118,14 +118,11 @@ class MaskSet:
     gamma: np.ndarray
 
     def R(self, i: int, layer_sizes) -> np.ndarray:
-        """Multiplicative mask matrix for weights[i] (shape n_{i+1} x n_i)."""
-        L = len(layer_sizes) - 1
-        if i == 0:
-            col = np.ones(layer_sizes[0])
-            return np.outer(self.r_hidden[0], col)
-        if i < L - 1:
-            return np.outer(self.r_hidden[i], 1.0 / self.r_hidden[i - 1])
-        return np.outer(np.ones(layer_sizes[L]), 1.0 / self.r_hidden[L - 2])
+        """Multiplicative mask matrix for weights[i] (shape n_{i+1} x n_i):
+        rows[i] / cols[i] with rows = (r_hidden..., 1), cols = (1, r_hidden...)."""
+        rows = [*self.r_hidden, np.ones(layer_sizes[-1])]
+        cols = [np.ones(layer_sizes[0]), *self.r_hidden]
+        return np.outer(rows[i], 1.0 / cols[i])
 
     def R_additive(self, layer_sizes) -> np.ndarray:
         """Additive mask on the last layer: row i is gamma_i * r_out_i."""

@@ -72,7 +72,7 @@ def ss_share(
     if not 0 < T < K:
         raise ValueError(f"need 0 < T < K, got T={T}, K={K}")
     m = len(secret)
-    masks = [field.rand_elements(rng, m) for _ in range(T)]
+    masks = [[field.rand_element(rng) for _ in range(m)] for _ in range(T)]
     return share_with_masks(secret, masks, K), masks
 
 

@@ -34,7 +34,7 @@ from . import field, perturb, snip
 from .circuit import build_norm_circuit
 from .commit import CommitmentKey, setup_key, verify_share
 from .contract import GasTable, TradeContract, merkle_root
-from .field import Q, FixedPointCodec
+from .field import HALF_Q, Q, FixedPointCodec
 from .perturb import MlpModel, random_model
 from .shamir import ShareVector, ss_recon, ss_share
 
@@ -234,7 +234,6 @@ def np_stream(seed: int, name: str) -> np.random.Generator:
 
 @dataclass
 class World:
-    teacher: MlpModel
     model: MlpModel
     shards: list[tuple[np.ndarray, np.ndarray]]
     mo_data: tuple[np.ndarray, np.ndarray]
@@ -255,7 +254,7 @@ def build_world(config: SessionConfig, seed: int) -> World:
         for n in range(config.N)
     ]
     mo_data = _make_shard(config, seed, "mo.data", teacher, config.mo_samples)
-    return World(teacher=teacher, model=model, shards=shards, mo_data=mo_data)
+    return World(model=model, shards=shards, mo_data=mo_data)
 
 
 def validation_indices(config: SessionConfig) -> list[int]:
@@ -270,13 +269,9 @@ def validation_indices(config: SessionConfig) -> list[int]:
     return idx
 
 
-def _signed(v: int) -> int:
-    return v if v <= Q // 2 else v - Q
-
-
 def quantized_norm_sq(values: list[int]) -> int:
     """Integer sum of squares of signed-decoded field values."""
-    return sum(_signed(v) ** 2 for v in values)
+    return sum((v if v <= HALF_Q else v - Q) ** 2 for v in values)
 
 
 # ---------------------------------------------------------------------------
@@ -459,16 +454,16 @@ class _Session:
         """The servers run both rounds on owner n's packages and post verdicts."""
         config, seed = self.config, self.seed
         # a corrupt server broadcasts random d/e shares and submits a random verdict
-        lies = {
-            i: tuple(field.rand_elements(rng_stream(seed, f"server.{i}.adversary.{n}.open"), 2))
-            for i in self.servers
-            if self.server_behaviors.get(i) == "corrupt_shares"
-        }
+        lies = {}
+        for i in self.servers:
+            if self.server_behaviors.get(i) == "corrupt_shares":
+                orng = rng_stream(seed, f"server.{i}.adversary.{n}.open")
+                lies[i] = (field.rand_element(orng), field.rand_element(orng))
         verdicts = snip.identity_test(packages, circ, r, config.T, lies)
         for i, v in zip(self.servers, verdicts):
             if i in lies:
                 srng = rng_stream(seed, f"server.{i}.adversary.{n}.verdict")
-                v = snip.VerdictShares(*field.rand_elements(srng, 2))
+                v = snip.VerdictShares(field.rand_element(srng), field.rand_element(srng))
             self.contract.submit_verdict(i, n, v.identity_share, v.output_share, v.decode_failed)
 
     def aggregate(self):
@@ -487,7 +482,7 @@ class _Session:
             share = ShareVector(index=i, values=tuple(sum(c) % Q for c in columns))
             if self.server_behaviors.get(i) == "corrupt_shares":
                 srng = rng_stream(self.seed, f"server.{i}.adversary.aggregate")
-                share = ShareVector(index=i, values=tuple(field.rand_elements(srng, len(share))))
+                share = ShareVector(i, tuple(field.rand_element(srng) for _ in share.values))
             if verify_share(share, agg_commitment, self.key):
                 passing.append(share)
             else:

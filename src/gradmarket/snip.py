@@ -8,20 +8,23 @@ one Beaver triple. Each server evaluates the circuit on its input share,
 looking up its share of h(t) as the output of multiplication gate t, and
 the group runs one polynomial identity test at a public random point r:
 
-    h(r) - fhat(r) * ghat(r) == 0,
+    r * h(r) - (r * fhat(r)) * ghat(r) == 0,
 
 with the product computed through the Beaver triple so every on-wire value
 stays a degree-T Shamir share; [h](r) is one O(M) barycentric evaluation.
-`identity_test` runs both rounds for all K servers.
-A cheating prover whose shared h disagrees with f * g survives with
-probability at most deg(h - f*g)/q <= (2M-2)/q over r. A tampered value at
-t <= M breaks h(t) = u_t * v_t, since a gate's inputs do not depend on its
-own output.
+`identity_test` runs both rounds for all K servers. The test passes
+where r * (h - f*g)(r) - (c - a*b), a polynomial of degree at most 2M-1
+in r, vanishes; unless h = f*g and c = a*b it is nonzero, so a cheating
+prover survives with probability at most (2M-1)/q over r. The scaling by
+r is Prio's SNIP (Corrigan-Gibbs and Boneh, NSDI 2017): without it, a
+triple with c = a*b + delta cancels a shift of h by delta.
+A tampered value at t <= M breaks h(t) = u_t * v_t, since a gate's inputs
+do not depend on its own output.
 
 One Beaver triple per proof suffices: the protocol performs exactly one
-secure multiplication. Triples are prover-supplied; an ill-formed triple
-only perturbs the identity test against the prover itself, and server
-privacy never depends on triple well-formedness.
+secure multiplication. Triples are prover-supplied; with an ill-formed
+triple, a cheating owner passes with probability at most (2M-1)/q over r,
+and server privacy never depends on triple well-formedness.
 """
 
 from __future__ import annotations
@@ -40,7 +43,8 @@ class ProverPackage:
 
     h_coeff_shares[j] is this server's Shamir share of h(j + 1), j < 2M-1:
     h's coefficients in the Lagrange basis on 1..2M-1 (the name is kept for
-    the benchmark tracer). triple holds shares of (a, b, c = a*b).
+    the benchmark tracer). triple holds shares of (a, b, c = a*b). Both
+    are cut from one share of the vector h || (a, b, c).
 
     Packages pass between actors as objects; `to_bytes` gives the wire
     form only to count a proof's bytes, and nothing decodes it.
@@ -85,23 +89,16 @@ def package_proof(
     K: int,
     rng,
 ) -> list[ProverPackage]:
-    """Shamir-share h's values and one Beaver triple across K servers."""
+    """Draw a Beaver triple (a, b, a*b) and Shamir-share h's values and the
+    triple across K servers as one vector h || (a, b, a*b)."""
     if len(input_shares) != K:
         raise ValueError("need one input share per server")
-    h_shares, _ = ss_share(h_values, T, K, rng)
     a = field.rand_element(rng)
     b = field.rand_element(rng)
-    c = a * b % Q
-    a_sh, _ = ss_share([a], T, K, rng)
-    b_sh, _ = ss_share([b], T, K, rng)
-    c_sh, _ = ss_share([c], T, K, rng)
+    shares, _ = ss_share([*h_values, a, b, a * b % Q], T, K, rng)
     return [
-        ProverPackage(
-            share=input_shares[i],
-            h_coeff_shares=h_shares[i].values,
-            triple=(a_sh[i].values[0], b_sh[i].values[0], c_sh[i].values[0]),
-        )
-        for i in range(K)
+        ProverPackage(share=share, h_coeff_shares=s.values[:-3], triple=s.values[-3:])
+        for share, s in zip(input_shares, shares)
     ]
 
 
@@ -145,6 +142,7 @@ class CheckState:
     """Server-local state between the two rounds of the identity test."""
 
     index: int
+    r: int
     d_share: int
     e_share: int
     h_r_share: int
@@ -169,7 +167,7 @@ def server_round1(pkg: ProverPackage, circ: Circuit, r: int) -> CheckState:
     """First identity-test round: derive [d]_i and [e]_i, the state's
     broadcast shares.
 
-    d = fhat(r) - a and e = ghat(r) - b open safely; a and b act as
+    d = r * fhat(r) - a and e = ghat(r) - b open safely; a and b act as
     one-time pads.
     """
     output_share, trace = server_eval(pkg, circ)
@@ -183,7 +181,8 @@ def server_round1(pkg: ProverPackage, circ: Circuit, r: int) -> CheckState:
     a, b, _ = pkg.triple
     return CheckState(
         index=pkg.index,
-        d_share=(f_r - a) % Q,
+        r=r,
+        d_share=(r * f_r - a) % Q,
         e_share=(g_r - b) % Q,
         h_r_share=h_r,
         triple=pkg.triple,
@@ -198,8 +197,8 @@ def server_round2(
 
     broadcast maps each server index to its (d, e) shares, over whichever
     servers broadcast; up to floor((K'-T-1)/2) of the K' pairs may be
-    garbage. The Beaver identity gives the product share as
-    d*e + d*[b] + e*[a] + [c].
+    garbage. The Beaver identity gives the share of r * fhat(r) * ghat(r)
+    as d*e + d*[b] + e*[a] + [c], checked against r * [h(r)].
     """
     xs = sorted(broadcast)
     try:
@@ -210,7 +209,7 @@ def server_round2(
     a, b, c = state.triple
     prod_share = (d * e + d * b + e * a + c) % Q
     return VerdictShares(
-        identity_share=(state.h_r_share - prod_share) % Q,
+        identity_share=(state.r * state.h_r_share - prod_share) % Q,
         output_share=state.output_share,
     )
 

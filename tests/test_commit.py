@@ -383,10 +383,9 @@ def test_multi_exp_signed_split(m):
         exps = [rng.randint(-50, 50) % Q for _ in range(m)]
         exps[rng.randrange(m)] = edge
         check(exps, signed=False)
-    # all-negative small values: two byte windows in place of sixteen, worth
-    # a second fold once more than 510 / 14 terms are nonzero
+    # all-negative small values: two byte windows in place of sixteen
     negative = [Q - rng.randint(1, 60000) for _ in range(m)]
-    check(negative, signed=m > 36)
+    check(negative, signed=True)
     # small signed values with one random residue keep the single set
     mixed = [rng.randint(-60000, 60000) % Q for _ in range(m)]
     mixed[rng.randrange(m)] = field.rand_element(rng)

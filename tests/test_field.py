@@ -32,7 +32,8 @@ def test_inverse_of_zero_rejected():
 def test_inverse_matches_fermat_on_random_elements():
     # Fermat's a^(q-2) is the oracle; small and negative ints included
     rng = random.Random(101)
-    values = field.rand_elements(rng, 300) + list(range(1, 65)) + list(range(-64, 0))
+    values = [field.rand_element(rng) for _ in range(300)]
+    values += list(range(1, 65)) + list(range(-64, 0))
     for a in values:
         if a % Q:
             assert a * field.inv(a) % Q == 1
@@ -81,7 +82,7 @@ def test_interpolation_evaluation_roundtrip_random_polys():
         rng.shuffle(shuffled)
         # ascending 1..n, the same shuffled, and random field elements: the
         # differences of x-coordinates reach negative and large values
-        for xs in (range(1, n + 1), shuffled, field.rand_elements(rng, n)):
+        for xs in (range(1, n + 1), shuffled, [field.rand_element(rng) for _ in range(n)]):
             pts = [(x, field.poly_eval(coeffs, x)) for x in xs]
             assert field.poly_interpolate(pts) == coeffs
 
@@ -266,10 +267,8 @@ def test_rand_elements_match_randrange(seed):
     expect_rng = random.Random(seed)
     expect = [expect_rng.randrange(Q) for _ in range(300)]
     rng = random.Random(seed)
-    assert [field.rand_element(rng) for _ in range(5)] == expect[:5]
-    assert field.rand_elements(rng, 295) == expect[5:]
+    assert [field.rand_element(rng) for _ in range(300)] == expect
     assert rng.getstate() == expect_rng.getstate()
-    assert field.rand_elements(rng, 0) == []
 
 
 @pytest.mark.parametrize("at", [0, 3, 9])
@@ -278,7 +277,6 @@ def test_rand_draws_reject_q(at):
     plain = random.Random(5)
     raw = [plain.getrandbits(127) for _ in range(11)]
     expect = raw[:at] + raw[at:10]
-    assert field.rand_elements(_StubBits(5, at), 10) == expect
     stub = _StubBits(5, at)
     assert [field.rand_element(stub) for _ in range(10)] == expect
     assert stub.draws == 11

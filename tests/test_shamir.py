@@ -50,7 +50,7 @@ def test_share_with_masks_matches_per_coordinate_horner(T, K, m):
     rng = random.Random(1000 * T + 10 * K + m)
     secret = [rng.randint(-50, 50) % Q for _ in range(m)]
     secret[0] = -1  # unreduced: every share value is still reduced
-    masks = [field.rand_elements(rng, m) for _ in range(T)]
+    masks = [[field.rand_element(rng) for _ in range(m)] for _ in range(T)]
     if masks:
         masks[-1][-1] = Q - 1
     assert share_with_masks(secret, masks, K) == _horner_shares(secret, masks, K)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from gradmarket import field, snip
-from gradmarket.circuit import LIN, CircuitBuilder, build_norm_circuit, eval_plain
+from gradmarket.circuit import LIN, CircuitBuilder, _run_gates, build_norm_circuit, eval_plain
 from gradmarket.field import Q
 from gradmarket.shamir import ShareVector, robust_recon, ss_recon, ss_share
 
@@ -300,6 +300,35 @@ def test_malformed_triple_only_hurts_the_prover():
         for p, d in zip(packages, delta_shares)
     ]
     verdicts = _run_protocol(packages, circ, field.rand_element(rng), T)
+    ident, _ = _contract_view(verdicts, T)
+    assert ident != 0
+
+
+@pytest.mark.parametrize("T, K", [(1, 5), (2, 7)])
+@pytest.mark.parametrize("m, rho", [(1, 1), (3, 10), (48, 448)])
+def test_offset_triple_forgery_rejected(m, rho, T, K):
+    # the owner computes every multiplication as u*v + delta, ships
+    # h = f*g + delta on 1..2M-1 and a triple with c = a*b + delta: the
+    # wires stay consistent with h, and without the scaling by r the triple's
+    # offset cancels h's, so h(r) - fhat(r) * ghat(r) - delta reconstructs 0
+    rng = random.Random(1000 * m + 10 * K + rho)
+    circ = build_norm_circuit(m, rho)
+    inputs = [rng.randint(-3, 3) % Q for _ in range(m)]
+    delta = rng.randrange(1, Q)
+    _, trace = _run_gates(circ, inputs, lambda u, v: (u * v + delta) % Q)
+    dom = field.eval_domain(len(trace))
+    f = trace.left + dom.extend(trace.left)
+    g = trace.right + dom.extend(trace.right)
+    h = [(u * v + delta) % Q for u, v in zip(f, g)]
+    a, b = field.rand_element(rng), field.rand_element(rng)
+    input_shares, _ = ss_share(inputs, T, K, rng)
+    shares, _ = ss_share([*h, a, b, (a * b + delta) % Q], T, K, rng)
+    packages = [
+        snip.ProverPackage(share=s, h_coeff_shares=v.values[:-3], triple=v.values[-3:])
+        for s, v in zip(input_shares, shares)
+    ]
+    verdicts = _run_protocol(packages, circ, field.rand_element(rng), T)
+    assert not any(v.decode_failed for v in verdicts)
     ident, _ = _contract_view(verdicts, T)
     assert ident != 0
 
