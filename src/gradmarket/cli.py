@@ -153,6 +153,17 @@ def _selftest() -> int:
     ok = all(verify_share(s, cm2, key) for s in shares2)
     check("commitment completeness", ok)
 
+    # Montgomery kernel lanes against CIOS's (x*y + u*p)/R, u = -x*y/p mod R
+    from .commit import _R, _from_limbs, _mont_mul, _to_limbs
+    krng = _random.Random(27)
+    edges = [0, 1, P - 1, P, P + 1, 2 * P - 1, (1 << 28) - 1, 1 << 112, _R % P]
+    xs = [x for x in edges for _ in edges] + [krng.randrange(2 * P) for _ in range(64)]
+    ys = edges * len(edges) + [krng.randrange(2 * P) for _ in range(64)]
+    lanes = _to_limbs(xs)
+    _mont_mul(lanes, _to_limbs(ys), lanes)
+    cios = [(x * y + (-x * y * pow(P, -1, _R) % _R) * P) // _R for x, y in zip(xs, ys)]
+    check("montgomery kernel", _from_limbs(lanes) == cios)
+
     # the vector pass of a long key on the largest residues, whose byte
     # digits are nearly all 255, against one pow per term
     long_key = setup_key(VECTOR_MIN_M, rng)

@@ -22,9 +22,11 @@ the key precomputes each basis element's power at every byte position of
 an exponent once (fixed-base precomputation, Brickell-Gordon-McCurley-
 Wilson). A multi-exp puts every term into the bucket of its byte digit,
 then one fold returns prod_d bucket[d]^d. A short key fills the buckets
-by a Python pass over its byte columns; a key of at least
-`VECTOR_MIN_M` generators holds the same powers as one Montgomery-form
-limb table and fills them by a vectorized product tree (`_tree_buckets`).
+by a Python pass over its byte columns; a key of at least `VECTOR_MIN_M`
+generators holds the same powers as one Montgomery-form limb table and
+fills them by a vectorized product tree (`_tree_buckets`), whose multiply
+reduces by the special form p = 114 * 2^127 - 113. Its buckets stay in
+Montgomery form, and one power R^-e corrects their fold.
 Vectors of small signed values, stored as q - k, are read as signed
 (Moeller's signed-digit multi-exponentiation in its simplest form):
 positives and negatives fold separately and divide.
@@ -35,6 +37,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -52,13 +55,13 @@ GROUP_ELEMENT_BYTES = (P.bit_length() + 7) // 8
 
 assert (P - 1) % Q == 0
 
-# Keys of at least this many generators take the vector pass. Median time
-# of the vector pass over the byte pass, 15 paired runs per length on a
-# shared 2-core Xeon (Python 3.11, numpy 2.4), for m random residues:
+# Keys of at least this many generators take the vector pass (not re-tuned:
+# no workload lies between 192 and 2400). Vector over byte pass time, median
+# of 75 paired runs per length, shared 2-core Xeon (Python 3.11, numpy 2.4),
+# m random residues (a second run: 1.13 and 0.98 at 192 and 384):
 #   m      192   384   512   768   1200  2400
-#   ratio  1.27  1.09  0.95  0.92  0.81  0.59
-# Vectors of one byte window (values 0..40) stay faster on the byte pass
-# (ratio 8.1 at m = 192, 1.4 at 2400), but cost under 1 ms either way.
+#   ratio  1.02  0.91  0.86  0.83  0.56  0.51
+# One byte window (values 0..40): ratio 9.1 at m = 192, 1.5 at 2400.
 VECTOR_MIN_M = 512
 # Montgomery arithmetic of the vector pass: an element below 2p is 5 limbs
 # of 28 bits, little-endian, in uint32 lanes. R = 2^140 > 4p keeps every
@@ -66,22 +69,23 @@ VECTOR_MIN_M = 512
 _LIMB_BITS = 28
 _LIMBS = 5
 _R = 1 << (_LIMB_BITS * _LIMBS)
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
+# p = -(c - 1) + (c * 2^15) * 2^112 in limbs, c the cofactor, as q = 2^127 - 1
+_P_LOW = GROUP_COFACTOR - 1
+_P_HIGH = GROUP_COFACTOR << (Q.bit_length() - _LIMB_BITS * (_LIMBS - 1))
+_P_NEG_INV = pow(_P_LOW, -1, 1 << _LIMB_BITS)  # -p^-1 mod 2^28
 _R_INV = pow(_R, -1, P)
-_LIMB_MASK = np.uint64((1 << _LIMB_BITS) - 1)
-_LIMB_SHIFT = np.uint64(_LIMB_BITS)
-_P_NEG_INV = np.uint64(-pow(P, -1, 1 << _LIMB_BITS) % (1 << _LIMB_BITS))
-# lanes per vectorized multiply: bounds the uint64 temporaries (about 0.3 MB)
+# lanes per vectorized multiply: bounds the int64 temporaries (about 0.3 MB)
 _SLICE = 2048
 
 assert _R > 4 * P
+assert P == -_P_LOW + (_P_HIGH << (_LIMB_BITS * (_LIMBS - 1)))
 
 
 def _to_limbs(values: list[int]) -> np.ndarray:
     """The 5 x len(values) uint32 limbs of integers below 2^140."""
-    mask = (1 << _LIMB_BITS) - 1
-    return np.array(
-        [[(v >> (_LIMB_BITS * j)) & mask for v in values] for j in range(_LIMBS)], dtype=np.uint32
-    )
+    rows = [[(v >> (_LIMB_BITS * j)) & _LIMB_MASK for v in values] for j in range(_LIMBS)]
+    return np.array(rows, dtype=np.uint32)
 
 
 def _from_limbs(limbs: np.ndarray) -> list[int]:
@@ -93,7 +97,6 @@ def _from_limbs(limbs: np.ndarray) -> list[int]:
     return out
 
 
-_P_LIMBS = _to_limbs([P]).astype(np.uint64)
 # 1 in Montgomery form: the partner of a term that has none
 _ONE = _to_limbs([_R % P])
 
@@ -101,24 +104,23 @@ _ONE = _to_limbs([_R % P])
 def _mont_mul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     """out = a * b * R^-1 mod p lane by lane, each below 2p for a, b below 2p.
 
-    Operand-scanning Montgomery multiplication (CIOS) with delayed carries.
-    Column t[s] collects at most 5 limb products of a * b and 5 of u * p,
-    each below 2^56, plus a carry below 2^32, so it stays below 2^60 in
-    uint64. `a` stays uint32: a row of it times b's uint64 limbs is
-    uint64, and every scalar is a np.uint64, so no promotion rule can turn
-    a lane into a float. `out` may be `a` or `b`.
+    Operand-scanning Montgomery multiplication (CIOS) with delayed carries,
+    reducing by the form of p: u = -t[i] * p^-1 mod 2^28 clears limb i by
+    -(c - 1) * u and adds c * 2^15 * u to limb i + 4; each lane is CIOS's
+    exact integer. An int64 column stays below 2^59 (5 limb products below
+    2^56, c * 2^15 * u below 2^50, a carry); a negative one carries by an
+    arithmetic shift, which floors. `a` stays uint32. `out` may be `a` or `b`.
     """
-    b = b.astype(np.uint64)
-    t = np.zeros((2 * _LIMBS, b.shape[1]), dtype=np.uint64)
+    b = b.astype(np.int64)
+    t = np.zeros((2 * _LIMBS, b.shape[1]), dtype=np.int64)
     tmp = np.empty_like(b)
     for i in range(_LIMBS):
         t[i : i + _LIMBS] += np.multiply(b, a[i], out=tmp)
-        # u = -t[i] / p mod 2^28, so adding u * p clears limb i
         u = (t[i] & _LIMB_MASK) * _P_NEG_INV & _LIMB_MASK
-        t[i : i + _LIMBS] += np.multiply(_P_LIMBS, u, out=tmp)
-        t[i + 1] += t[i] >> _LIMB_SHIFT
+        t[i + 1] += (t[i] - _P_LOW * u) >> _LIMB_BITS
+        t[i + _LIMBS - 1] += _P_HIGH * u
     for j in range(_LIMBS, 2 * _LIMBS - 1):
-        t[j + 1] += t[j] >> _LIMB_SHIFT
+        t[j + 1] += t[j] >> _LIMB_BITS
     np.bitwise_and(t[_LIMBS:], _LIMB_MASK, out=out, casting="unsafe")
 
 
@@ -228,7 +230,7 @@ def _byte_buckets(columns, digits: bytes, width: int) -> list[int]:
     return buckets
 
 
-def _tree_buckets(limbs: np.ndarray, digits: bytes, width: int) -> list[int]:
+def _tree_buckets(limbs: np.ndarray, digits: bytes, width: int) -> tuple[list[int], int]:
     """The same buckets from a long key's limb table, by a product tree.
 
     The digits are read window-major, so digit (w, k) lines up with table
@@ -236,7 +238,8 @@ def _tree_buckets(limbs: np.ndarray, digits: bytes, width: int) -> list[int]:
     digit's terms as one run. Each level pads every odd run with the entry
     of one, which carries its last term up a level, and multiplies the
     pairs (2j, 2j + 1) in one vectorized Montgomery multiply per slice.
-    When every run is down to one term, those terms are the buckets.
+    When every run is down to one term, those terms are the buckets, left
+    in Montgomery form. Returns them and e, the sum of the nonempty digits.
     """
     m = len(digits) // width
     flat = np.frombuffer(digits, dtype=np.uint8).reshape(m, width).T.ravel()
@@ -257,10 +260,11 @@ def _tree_buckets(limbs: np.ndarray, digits: bytes, width: int) -> list[int]:
             _mont_mul(left, right, level[:, s:e])
         index = np.arange(pairs)
     buckets = [1] * 256
+    nonempty = np.flatnonzero(counts) + 1
     firsts = index[(np.cumsum(counts) - counts)[counts > 0]]
-    for d, x in zip(np.flatnonzero(counts) + 1, _from_limbs(np.take(level, firsts, axis=1))):
-        buckets[d] = x * _R_INV % P
-    return buckets
+    for d, x in zip(nonempty, _from_limbs(np.take(level, firsts, axis=1))):
+        buckets[d] = x
+    return buckets, int(nonempty.sum())
 
 
 def _bucket_fold(key: CommitmentKey, values: list[int], width: int) -> int:
@@ -268,19 +272,19 @@ def _bucket_fold(key: CommitmentKey, values: list[int], width: int) -> int:
 
     Byte w of values[k] is read from the values' little-endian encodings;
     the term basis[k]^(256^w) goes into the bucket of that digit, and one
-    running-product fold returns prod_d bucket[d]^d.
+    running-product fold returns prod_d bucket[d]^d. The vector pass's
+    bucket d carries a factor R^d, so its result is multiplied once by R^-e.
     """
-    digits = b"".join([v.to_bytes(width, "little") for v in values])
+    digits = b"".join(map(int.to_bytes, values, repeat(width), repeat("little")))
     if len(key) >= VECTOR_MIN_M:
-        buckets = _tree_buckets(key.limbs, digits, width)
+        buckets, e = _tree_buckets(key.limbs, digits, width)
     else:
-        buckets = _byte_buckets(key.columns, digits, width)
-    running = 1
-    acc = 1
+        buckets, e = _byte_buckets(key.columns, digits, width), 0
+    running = acc = 1
     for d in range(255, 0, -1):
         running = running * buckets[d] % P
         acc = acc * running % P
-    return acc
+    return acc * pow(_R_INV, e, P) % P
 
 
 def _signed_parts(exps: list[int]) -> tuple[list[int], list[int], int] | None:

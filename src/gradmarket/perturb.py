@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import FixedPointCodec
+from .field import Q, FixedPointCodec
 
 
 @dataclass
@@ -265,7 +265,12 @@ def flat_length(layer_sizes) -> int:
 
 
 def quantize_vector(vec: np.ndarray, codec: FixedPointCodec) -> list[int]:
-    return [codec.quantize(float(x)) for x in vec]
+    """`codec.quantize` of each value: the scaling is exact and `np.rint`
+    rounds half to even, as `round` does. The first bad value raises."""
+    in_range = np.abs(vec) < codec.bound  # false for NaN
+    if not in_range.all():
+        codec.quantize(float(vec[np.argmin(in_range)]))
+    return [int(v) % Q for v in np.rint(vec * 2.0**codec.scale_bits).tolist()]
 
 
 def dequantize_vector(values: list[int], codec: FixedPointCodec) -> np.ndarray:

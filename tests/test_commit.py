@@ -349,6 +349,40 @@ def test_montgomery_invariants():
     assert commit._from_limbs(a) == products
 
 
+def _cios(x, y):
+    """The exact integer of Montgomery's CIOS: (x*y + u*p) / R, with
+    u = -x*y*p^-1 mod R."""
+    r = commit._R
+    u = -x * y * pow(P, -1, r) % r
+    return (x * y + u * P) // r
+
+
+def test_montgomery_lanes_are_the_exact_cios_integer():
+    # not merely x*y/R mod p: each lane is the one integer below 2p that
+    # CIOS gives, so the table and the bucket trees are fixed lane by lane
+    r = commit._R
+    edges = [0, 1, P - 1, P, P + 1, 2 * P - 1, (1 << 28) - 1, 1 << 112, r % P]
+    rng = random.Random(29)
+    xs = [x for x in edges for _ in edges] + [rng.randrange(2 * P) for _ in range(3000)]
+    ys = edges * len(edges) + [rng.randrange(2 * P) for _ in range(3000)]
+    # small low limbs leave limb 0 below (c - 1) * u, so its column goes
+    # negative in the reduction step; a zero operand gives u = 0 throughout
+    for _ in range(500):
+        xs.append((rng.randrange(2 * P >> 28) << 28) + rng.randrange(1, 64))
+        ys.append((rng.randrange(2 * P >> 28) << 28) + rng.randrange(1, 64))
+    xs += [0] * 20
+    ys += [rng.randrange(2 * P) for _ in range(20)]
+    low = [(x & 0xFFFFFFF) * (y & 0xFFFFFFF) for x, y in zip(xs, ys)]
+    u0 = [t * commit._P_NEG_INV % (1 << 28) for t in low]
+    assert sum(t < commit._P_LOW * u for t, u in zip(low, u0)) >= 500
+    a, b = commit._to_limbs(xs), commit._to_limbs(ys)
+    out = np.empty_like(a)
+    commit._mont_mul(a, b, out)
+    lanes = commit._from_limbs(out)
+    assert lanes == [_cios(x, y) for x, y in zip(xs, ys)]
+    assert max(lanes) < 2 * P
+
+
 def test_long_key_builds_only_the_limb_table():
     commit._transparent_key.cache_clear()
     m = 2400
@@ -367,6 +401,24 @@ def test_long_key_builds_only_the_limb_table():
     assert max(values) < 2 * P and values[-1] == commit._R % P
     for w, k in [(0, 0), (1, 7), (8, 1200), (15, m - 1)]:
         assert values[w * m + k] % P == pow(key.basis[k], 256**w, P) * commit._R % P
+
+
+@pytest.mark.parametrize("m", [commit.VECTOR_MIN_M, 2400])
+def test_multi_exp_montgomery_bucket_extremes(m):
+    # the vector pass leaves its buckets in Montgomery form and corrects
+    # the fold once: every bucket filled, bucket 255 alone from one term of
+    # one window, and every term's every digit in one bucket
+    rng = random.Random(30)
+    key = _explicit_key(rng, m)
+    every = [int.from_bytes(bytes((k + w) % 255 + 1 for w in range(15)), "little")
+             for k in range(m)]
+    top = [0] * m
+    top[rng.randrange(m)] = 255 << (8 * rng.randrange(field.ELEMENT_BYTES - 1))
+    one = [int.from_bytes(bytes([7]) * rng.randint(1, field.ELEMENT_BYTES), "little")
+           for _ in range(m)]
+    for exps in (every, top, one):
+        assert commit._multi_exp(key, exps) == _per_term_product(key.basis, exps)
+    assert "limbs" in vars(key)
 
 
 @pytest.mark.parametrize("m", [1, 192, 2400])

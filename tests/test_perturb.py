@@ -279,3 +279,23 @@ def test_published_model_serialization_is_stable():
     blob2 = perturb.serialize_published_model(enc, r_out)
     assert blob1 == blob2
     assert len(blob1) == 8 * (3 * 4 + 4 * 2 + 2)
+
+
+@pytest.mark.parametrize("scale_bits", [0, 6, 12, 60, 120])
+def test_quantize_vector_matches_per_element_quantize(scale_bits):
+    codec = FixedPointCodec(scale_bits)
+    bound = codec.bound
+    # ties round half to even on both sides, at this scale and at scale 0
+    ties = [0.5, -0.5, 1.5, -2.5]
+    values = ties + [t / 2**scale_bits for t in ties] + [-0.0, 0.0, bound / 2, -bound / 2]
+    rng = np.random.default_rng(scale_bits)
+    values += list(rng.normal(0.0, 1.0, 64)) + list(rng.uniform(-bound, bound, 64))
+    vec = np.array(values)
+    assert perturb.quantize_vector(vec, codec) == [codec.quantize(float(x)) for x in vec]
+    # the first value out of range raises the codec's own error
+    for bad in (float("nan"), float("inf"), float("-inf"), bound, -bound):
+        with pytest.raises(OverflowError) as expected:
+            codec.quantize(bad)
+        with pytest.raises(OverflowError) as raised:
+            perturb.quantize_vector(np.array([0.25, bad, float("nan"), -bound]), codec)
+        assert str(raised.value) == str(expected.value)
