@@ -445,6 +445,8 @@ class TradeContract:
                 per_do = self.deposit // len(self.validity)
                 self.balances = dict.fromkeys(sorted(self.validity), per_do)
                 retained = self.deposit - per_do * len(self.validity)
+                if retained:
+                    self.balances["mo"] = retained
                 self._event("payment", per_do=per_do, retained=retained)
             else:
                 self.balances = {"mo": self.deposit}
@@ -476,7 +478,8 @@ def expected_word_count(N: int, T: int, paid: int) -> int:
     set, independent of gradient size: 7 constant one-word records
     (`whitelist`, `deposit`, `root`, `params`, `rho`, `registered`,
     `challenge`), T+1 commitment words and a verdict per owner, T+1
-    aggregate words, a balance per payee."""
+    aggregate words, a balance per payee. The payees are the paid owners,
+    and the model owner too when the deposit leaves a remainder."""
     return 7 + N * (T + 1) + N + (T + 1) + paid
 
 

@@ -2,9 +2,8 @@
 the commitment group is built on the prime p = 114q + 1.
 
 All field elements are plain Python ints in [0, q). Arithmetic is Python
-int arithmetic reduced with `% Q`; one inverse is `pow(a, -1, Q)` (`inv`),
-and many are one inversion with `batch_inv`. Polynomials are lists of
-field elements, lowest degree first.
+int arithmetic reduced with `% Q`; an inverse is `pow(a, -1, Q)` (`inv`).
+Polynomials are lists of field elements, lowest degree first.
 
 Also provides signed fixed-point quantization between reals and F_q:
 a real x maps to round(x * 2^s) embedded symmetrically, with negatives
@@ -34,29 +33,6 @@ def inv(a: int) -> int:
     if a % Q == 0:
         raise ZeroDivisionError("cannot invert zero in F_q")
     return pow(a, -1, Q)
-
-
-def batch_inv(values: list[int]) -> list[int]:
-    """Invert many nonzero elements with one modular exponentiation.
-
-    Montgomery's trick: prefix products, one inversion, then unwind.
-    """
-    n = len(values)
-    if n == 0:
-        return []
-    prefix = [0] * n
-    acc = 1
-    for i, v in enumerate(values):
-        if v == 0:
-            raise ZeroDivisionError("cannot invert zero in F_q")
-        prefix[i] = acc
-        acc = acc * v % Q
-    acc_inv = inv(acc)
-    out = [0] * n
-    for i in range(n - 1, -1, -1):
-        out[i] = prefix[i] * acc_inv % Q
-        acc_inv = acc_inv * values[i] % Q
-    return out
 
 
 # A draw is 127 random bits, rejected when it equals q, the one 127-bit
@@ -181,11 +157,12 @@ def poly_interpolate(points: list[tuple[int, int]]) -> list[int]:
 class EvalDomain:
     """Interpolation helpers for the fixed domain x = 1..n.
 
-    Precomputes factorial-based barycentric weights w_i. Evaluating the
-    degree-(n-1) interpolant of values (y_1, ..., y_n) at a point x outside
-    the domain is one dot product with the Lagrange row ell(x) w_i / (x - i);
+    Precomputes factorial-based barycentric weights w_i, from one inversion.
+    Evaluating the degree-(n-1) interpolant of values (y_1, ..., y_n) at x
+    is one dot product with the Lagrange row w_i * prod_{j != i} (x - j),
+    built from one prefix and one suffix product pass, with no inversion;
     the row for the last x is memoized, so repeated evaluations at one
-    challenge cost O(n) each and the row's batched inversion is paid once.
+    challenge cost one O(n) dot product each.
     Extending the interpolant to the next n-1 points is one exact integer
     convolution over byte digits, done with a real FFT (see `extend`). The
     domain builds the inverse side's spectrum on the first extension and
@@ -204,7 +181,9 @@ class EvalDomain:
         for i in range(1, n + 1):
             fact[i] = fact[i - 1] * i % Q
         self.fact_n = fact[n]
-        inv_fact = batch_inv(fact[:n])
+        inv_fact = [inv(fact[n - 1])] * n
+        for k in range(n - 1, 0, -1):
+            inv_fact[k - 1] = inv_fact[k] * k % Q  # 1/(k-1)! = k/k!
         # w_i = (-1)^(n-i) / ((i-1)! (n-i)!) for points 1..n
         self.weights = [
             (-1) ** (n - i) * inv_fact[i - 1] * inv_fact[n - i] % Q
@@ -220,15 +199,17 @@ class EvalDomain:
         if len(values) != n:
             raise ValueError("value count must match domain size")
         x %= Q
-        if 1 <= x <= n:
-            return values[x - 1]
         memo = self._row
         if memo[0] != x:
-            diffs = [(x - i) % Q for i in range(1, n + 1)]
-            ell = 1
-            for d in diffs:
-                ell = ell * d % Q
-            row = [ell * w % Q * d % Q for w, d in zip(self.weights, batch_inv(diffs))]
+            # row i is w_i * prefix * suffix[i-1], with prefix = prod_{j < i} (x - j)
+            # and suffix[i-1] = prod_{j > i} (x - j); at x = k in 1..n the row is unit vector k
+            suffix = [1] * n
+            for i in range(n - 1, 0, -1):
+                suffix[i - 1] = suffix[i] * (x - i - 1) % Q
+            row, prefix = [], 1
+            for i, (w, s) in enumerate(zip(self.weights, suffix), 1):
+                row.append(w * prefix % Q * s % Q)
+                prefix = prefix * (x - i) % Q
             memo = self._row = (x, row)
         return sum(map(operator.mul, memo[1], values)) % Q
 

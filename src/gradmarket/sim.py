@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass, field as dc_field, fields
+from dataclasses import dataclass, field as dc_field, fields, replace
 
 import numpy as np
 
@@ -436,12 +436,9 @@ class _Session:
 
     def _prove(self, n: int, circ) -> list[snip.ProverPackage]:
         """Owner n's proof packages, one per server, over its validated slice."""
-        config, seed, sub_idx = self.config, self.seed, self.sub_idx
-        sub_shares = [
-            ShareVector(index=i, values=tuple(s.values[j] for j in sub_idx))
-            for i, s in self.sent[n].items()
-        ]
-        _, _, h = snip.compute_h(circ, [self.qvecs[n][j] for j in sub_idx])
+        config, seed = self.config, self.seed
+        sub_shares = [self._sub_share(n, i) for i in self.sent[n]]
+        _, _, h = snip.compute_h(circ, [self.qvecs[n][j] for j in self.sub_idx])
         if self._behavior(n) == "tampered_proof":
             arng = rng_stream(seed, f"do.{n}.adversary")
             pos = arng.randrange(len(h))
@@ -450,9 +447,18 @@ class _Session:
             sub_shares, h, config.T, config.K, rng_stream(seed, f"do.{n}.proof")
         )
 
+    def _sub_share(self, n: int, i: int) -> ShareVector:
+        """The validated slice of the share that owner n sent server i."""
+        return ShareVector(index=i, values=tuple(self.sent[n][i].values[j] for j in self.sub_idx))
+
     def _test_proof(self, n: int, packages: list[snip.ProverPackage], circ, r: int):
-        """The servers run both rounds on owner n's packages and post verdicts."""
+        """The servers run both rounds on owner n's packages and post verdicts.
+
+        Each server evaluates the circuit on the share it verified against
+        the owner's commitment, not on the package's own copy of it.
+        """
         config, seed = self.config, self.seed
+        packages = [replace(p, share=self._sub_share(n, p.index)) for p in packages]
         # a corrupt server broadcasts random d/e shares and submits a random verdict
         lies = {}
         for i in self.servers:

@@ -12,7 +12,9 @@ the group runs one polynomial identity test at a public random point r:
 
 with the product computed through the Beaver triple so every on-wire value
 stays a degree-T Shamir share; [h](r) is one O(M) barycentric evaluation.
-`identity_test` runs both rounds for all K servers. The test passes
+`identity_test` runs round 1 for all K servers, opens the Beaver values d
+and e once from their broadcast, and forms every server's verdict share
+from that pair. The test passes
 where r * (h - f*g)(r) - (c - a*b), a polynomial of degree at most 2M-1
 in r, vanishes; unless h = f*g and c = a*b it is nonzero, so a cheating
 prover survives with probability at most (2M-1)/q over r. The scaling by
@@ -139,10 +141,10 @@ def server_eval(pkg: ProverPackage, circ: Circuit) -> tuple[int, MulTrace]:
 
 @dataclass(frozen=True)
 class CheckState:
-    """Server-local state between the two rounds of the identity test."""
+    """A server's round-1 result: its broadcast shares and what its verdict
+    share needs."""
 
     index: int
-    r: int
     d_share: int
     e_share: int
     h_r_share: int
@@ -181,7 +183,6 @@ def server_round1(pkg: ProverPackage, circ: Circuit, r: int) -> CheckState:
     a, b, _ = pkg.triple
     return CheckState(
         index=pkg.index,
-        r=r,
         d_share=(r * f_r - a) % Q,
         e_share=(g_r - b) % Q,
         h_r_share=h_r,
@@ -190,36 +191,30 @@ def server_round1(pkg: ProverPackage, circ: Circuit, r: int) -> CheckState:
     )
 
 
-def server_round2(
-    state: CheckState, broadcast: dict[int, tuple[int, int]], T: int
-) -> VerdictShares:
-    """Second round: open d and e robustly, then form the verdict shares.
+def identity_test(
+    packages: list[ProverPackage], circ: Circuit, r: int, T: int, lies: dict | None = None
+) -> list[VerdictShares]:
+    """Both rounds for one proof, with the verdicts in package order.
 
-    broadcast maps each server index to its (d, e) shares, over whichever
-    servers broadcast; up to floor((K'-T-1)/2) of the K' pairs may be
-    garbage. The Beaver identity gives the share of r * fhat(r) * ghat(r)
-    as d*e + d*[b] + e*[a] + [c], checked against r * [h(r)].
+    Every server runs round 1, and the servers broadcast their (d, e)
+    shares behind a barrier; lies[i] replaces the pair of server i, if it
+    has a package. d and e are opened once, robustly, from that one
+    broadcast: up to floor((K'-T-1)/2) of its K' pairs may be garbage, and
+    past that every server flags decode_failed. The Beaver identity gives
+    each server's share of r * fhat(r) * ghat(r) as d*e + d*[b] + e*[a] + [c],
+    which its verdict share checks against r * [h(r)].
     """
+    states = [server_round1(pkg, circ, r) for pkg in packages]
+    broadcast = {st.index: (lies or {}).get(st.index, (st.d_share, st.e_share)) for st in states}
     xs = sorted(broadcast)
     try:
         d = robust_recon(xs, [broadcast[i][0] for i in xs], T)
         e = robust_recon(xs, [broadcast[i][1] for i in xs], T)
     except DecodeFailure:
-        return VerdictShares(identity_share=0, output_share=0, decode_failed=True)
-    a, b, c = state.triple
-    prod_share = (d * e + d * b + e * a + c) % Q
-    return VerdictShares(
-        identity_share=(state.r * state.h_r_share - prod_share) % Q,
-        output_share=state.output_share,
-    )
-
-
-def identity_test(
-    packages: list[ProverPackage], circ: Circuit, r: int, T: int, lies: dict | None = None
-) -> list[VerdictShares]:
-    """Both rounds for one proof: every server's round 1, the barriered d/e
-    broadcast, then every server's round 2 verdict, in package order.
-    lies[i] replaces the (d, e) of server i, if it has a package."""
-    states = [server_round1(pkg, circ, r) for pkg in packages]
-    broadcast = {st.index: (lies or {}).get(st.index, (st.d_share, st.e_share)) for st in states}
-    return [server_round2(st, broadcast, T) for st in states]
+        return [VerdictShares(identity_share=0, output_share=0, decode_failed=True)] * len(states)
+    verdicts = []
+    for st in states:
+        a, b, c = st.triple
+        identity = r * st.h_r_share - (d * e + d * b + e * a + c)
+        verdicts.append(VerdictShares(identity % Q, st.output_share))
+    return verdicts

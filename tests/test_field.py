@@ -40,12 +40,6 @@ def test_inverse_matches_fermat_on_random_elements():
             assert field.inv(a) == pow(a, Q - 2, Q)
 
 
-def test_batch_inv_matches_inv():
-    rng = random.Random(7)
-    values = [field.rand_element(rng) or 1 for _ in range(50)]
-    assert field.batch_inv(values) == [field.inv(v) for v in values]
-
-
 def test_element_bytes_layout():
     # 16 bytes, least significant first
     assert field.to_bytes(0x0102) == b"\x02\x01" + b"\x00" * 14
@@ -100,13 +94,13 @@ def test_poly_divmod():
 
 def test_eval_domain_matches_generic_interpolation():
     rng = random.Random(17)
-    for n in (1, 2, 7, 40):
+    for n in (1, 2, 7, 40, 89):  # 89: the deep-proof circuit's M
         coeffs = [field.rand_element(rng) for _ in range(n)]
         values = [field.poly_eval(coeffs, x) for x in range(1, n + 1)]
         dom = field.EvalDomain(n)
         for x in [0, n + 3, field.rand_element(rng)]:
             assert dom.interpolate_at(values, x) == field.poly_eval(coeffs, x)
-        # in-domain points return the stored value directly
+        # at in-domain points the row is a unit vector
         assert dom.interpolate_at(values, 1) == values[0]
 
 

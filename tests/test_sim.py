@@ -264,6 +264,30 @@ def test_every_proof_is_packaged_before_the_challenge(monkeypatch):
     assert report["validity_set"] == [0, 2]
 
 
+def test_each_proof_is_bound_to_the_shares_the_servers_verified(monkeypatch):
+    # an owner over the bound proves a fresh sharing of an all-zero slice,
+    # which passes the norm circuit; the servers must check the proof
+    # against the shares they verified, not the package's own copy
+    path = Path(__file__).resolve().parent.parent / "configs" / "clean.json"
+    doc = dict(json.loads(path.read_text()), malicious_dos=[{"id": 0, "behavior": "norm_attack"}])
+    sessions = []
+    prove = sim._Session._prove
+
+    def prove_zero_slice(self, n, circ):
+        if n != 0:
+            return prove(self, n, circ)
+        sessions.append(self)
+        zeros = [0] * len(self.sub_idx)
+        rng = sim.rng_stream(self.seed, "test.zero_slice")
+        return snip.prove(zeros, circ, self.config.T, self.config.K, rng)
+
+    monkeypatch.setattr(sim._Session, "_prove", prove_zero_slice)
+    report = run_session(SessionConfig.from_dict(doc), 3)
+    assert sessions[0].contract.verdicts[0] == "identity_nonzero"
+    assert report["validity_set"] == [1, 2, 3]
+    assert "0" not in report["payments"]
+
+
 def test_the_norm_bound_is_fixed_at_start(monkeypatch):
     # rho is posted before any owner registers, and the servers validate
     # against the posted rho, not the model owner's local copy
@@ -484,7 +508,7 @@ def test_attacked_training_report_and_curve_golden_digest():
     report = _rounded(run_training(SessionConfig.from_dict(doc), 3))
     assert [s["validity_set"] for s in report["sessions"]] == [[1, 2, 3]] * 3
     assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == (
-        "906c59ecc1e56bfd738c13dc1ee19be13a906b48b2d074045a08b0e7a35c7fe1"
+        "37bff812a02c05ac4d1512a49b4a929f82d687b8914ca0db7e20064eeb1ca547"
     )
     assert hashlib.sha256(loss_curve_csv(report).encode()).hexdigest() == (
         "f85da55f86bdee7af0e47133a9d66a2b62aaac90f4aca841531daa5032b648ac"

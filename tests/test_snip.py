@@ -363,7 +363,28 @@ def test_decode_failure_reported_when_openings_unrecoverable():
     d1, d3 = field.rand_element(rng), field.rand_element(rng)
     lies = {1: (d1, field.rand_element(rng)), 3: (d3, field.rand_element(rng))}
     verdicts = snip.identity_test(packages, circ, r, T, lies)
-    assert verdicts[1].decode_failed
+    # every server opens the same broadcast, so every server flags
+    assert all(v.decode_failed for v in verdicts)
+    assert all(v.identity_share == v.output_share == 0 for v in verdicts)
+
+
+def test_identity_test_opens_d_and_e_once(monkeypatch):
+    rng = random.Random(19)
+    T, K = 1, 5
+    circ = build_norm_circuit(3, 10, accept_zero=True)
+    packages = snip.prove([1, 2, 2], circ, T, K, rng)
+    lies = {2: (field.rand_element(rng), field.rand_element(rng))}
+    calls = []
+
+    def counting(xs, ys, T):
+        calls.append(list(xs))
+        return robust_recon(xs, ys, T)
+
+    monkeypatch.setattr(snip, "robust_recon", counting)
+    verdicts = snip.identity_test(packages, circ, field.rand_element(rng), T, lies)
+    # one decode of d and one of e, over all K broadcast pairs
+    assert calls == [list(range(1, K + 1))] * 2
+    assert len(verdicts) == K and not any(v.decode_failed for v in verdicts)
 
 
 def test_on_wire_shares_have_shamir_degree_T():
