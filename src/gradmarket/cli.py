@@ -141,6 +141,24 @@ def _selftest() -> int:
     ok &= [robust_recon(xs, list(ys), 1) for ys in zip(*(s.values for s in bad))] == secret
     check("sharing and robust reconstruction", ok)
 
+    # packed share vectors against ints, at the limb, sign and modulus
+    # boundaries: Horner shares, their sum and their wire bytes (own draws)
+    from .field import FieldVector
+    from .shamir import share_with_masks
+    prng = _random.Random(29)
+    edges = [0, 1, (1 << 64) - 1, 1 << 64, field.HALF_Q, field.HALF_Q + 1, field.Q - 1]
+    columns = [(a, b, c) for a in edges for b in edges for c in edges]
+    columns += [tuple(field.rand_element(prng) for _ in range(3)) for _ in range(16)]
+    coeffs = list(zip(*columns))
+    packed = share_with_masks(coeffs[0], coeffs[1:], 5)
+    ok = all(list(s.values) == [field.poly_eval(c, s.index) for c in columns] for s in packed)
+    columns = zip(*(s.values for s in packed))
+    ok &= FieldVector.sum(s.values for s in packed).tolist() == [sum(c) % field.Q for c in columns]
+    rows = [FieldVector(prng.sample(edges, 7)) for _ in range(5)]
+    ok &= FieldVector.sum(rows).tolist() == [sum(c) % field.Q for c in zip(*rows)]
+    ok &= packed[0].to_bytes()[8:] == b"".join(map(field.to_bytes, packed[0].values))
+    check("packed field vectors", ok)
+
     # a transparent commitment key: no rng input, generator 0 from the label
     key = setup_key(6, rng)
     g0 = int.from_bytes(hashlib.sha256(GENERATOR_LABEL + bytes(8)).digest(), "big")

@@ -37,12 +37,11 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from . import field
-from .field import HALF_Q, Q
+from .field import HALF_Q, FieldVector, Q
 from .shamir import ShareVector
 
 # p = 114*q + 1, the smallest prime of the form (even c)*q + 1.
@@ -230,7 +229,7 @@ def _byte_buckets(columns, digits: bytes, width: int) -> list[int]:
     return buckets
 
 
-def _tree_buckets(limbs: np.ndarray, digits: bytes, width: int) -> tuple[list[int], int]:
+def _tree_buckets(limbs: np.ndarray, digits: np.ndarray) -> tuple[list[int], int]:
     """The same buckets from a long key's limb table, by a product tree.
 
     The digits are read window-major, so digit (w, k) lines up with table
@@ -241,8 +240,7 @@ def _tree_buckets(limbs: np.ndarray, digits: bytes, width: int) -> tuple[list[in
     When every run is down to one term, those terms are the buckets, left
     in Montgomery form. Returns them and e, the sum of the nonempty digits.
     """
-    m = len(digits) // width
-    flat = np.frombuffer(digits, dtype=np.uint8).reshape(m, width).T.ravel()
+    flat = digits.T.ravel()
     counts = np.bincount(flat, minlength=256)
     index = np.argsort(flat, kind="stable")[counts[0] :]
     counts = counts[1:]
@@ -267,19 +265,19 @@ def _tree_buckets(limbs: np.ndarray, digits: bytes, width: int) -> tuple[list[in
     return buckets, int(nonempty.sum())
 
 
-def _bucket_fold(key: CommitmentKey, values: list[int], width: int) -> int:
-    """prod_k basis[k]^values[k] mod p for values below 256^width.
+def _bucket_fold(key: CommitmentKey, digits: np.ndarray) -> int:
+    """prod_k basis[k]^values[k] mod p, for the values whose little-endian
+    bytes are the rows of the (m, width) uint8 array digits.
 
-    Byte w of values[k] is read from the values' little-endian encodings;
-    the term basis[k]^(256^w) goes into the bucket of that digit, and one
-    running-product fold returns prod_d bucket[d]^d. The vector pass's
-    bucket d carries a factor R^d, so its result is multiplied once by R^-e.
+    The term basis[k]^(256^w) goes into the bucket of digit w of value k,
+    and one running-product fold returns prod_d bucket[d]^d. The vector
+    pass's bucket d carries a factor R^d, so its result is multiplied once
+    by R^-e.
     """
-    digits = b"".join(map(int.to_bytes, values, repeat(width), repeat("little")))
     if len(key) >= VECTOR_MIN_M:
-        buckets, e = _tree_buckets(key.limbs, digits, width)
+        buckets, e = _tree_buckets(key.limbs, digits)
     else:
-        buckets, e = _byte_buckets(key.columns, digits, width), 0
+        buckets, e = _byte_buckets(key.columns, digits.tobytes(), digits.shape[1]), 0
     running = acc = 1
     for d in range(255, 0, -1):
         running = running * buckets[d] % P
@@ -287,39 +285,57 @@ def _bucket_fold(key: CommitmentKey, values: list[int], width: int) -> int:
     return acc * pow(_R_INV, e, P) % P
 
 
-def _signed_parts(exps: list[int]) -> tuple[list[int], list[int], int] | None:
-    """(positives, magnitudes of the negatives, their byte width) of reduced
-    exponents, each residue e above HALF_Q read as -(q - e), when every
-    residue lies within 256^15 of 0 or of q: then both sets fold over at
-    most 15 byte windows. Otherwise None; a random residue fails at once.
+def _width(digits: np.ndarray) -> int:
+    """Byte columns of digits up to its last nonzero one (0 if none)."""
+    used = np.flatnonzero(digits.any(axis=0))
+    return int(used[-1]) + 1 if used.size else 0
+
+
+# q's bytes: for a residue e, q - e is e XOR q
+_Q_DIGITS = np.frombuffer(field.to_bytes(Q), np.uint8)
+# a residue above HALF_Q has a top byte of at least 0x40
+_HALF_Q_TOP = (HALF_Q + 1) >> (8 * (field.ELEMENT_BYTES - 1))
+
+
+def _signed_parts(exponents) -> tuple[np.ndarray, np.ndarray] | None:
+    """(positives, magnitudes of the negatives) of the residues, as byte rows
+    cut to their common width, each residue e above HALF_Q read as -(q - e),
+    when every residue lies within 256^15 of 0 or of q: its top byte is 0x00
+    or 0x7f, and q - e is e XOR q. Then both sets fold over at most 15 byte
+    windows. Otherwise None; a random residue fails at once.
     """
-    near = 1 << (8 * (field.ELEMENT_BYTES - 1))
-    if not all(e < near or e > Q - near for e in exps):
+    digits = FieldVector(exponents).digits()
+    top = digits[:, -1:]
+    neg = top == 0x7F
+    if not np.all(neg | (top == 0)):
         return None
-    pos = [e if e <= HALF_Q else 0 for e in exps]
-    neg = [Q - e if e > HALF_Q else 0 for e in exps]
-    return pos, neg, (max(max(pos), max(neg)).bit_length() + 7) // 8
+    pos = np.where(neg, 0, digits)
+    mag = np.where(neg, digits ^ _Q_DIGITS, 0)
+    width = _width(pos | mag)
+    return pos[:, :width], mag[:, :width]
 
 
 def _multi_exp(key: CommitmentKey, exponents) -> int:
     """prod_k basis[k]^exponents[k] mod p, over the key's fixed-base table.
 
-    The basis lies in the order-q subgroup, so each exponent is reduced
-    mod q first (negative ones included) without changing the product.
-    Byte windows above the largest residue are skipped. When some residues
+    The exponents are a `FieldVector`, whose bytes are read in place, or
+    ints, packed once: reduced mod q (negative ones included), which leaves
+    the product alone since the basis lies in the order-q subgroup. Byte
+    windows above the largest residue are skipped. When some residues
     exceed HALF_Q but all are small signed values (`_signed_parts`), the
     positives and the negatives' magnitudes fold separately over fewer
     windows, and the product is pos * neg^-1 mod p.
     """
-    exps = [e % Q for e in exponents]
-    top = max(exps, default=0)
-    if not top:
+    vec = FieldVector(exponents)
+    digits = vec.digits()
+    width = _width(digits)
+    if not width:
         return 1
-    parts = _signed_parts(exps) if top > HALF_Q else None
+    parts = _signed_parts(vec) if digits[:, -1].max() >= _HALF_Q_TOP else None
     if parts is None:
-        return _bucket_fold(key, exps, (top.bit_length() + 7) // 8)
-    pos, neg, width = parts
-    return _bucket_fold(key, pos, width) * pow(_bucket_fold(key, neg, width), -1, P) % P
+        return _bucket_fold(key, digits[:, :width])
+    pos, neg = parts
+    return _bucket_fold(key, pos) * pow(_bucket_fold(key, neg), -1, P) % P
 
 
 def commit(

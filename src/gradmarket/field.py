@@ -1,9 +1,11 @@
 """Prime field arithmetic over F_q with q = 2^127 - 1, a Mersenne prime;
 the commitment group is built on the prime p = 114q + 1.
 
-All field elements are plain Python ints in [0, q). Arithmetic is Python
+A field element is a plain Python int in [0, q). Arithmetic is Python
 int arithmetic reduced with `% Q`; an inverse is `pow(a, -1, Q)` (`inv`).
-Polynomials are lists of field elements, lowest degree first.
+Polynomials are lists of field elements, lowest degree first. Long
+vectors, such as Shamir shares, are `FieldVector`s: packed in the wire
+layout, 16 bytes per element, and summed or scaled as numpy limb arrays.
 
 Also provides signed fixed-point quantization between reals and F_q:
 a real x maps to round(x * 2^s) embedded symmetrically, with negatives
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import operator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import zip_longest
 
@@ -52,6 +55,137 @@ def rand_element(rng) -> int:
 def to_bytes(a: int) -> bytes:
     """16-byte little-endian encoding; every on-wire element uses this."""
     return a.to_bytes(ELEMENT_BYTES, "little")
+
+
+# ---------------------------------------------------------------------------
+# Packed vectors
+# ---------------------------------------------------------------------------
+
+_M32 = (1 << 32) - 1
+_M31 = (1 << 31) - 1
+
+
+class FieldVector:
+    """An immutable vector of F_q elements held in the wire layout: one
+    buffer of 16 little-endian bytes per element, each reduced mod q on
+    construction.
+
+    It reads as a sequence of ints: `len`, an int index, a slice (a tuple),
+    iteration, equality and hashing. Whole-vector reads decode the buffer
+    at once (`tolist`); whole-vector arithmetic runs on `limbs` and packs
+    its result with `from_limbs`, and `digits` exposes the bytes themselves.
+    """
+
+    __slots__ = ("_buf",)
+
+    def __init__(self, values: Iterable[int] = ()):
+        if isinstance(values, FieldVector):
+            self._buf = values._buf
+        else:
+            self._buf = b"".join([(v % Q).to_bytes(ELEMENT_BYTES, "little") for v in values])
+
+    @classmethod
+    def _packed(cls, buf: bytes) -> FieldVector:
+        """The vector whose buffer is buf, already reduced."""
+        vec = cls.__new__(cls)
+        vec._buf = buf
+        return vec
+
+    @classmethod
+    def from_limbs(cls, t: np.ndarray) -> FieldVector:
+        """The vector of the values t[0] + t[1] 2^32 + t[2] 2^64 + t[3] 2^96
+        mod q, in row-major order, for a (4, ...) uint64 limb array whose
+        limbs are below 2^62; t is overwritten. Two rounds of carries and of
+        the fold 2^127 = 1 mod q leave every value at most q, and q itself
+        becomes 0."""
+        for _ in range(2):
+            cls.carry_fold(t)
+        t[:, (t[0] == _M32) & (t[1] == _M32) & (t[2] == _M32) & (t[3] == _M31)] = 0
+        return cls._packed(np.moveaxis(t, 0, -1).astype("<u4").tobytes())
+
+    @staticmethod
+    def carry_fold(t: np.ndarray) -> None:
+        """Carry limbs 0..2 of the limb array t in place and fold the bits
+        from 2^127 up onto limb 0 (2^127 = 1 mod q); values mod q keep."""
+        for j in range(3):
+            t[j + 1] += t[j] >> 32
+            t[j] &= _M32
+        t[0] += t[3] >> 31
+        t[3] &= _M31
+
+    @classmethod
+    def sum(cls, vectors: Iterable[FieldVector]) -> FieldVector:
+        """Coordinate-wise sum mod q of one or more equal-length vectors
+        (fewer than 2^30 of them), added limb by limb."""
+        total = None
+        for vec in vectors:
+            limbs = vec.limbs()
+            if total is None:
+                total = limbs
+            elif limbs.shape != total.shape:
+                raise ValueError("vector lengths differ")
+            else:
+                total += limbs
+        if total is None:
+            raise ValueError("cannot sum an empty set of vectors")
+        return cls.from_limbs(total)
+
+    def limbs(self) -> np.ndarray:
+        """The elements as a fresh (4, len) uint64 array of 32-bit limbs,
+        least significant row first."""
+        return np.frombuffer(self._buf, "<u4").reshape(-1, 4).T.astype(np.uint64)
+
+    def digits(self) -> np.ndarray:
+        """The read-only (len, 16) uint8 view of the buffer: row k is element
+        k's bytes, least significant first."""
+        return np.frombuffer(self._buf, np.uint8).reshape(-1, ELEMENT_BYTES)
+
+    def to_bytes(self) -> bytes:
+        """The elements' wire encodings, concatenated: the buffer itself."""
+        return self._buf
+
+    def tolist(self) -> list[int]:
+        """The elements as ints, decoded in one pass."""
+        words = np.frombuffer(self._buf, "<u8")
+        return [lo | hi << 64 for lo, hi in zip(words[0::2].tolist(), words[1::2].tolist())]
+
+    def split(self, parts: int) -> list[FieldVector]:
+        """The vector cut into `parts` consecutive vectors of equal length."""
+        if len(self) % parts:
+            raise ValueError("length is not a multiple of the part count")
+        step = len(self._buf) // parts
+        return [FieldVector._packed(self._buf[i * step:(i + 1) * step]) for i in range(parts)]
+
+    def take(self, indices) -> FieldVector:
+        """The vector of the elements at the given positions."""
+        return FieldVector._packed(self.digits()[np.asarray(indices, dtype=np.intp)].tobytes())
+
+    def __len__(self) -> int:
+        return len(self._buf) // ELEMENT_BYTES
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self.tolist()[k])
+        n = len(self)
+        k = operator.index(k)
+        if not -n <= k < n:
+            raise IndexError("FieldVector index out of range")
+        k %= n
+        return int.from_bytes(self._buf[k * ELEMENT_BYTES:(k + 1) * ELEMENT_BYTES], "little")
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.tolist())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, FieldVector):
+            return self._buf == other._buf
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._buf)
+
+    def __repr__(self) -> str:
+        return f"FieldVector({self.tolist()!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +288,18 @@ def poly_interpolate(points: list[tuple[int, int]]) -> list[int]:
     return poly_trim(coeffs)
 
 
+def _factorials(top: int) -> tuple[list[int], list[int]]:
+    """k! and 1/k! mod q for k = 0..top, from one inversion of top! by
+    1/(k-1)! = k/k!."""
+    fact = [1] * (top + 1)
+    for k in range(1, top + 1):
+        fact[k] = fact[k - 1] * k % Q
+    inv_fact = [inv(fact[top])] * (top + 1)
+    for k in range(top, 0, -1):
+        inv_fact[k - 1] = inv_fact[k] * k % Q
+    return fact, inv_fact
+
+
 class EvalDomain:
     """Interpolation helpers for the fixed domain x = 1..n.
 
@@ -177,13 +323,8 @@ class EvalDomain:
         if n < 1:
             raise ValueError("domain size must be >= 1")
         self.n = n
-        fact = [1] * (n + 1)
-        for i in range(1, n + 1):
-            fact[i] = fact[i - 1] * i % Q
+        fact, inv_fact = _factorials(n)
         self.fact_n = fact[n]
-        inv_fact = [inv(fact[n - 1])] * n
-        for k in range(n - 1, 0, -1):
-            inv_fact[k - 1] = inv_fact[k] * k % Q  # 1/(k-1)! = k/k!
         # w_i = (-1)^(n-i) / ((i-1)! (n-i)!) for points 1..n
         self.weights = [
             (-1) ** (n - i) * inv_fact[i - 1] * inv_fact[n - i] % Q
@@ -222,7 +363,8 @@ class EvalDomain:
     def _extension(self) -> tuple[int, np.ndarray, list[int]]:
         """Transform length, spectrum of 1/1..1/(2n-2), and ell(n+1..2n-1)."""
         n = self.n
-        invs = [0] + [inv(d) for d in range(1, 2 * n - 1)]  # invs[d] = 1/d
+        fact, inv_fact = _factorials(2 * n - 2)
+        invs = [0] + [i * f % Q for i, f in zip(inv_fact[1:], fact)]  # 1/d = (d-1)!/d!
         size = 1 << ((2 * n - 1) * self.slot_bytes - 1).bit_length()
         spectrum = np.fft.rfft(self._digits(invs[1:]), size)
         # ell(n+1) = n!, ell(x+1) = ell(x) * x / (x - n)

@@ -10,11 +10,15 @@ floor((K'-T-1)/2) arbitrary errors.
 
 from __future__ import annotations
 
+import operator
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import field
-from .field import Q
+from .field import FieldVector, Q
 
 
 class DecodeFailure(Exception):
@@ -23,56 +27,68 @@ class DecodeFailure(Exception):
 
 @dataclass(frozen=True)
 class ShareVector:
-    """One server's share of a secret vector: values[k] = u_k(index)."""
+    """One server's share of a secret vector: values[k] = u_k(index).
+
+    Values given as any sequence of ints are packed into a `FieldVector`,
+    reduced mod q.
+    """
 
     index: int
-    values: tuple[int, ...]
+    values: FieldVector
+
+    def __post_init__(self):
+        if not isinstance(self.values, FieldVector):
+            object.__setattr__(self, "values", FieldVector(self.values))
 
     def __len__(self) -> int:
         return len(self.values)
 
     def to_bytes(self) -> bytes:
         """Wire format: 4-byte LE index, 4-byte LE length, 16-byte elements."""
-        head = struct.pack("<II", self.index, len(self.values))
-        return head + b"".join(field.to_bytes(v) for v in self.values)
+        return struct.pack("<II", self.index, len(self.values)) + self.values.to_bytes()
 
 
 def share_with_masks(
-    secret: list[int], masks: list[list[int]], K: int
+    secret: Sequence[int], masks: Sequence[Sequence[int]], K: int
 ) -> list[ShareVector]:
     """Evaluate u_k(x) = secret[k] + sum_j masks[j-1][k] x^j at x = 1..K.
 
     Deterministic core of ss_share; masks[j] is the degree-(j+1) coefficient
-    vector Z^(j+1). Each server's share is one Horner evaluation over whole
-    coefficient vectors, highest degree first.
+    vector Z^(j+1), and each vector is an int sequence or a `FieldVector`.
+    All K shares are one Horner evaluation over whole coefficient vectors,
+    highest degree first, on (4, K, m) arrays of 32-bit limbs in uint64
+    lanes: a step multiplies by x < 2^31 and adds a coefficient, each limb
+    stays below 2^64, and one carry-and-fold (2^127 = 1 mod q) keeps every
+    value below 2^127 + 2^33 for the next step.
     """
-    m = len(secret)
-    for z in masks:
-        if len(z) != m:
-            raise ValueError("mask length must match secret length")
-    *lower, top = [secret, *masks]
-    top = [c % Q for c in top]
-    lower.reverse()
-    shares = []
-    for i in range(1, K + 1):
-        acc = top
-        for coeffs in lower:
-            acc = [(a * i + c) % Q for a, c in zip(acc, coeffs)]
-        shares.append(ShareVector(index=i, values=tuple(acc)))
-    return shares
+    coeffs = [FieldVector(c) for c in (secret, *masks)]
+    m = len(coeffs[0])
+    if any(len(z) != m for z in coeffs[1:]):
+        raise ValueError("mask length must match secret length")
+    if not 0 < K < 1 << 31:
+        raise ValueError(f"need 0 < K < 2^31, got K={K}")
+    xs = np.arange(1, K + 1, dtype=np.uint64)[:, None]
+    acc = np.repeat(coeffs[-1].limbs()[:, None, :], K, axis=1)
+    for z in reversed(coeffs[:-1]):
+        acc *= xs
+        acc += z.limbs()[:, None, :]
+        FieldVector.carry_fold(acc)
+    rows = FieldVector.from_limbs(acc).split(K)
+    return [ShareVector(index=i, values=v) for i, v in enumerate(rows, 1)]
 
 
 def ss_share(
-    secret: list[int], T: int, K: int, rng
-) -> tuple[list[ShareVector], list[list[int]]]:
+    secret: Sequence[int], T: int, K: int, rng
+) -> tuple[list[ShareVector], list[FieldVector]]:
     """Share a vector; returns (K shares, the T sharing mask vectors).
 
-    The masks are returned so the caller can bind them into a commitment.
+    The masks are returned, packed, so the caller can bind them into a
+    commitment.
     """
     if not 0 < T < K:
         raise ValueError(f"need 0 < T < K, got T={T}, K={K}")
     m = len(secret)
-    masks = [[field.rand_element(rng) for _ in range(m)] for _ in range(T)]
+    masks = [FieldVector([field.rand_element(rng) for _ in range(m)]) for _ in range(T)]
     return share_with_masks(secret, masks, K), masks
 
 
@@ -88,7 +104,6 @@ def ss_recon(shares: list[ShareVector], T: int) -> list[int]:
     xs = [s.index for s in use]
     if len(set(xs)) != len(xs):
         raise ValueError("share indices must be distinct")
-    m = len(use[0].values)
     # Lagrange coefficients at 0 for this index set, shared by all coordinates
     lam = []
     for i, xi in enumerate(xs):
@@ -98,13 +113,8 @@ def ss_recon(shares: list[ShareVector], T: int) -> list[int]:
                 num = num * -xj % Q
                 den = den * (xi - xj) % Q
         lam.append(num * field.inv(den) % Q)
-    out = [0] * m
-    for k in range(m):
-        acc = 0
-        for i, s in enumerate(use):
-            acc = (acc + lam[i] * s.values[k]) % Q
-        out[k] = acc
-    return out
+    columns = zip(*(s.values.tolist() for s in use))
+    return [sum(map(operator.mul, lam, ys)) % Q for ys in columns]
 
 
 def gao_decode(xs: list[int], ys: list[int], k: int) -> list[int]:

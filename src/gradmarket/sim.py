@@ -34,7 +34,7 @@ from . import field, perturb, snip
 from .circuit import build_norm_circuit
 from .commit import CommitmentKey, setup_key, verify_share
 from .contract import GasTable, TradeContract, merkle_root
-from .field import HALF_Q, Q, FixedPointCodec
+from .field import HALF_Q, FieldVector, FixedPointCodec, Q
 from .perturb import MlpModel, random_model
 from .shamir import ShareVector, ss_recon, ss_share
 
@@ -327,7 +327,7 @@ class _Session:
             gas_table=GasTable.from_dict(config.gas_table),
             rng=rng_stream(seed, "contract.challenge"),
         )
-        self.qvecs: dict[int, list[int]] = {}
+        self.qvecs: dict[int, FieldVector] = {}
         # per owner and server, the share as delivered (possibly corrupted)
         self.sent: dict[int, dict[int, ShareVector]] = {}
         self.sim_events: list[dict] = []
@@ -393,15 +393,15 @@ class _Session:
                     if self._sub_norm(self._quantize(flat, f"data owner {n}")) > (self.rho or 0):
                         break
                     flat = flat * 2.0
-            qvec = self._quantize(flat, f"data owner {n}")
+            qvec = FieldVector(self._quantize(flat, f"data owner {n}"))
             shares, z_masks = ss_share(qvec, config.T, config.K, rng_stream(seed, f"do.{n}.share"))
             self.contract.store_commitment(n, commit_mod.commit(qvec, z_masks, self.key))
             sent = dict(zip(self.servers, shares))
             if self._behavior(n) == "bad_share":
                 target = self.do_specs[n]["target_server"]
                 values = list(sent[target].values)
-                values[0] = (values[0] + rng_stream(seed, f"do.{n}.adversary").randrange(1, Q)) % Q
-                sent[target] = ShareVector(index=target, values=tuple(values))
+                values[0] += rng_stream(seed, f"do.{n}.adversary").randrange(1, Q)
+                sent[target] = ShareVector(index=target, values=values)
             self.qvecs[n], self.sent[n] = qvec, sent
 
     def complain(self):
@@ -438,7 +438,7 @@ class _Session:
         """Owner n's proof packages, one per server, over its validated slice."""
         config, seed = self.config, self.seed
         sub_shares = [self._sub_share(n, i) for i in self.sent[n]]
-        _, _, h = snip.compute_h(circ, [self.qvecs[n][j] for j in self.sub_idx])
+        _, _, h = snip.compute_h(circ, self.qvecs[n].take(self.sub_idx).tolist())
         if self._behavior(n) == "tampered_proof":
             arng = rng_stream(seed, f"do.{n}.adversary")
             pos = arng.randrange(len(h))
@@ -449,7 +449,7 @@ class _Session:
 
     def _sub_share(self, n: int, i: int) -> ShareVector:
         """The validated slice of the share that owner n sent server i."""
-        return ShareVector(index=i, values=tuple(self.sent[n][i].values[j] for j in self.sub_idx))
+        return ShareVector(index=i, values=self.sent[n][i].values.take(self.sub_idx))
 
     def _test_proof(self, n: int, packages: list[snip.ProverPackage], circ, r: int):
         """The servers run both rounds on owner n's packages and post verdicts.
@@ -484,11 +484,12 @@ class _Session:
             return
         passing = []
         for i in self.servers:
-            columns = zip(*(self.sent[n][i].values for n in self.validity))
-            share = ShareVector(index=i, values=tuple(sum(c) % Q for c in columns))
+            share = ShareVector(
+                index=i, values=FieldVector.sum(self.sent[n][i].values for n in self.validity)
+            )
             if self.server_behaviors.get(i) == "corrupt_shares":
                 srng = rng_stream(self.seed, f"server.{i}.adversary.aggregate")
-                share = ShareVector(i, tuple(field.rand_element(srng) for _ in share.values))
+                share = ShareVector(i, [field.rand_element(srng) for _ in range(len(share))])
             if verify_share(share, agg_commitment, self.key):
                 passing.append(share)
             else:

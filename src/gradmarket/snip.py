@@ -98,10 +98,11 @@ def package_proof(
     a = field.rand_element(rng)
     b = field.rand_element(rng)
     shares, _ = ss_share([*h_values, a, b, a * b % Q], T, K, rng)
-    return [
-        ProverPackage(share=share, h_coeff_shares=s.values[:-3], triple=s.values[-3:])
-        for share, s in zip(input_shares, shares)
-    ]
+    packages = []
+    for share, s in zip(input_shares, shares):
+        *h, a_i, b_i, c_i = s.values
+        packages.append(ProverPackage(share=share, h_coeff_shares=tuple(h), triple=(a_i, b_i, c_i)))
+    return packages
 
 
 def prove(

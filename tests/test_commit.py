@@ -19,7 +19,7 @@ from gradmarket.commit import (
     setup_key,
     verify_share,
 )
-from gradmarket.field import Q
+from gradmarket.field import FieldVector, Q
 from gradmarket.shamir import ShareVector, ss_share
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -269,7 +269,9 @@ def test_multi_exp_matches_per_term_product(m):
     single[rng.randrange(m)] = int.from_bytes(bytes(range(1, field.ELEMENT_BYTES + 1)), "little")
     for exps in (full, sparse, [Q - 1] * m, [commit.HALF_Q] * m, [commit.HALF_Q + 1] * m,
                  single, [0] * m):
-        assert commit._multi_exp(key, exps) == _per_term_product(key.basis, exps)
+        expect = _per_term_product(key.basis, exps)
+        # a packed vector's bytes are read in place, a list is packed first
+        assert commit._multi_exp(key, exps) == commit._multi_exp(key, FieldVector(exps)) == expect
     vector = m >= commit.VECTOR_MIN_M
     assert ("limbs" in vars(key), "columns" in vars(key)) == (vector, not vector)
 
@@ -442,6 +444,24 @@ def test_multi_exp_signed_split(m):
     mixed = [rng.randint(-60000, 60000) % Q for _ in range(m)]
     mixed[rng.randrange(m)] = field.rand_element(rng)
     check(mixed, signed=False)
+
+
+def test_signed_parts_match_ints_at_edges():
+    # residues within 256^15 of 0 or q, with the 64-bit limb boundaries; a
+    # negative's magnitude q - e is read as e XOR q
+    near = 1 << 120
+    exps = [0, 1, (1 << 64) - 1, 1 << 64, near - 1,
+            Q - 1, Q - (1 << 64), Q - (1 << 64) + 1, Q - near + 1]
+    pos, neg = commit._signed_parts(FieldVector(exps))
+    assert pos.shape == neg.shape == (len(exps), 15)
+
+    def decode(rows):
+        return [int.from_bytes(row.tobytes(), "little") for row in rows]
+
+    assert decode(pos) == [e if e <= commit.HALF_Q else 0 for e in exps]
+    assert decode(neg) == [Q - e if e > commit.HALF_Q else 0 for e in exps]
+    for edge in (near, Q - near, commit.HALF_Q, commit.HALF_Q + 1):
+        assert commit._signed_parts([*exps, edge]) is None
 
 
 # SHA-256 of the commitment elements and the share-check results below,

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 import sys
 import threading
@@ -6,7 +8,7 @@ import numpy as np
 import pytest
 
 from gradmarket import field
-from gradmarket.field import FixedPointCodec, Q
+from gradmarket.field import HALF_Q, FieldVector, FixedPointCodec, Q
 
 
 def test_modulus_is_mersenne_prime_shape():
@@ -179,6 +181,21 @@ def test_eval_domain_extend_spectrum_built_once_per_count():
     assert dom._extension[1] is spectrum
 
 
+@pytest.mark.parametrize("n", [1, 2, 89, 496])
+def test_eval_domain_extension_from_one_inversion(n):
+    # k! and 1/k! from one inversion of (2n-2)!, and the extension's
+    # spectrum of 1/1..1/(2n-2) and ell(x) = prod_j (x - j) against the
+    # same tables built from one pow per inverse
+    fact, inv_fact = field._factorials(2 * n - 2)
+    assert fact == [math.factorial(k) % Q for k in range(2 * n - 1)]
+    assert inv_fact == [pow(f, -1, Q) for f in fact]
+    invs = [pow(d, -1, Q) for d in range(1, 2 * n - 1)]
+    dom = field.EvalDomain(n)
+    size, spectrum, ells = dom._extension
+    assert np.array_equal(spectrum, np.fft.rfft(dom._digits(invs), size))
+    assert ells == [math.prod(range(x - n, x)) % Q for x in range(n + 1, 2 * n)]
+
+
 def test_eval_domain_extend_rounding_guard(monkeypatch):
     dom = field.EvalDomain(496)
     values = _worst_case_values(dom)
@@ -320,3 +337,55 @@ def test_signed_sums_decode():
             total = (total + codec.quantize(x)) % Q
         expect = sum(round(x * 256) for x in xs) / 256
         assert abs(codec.dequantize(total) - expect) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Packed vectors
+# ---------------------------------------------------------------------------
+
+# the residues at the limb, sign and modulus boundaries
+EDGES = [0, 1, (1 << 64) - 1, 1 << 64, HALF_Q, HALF_Q + 1, Q - 1]
+
+
+def test_field_vector_reads_as_an_int_sequence():
+    vec = FieldVector([*EDGES, Q, Q + 1, -1, -Q])
+    ints = [*EDGES, 0, 1, Q - 1, 0]
+    assert len(vec) == len(ints)
+    assert list(vec) == vec.tolist() == ints
+    assert [vec[k] for k in range(-len(ints), len(ints))] == ints + ints
+    assert vec[2:5] == tuple(ints[2:5]) and vec[::-3] == tuple(ints[::-3]) and vec[5:2] == ()
+    for k in (len(ints), -len(ints) - 1):
+        with pytest.raises(IndexError):
+            vec[k]
+    assert vec == FieldVector(ints) == FieldVector(vec) and hash(vec) == hash(FieldVector(ints))
+    assert vec != FieldVector(ints[:-1]) and vec != FieldVector([*ints[:-1], 2])
+    assert vec.to_bytes() == b"".join(map(field.to_bytes, ints))
+    assert vec.digits().shape == (len(ints), field.ELEMENT_BYTES)
+    assert vec.take([3, 0, 3]).tolist() == [ints[3], ints[0], ints[3]]
+    assert [part.tolist() for part in vec.split(11)] == [[v] for v in ints]
+    with pytest.raises(ValueError):
+        vec.split(2)
+    assert len(FieldVector()) == 0 and FieldVector().tolist() == []
+
+
+def test_field_vector_sum_matches_ints_at_edges():
+    # every triple of edge residues, summed by limbs and by ints
+    columns = list(itertools.product(EDGES, repeat=3))
+    vectors = [FieldVector(c[j] for c in columns) for j in range(3)]
+    assert FieldVector.sum(vectors[:1]) == vectors[0]
+    assert FieldVector.sum(vectors).tolist() == [sum(c) % Q for c in columns]
+    # many copies of the largest residue carry through every limb
+    rng = random.Random(41)
+    many = [FieldVector([Q - 1, *rng.sample(EDGES, 3)]) for _ in range(1000)]
+    assert FieldVector.sum(many).tolist() == [sum(c) % Q for c in zip(*many)]
+    with pytest.raises(ValueError):
+        FieldVector.sum([vectors[0], FieldVector(EDGES)])
+    with pytest.raises(ValueError):
+        FieldVector.sum([])
+
+
+def test_field_vector_negation_is_xor_with_q():
+    # q is 127 one bits, so q - e is e XOR q byte by byte for every residue
+    q_digits = np.frombuffer(Q.to_bytes(field.ELEMENT_BYTES, "little"), np.uint8)
+    negated = FieldVector(EDGES).digits() ^ q_digits
+    assert [int.from_bytes(row.tobytes(), "little") for row in negated] == [Q - e for e in EDGES]

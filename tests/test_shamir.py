@@ -1,11 +1,12 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
 from gradmarket import field
-from gradmarket.field import Q
+from gradmarket.field import HALF_Q, FieldVector, Q
 from gradmarket.shamir import (
     DecodeFailure,
     ShareVector,
@@ -54,6 +55,48 @@ def test_share_with_masks_matches_per_coordinate_horner(T, K, m):
     if masks:
         masks[-1][-1] = Q - 1
     assert share_with_masks(secret, masks, K) == _horner_shares(secret, masks, K)
+
+
+# the residues at the limb, sign and modulus boundaries
+EDGES = [0, 1, (1 << 64) - 1, 1 << 64, HALF_Q, HALF_Q + 1, Q - 1]
+
+
+@pytest.mark.parametrize("T, K", [(1, 5), (2, 7)])
+def test_packed_horner_shares_at_edge_values(T, K):
+    # every combination of edge residues as (secret, masks) coefficients,
+    # given as ints and as packed vectors
+    columns = list(itertools.product(EDGES, repeat=T + 1))
+    secret, *masks = ([c[j] for c in columns] for j in range(T + 1))
+    expect = _horner_shares(secret, masks, K)
+    assert share_with_masks(secret, masks, K) == expect
+    packed = [FieldVector(z) for z in masks]
+    assert share_with_masks(FieldVector(secret), packed, K) == expect
+    # packed sums of two servers' shares, against the ints
+    for a, b in zip(expect, _horner_shares(secret[::-1], [z[::-1] for z in masks], K)):
+        assert FieldVector.sum([a.values, b.values]).tolist() == [
+            (x + y) % Q for x, y in zip(a.values, b.values)
+        ]
+
+
+def test_share_vector_holds_16_bytes_per_element():
+    # the values of a length-m share take one 16m-byte buffer, where a tuple
+    # of 127-bit ints takes about 52m bytes
+    m = 2400
+    rng = random.Random(29)
+    secret = [field.rand_element(rng) for _ in range(m)]
+    masks = [[field.rand_element(rng) for _ in range(m)]]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        shares = share_with_masks(secret, masks, 3)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert 3 * 16 * m <= held < 3 * (16 * m + 512)
+    assert [len(s.to_bytes()) for s in shares] == [8 + 16 * m] * 3
+    # values are reduced mod q on construction
+    assert tuple(ShareVector(1, (Q + 1, -1, Q)).values) == (1, Q - 1, 0)
+    assert ShareVector(1, [Q + 1, -1]) == ShareVector(1, (1, Q - 1))
 
 
 def test_recon_from_two_points():
