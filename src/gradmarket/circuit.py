@@ -109,7 +109,20 @@ def build_norm_circuit(m: int, rho: int, accept_zero: bool = False) -> Circuit:
     products, so M <= m + 2k - 2. With one lin gate for S and one per
     block, the circuit has M + 1 + ceil(d/k) gates. The output is the last
     block product, or the single block's value when d = 1.
+
+    The circuit is built once per (m, rho, accept_zero) in a process: every
+    party derives it from the rho posted at `start`, and a Circuit is
+    immutable, so all of them share one. A fixed rho repeats every session;
+    a calibrated rho moves between sessions, so only the circuits of the two
+    most recently used bounds are kept, and a miss costs one lookup.
     """
+    return _norm_circuit(m, rho, accept_zero)
+
+
+# A plain function over the cache keeps `build_norm_circuit` a function
+# that per-call tracing can wrap, hits included.
+@functools.lru_cache(maxsize=2)
+def _norm_circuit(m: int, rho: int, accept_zero: bool) -> Circuit:
     if m < 1 or rho < 1:
         raise ValueError("need m >= 1 and rho >= 1")
     b = CircuitBuilder(m)

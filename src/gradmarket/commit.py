@@ -285,14 +285,18 @@ def _bucket_fold(key: CommitmentKey, digits: np.ndarray) -> int:
     return acc * pow(_R_INV, e, P) % P
 
 
-def _width(digits: np.ndarray) -> int:
-    """Byte columns of digits up to its last nonzero one (0 if none)."""
-    used = np.flatnonzero(digits.any(axis=0))
-    return int(used[-1]) + 1 if used.size else 0
+def _width(words: np.ndarray) -> int:
+    """Byte length of the largest of the values whose little-endian 64-bit
+    words are the rows of the (m, 2) array words (0 if all are 0): the
+    byte columns up to the last nonzero one."""
+    hi = int(words[:, 1].max(initial=0))
+    if hi:
+        return 8 + (hi.bit_length() + 7) // 8
+    return (int(words[:, 0].max(initial=0)).bit_length() + 7) // 8
 
 
-# q's bytes: for a residue e, q - e is e XOR q
-_Q_DIGITS = np.frombuffer(field.to_bytes(Q), np.uint8)
+# q's two 64-bit words: for a residue e, q - e is e XOR q
+_Q_WORDS = np.frombuffer(field.to_bytes(Q), "<u8")
 # a residue above HALF_Q has a top byte of at least 0x40
 _HALF_Q_TOP = (HALF_Q + 1) >> (8 * (field.ELEMENT_BYTES - 1))
 
@@ -303,16 +307,20 @@ def _signed_parts(exponents) -> tuple[np.ndarray, np.ndarray] | None:
     when every residue lies within 256^15 of 0 or of q: its top byte is 0x00
     or 0x7f, and q - e is e XOR q. Then both sets fold over at most 15 byte
     windows. Otherwise None; a random residue fails at once.
+
+    Each row is flipped to its magnitude on its two words, and only the
+    `width` byte columns the magnitudes use are split by sign.
     """
-    digits = FieldVector(exponents).digits()
-    top = digits[:, -1:]
+    words = np.frombuffer(FieldVector(exponents).to_bytes(), "<u8").reshape(-1, 2)
+    top = words[:, 1] >> 56
     neg = top == 0x7F
     if not np.all(neg | (top == 0)):
         return None
-    pos = np.where(neg, 0, digits)
-    mag = np.where(neg, digits ^ _Q_DIGITS, 0)
-    width = _width(pos | mag)
-    return pos[:, :width], mag[:, :width]
+    signed = words ^ (neg[:, None] * _Q_WORDS)
+    width = _width(signed)
+    digits = signed.view(np.uint8)[:, :width]
+    neg = neg[:, None]
+    return digits * ~neg, digits * neg
 
 
 def _multi_exp(key: CommitmentKey, exponents) -> int:
@@ -328,7 +336,7 @@ def _multi_exp(key: CommitmentKey, exponents) -> int:
     """
     vec = FieldVector(exponents)
     digits = vec.digits()
-    width = _width(digits)
+    width = _width(digits.view("<u8"))
     if not width:
         return 1
     parts = _signed_parts(vec) if digits[:, -1].max() >= _HALF_Q_TOP else None

@@ -310,7 +310,8 @@ class _Session:
     def __init__(self, config: SessionConfig, seed: int, world: World, key: CommitmentKey):
         self.config, self.seed, self.world, self.key = config, seed, world, key
         self.codec = FixedPointCodec(config.scale_bits)
-        self.sub_idx = validation_indices(config)
+        # one index array, which every `FieldVector.take` of the session reads
+        self.sub_idx = np.array(validation_indices(config), dtype=np.intp)
         self.do_ids = list(range(config.N))
         self.servers = range(1, config.K + 1)
         # each owner spec with its behavior's omitted options filled in
@@ -333,7 +334,7 @@ class _Session:
         self.sim_events: list[dict] = []
 
     def _sub_norm(self, qvec: list[int]) -> int:
-        return quantized_norm_sq([qvec[i] for i in self.sub_idx])
+        return quantized_norm_sq([qvec[i] for i in self.sub_idx.tolist()])
 
     def _behavior(self, n: int) -> str | None:
         return self.do_specs.get(n, {}).get("behavior")

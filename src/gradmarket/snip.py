@@ -98,10 +98,13 @@ def package_proof(
     a = field.rand_element(rng)
     b = field.rand_element(rng)
     shares, _ = ss_share([*h_values, a, b, a * b % Q], T, K, rng)
+    n = len(h_values)
     packages = []
     for share, s in zip(input_shares, shares):
-        *h, a_i, b_i, c_i = s.values
-        packages.append(ProverPackage(share=share, h_coeff_shares=tuple(h), triple=(a_i, b_i, c_i)))
+        values = s.values.tolist()  # one decode per share, then cut
+        packages.append(
+            ProverPackage(share=share, h_coeff_shares=tuple(values[:n]), triple=tuple(values[n:]))
+        )
     return packages
 
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from gradmarket import circuit
 from gradmarket.circuit import (
     LIN,
     MUL,
@@ -229,3 +230,22 @@ def test_trace_products_hold():
         # each block product's left input is the previous product
         assert trace.left[m + 4:] == products[m + 3:-1]
         assert out == products[-1]
+
+
+def test_norm_circuit_is_built_once_per_bound():
+    circuit._norm_circuit.cache_clear()
+    a = build_norm_circuit(3, 10, accept_zero=True)
+    # the same bound, however its arguments are spelled, is the same object
+    assert build_norm_circuit(3, 10, True) is a
+    assert build_norm_circuit(3, 10, accept_zero=1) is a
+    plain = build_norm_circuit(3, 10)
+    assert build_norm_circuit(3, 10, accept_zero=False) is plain and plain is not a
+    # a third bound evicts the least recently used one, which is rebuilt equal
+    build_norm_circuit(3, 11, accept_zero=True)
+    rebuilt = build_norm_circuit(3, 10, accept_zero=True)
+    assert rebuilt is not a and rebuilt == a
+    assert circuit._norm_circuit.cache_info().currsize == 2
+    # an invalid bound still raises on every call and is not cached
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            build_norm_circuit(0, 10)

@@ -462,6 +462,27 @@ def test_signed_parts_match_ints_at_edges():
     assert decode(neg) == [Q - e if e > commit.HALF_Q else 0 for e in exps]
     for edge in (near, Q - near, commit.HALF_Q, commit.HALF_Q + 1):
         assert commit._signed_parts([*exps, edge]) is None
+    # widths read from the two 64-bit words, against the ints' byte lengths:
+    # all zero, one nonzero top byte, and 0x7f as one element's top byte
+    m = 300
+    top = [0] * m
+    top[m // 2] = 1 << 120
+    seven_f = [k % 7 for k in range(m)]
+    seven_f[-1] = 0x7F << 120
+    for values in ([0] * m, top, seven_f, exps):
+        words = FieldVector(values).digits().view("<u8")
+        assert commit._width(words) == (max(values).bit_length() + 7) // 8
+    pos, neg = commit._signed_parts([0] * m)
+    assert pos.shape == neg.shape == (m, 0)
+    assert commit._signed_parts(top) is None
+    # 0x7f << 120 is the negative of 2^120 - 1, whose 15 bytes are 0xff
+    pos, neg = commit._signed_parts(seven_f)
+    assert pos.shape == neg.shape == (m, 15)
+    assert decode(pos) == [*seven_f[:-1], 0]
+    assert decode(neg) == [0] * (m - 1) + [(1 << 120) - 1]
+    key = commit.setup_key(m, None)
+    for values in ([0] * m, top, seven_f):
+        assert commit._multi_exp(key, values) == _per_term_product(key.basis, values)
 
 
 # SHA-256 of the commitment elements and the share-check results below,

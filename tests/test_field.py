@@ -142,6 +142,15 @@ def test_eval_domain_extend_matches_horner():
             assert dom.extend(values) == expect
 
 
+def test_fft_size_is_the_smallest_3_smooth_length():
+    smooth = sorted(2**a * 3**b for a in range(21) for b in range(13))
+    for k in [*range(1, 2000), 5841, 6831, 9471, 32703, 279000]:
+        assert field._fft_size(k) == next(v for v in smooth if v >= k)
+    # the extension's length at the proof sizes of the benchmark's workloads
+    sizes = {n: field.EvalDomain(n)._extension[0] for n in (89, 104, 144, 496)}
+    assert sizes == {89: 6144, 104: 6912, 144: 10368, 496: 32768}
+
+
 def test_eval_domain_extend_rejects_wrong_length():
     dom = field.EvalDomain(4)
     with pytest.raises(ValueError):

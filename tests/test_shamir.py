@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from gradmarket import field
+from gradmarket import field, snip
 from gradmarket.field import HALF_Q, FieldVector, Q
 from gradmarket.shamir import (
     DecodeFailure,
@@ -76,6 +76,18 @@ def test_packed_horner_shares_at_edge_values(T, K):
         assert FieldVector.sum([a.values, b.values]).tolist() == [
             (x + y) % Q for x, y in zip(a.values, b.values)
         ]
+    # a proof package decodes each share of h || (a, b, ab) once and cuts h
+    # and the triple from it: the edges as h, against per-coordinate ints
+    rng, ref = random.Random(K), random.Random(K)
+    packages = snip.package_proof(expect, secret, T, K, rng)
+    a, b = field.rand_element(ref), field.rand_element(ref)
+    vector = [*secret, a, b, a * b % Q]
+    _, ref_masks = ss_share(vector, T, K, ref)
+    ref_masks = [[z[k] for k in range(len(vector))] for z in ref_masks]
+    n = len(secret)
+    for pkg, s in zip(packages, _horner_shares(vector, ref_masks, K)):
+        ints = [s.values[k] for k in range(n + 3)]
+        assert pkg.h_coeff_shares == tuple(ints[:n]) and pkg.triple == tuple(ints[n:])
 
 
 def test_share_vector_holds_16_bytes_per_element():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import SMALL_SESSION, small_session_config, training_config
-from gradmarket import sim, snip
+from gradmarket import circuit, sim, snip
 from gradmarket.contract import TradeContract, expected_word_count
 from gradmarket.sim import (
     DO_BEHAVIORS,
@@ -415,6 +415,25 @@ def test_training_determinism():
     a = run_training(cfg, 4)
     b = run_training(cfg, 4)
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_training_report_does_not_depend_on_the_circuit_cache():
+    # a calibrated rho moves between iterations, so the two-entry norm-circuit
+    # cache both hits and evicts; a cold cache and one that a session at
+    # another bound of the same length left warm give the same report
+    path = Path(__file__).resolve().parent.parent / "configs" / "train.json"
+    cfg = SessionConfig.from_dict(dict(json.loads(path.read_text()), iterations=8))
+    circuit._norm_circuit.cache_clear()
+    cold = run_training(cfg, 3)
+    info = circuit._norm_circuit.cache_info()
+    assert info.misses > info.maxsize and info.hits >= 1
+    # only a session at rho = 1 and the same length warms the cache: it
+    # rejects every honest owner, so a circuit leaking from it into the
+    # training run would change the run's validity sets
+    circuit._norm_circuit.cache_clear()
+    assert run_session(dataclasses.replace(cfg, rho=1), 3)["validity_set"] == []
+    warm = run_training(cfg, 3)
+    assert json.dumps(warm, sort_keys=True) == json.dumps(cold, sort_keys=True)
 
 
 def test_training_csv_format():
