@@ -191,16 +191,17 @@ def _selftest() -> int:
         expected = expected * pow(b, e, P) % P
     check("long-key multi-exp", commit(worst, [], long_key).elements == (expected,))
 
-    # an honest proof end to end: an in-bound input is accepted, and an
-    # out-of-bound one reconstructs its nonzero plain output
+    # an honest proof over the servers' shares: an in-bound input is
+    # accepted, and an out-of-bound one reconstructs its nonzero plain output
     from . import snip
     circ = build_norm_circuit(3, 10, accept_zero=True)
 
     def prove_and_test(inputs):
         out, _ = eval_plain(circ, inputs)
-        pkgs = snip.prove(inputs, circ, 1, 5, rng)
-        verdicts = snip.identity_test(pkgs, circ, field.rand_element(rng), 1)
-        xs = [p.index for p in pkgs]
+        shares, _ = ss_share(inputs, 1, 5, rng)
+        pkgs = snip.prove(inputs, circ, 1, 5, rng, input_shares=shares)
+        verdicts = snip.identity_test(shares, pkgs, circ, field.rand_element(rng), 1)
+        xs = [s.index for s in shares]
         ident = robust_recon(xs, [v.identity_share for v in verdicts], 1)
         outv = robust_recon(xs, [v.output_share for v in verdicts], 1)
         return out, ident, outv

@@ -270,15 +270,15 @@ class TradeContract:
     # transactions
     # ------------------------------------------------------------------
 
-    def start(self, root: bytes, M0: int, N_max: int, rho: int | None = None):
+    def start(self, root: bytes, N_max: int, rho: int | None = None):
         """Open registration under the published model's root. A given rho
         is the norm bound of the session's validity predicate, stored as
         its own word; None leaves the session unvalidated."""
         with self._tx("start", "mo", SETUP) as cost:
             if len(root) != 32:
                 raise TxRejected("root must be 32 bytes")
-            if M0 < 1 or N_max < 1:
-                raise TxRejected("M0 and N_max must be positive")
+            if N_max < 1:
+                raise TxRejected("N_max must be positive")
             if rho is not None and (isinstance(rho, bool) or not isinstance(rho, int) or rho < 1):
                 raise TxRejected(f"rho must be a positive integer, got {rho!r}")
             self.root = bytes(root)

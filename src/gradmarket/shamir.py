@@ -10,6 +10,7 @@ floor((K'-T-1)/2) arbitrary errors.
 
 from __future__ import annotations
 
+import functools
 import operator
 import struct
 from collections.abc import Sequence
@@ -117,6 +118,13 @@ def ss_recon(shares: list[ShareVector], T: int) -> list[int]:
     return [sum(map(operator.mul, lam, ys)) % Q for ys in columns]
 
 
+# A session decodes every d/e opening over one index set, 1..K.
+@functools.lru_cache(maxsize=8)
+def _vanishing_poly(xs: tuple[int, ...]) -> tuple[int, ...]:
+    """g0 = prod (x - x_i) over the index set xs, built once per set."""
+    return tuple(functools.reduce(field.poly_mul, ([-x % Q, 1] for x in xs), [1]))
+
+
 def gao_decode(xs: list[int], ys: list[int], k: int) -> list[int]:
     """Gao RS decoder: message polynomial of degree < k from n noisy points.
 
@@ -128,14 +136,11 @@ def gao_decode(xs: list[int], ys: list[int], k: int) -> list[int]:
     if k < 1 or n < k:
         raise ValueError("need n >= k >= 1")
     # g0 = prod (x - x_i), g1 = interpolant through the received points
-    g0 = [1]
-    for x in xs:
-        g0 = field.poly_mul(g0, [-x % Q, 1])
     g1 = field.poly_interpolate(list(zip(xs, ys)))
     if field.poly_deg(g1) < 0:
         return []  # all-zero word is the zero codeword
     # partial extended Euclid until deg r < (n + k) / 2
-    r0, r1 = g0, g1
+    r0, r1 = _vanishing_poly(tuple(xs)), g1
     v0, v1 = [], [1]
     while 2 * field.poly_deg(r1) >= n + k:
         quo, rem = field.poly_divmod(r0, r1)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass, field as dc_field, fields, replace
+from dataclasses import dataclass, field as dc_field, fields
 
 import numpy as np
 
@@ -369,8 +369,7 @@ class _Session:
                 self.rho, self.rho_clamped = config.rho_cap, True
         published = perturb.serialize_published_model(self.enc_model, self.masks.r_out)
         self.contract.start(
-            merkle_root(published), M0=config.samples_per_do, N_max=config.N,
-            rho=self.rho if config.validation else None,
+            merkle_root(published), N_max=config.N, rho=self.rho if config.validation else None,
         )
         for n in self.do_ids:
             self.contract.register(n)
@@ -459,14 +458,14 @@ class _Session:
         the owner's commitment, not on the package's own copy of it.
         """
         config, seed = self.config, self.seed
-        packages = [replace(p, share=self._sub_share(n, p.index)) for p in packages]
+        shares = [self._sub_share(n, i) for i in self.servers]
         # a corrupt server broadcasts random d/e shares and submits a random verdict
         lies = {}
         for i in self.servers:
             if self.server_behaviors.get(i) == "corrupt_shares":
                 orng = rng_stream(seed, f"server.{i}.adversary.{n}.open")
                 lies[i] = (field.rand_element(orng), field.rand_element(orng))
-        verdicts = snip.identity_test(packages, circ, r, config.T, lies)
+        verdicts = snip.identity_test(shares, packages, circ, r, config.T, lies)
         for i, v in zip(self.servers, verdicts):
             if i in lies:
                 srng = rng_stream(seed, f"server.{i}.adversary.{n}.verdict")

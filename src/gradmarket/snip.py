@@ -12,6 +12,8 @@ the group runs one polynomial identity test at a public random point r:
 
 with the product computed through the Beaver triple so every on-wire value
 stays a degree-T Shamir share; [h](r) is one O(M) barycentric evaluation.
+Each server function takes the server's own verified input share next to
+the owner's package: a proof is never checked over the owner's copy.
 `identity_test` runs round 1 for all K servers, opens the Beaver values d
 and e once from their broadcast, and forms every server's verdict share
 from that pair. The test passes
@@ -48,6 +50,10 @@ class ProverPackage:
     the benchmark tracer). triple holds shares of (a, b, c = a*b). Both
     are cut from one share of the vector h || (a, b, c).
 
+    share is the owner's wire copy of the server's input share, which no
+    server reads; it stays for the benchmark's byte formulas, and ROADMAP
+    item 18 drops it once they move.
+
     Packages pass between actors as objects; `to_bytes` gives the wire
     form only to count a proof's bytes, and nothing decodes it.
     """
@@ -55,10 +61,6 @@ class ProverPackage:
     share: ShareVector
     h_coeff_shares: tuple[int, ...]
     triple: tuple[int, int, int]
-
-    @property
-    def index(self) -> int:
-        return self.share.index
 
     def to_bytes(self) -> bytes:
         """Wire format: input ShareVector || h value shares || (a, b, c)."""
@@ -128,9 +130,9 @@ def prove(
     return package_proof(input_shares, h, T, K, rng)
 
 
-def server_eval(pkg: ProverPackage, circ: Circuit) -> tuple[int, MulTrace]:
-    """Evaluate the circuit on shares; the same (output, MulTrace) form as
-    eval_plain, holding this server's shares.
+def server_eval(share: ShareVector, pkg: ProverPackage, circ: Circuit) -> tuple[int, MulTrace]:
+    """Evaluate the circuit on this server's input share; the same (output,
+    MulTrace) form as eval_plain, holding this server's shares.
 
     Lin gates are local (a public constant is its own share at every index,
     and a public combination of shares is a share of the combination); each
@@ -140,20 +142,7 @@ def server_eval(pkg: ProverPackage, circ: Circuit) -> tuple[int, MulTrace]:
     if circ.num_mul and len(pkg.h_coeff_shares) != 2 * circ.num_mul - 1:
         raise ValueError("h share count does not match the circuit")
     h_next = iter(pkg.h_coeff_shares).__next__
-    return _run_gates(circ, pkg.share.values, lambda u, v: h_next())
-
-
-@dataclass(frozen=True)
-class CheckState:
-    """A server's round-1 result: its broadcast shares and what its verdict
-    share needs."""
-
-    index: int
-    d_share: int
-    e_share: int
-    h_r_share: int
-    triple: tuple[int, int, int]
-    output_share: int
+    return _run_gates(circ, share.values, lambda u, v: h_next())
 
 
 @dataclass(frozen=True)
@@ -169,14 +158,16 @@ class VerdictShares:
     decode_failed: bool = False
 
 
-def server_round1(pkg: ProverPackage, circ: Circuit, r: int) -> CheckState:
-    """First identity-test round: derive [d]_i and [e]_i, the state's
-    broadcast shares.
+def server_round1(
+    share: ShareVector, pkg: ProverPackage, circ: Circuit, r: int
+) -> tuple[int, int, int, int]:
+    """First identity-test round over this server's input share: its shares
+    ([d], [e], [h(r)], [output]), of which it broadcasts [d] and [e].
 
     d = r * fhat(r) - a and e = ghat(r) - b open safely; a and b act as
     one-time pads.
     """
-    output_share, trace = server_eval(pkg, circ)
+    output_share, trace = server_eval(share, pkg, circ)
     M = len(trace)
     if M == 0:
         raise ValueError("circuit has no multiplication gates; nothing to check")
@@ -185,40 +176,35 @@ def server_round1(pkg: ProverPackage, circ: Circuit, r: int) -> CheckState:
     g_r = dom.interpolate_at(trace.right, r)
     h_r = field.eval_domain(2 * M - 1).interpolate_at(pkg.h_coeff_shares, r)
     a, b, _ = pkg.triple
-    return CheckState(
-        index=pkg.index,
-        d_share=(r * f_r - a) % Q,
-        e_share=(g_r - b) % Q,
-        h_r_share=h_r,
-        triple=pkg.triple,
-        output_share=output_share,
-    )
+    return (r * f_r - a) % Q, (g_r - b) % Q, h_r, output_share
 
 
 def identity_test(
-    packages: list[ProverPackage], circ: Circuit, r: int, T: int, lies: dict | None = None
+    shares: list[ShareVector], packages: list[ProverPackage], circ: Circuit, r: int, T: int,
+    lies: dict | None = None,
 ) -> list[VerdictShares]:
-    """Both rounds for one proof, with the verdicts in package order.
+    """Both rounds for one proof, with the verdicts in share order.
 
+    packages[j] is the owner's package for the server that holds shares[j].
     Every server runs round 1, and the servers broadcast their (d, e)
     shares behind a barrier; lies[i] replaces the pair of server i, if it
-    has a package. d and e are opened once, robustly, from that one
+    has a share. d and e are opened once, robustly, from that one
     broadcast: up to floor((K'-T-1)/2) of its K' pairs may be garbage, and
     past that every server flags decode_failed. The Beaver identity gives
     each server's share of r * fhat(r) * ghat(r) as d*e + d*[b] + e*[a] + [c],
     which its verdict share checks against r * [h(r)].
     """
-    states = [server_round1(pkg, circ, r) for pkg in packages]
-    broadcast = {st.index: (lies or {}).get(st.index, (st.d_share, st.e_share)) for st in states}
+    rounds = [server_round1(s, p, circ, r) for s, p in zip(shares, packages, strict=True)]
+    broadcast = {s.index: (lies or {}).get(s.index, rd[:2]) for s, rd in zip(shares, rounds)}
     xs = sorted(broadcast)
     try:
         d = robust_recon(xs, [broadcast[i][0] for i in xs], T)
         e = robust_recon(xs, [broadcast[i][1] for i in xs], T)
     except DecodeFailure:
-        return [VerdictShares(identity_share=0, output_share=0, decode_failed=True)] * len(states)
+        return [VerdictShares(identity_share=0, output_share=0, decode_failed=True)] * len(rounds)
     verdicts = []
-    for st in states:
-        a, b, c = st.triple
-        identity = r * st.h_r_share - (d * e + d * b + e * a + c)
-        verdicts.append(VerdictShares(identity % Q, st.output_share))
+    for pkg, (_, _, h_r, output_share) in zip(packages, rounds):
+        a, b, c = pkg.triple
+        identity = r * h_r - (d * e + d * b + e * a + c)
+        verdicts.append(VerdictShares(identity % Q, output_share))
     return verdicts

@@ -75,8 +75,8 @@ def _snip_session(inputs, circ, T, K, rng, tamper=False):
         h[rng.randrange(len(h))] = (h[rng.randrange(len(h))] + rng.randrange(1, Q)) % Q
     packages = snip.package_proof(input_shares, h, T, K, rng)
     r = field.rand_element(rng)
-    verdicts = snip.identity_test(packages, circ, r, T)
-    xs = [p.index for p in packages]
+    verdicts = snip.identity_test(input_shares, packages, circ, r, T)
+    xs = [s.index for s in input_shares]
     ident = robust_recon(xs, [v.identity_share for v in verdicts], T)
     out = robust_recon(xs, [v.output_share for v in verdicts], T)
     return ident, out

@@ -48,7 +48,7 @@ def _honest_sharing(key, rng, m=3, T=1, K=5):
 
 
 def _advance_to_validation(contract, key, rng, N=4, rho=4):
-    contract.start(b"\x01" * 32, M0=8, N_max=N, rho=rho)
+    contract.start(b"\x01" * 32, N_max=N, rho=rho)
     sharings = {}
     for n in range(N):
         contract.register(n)
@@ -64,16 +64,16 @@ def _advance_to_validation(contract, key, rng, N=4, rho=4):
 def test_lifecycle_and_phase_guards():
     contract, key, rng = _fresh()
     assert contract.phase == SETUP
-    contract.start(b"\x02" * 32, M0=4, N_max=4)
+    contract.start(b"\x02" * 32, N_max=4)
     assert contract.phase == REGISTER
     with pytest.raises(TxRejected):
-        contract.start(b"\x02" * 32, M0=4, N_max=4)  # second start rejected
+        contract.start(b"\x02" * 32, N_max=4)  # second start rejected
     assert contract.phase == REGISTER
 
 
 def test_gas_of_start_from_cost_table():
     contract, _, _ = _fresh()
-    contract.start(b"\x03" * 32, M0=4, N_max=4)
+    contract.start(b"\x03" * 32, N_max=4)
     t = GasTable()
     assert contract.meter.per_method["start"] == t.tx_base + t.hash_word + 2 * t.storage_word_write
 
@@ -82,7 +82,7 @@ def test_start_stores_a_rho_word_only_when_rho_is_given():
     t = GasTable()
     for rho, words in ((None, 2), (5, 3)):
         contract, _, _ = _fresh()
-        contract.start(b"\x03" * 32, M0=4, N_max=4, rho=rho)
+        contract.start(b"\x03" * 32, N_max=4, rho=rho)
         assert contract.rho == rho
         assert ("rho" in contract.slots) == (rho is not None)
         assert contract.tx_log[-1]["stored_words_delta"] == words
@@ -94,7 +94,7 @@ def test_start_refuses_a_rho_that_is_not_a_positive_integer(rho):
     contract, _, _ = _fresh()
     log_length, gas_total = len(contract.tx_log), contract.meter.total
     with pytest.raises(TxRejected, match="^start: rho must be a positive integer"):
-        contract.start(b"\x03" * 32, M0=4, N_max=4, rho=rho)
+        contract.start(b"\x03" * 32, N_max=4, rho=rho)
     assert contract.tx_log[log_length:] == [{
         "method": "start", "caller": "mo", "gas": GasTable().tx_base,
         "phase_before": SETUP, "phase_after": SETUP, "stored_words_delta": 0,
@@ -117,7 +117,7 @@ def test_rejected_tx_charges_base_and_preserves_state():
 
 def test_register_full_set_advances_phase():
     contract, _, _ = _fresh(N=4)
-    contract.start(b"\x04" * 32, M0=4, N_max=4)
+    contract.start(b"\x04" * 32, N_max=4)
     for n in range(3):
         contract.register(n)
         assert contract.phase == REGISTER
@@ -127,7 +127,7 @@ def test_register_full_set_advances_phase():
 
 def test_register_rejections():
     contract, _, _ = _fresh(N=4)
-    contract.start(b"\x05" * 32, M0=4, N_max=4)
+    contract.start(b"\x05" * 32, N_max=4)
     log_length, gas_total = len(contract.tx_log), contract.meter.total
     with pytest.raises(TxRejected, match="^register: not whitelisted$"):
         contract.register(99)
@@ -144,7 +144,7 @@ def test_register_rejections():
 
 def test_register_timeout_proceeds_with_partial_set():
     contract, _, _ = _fresh(N=4)
-    contract.start(b"\x06" * 32, M0=4, N_max=4)
+    contract.start(b"\x06" * 32, N_max=4)
     contract.register(0)
     contract.register(1)
     for _ in range(3):
@@ -155,7 +155,7 @@ def test_register_timeout_proceeds_with_partial_set():
 
 def test_commitment_from_unregistered_rejected():
     contract, key, rng = _fresh()
-    contract.start(b"\x07" * 32, M0=4, N_max=2)
+    contract.start(b"\x07" * 32, N_max=2)
     contract.register(0)
     contract.register(1)
     _, _, cm = _honest_sharing(key, rng)
@@ -165,7 +165,7 @@ def test_commitment_from_unregistered_rejected():
 
 def test_complaint_upheld_excludes_owner():
     contract, key, rng = _fresh(N=2)
-    contract.start(b"\x08" * 32, M0=4, N_max=2)
+    contract.start(b"\x08" * 32, N_max=2)
     contract.register(0)
     contract.register(1)
     for n in range(2):
@@ -189,7 +189,7 @@ def test_complaint_upheld_excludes_owner():
 
 def test_second_upheld_complaint_keeps_the_verdict():
     contract, key, rng = _fresh(N=1)
-    contract.start(b"\x0b" * 32, M0=4, N_max=1)
+    contract.start(b"\x0b" * 32, N_max=1)
     contract.register(0)
     _, _, cm = _honest_sharing(key, rng)
     contract.store_commitment(0, cm)
@@ -211,7 +211,7 @@ def test_second_upheld_complaint_keeps_the_verdict():
 
 def test_false_complaint_dismissed_owner_retained():
     contract, key, rng = _fresh(N=1)
-    contract.start(b"\x09" * 32, M0=4, N_max=1)
+    contract.start(b"\x09" * 32, N_max=1)
     contract.register(0)
     secret, shares, cm = _honest_sharing(key, rng)
     contract.store_commitment(0, cm)
@@ -228,7 +228,7 @@ def test_false_complaint_dismissed_owner_retained():
 
 def test_shares_ready_blocked_by_pending_complaint():
     contract, key, rng = _fresh(N=1)
-    contract.start(b"\x0a" * 32, M0=4, N_max=1)
+    contract.start(b"\x0a" * 32, N_max=1)
     contract.register(0)
     _, shares, cm = _honest_sharing(key, rng)
     contract.store_commitment(0, cm)
@@ -269,7 +269,7 @@ def test_challenge_deterministic_per_seed():
             commit_key=setup_key(3, random.Random(5)),
             rng=random.Random(seed),
         )
-        contract.start(b"\x0b" * 32, M0=1, N_max=1, rho=2)
+        contract.start(b"\x0b" * 32, N_max=1, rho=2)
         contract.register(0)
         _, _, cm = _honest_sharing(setup_key(3, random.Random(5)), random.Random(6), K=4)
         contract.store_commitment(0, cm)
@@ -453,7 +453,7 @@ def test_state_machine_safety_exhaustive():
         contract, key, rng = _fresh(N=2)
         if phase == SETUP:
             return contract
-        contract.start(b"\x0c" * 32, M0=4, N_max=2, rho=4)
+        contract.start(b"\x0c" * 32, N_max=2, rho=4)
         if phase == REGISTER:
             return contract
         contract.register(0)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 
@@ -9,10 +10,17 @@ from gradmarket.field import Q
 from gradmarket.shamir import ShareVector, robust_recon, ss_recon, ss_share
 
 
-def _run_protocol(packages, circ, r, T, corrupt_servers=(), corrupt_rng=None):
+def _prove(inputs, circ, T, K, rng):
+    """The servers' input shares and the owner's packages over them, drawn
+    from rng as `snip.prove` draws them when it shares the input itself."""
+    shares, _ = ss_share(inputs, T, K, rng)
+    return shares, snip.prove(inputs, circ, T, K, rng, input_shares=shares)
+
+
+def _run_protocol(shares, packages, circ, r, T, corrupt_servers=(), corrupt_rng=None):
     """Drive the two-round identity test; returns the per-server verdicts."""
     lies = {i: (corrupt_rng.randrange(Q), corrupt_rng.randrange(Q)) for i in corrupt_servers}
-    return snip.identity_test(packages, circ, r, T, lies)
+    return snip.identity_test(shares, packages, circ, r, T, lies)
 
 
 def _contract_view(verdicts, T):
@@ -29,15 +37,15 @@ def test_prove_single_mul_constant_h():
     rng = random.Random(1)
     f, g, h = snip.compute_h(circ, [3, 4])
     assert f == [3] and g == [4] and h == [12]
-    packages = snip.prove([3, 4], circ, 1, 3, rng)
+    input_shares, packages = _prove([3, 4], circ, 1, 3, rng)
     assert all(len(p.h_coeff_shares) == 1 for p in packages)
     # the single h value is h(1) = 12, and h is the constant 12, so every
     # server's share of h(r) is a share of 12 at any r
-    shares = [ShareVector(p.index, p.h_coeff_shares) for p in packages]
+    shares = [ShareVector(i, p.h_coeff_shares) for i, p in enumerate(packages, 1)]
     assert ss_recon(shares[:2], 1) == [12]
     r_shares = [
-        ShareVector(p.index, (snip.server_round1(p, circ, 77).h_r_share,))
-        for p in packages
+        ShareVector(s.index, (snip.server_round1(s, p, circ, 77)[2],))
+        for s, p in zip(input_shares, packages)
     ]
     assert ss_recon(r_shares[:2], 1) == ss_recon(r_shares[1:], 1) == [12]
 
@@ -53,7 +61,9 @@ def test_h_reconstructs_trace_products():
     # reconstruct each value h(t) from T+1 packages
     h = []
     for j in range(2 * M - 1):
-        value_shares = [ShareVector(p.index, (p.h_coeff_shares[j],)) for p in packages[:3]]
+        value_shares = [
+            ShareVector(i, (p.h_coeff_shares[j],)) for i, p in enumerate(packages[:3], 1)
+        ]
         h.append(ss_recon(value_shares, 2)[0])
     for t, (u, v) in enumerate(zip(trace.left, trace.right), start=1):
         assert h[t - 1] == u * v % Q
@@ -95,7 +105,7 @@ def test_beaver_triple_reconstructs_consistently():
     packages = snip.prove([1, 1], circ, 1, 4, rng)
     abc = []
     for pos in range(3):
-        shares = [ShareVector(p.index, (p.triple[pos],)) for p in packages[:2]]
+        shares = [ShareVector(i, (p.triple[pos],)) for i, p in enumerate(packages[:2], 1)]
         abc.append(ss_recon(shares, 1)[0])
     a, b, c = abc
     assert a * b % Q == c
@@ -106,27 +116,27 @@ def test_server_eval_reconstructs_wire_values():
     b = CircuitBuilder(2)
     out = b.mul(b.input(0), b.input(1))
     circ = b.build(out)
-    packages = snip.prove([5, 7], circ, 1, 4, rng)
-    evals = [snip.server_eval(p, circ) for p in packages]
+    shares, packages = _prove([5, 7], circ, 1, 4, rng)
+    evals = [snip.server_eval(s, p, circ) for s, p in zip(shares, packages)]
     # left input of gate 1 reconstructs to 5
-    left = [ShareVector(p.index, (tr.left[0],)) for p, (_, tr) in zip(packages, evals)]
-    right = [ShareVector(p.index, (tr.right[0],)) for p, (_, tr) in zip(packages, evals)]
+    left = [ShareVector(s.index, (tr.left[0],)) for s, (_, tr) in zip(shares, evals)]
+    right = [ShareVector(s.index, (tr.right[0],)) for s, (_, tr) in zip(shares, evals)]
     assert ss_recon(left[:2], 1) == [5]
     assert ss_recon(right[:2], 1) == [7]
-    outs = [ShareVector(p.index, (o,)) for p, (o, _) in zip(packages, evals)]
+    outs = [ShareVector(s.index, (o,)) for s, (o, _) in zip(shares, evals)]
     assert ss_recon(outs[:2], 1) == [35]
 
     # a public constant times a share is a share of the product
     b = CircuitBuilder(2)
     out = b.mul(b.lin([(b.input(0), -2)]), b.lin([(b.input(1), 1), (b.input(0), 3)]))
     circ = b.build(out)
-    packages = snip.prove([5, 7], circ, 1, 4, rng)
-    evals = [snip.server_eval(p, circ) for p in packages]
-    left = [ShareVector(p.index, (tr.left[0],)) for p, (_, tr) in zip(packages, evals)]
-    right = [ShareVector(p.index, (tr.right[0],)) for p, (_, tr) in zip(packages, evals)]
+    shares, packages = _prove([5, 7], circ, 1, 4, rng)
+    evals = [snip.server_eval(s, p, circ) for s, p in zip(shares, packages)]
+    left = [ShareVector(s.index, (tr.left[0],)) for s, (_, tr) in zip(shares, evals)]
+    right = [ShareVector(s.index, (tr.right[0],)) for s, (_, tr) in zip(shares, evals)]
     assert ss_recon(left[:2], 1) == [Q - 10]
     assert ss_recon(right[2:], 1) == [22]
-    outs = [ShareVector(p.index, (o,)) for p, (o, _) in zip(packages, evals)]
+    outs = [ShareVector(s.index, (o,)) for s, (o, _) in zip(shares, evals)]
     assert ss_recon(outs[1:3], 1) == [Q - 220]
 
     # a norm circuit (its block polynomials are lin gates): every gate's
@@ -137,9 +147,9 @@ def test_server_eval_reconstructs_wire_values():
     assert any(g.kind == LIN for g in circ.gates)
     inputs = [1, 2, 1]
     out_plain, plain = eval_plain(circ, inputs)
-    packages = snip.prove(inputs, circ, T, 5, rng)
-    evals = [snip.server_eval(p, circ) for p in packages[: T + 1]]
-    indices = [p.index for p in packages[: T + 1]]
+    shares, packages = _prove(inputs, circ, T, 5, rng)
+    evals = [snip.server_eval(s, p, circ) for s, p in zip(shares[: T + 1], packages)]
+    indices = [s.index for s in shares[: T + 1]]
 
     def recon(values):
         return ss_recon([ShareVector(i, (v,)) for i, v in zip(indices, values)], T)[0]
@@ -156,9 +166,9 @@ def test_share_of_public_constant_is_constant():
     out = b.mul(b.input(0), c5)
     circ = b.build(out)
     rng = random.Random(5)
-    packages = snip.prove([9], circ, 1, 3, rng)
-    for p in packages:
-        _, trace = snip.server_eval(p, circ)
+    shares, packages = _prove([9], circ, 1, 3, rng)
+    for s, p in zip(shares, packages):
+        _, trace = snip.server_eval(s, p, circ)
         # the right input wire of the single mul gate is the constant itself
         assert trace.right[0] == 5
 
@@ -170,7 +180,7 @@ def test_all_add_circuit_has_no_wire_shares_and_rejects_proving():
     rng = random.Random(6)
     shares, _ = ss_share([1, 2], 1, 3, rng)
     pkg = snip.ProverPackage(share=shares[0], h_coeff_shares=(), triple=(0, 0, 0))
-    assert len(snip.server_eval(pkg, circ)[1]) == 0
+    assert len(snip.server_eval(shares[0], pkg, circ)[1]) == 0
     with pytest.raises(ValueError):
         snip.compute_h(circ, [1, 2])
 
@@ -186,9 +196,9 @@ def test_honest_completeness():
         assert any(g.kind == LIN for g in circ.gates)
         out_plain, _ = eval_plain(circ, inputs)
         assert out_plain == 0
-        packages = snip.prove(inputs, circ, T, K, rng)
+        shares, packages = _prove(inputs, circ, T, K, rng)
         r = field.rand_element(rng)
-        verdicts = _run_protocol(packages, circ, r, T)
+        verdicts = _run_protocol(shares, packages, circ, r, T)
         ident, out = _contract_view(verdicts, T)
         assert ident == 0 and out == 0
 
@@ -199,8 +209,8 @@ def test_invalid_input_detected_through_output_wire():
     circ = build_norm_circuit(2, 4, accept_zero=True)
     inputs = [3, 3]  # 18 > 4
     out_plain, _ = eval_plain(circ, inputs)
-    packages = snip.prove(inputs, circ, T, K, rng)
-    verdicts = _run_protocol(packages, circ, field.rand_element(rng), T)
+    shares, packages = _prove(inputs, circ, T, K, rng)
+    verdicts = _run_protocol(shares, packages, circ, field.rand_element(rng), T)
     ident, out = _contract_view(verdicts, T)
     assert ident == 0  # the proof itself is honest
     assert out == out_plain != 0
@@ -220,7 +230,7 @@ def test_tampered_h_rejected():
             t = rng.randrange(len(h))
             h[t] = (h[t] + rng.randrange(1, Q)) % Q
             packages = snip.package_proof(input_shares, h, T, K, rng)
-            verdicts = _run_protocol(packages, circ, field.rand_element(rng), T)
+            verdicts = _run_protocol(input_shares, packages, circ, field.rand_element(rng), T)
             ident, _ = _contract_view(verdicts, T)
             if ident != 0:
                 rejections += 1
@@ -241,7 +251,7 @@ def _tampered_h_rejections(positions, seed, trials=30):
         t = rng.choice(positions)
         h[t - 1] = (h[t - 1] + rng.randrange(1, Q)) % Q
         packages = snip.package_proof(input_shares, h, T, K, rng)
-        verdicts = _run_protocol(packages, circ, field.rand_element(rng), T)
+        verdicts = _run_protocol(input_shares, packages, circ, field.rand_element(rng), T)
         ident, _ = _contract_view(verdicts, T)
         if ident != 0:
             rejections += 1
@@ -266,10 +276,10 @@ def test_corrupt_servers_within_budget_absorbed():
     T, K = 1, 5  # budget floor((5-1-1)/2) = 1
     circ = build_norm_circuit(2, 8, accept_zero=True)
     inputs = [2, 1]
-    packages = snip.prove(inputs, circ, T, K, rng)
+    shares, packages = _prove(inputs, circ, T, K, rng)
     r = field.rand_element(rng)
-    honest = _run_protocol(packages, circ, r, T)
-    corrupted = _run_protocol(packages, circ, r, T, corrupt_servers={3}, corrupt_rng=rng)
+    honest = _run_protocol(shares, packages, circ, r, T)
+    corrupted = _run_protocol(shares, packages, circ, r, T, corrupt_servers={3}, corrupt_rng=rng)
     # the d/e openings reconstruct identically, so honest servers' verdict
     # shares agree with the clean run
     for i in (0, 1, 3, 4):
@@ -299,7 +309,7 @@ def test_malformed_triple_only_hurts_the_prover():
         )
         for p, d in zip(packages, delta_shares)
     ]
-    verdicts = _run_protocol(packages, circ, field.rand_element(rng), T)
+    verdicts = _run_protocol(input_shares, packages, circ, field.rand_element(rng), T)
     ident, _ = _contract_view(verdicts, T)
     assert ident != 0
 
@@ -327,7 +337,7 @@ def test_offset_triple_forgery_rejected(m, rho, T, K):
         snip.ProverPackage(share=s, h_coeff_shares=v.values[:-3], triple=v.values[-3:])
         for s, v in zip(input_shares, shares)
     ]
-    verdicts = _run_protocol(packages, circ, field.rand_element(rng), T)
+    verdicts = _run_protocol(input_shares, packages, circ, field.rand_element(rng), T)
     assert not any(v.decode_failed for v in verdicts)
     ident, _ = _contract_view(verdicts, T)
     assert ident != 0
@@ -337,32 +347,60 @@ def test_identity_test_takes_packages_in_any_order():
     rng = random.Random(17)
     T, K = 1, 5
     circ = build_norm_circuit(3, 10, accept_zero=True)
-    packages = snip.prove([1, 2, 2], circ, T, K, rng)
+    shares, packages = _prove([1, 2, 2], circ, T, K, rng)
     r = field.rand_element(rng)
     lies = {4: (field.rand_element(rng), field.rand_element(rng))}
-    in_order = dict(zip(range(1, K + 1), snip.identity_test(packages, circ, r, T, lies)))
+    in_order = dict(zip(range(1, K + 1), snip.identity_test(shares, packages, circ, r, T, lies)))
     assert not any(v.decode_failed for v in in_order.values())
-    shuffled = [packages[i] for i in (3, 0, 4, 2, 1)]
-    verdicts = snip.identity_test(shuffled, circ, r, T, lies)
-    assert {p.index: v for p, v in zip(shuffled, verdicts)} == in_order
+
+    def verdicts_by_server(order):
+        servers = [shares[j] for j in order]
+        verdicts = snip.identity_test(servers, [packages[j] for j in order], circ, r, T, lies)
+        return {s.index: v for s, v in zip(servers, verdicts)}
+
+    assert verdicts_by_server((3, 0, 4, 2, 1)) == in_order
     # without server 2 the other servers open d and e from four pairs, one
     # of them a lie, and reach the same verdicts
-    rest = [p for p in shuffled if p.index != 2]
-    verdicts = snip.identity_test(rest, circ, r, T, lies)
-    assert {p.index: v for p, v in zip(rest, verdicts)} == {
-        i: v for i, v in in_order.items() if i != 2
-    }
+    assert verdicts_by_server((3, 0, 4, 2)) == {i: v for i, v in in_order.items() if i != 2}
+
+
+def test_proof_is_checked_over_the_server_shares_not_the_package_copies():
+    # no server reads a package's copy of its input share: copies swapped
+    # for another owner's shares or for random vectors leave every verdict
+    # as it was, and only the servers' own shares decide the outcome
+    rng = random.Random(20)
+    T, K = 1, 5
+    circ = build_norm_circuit(3, 10, accept_zero=True)
+    shares, packages = _prove([1, 2, 2], circ, T, K, rng)
+    other, _ = ss_share([2, 0, 1], T, K, rng)  # another owner's in-bound input
+    noise = [ShareVector(i, [field.rand_element(rng) for _ in range(3)]) for i in range(1, K + 1)]
+    r = field.rand_element(rng)
+    lies = {3: (field.rand_element(rng), field.rand_element(rng))}
+    expect = snip.identity_test(shares, packages, circ, r, T, lies)
+    assert not any(v.decode_failed for v in expect)
+    assert _contract_view(expect, T) == (0, 0)
+    for copies in (other, noise):
+        swapped = [dataclasses.replace(p, share=c) for p, c in zip(packages, copies)]
+        assert snip.identity_test(shares, swapped, circ, r, T, lies) == expect
+    # checked over another owner's shares, the proof's h no longer matches
+    # the wires: the identity is nonzero
+    verdicts = snip.identity_test(other, packages, circ, r, T, lies)
+    assert not any(v.decode_failed for v in verdicts)
+    assert _contract_view(verdicts, T)[0] != 0
+    # over random vectors, which share nothing, d and e do not decode
+    verdicts = snip.identity_test(noise, packages, circ, r, T, lies)
+    assert all(v.decode_failed for v in verdicts)
 
 
 def test_decode_failure_reported_when_openings_unrecoverable():
     rng = random.Random(11)
     T, K = 1, 4  # budget floor((4-1-1)/2) = 1, two liars exceed it
     circ = build_norm_circuit(2, 4, accept_zero=True)
-    packages = snip.prove([1, 1], circ, T, K, rng)
+    shares, packages = _prove([1, 1], circ, T, K, rng)
     r = field.rand_element(random.Random(50))
     d1, d3 = field.rand_element(rng), field.rand_element(rng)
     lies = {1: (d1, field.rand_element(rng)), 3: (d3, field.rand_element(rng))}
-    verdicts = snip.identity_test(packages, circ, r, T, lies)
+    verdicts = snip.identity_test(shares, packages, circ, r, T, lies)
     # every server opens the same broadcast, so every server flags
     assert all(v.decode_failed for v in verdicts)
     assert all(v.identity_share == v.output_share == 0 for v in verdicts)
@@ -372,7 +410,7 @@ def test_identity_test_opens_d_and_e_once(monkeypatch):
     rng = random.Random(19)
     T, K = 1, 5
     circ = build_norm_circuit(3, 10, accept_zero=True)
-    packages = snip.prove([1, 2, 2], circ, T, K, rng)
+    shares, packages = _prove([1, 2, 2], circ, T, K, rng)
     lies = {2: (field.rand_element(rng), field.rand_element(rng))}
     calls = []
 
@@ -381,7 +419,7 @@ def test_identity_test_opens_d_and_e_once(monkeypatch):
         return robust_recon(xs, ys, T)
 
     monkeypatch.setattr(snip, "robust_recon", counting)
-    verdicts = snip.identity_test(packages, circ, field.rand_element(rng), T, lies)
+    verdicts = snip.identity_test(shares, packages, circ, field.rand_element(rng), T, lies)
     # one decode of d and one of e, over all K broadcast pairs
     assert calls == [list(range(1, K + 1))] * 2
     assert len(verdicts) == K and not any(v.decode_failed for v in verdicts)
@@ -393,9 +431,9 @@ def test_on_wire_shares_have_shamir_degree_T():
     rng = random.Random(12)
     T, K = 2, 7
     circ = build_norm_circuit(2, 5, accept_zero=True)
-    packages = snip.prove([1, 2], circ, T, K, rng)
+    shares, packages = _prove([1, 2], circ, T, K, rng)
     r = field.rand_element(rng)
-    verdicts = _run_protocol(packages, circ, r, T)
+    verdicts = _run_protocol(shares, packages, circ, r, T)
     for values in ([v.identity_share for v in verdicts], [v.output_share for v in verdicts]):
         poly = field.poly_interpolate(list(zip(range(1, K + 1), values)))
         assert field.poly_deg(poly) <= T
