@@ -17,6 +17,7 @@ keep within that bound.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -255,39 +256,45 @@ def poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     return poly_trim(quo), poly_trim(rem)
 
 
-def poly_interpolate(points: list[tuple[int, int]]) -> list[int]:
-    """Coefficients of the unique polynomial of degree < n through n points.
+@dataclass(frozen=True)
+class LagrangeBasis:
+    """The Lagrange basis of distinct points x_i: `vanishing` is
+    g0 = prod_i (x - x_i), and `columns[j][i]` is coefficient j of
+    L_i = w_i g0 / (x - x_i), w_i = 1 / prod_{j != i} (x_i - x_j), which is
+    1 at x_i and 0 at the other points; so `columns[0]` gives a value at 0."""
 
-    Newton divided differences, O(n^2), with one `inv` per difference of
-    x-coordinates. Raises ValueError on duplicate x.
-    """
-    if not points:
-        raise ValueError("need at least one point")
-    xs = [x for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("duplicate x coordinates")
-    n = len(points)
-    # divided difference table, kept in place
-    dd = [y for _, y in points]
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) * inv(xs[i] - xs[i - level]) % Q
-    # expand Newton form: p(x) = dd[0] + dd[1](x-x0) + dd[2](x-x0)(x-x1) + ...
-    coeffs = [0] * n
-    basis = [1]  # running product (x-x0)...(x-x_{k-1})
-    for k in range(n):
-        c = dd[k]
-        if c:
-            for j, b in enumerate(basis):
-                coeffs[j] = (coeffs[j] + c * b) % Q
-        if k < n - 1:
-            # basis *= (x - xs[k])
-            nxt = [0] * (len(basis) + 1)
-            for j, b in enumerate(basis):
-                nxt[j] = (nxt[j] - b * xs[k]) % Q
-                nxt[j + 1] = (nxt[j + 1] + b) % Q
-            basis = nxt
-    return poly_trim(coeffs)
+    vanishing: tuple[int, ...]
+    columns: tuple[tuple[int, ...], ...]
+
+
+# A session decodes its d/e openings and verdicts over 1..K and its
+# aggregate over the first T+1 verified servers.
+@functools.lru_cache(maxsize=8)
+def lagrange_basis(xs: tuple[int, ...]) -> LagrangeBasis:
+    """The basis of xs, cached for the last eight point sets: one product
+    pass for g0, then per point one synthetic division and one inversion."""
+    if not xs or len({x % Q for x in xs}) != len(xs):
+        raise ValueError("need at least one point and distinct x coordinates")
+    g0 = [1]
+    for x in xs:
+        g0 = [(a - x * b) % Q for a, b in zip([0, *g0], [*g0, 0])]
+    rows = []
+    for xi in xs:
+        quo = [1]  # g0 / (x - xi), highest degree first
+        for c in g0[-2:0:-1]:
+            quo.append((c + xi * quo[-1]) % Q)
+        w = inv(math.prod(xi - xj for xj in xs if xj != xi))
+        rows.append([w * c % Q for c in reversed(quo)])
+    return LagrangeBasis(tuple(g0), tuple(zip(*rows)))
+
+
+def poly_interpolate(points: list[tuple[int, int]]) -> list[int]:
+    """Coefficients of the unique polynomial of degree < n through n points,
+    sum_i y_i L_i over their cached `lagrange_basis`. Raises ValueError on
+    no points or a duplicate x."""
+    basis = lagrange_basis(tuple(x for x, _ in points))
+    ys = [y for _, y in points]
+    return poly_trim([sum(map(operator.mul, col, ys)) % Q for col in basis.columns])
 
 
 def _factorials(top: int) -> tuple[list[int], list[int]]:

@@ -10,7 +10,6 @@ floor((K'-T-1)/2) arbitrary errors.
 
 from __future__ import annotations
 
-import functools
 import operator
 import struct
 from collections.abc import Sequence
@@ -94,7 +93,9 @@ def ss_share(
 
 
 def ss_recon(shares: list[ShareVector], T: int) -> list[int]:
-    """Reconstruct u(0) coordinate-wise from >= T+1 shares.
+    """Reconstruct u(0) coordinate-wise from the first T+1 of >= T+1
+    equal-length shares, as sum_i y_i L_i(0) over their indices' cached
+    `field.lagrange_basis`.
 
     No consistency check is performed across extra shares; callers that
     need error tolerance use robust_recon, one scalar at a time.
@@ -102,45 +103,30 @@ def ss_recon(shares: list[ShareVector], T: int) -> list[int]:
     if len(shares) < T + 1:
         raise ValueError(f"need at least {T + 1} shares, got {len(shares)}")
     use = shares[: T + 1]
-    xs = [s.index for s in use]
-    if len(set(xs)) != len(xs):
-        raise ValueError("share indices must be distinct")
-    # Lagrange coefficients at 0 for this index set, shared by all coordinates
-    lam = []
-    for i, xi in enumerate(xs):
-        num, den = 1, 1
-        for j, xj in enumerate(xs):
-            if j != i:
-                num = num * -xj % Q
-                den = den * (xi - xj) % Q
-        lam.append(num * field.inv(den) % Q)
+    if len({len(s) for s in use}) != 1:
+        raise ValueError("share lengths differ")
+    at_zero = field.lagrange_basis(tuple(s.index for s in use)).columns[0]
     columns = zip(*(s.values.tolist() for s in use))
-    return [sum(map(operator.mul, lam, ys)) % Q for ys in columns]
-
-
-# A session decodes every d/e opening over one index set, 1..K.
-@functools.lru_cache(maxsize=8)
-def _vanishing_poly(xs: tuple[int, ...]) -> tuple[int, ...]:
-    """g0 = prod (x - x_i) over the index set xs, built once per set."""
-    return tuple(functools.reduce(field.poly_mul, ([-x % Q, 1] for x in xs), [1]))
+    return [sum(map(operator.mul, at_zero, ys)) % Q for ys in columns]
 
 
 def gao_decode(xs: list[int], ys: list[int], k: int) -> list[int]:
-    """Gao RS decoder: message polynomial of degree < k from n noisy points.
+    """Gao RS decoder: message polynomial of degree < k from the n noisy
+    points (xs[j], ys[j]), xs distinct; g0 = prod (x - x_j) comes from the
+    xs' cached `field.lagrange_basis`.
 
     Returns the coefficient list (length <= k) of the unique polynomial
     within distance floor((n-k)/2) of the received word, or raises
     DecodeFailure when no such polynomial exists.
     """
     n = len(xs)
-    if k < 1 or n < k:
-        raise ValueError("need n >= k >= 1")
-    # g0 = prod (x - x_i), g1 = interpolant through the received points
+    if k < 1 or n < k or len(ys) != n:
+        raise ValueError("need n >= k >= 1 and one y per x")
     g1 = field.poly_interpolate(list(zip(xs, ys)))
     if field.poly_deg(g1) < 0:
         return []  # all-zero word is the zero codeword
     # partial extended Euclid until deg r < (n + k) / 2
-    r0, r1 = _vanishing_poly(tuple(xs)), g1
+    r0, r1 = field.lagrange_basis(tuple(xs)).vanishing, g1
     v0, v1 = [], [1]
     while 2 * field.poly_deg(r1) >= n + k:
         quo, rem = field.poly_divmod(r0, r1)
@@ -160,11 +146,12 @@ def gao_decode(xs: list[int], ys: list[int], k: int) -> list[int]:
 
 def robust_recon(xs: list[int], ys: list[int], T: int) -> int:
     """Error-correcting reconstruction of one shared scalar from its shares
-    ys[j] at the distinct indices xs[j], any subset of 1..K.
+    ys[j] at the distinct indices xs[j], any subset of 1..K, by `gao_decode`.
 
     From K' shares it corrects up to floor((K'-T-1)/2) wrong ones: with s of
     the K shares missing, e errors while 2e + s <= K - T - 1. Raises
-    DecodeFailure when the received shares are beyond that.
+    DecodeFailure when the received shares are beyond that, and ValueError
+    on fewer than T + 2 shares or unless there is one y per x.
     """
     if len(xs) < T + 2:
         raise ValueError(f"robust reconstruction needs at least {T + 2} shares, got {len(xs)}")

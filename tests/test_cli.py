@@ -101,6 +101,7 @@ def test_malformed_config_exits_2(tmp_path, capsys):
         {"mask_additive_sigma": -0.5},
         {"teacher_scale": -0.5},
         {"init_scale": -0.5},
+        {"K": 2**31},
     ],
     ids=["layers-int", "validate_layers-int", "malicious_dos-int", "rho-str",
          "gas_table-key", "deposit-negative", "rho-zero", "target_server-range",
@@ -113,7 +114,8 @@ def test_malformed_config_exits_2(tmp_path, capsys):
          "factor-nan", "factor-inf", "factor-huge", "factor-zero", "factor-tiny",
          "scale_bits-127", "scale_bits-200", "eta-nan", "eta-inf", "data_scale-inf",
          "teacher_noise-nan", "mask_additive_sigma-nan", "init_scale-neg-inf",
-         "mask_additive_sigma-negative", "teacher_scale-negative", "init_scale-negative"],
+         "mask_additive_sigma-negative", "teacher_scale-negative", "init_scale-negative",
+         "K-2^31"],
 )
 def test_malformed_clean_config_override_exits_2(tmp_path, capsys, override):
     doc = dict(json.loads((CONFIGS / "clean.json").read_text()), **override)

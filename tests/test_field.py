@@ -66,6 +66,8 @@ def test_interpolate_examples():
 def test_interpolate_rejects_duplicate_x():
     with pytest.raises(ValueError):
         field.poly_interpolate([(1, 2), (1, 3)])
+    with pytest.raises(ValueError):  # 1 and q + 1 are one field point
+        field.poly_interpolate([(1, 2), (Q + 1, 3)])
 
 
 def test_interpolation_evaluation_roundtrip_random_polys():

@@ -179,8 +179,23 @@ def _robust_recon_vector(shares, T):
 def test_robust_recon_no_errors_equals_recon():
     rng = random.Random(9)
     secret = [field.rand_element(rng) for _ in range(3)]
-    shares, _ = ss_share(secret, 1, 5, rng)
+    shares, masks = ss_share(secret, 1, 5, rng)
     assert _robust_recon_vector(shares, 1) == ss_recon(shares, 1) == secret
+    # one process decodes and reconstructs over several index sets, each with
+    # its own cached basis, and returns to the first: every result is the
+    # sharing polynomial u_k(x) = secret[k] + masks[0][k] x, evaluated directly
+    first = field.lagrange_basis((1, 2, 3, 4, 5))
+    polys = [[secret[k], masks[0][k]] for k in range(3)]
+    for xs in ((1, 2, 3, 4, 5), (1, 3, 4, 5), (1, 3), (1, 2, 3, 4, 5)):
+        subset = [shares[i - 1] for i in xs]
+        assert ss_recon(subset, 1) == [field.poly_eval(u, 0) for u in polys]
+        for k, u in enumerate(polys):
+            ys = [s.values[k] for s in subset]
+            assert gao_decode(list(xs), ys, 2) == u
+            if len(xs) > 3:  # one wrong share is within the budget
+                ys[1] = (ys[1] + 1) % Q
+                assert robust_recon(list(xs), ys, 1) == field.poly_eval(u, 0)
+    assert field.lagrange_basis((1, 2, 3, 4, 5)) is first
 
 
 def test_robust_recon_single_error_k5():
@@ -237,6 +252,23 @@ def test_robust_recon_index_requirements():
         robust_recon(xs, ys, 4)  # fewer than T + 2 points
     with pytest.raises(ValueError):
         robust_recon([1, 2, 2, 4], ys[:4], 1)  # duplicate indices
+
+
+def test_ss_recon_refuses_shares_of_different_lengths():
+    # a 3-value sharing read back with one 2-value share is refused, not
+    # truncated by zip to [5, 6]
+    shares = share_with_masks([5, 6, 7], [[1, 1, 1]], 3)
+    assert ss_recon(shares[:2], 1) == [5, 6, 7]
+    with pytest.raises(ValueError):
+        ss_recon([shares[0], ShareVector(2, tuple(shares[1].values)[:2])], 1)
+
+
+def test_decoding_refuses_fewer_values_than_indices():
+    # five indices with three values: not a decode of the first three
+    with pytest.raises(ValueError):
+        robust_recon([1, 2, 3, 4, 5], [10, 13, 16], 1)
+    with pytest.raises(ValueError):
+        gao_decode([1, 2, 3, 4, 5], [10, 13, 16], 2)
 
 
 def test_gao_decode_zero_word():

@@ -81,8 +81,9 @@ def test_config_rejects_removed_knobs(key, value):
 def test_config_bounds_are_declared_on_their_fields():
     bounded = {f.name: f.metadata["bounds"] for f in dataclasses.fields(SessionConfig)
                if "bounds" in f.metadata}
-    assert set(bounded) == {"N", "T", "rho", "rho_margin", "rho_cap", "scale_bits", "deposit",
-                            "samples_per_do", "mo_samples", "iterations", "mask_additive_sigma"}
+    assert set(bounded) == {"N", "K", "T", "rho", "rho_margin", "rho_cap", "scale_bits",
+                            "deposit", "samples_per_do", "mo_samples", "iterations",
+                            "mask_additive_sigma"}
     for name, (lo, hi) in bounded.items():
         edges = {lo: True, lo - 1: False}
         if hi != math.inf:
