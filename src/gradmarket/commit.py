@@ -20,16 +20,17 @@ the coordinate-wise sum of shares.
 Both sides of that check are multi-exponentiations over the one basis, so
 the key precomputes each basis element's power at every byte position of
 an exponent once (fixed-base precomputation, Brickell-Gordon-McCurley-
-Wilson). A multi-exp puts every term into the bucket of its byte digit,
-then one fold returns prod_d bucket[d]^d. A short key fills the buckets
-by a Python pass over its byte columns; a key of at least `VECTOR_MIN_M`
-generators holds the same powers as one Montgomery-form limb table and
-fills them by a vectorized product tree (`_tree_buckets`), whose multiply
-reduces by the special form p = 114 * 2^127 - 113. Its buckets stay in
-Montgomery form, and one power R^-e corrects their fold.
+Wilson). A multi-exp reads the exponents' packed words once into byte
+digits, puts every term into the bucket of its digit, then one fold
+returns prod_d bucket[d]^d. A short key fills the buckets by a Python
+pass over its byte columns; a key of at least `VECTOR_MIN_M` generators
+holds the same powers as one Montgomery-form limb table and fills them
+from the same digits by a vectorized product tree (`_tree_buckets`), whose
+multiply reduces by the special form p = 114 * 2^127 - 113. Its buckets
+stay in Montgomery form, and one power R^-e corrects their fold.
 Vectors of small signed values, stored as q - k, are read as signed
 (Moeller's signed-digit multi-exponentiation in its simplest form):
-positives and negatives fold separately and divide.
+positives and negatives' magnitudes fold separately and divide.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import field
-from .field import HALF_Q, FieldVector, Q
+from .field import FieldVector, Q
 from .shamir import ShareVector
 
 # p = 114*q + 1, the smallest prime of the form (even c)*q + 1.
@@ -55,12 +56,12 @@ GROUP_ELEMENT_BYTES = (P.bit_length() + 7) // 8
 assert (P - 1) % Q == 0
 
 # Keys of at least this many generators take the vector pass (not re-tuned:
-# no workload lies between 192 and 2400). Vector over byte pass time, median
-# of 75 paired runs per length, shared 2-core Xeon (Python 3.11, numpy 2.4),
-# m random residues (a second run: 1.13 and 0.98 at 192 and 384):
+# no workload lies between 192 and 2400). Vector over byte pass time of one
+# multi-exp, median of 75 paired runs, shared 2-core Xeon (Python 3.11,
+# numpy 2.4), m random residues (a second run: 1.08, 0.87 at 192, 384):
 #   m      192   384   512   768   1200  2400
-#   ratio  1.02  0.91  0.86  0.83  0.56  0.51
-# One byte window (values 0..40): ratio 9.1 at m = 192, 1.5 at 2400.
+#   ratio  1.07  0.78  0.88  0.74  0.59  0.48
+# One byte window: 4.5 at m = 192, 1.4 at 2400 (values 0..40); 4.8, 1.7 (-40..40).
 VECTOR_MIN_M = 512
 # Montgomery arithmetic of the vector pass: an element below 2p is 5 limbs
 # of 28 bits, little-endian, in uint32 lanes. R = 2^140 > 4p keeps every
@@ -215,18 +216,20 @@ def setup_key(m: int, rng) -> CommitmentKey:
     return _transparent_key(m)
 
 
-def _byte_buckets(columns, digits: bytes, width: int) -> list[int]:
+def _byte_buckets(columns, digits: np.ndarray) -> tuple[list[int], int]:
     """The buckets of a short key: a Python pass over its byte columns.
 
     bucket[d] is the product of the terms columns[w][k] whose digit w of
-    exponent k, digits[k * width + w], is d.
+    exponent k, digits[k, w], is d. Returns them and e = 0.
     """
+    width = digits.shape[1]
+    flat = digits.tobytes()
     buckets = [1] * 256
     for w in range(width):
-        for b, d in zip(columns[w], digits[w::width]):
+        for b, d in zip(columns[w], flat[w::width]):
             if d:
                 buckets[d] = buckets[d] * b % P
-    return buckets
+    return buckets, 0
 
 
 def _tree_buckets(limbs: np.ndarray, digits: np.ndarray) -> tuple[list[int], int]:
@@ -272,12 +275,12 @@ def _bucket_fold(key: CommitmentKey, digits: np.ndarray) -> int:
     The term basis[k]^(256^w) goes into the bucket of digit w of value k,
     and one running-product fold returns prod_d bucket[d]^d. The vector
     pass's bucket d carries a factor R^d, so its result is multiplied once
-    by R^-e.
+    by R^-e; the byte pass's e is 0.
     """
     if len(key) >= VECTOR_MIN_M:
         buckets, e = _tree_buckets(key.limbs, digits)
     else:
-        buckets, e = _byte_buckets(key.columns, digits.tobytes(), digits.shape[1]), 0
+        buckets, e = _byte_buckets(key.columns, digits)
     running = acc = 1
     for d in range(255, 0, -1):
         running = running * buckets[d] % P
@@ -285,42 +288,16 @@ def _bucket_fold(key: CommitmentKey, digits: np.ndarray) -> int:
     return acc * pow(_R_INV, e, P) % P
 
 
-def _width(words: np.ndarray) -> int:
-    """Byte length of the largest of the values whose little-endian 64-bit
-    words are the rows of the (m, 2) array words (0 if all are 0): the
-    byte columns up to the last nonzero one."""
-    hi = int(words[:, 1].max(initial=0))
-    if hi:
-        return 8 + (hi.bit_length() + 7) // 8
-    return (int(words[:, 0].max(initial=0)).bit_length() + 7) // 8
+def _digits(words: np.ndarray) -> np.ndarray:
+    """The (m, width) uint8 view of the little-endian bytes of the values
+    whose 64-bit words are the rows of the (m, 2) array words, cut to the
+    byte length of (max high word, max low word): 0 if all values are 0."""
+    bound = int(words[:, 1].max(initial=0)) << 64 | int(words[:, 0].max(initial=0))
+    return words.view(np.uint8)[:, : (bound.bit_length() + 7) // 8]
 
 
-# q's two 64-bit words: for a residue e, q - e is e XOR q
+# q's two 64-bit words: for a residue e whose top byte is 0x7f, q - e is e XOR q
 _Q_WORDS = np.frombuffer(field.to_bytes(Q), "<u8")
-# a residue above HALF_Q has a top byte of at least 0x40
-_HALF_Q_TOP = (HALF_Q + 1) >> (8 * (field.ELEMENT_BYTES - 1))
-
-
-def _signed_parts(exponents) -> tuple[np.ndarray, np.ndarray] | None:
-    """(positives, magnitudes of the negatives) of the residues, as byte rows
-    cut to their common width, each residue e above HALF_Q read as -(q - e),
-    when every residue lies within 256^15 of 0 or of q: its top byte is 0x00
-    or 0x7f, and q - e is e XOR q. Then both sets fold over at most 15 byte
-    windows. Otherwise None; a random residue fails at once.
-
-    Each row is flipped to its magnitude on its two words, and only the
-    `width` byte columns the magnitudes use are split by sign.
-    """
-    words = np.frombuffer(FieldVector(exponents).to_bytes(), "<u8").reshape(-1, 2)
-    top = words[:, 1] >> 56
-    neg = top == 0x7F
-    if not np.all(neg | (top == 0)):
-        return None
-    signed = words ^ (neg[:, None] * _Q_WORDS)
-    width = _width(signed)
-    digits = signed.view(np.uint8)[:, :width]
-    neg = neg[:, None]
-    return digits * ~neg, digits * neg
 
 
 def _multi_exp(key: CommitmentKey, exponents) -> int:
@@ -328,22 +305,22 @@ def _multi_exp(key: CommitmentKey, exponents) -> int:
 
     The exponents are a `FieldVector`, whose bytes are read in place, or
     ints, packed once: reduced mod q (negative ones included), which leaves
-    the product alone since the basis lies in the order-q subgroup. Byte
-    windows above the largest residue are skipped. When some residues
-    exceed HALF_Q but all are small signed values (`_signed_parts`), the
-    positives and the negatives' magnitudes fold separately over fewer
-    windows, and the product is pos * neg^-1 mod p.
+    the product alone since the basis lies in the order-q subgroup. Their
+    64-bit words are read once. If some residue's top byte is 0x7f and every
+    other's is 0 (small signed values; a random residue fails at once), each
+    such e becomes its magnitude q - e, and the positives and the magnitudes
+    fold separately over at most 15 windows: pos * neg^-1 mod p. Windows
+    above the largest value are skipped; an all-zero vector gives 1.
     """
-    vec = FieldVector(exponents)
-    digits = vec.digits()
-    width = _width(digits.view("<u8"))
-    if not width:
-        return 1
-    parts = _signed_parts(vec) if digits[:, -1].max() >= _HALF_Q_TOP else None
-    if parts is None:
-        return _bucket_fold(key, digits[:, :width])
-    pos, neg = parts
-    return _bucket_fold(key, pos) * pow(_bucket_fold(key, neg), -1, P) % P
+    words = FieldVector(exponents).digits().view("<u8")
+    top = words[:, 1] >> 56
+    neg = top == 0x7F
+    if neg.any() and np.all(neg | (top == 0)):
+        digits = _digits(words ^ (neg[:, None] * _Q_WORDS))
+        neg = neg[:, None]
+        return _bucket_fold(key, digits * ~neg) * pow(_bucket_fold(key, digits * neg), -1, P) % P
+    digits = _digits(words)
+    return _bucket_fold(key, digits) if digits.shape[1] else 1
 
 
 def commit(

@@ -62,6 +62,13 @@ class TxRejected(Exception):
     """Transaction refused by a phase guard or argument check."""
 
 
+def _check_int(name: str, value, positive: bool = False) -> None:
+    """Refuse a count or id that is not an int (nor a bool), or is below 1 if `positive`."""
+    if isinstance(value, bool) or not isinstance(value, int) or (positive and value < 1):
+        kind = "a positive integer" if positive else "an integer"
+        raise TxRejected(f"{name} must be {kind}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GasTable:
     """Per-operation gas costs; defaults are EVM-flavored calibration values."""
@@ -148,7 +155,7 @@ class TradeContract:
     session started without one is not validated. A `tx_log` caller is
     "mo", the owner id (`register`, `store_commitment`,
     `resolve_complaint`) or the server index (`complain`,
-    `submit_verdict`).
+    `submit_verdict`); a count or id that is not an int is refused.
     """
 
     def __init__(
@@ -277,10 +284,9 @@ class TradeContract:
         with self._tx("start", "mo", SETUP) as cost:
             if len(root) != 32:
                 raise TxRejected("root must be 32 bytes")
-            if N_max < 1:
-                raise TxRejected("N_max must be positive")
-            if rho is not None and (isinstance(rho, bool) or not isinstance(rho, int) or rho < 1):
-                raise TxRejected(f"rho must be a positive integer, got {rho!r}")
+            _check_int("N_max", N_max, positive=True)
+            if rho is not None:
+                _check_int("rho", rho, positive=True)
             self.root = bytes(root)
             self.N_max = N_max
             self._store(cost, "root", 1)
@@ -293,6 +299,7 @@ class TradeContract:
 
     def register(self, do_id: int):
         with self._tx("register", do_id, REGISTER) as cost:
+            _check_int("do_id", do_id)
             if do_id not in self.whitelist:
                 raise TxRejected("not whitelisted")
             if do_id in self.registered:
@@ -314,6 +321,7 @@ class TradeContract:
 
     def store_commitment(self, do_id: int, commitment: VectorCommitment):
         with self._tx("store_commitment", do_id, SHARE_COLLECTION) as cost:
+            _check_int("do_id", do_id)
             if do_id not in self.registered:
                 raise TxRejected("unregistered data owner")
             if do_id in self.commitments:
@@ -325,6 +333,8 @@ class TradeContract:
 
     def complain(self, server_i: int, do_id: int):
         with self._tx("complain", server_i, SHARE_COLLECTION):
+            _check_int("server_i", server_i)
+            _check_int("do_id", do_id)
             if do_id not in self.commitments:
                 raise TxRejected("no commitment for that data owner")
             if not 1 <= server_i <= self.K:
@@ -336,6 +346,8 @@ class TradeContract:
         """The accused data owner submits the disputed share; the contract
         re-runs the share check itself and rules."""
         with self._tx("resolve_complaint", do_id, SHARE_COLLECTION) as cost:
+            _check_int("do_id", do_id)
+            _check_int("share index", share.index)
             key = (share.index, do_id)
             if key not in self.pending_complaints:
                 raise TxRejected("no matching complaint")
@@ -389,6 +401,8 @@ class TradeContract:
         decode_failed: bool = False,
     ):
         with self._tx("submit_verdict", server_i, GRAD_VALIDATION) as cost:
+            _check_int("server_i", server_i)
+            _check_int("do_id", do_id)
             if self.challenge is None:
                 raise TxRejected("challenge not sampled yet")
             if not 1 <= server_i <= self.K:

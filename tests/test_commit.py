@@ -267,7 +267,7 @@ def test_multi_exp_matches_per_term_product(m):
     # 16 different digits: one term per bucket, a product tree of depth 0
     single = [0] * m
     single[rng.randrange(m)] = int.from_bytes(bytes(range(1, field.ELEMENT_BYTES + 1)), "little")
-    for exps in (full, sparse, [Q - 1] * m, [commit.HALF_Q] * m, [commit.HALF_Q + 1] * m,
+    for exps in (full, sparse, [Q - 1] * m, [field.HALF_Q] * m, [field.HALF_Q + 1] * m,
                  single, [0] * m):
         expect = _per_term_product(key.basis, exps)
         # a packed vector's bytes are read in place, a list is packed first
@@ -423,45 +423,89 @@ def test_multi_exp_montgomery_bucket_extremes(m):
     assert "limbs" in vars(key)
 
 
+def _recording_folds(monkeypatch):
+    """Record the digit matrix of every `_bucket_fold` call: one call on
+    the plain path, two (positives, then the negatives' magnitudes) on the
+    signed path, none for an all-zero vector."""
+    folds = []
+    fold = commit._bucket_fold
+
+    def recorded(key, digits):
+        folds.append(np.array(digits))
+        return fold(key, digits)
+
+    monkeypatch.setattr(commit, "_bucket_fold", recorded)
+    return folds
+
+
+def _decode(rows):
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+
+
 @pytest.mark.parametrize("m", [1, 192, 2400])
-def test_multi_exp_signed_split(m):
+def test_multi_exp_signed_split(m, monkeypatch):
     rng = random.Random(26)
     key = _explicit_key(rng, m)
+    folds = _recording_folds(monkeypatch)
 
-    def check(exps, signed):
-        assert (commit._signed_parts(exps) is not None) == signed
+    def check(exps, signed, width=None):
+        folds.clear()
         assert commit._multi_exp(key, exps) == _per_term_product(key.basis, exps)
+        assert len(folds) == (2 if signed else 1)
+        if width is not None:
+            assert all(d.shape == (m, width) for d in folds)
 
     # the largest positive and the most negative residue: magnitudes of 126 bits
-    for edge in (commit.HALF_Q, commit.HALF_Q + 1):
+    for edge in (field.HALF_Q, field.HALF_Q + 1):
         exps = [rng.randint(-50, 50) % Q for _ in range(m)]
         exps[rng.randrange(m)] = edge
         check(exps, signed=False)
     # all-negative small values: two byte windows in place of sixteen
     negative = [Q - rng.randint(1, 60000) for _ in range(m)]
-    check(negative, signed=True)
+    check(negative, signed=True, width=2)
     # small signed values with one random residue keep the single set
     mixed = [rng.randint(-60000, 60000) % Q for _ in range(m)]
     mixed[rng.randrange(m)] = field.rand_element(rng)
     check(mixed, signed=False)
+    # small negatives and one residue whose top byte is 0x01: plain, and the
+    # negatives' 0x7f top bytes keep all 16 windows
+    exps = [Q - rng.randint(1, 60000) for _ in range(m)]
+    exps[rng.randrange(m)] = (1 << 120) + rng.randrange(1 << 120)
+    check(exps, signed=False, width=16)
+    # every top byte 0x7f, down to q - (2^120 - 1): signed, with no positives
+    exps = [Q - rng.randint(1, (1 << 120) - 1) for _ in range(m)]
+    exps[rng.randrange(m)] = 0x7F << 120
+    check(exps, signed=True, width=15)
+    assert not folds[0].any()
+    # a top byte of 0x7f next to one in 0x02..0x7e: plain
+    for top in (0x02, 0x40, 0x7E):
+        exps = [Q - rng.randint(1, 60000) for _ in range(m)]
+        exps[rng.randrange(m)] = (top << 120) + rng.randrange(1 << 120)
+        check(exps, signed=False, width=16)
 
 
-def test_signed_parts_match_ints_at_edges():
+def test_signed_parts_match_ints_at_edges(monkeypatch):
     # residues within 256^15 of 0 or q, with the 64-bit limb boundaries; a
     # negative's magnitude q - e is read as e XOR q
+    folds = _recording_folds(monkeypatch)
+
+    def fold_digits(values):
+        folds.clear()
+        key = setup_key(len(values), None)
+        assert commit._multi_exp(key, values) == _per_term_product(key.basis, values)
+        return list(folds)
+
     near = 1 << 120
     exps = [0, 1, (1 << 64) - 1, 1 << 64, near - 1,
             Q - 1, Q - (1 << 64), Q - (1 << 64) + 1, Q - near + 1]
-    pos, neg = commit._signed_parts(FieldVector(exps))
+    pos, neg = fold_digits(FieldVector(exps))
     assert pos.shape == neg.shape == (len(exps), 15)
-
-    def decode(rows):
-        return [int.from_bytes(row.tobytes(), "little") for row in rows]
-
-    assert decode(pos) == [e if e <= commit.HALF_Q else 0 for e in exps]
-    assert decode(neg) == [Q - e if e > commit.HALF_Q else 0 for e in exps]
-    for edge in (near, Q - near, commit.HALF_Q, commit.HALF_Q + 1):
-        assert commit._signed_parts([*exps, edge]) is None
+    assert _decode(pos) == [e if e <= field.HALF_Q else 0 for e in exps]
+    assert _decode(neg) == [Q - e if e > field.HALF_Q else 0 for e in exps]
+    for edge in (near, Q - near, field.HALF_Q, field.HALF_Q + 1):
+        (plain,) = fold_digits([*exps, edge])
+        assert plain.shape == (len(exps) + 1, 16)
+        assert _decode(plain) == [*exps, edge]
     # widths read from the two 64-bit words, against the ints' byte lengths:
     # all zero, one nonzero top byte, and 0x7f as one element's top byte
     m = 300
@@ -470,19 +514,16 @@ def test_signed_parts_match_ints_at_edges():
     seven_f = [k % 7 for k in range(m)]
     seven_f[-1] = 0x7F << 120
     for values in ([0] * m, top, seven_f, exps):
-        words = FieldVector(values).digits().view("<u8")
-        assert commit._width(words) == (max(values).bit_length() + 7) // 8
-    pos, neg = commit._signed_parts([0] * m)
-    assert pos.shape == neg.shape == (m, 0)
-    assert commit._signed_parts(top) is None
+        digits = commit._digits(FieldVector(values).digits().view("<u8"))
+        assert digits.shape == (len(values), (max(values).bit_length() + 7) // 8)
+        assert _decode(digits) == values
+    assert fold_digits([0] * m) == []
+    assert len(fold_digits(top)) == 1
     # 0x7f << 120 is the negative of 2^120 - 1, whose 15 bytes are 0xff
-    pos, neg = commit._signed_parts(seven_f)
+    pos, neg = fold_digits(seven_f)
     assert pos.shape == neg.shape == (m, 15)
-    assert decode(pos) == [*seven_f[:-1], 0]
-    assert decode(neg) == [0] * (m - 1) + [(1 << 120) - 1]
-    key = commit.setup_key(m, None)
-    for values in ([0] * m, top, seven_f):
-        assert commit._multi_exp(key, values) == _per_term_product(key.basis, values)
+    assert _decode(pos) == [*seven_f[:-1], 0]
+    assert _decode(neg) == [0] * (m - 1) + [(1 << 120) - 1]
 
 
 # SHA-256 of the commitment elements and the share-check results below,

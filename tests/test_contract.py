@@ -103,6 +103,76 @@ def test_start_refuses_a_rho_that_is_not_a_positive_integer(rho):
     assert contract.rho is None and "rho" not in contract.slots
 
 
+def _assert_refused(contract, method, args, caller, reason):
+    """`method(*args)` is refused with `reason`: base gas, one tx_log record
+    under `caller`, phase and storage unchanged."""
+    phase, slots = contract.phase, dict(contract.slots)
+    log_length, gas_total = len(contract.tx_log), contract.meter.total
+    with pytest.raises(TxRejected, match=f"^{method}: {reason}"):
+        getattr(contract, method)(*args)
+    assert contract.tx_log[log_length:] == [{
+        "method": method, "caller": str(caller), "gas": GasTable().tx_base,
+        "phase_before": phase, "phase_after": phase, "stored_words_delta": 0,
+    }]
+    assert contract.meter.total == gas_total + GasTable().tx_base
+    assert contract.phase == phase and contract.slots == slots
+
+
+@pytest.mark.parametrize("N_max", [True, 2.5, 0])
+def test_start_refuses_an_N_max_that_is_not_a_positive_integer(N_max):
+    # N_max=2.5 would keep registration open until a third owner joins
+    contract, _, _ = _fresh()
+    _assert_refused(contract, "start", (b"\x03" * 32, N_max), "mo",
+                    "N_max must be a positive integer")
+    assert contract.N_max == 0 and contract.root is None
+
+
+@pytest.mark.parametrize("do_id", [True, 1.0])
+def test_register_refuses_an_id_that_is_not_an_integer(do_id):
+    # True and 1.0 equal 1 and pass the whitelist check: refused, they leave
+    # owner 1's place free
+    contract, _, _ = _fresh(N=4)
+    contract.start(b"\x05" * 32, N_max=4)
+    _assert_refused(contract, "register", (do_id,), do_id, "do_id must be an integer")
+    assert contract.registered == []
+    contract.register(1)
+    assert contract.registered == [1] and contract.tx_log[-1]["caller"] == "1"
+
+
+@pytest.mark.parametrize("bad", [True, 1.0])
+def test_owner_and_server_ids_must_be_integers(bad):
+    # `bad` equals 1, so it passes every membership and range check that
+    # owner 1 or server 1 passes; each transaction refuses it instead
+    contract, key, rng = _fresh(N=2)
+    contract.start(b"\x0e" * 32, N_max=2, rho=4)
+    contract.register(0)
+    contract.register(1)
+    _, _, cm0 = _honest_sharing(key, rng)
+    _, shares1, cm1 = _honest_sharing(key, rng)
+    contract.store_commitment(0, cm0)
+    _assert_refused(contract, "store_commitment", (bad, cm1), bad, "do_id must be an integer")
+    contract.store_commitment(1, cm1)
+    _assert_refused(contract, "complain", (bad, 0), bad, "server_i must be an integer")
+    _assert_refused(contract, "complain", (1, bad), 1, "do_id must be an integer")
+    assert not contract.pending_complaints
+    contract.complain(1, 1)
+    _assert_refused(contract, "resolve_complaint", (bad, shares1[0]), bad,
+                    "do_id must be an integer")
+    forged = ShareVector(index=bad, values=shares1[0].values)
+    _assert_refused(contract, "resolve_complaint", (1, forged), 1,
+                    "share index must be an integer")
+    assert contract.resolve_complaint(1, shares1[0]) is True
+    contract.mark_shares_ready()
+    contract.begin_validation()
+    contract.sample_challenge()
+    _assert_refused(contract, "submit_verdict", (bad, 0, 0, 0), bad,
+                    "server_i must be an integer")
+    _assert_refused(contract, "submit_verdict", (1, bad, 0, 0), 1, "do_id must be an integer")
+    assert contract.verdict_buffer == {}
+    contract.submit_verdict(1, 0, 0, 0)
+    assert list(contract.verdict_buffer) == [0]
+
+
 def test_rejected_tx_charges_base_and_preserves_state():
     contract, _, _ = _fresh()
     words = contract.on_chain_word_count()
