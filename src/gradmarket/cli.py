@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -19,7 +20,6 @@ from .commit import (
     GENERATOR_LABEL,
     GROUP_COFACTOR,
     P,
-    VECTOR_MIN_M,
     commit,
     setup_key,
     verify_share,
@@ -182,14 +182,15 @@ def _selftest() -> int:
     cios = [(x * y + (-x * y * pow(P, -1, _R) % _R) * P) // _R for x, y in zip(xs, ys)]
     check("montgomery kernel", _from_limbs(lanes) == cios)
 
-    # the vector pass of a long key on the largest residues, whose byte
-    # digits are nearly all 255, against one pow per term
-    long_key = setup_key(VECTOR_MIN_M, rng)
-    worst = [field.Q - 1 if k % 2 else field.HALF_Q for k in range(VECTOR_MIN_M)]
-    expected = 1
-    for b, e in zip(long_key.basis, worst):
-        expected = expected * pow(b, e, P) % P
-    check("long-key multi-exp", commit(worst, [], long_key).elements == (expected,))
+    # the product tree of a short and a long key on the largest residues,
+    # whose byte digits are nearly all 255, against one pow per term
+    ok = True
+    for m in (48, 512):
+        key_m = setup_key(m, rng)
+        worst = [field.Q - 1 if k % 2 else field.HALF_Q for k in range(m)]
+        expected = math.prod(pow(b, e, P) for b, e in zip(key_m.basis, worst)) % P
+        ok &= commit(worst, [], key_m).elements == (expected,)
+    check("long-key multi-exp", ok)
 
     # an honest proof over the servers' shares: an in-bound input is
     # accepted, and an out-of-bound one reconstructs its nonzero plain output

@@ -20,23 +20,25 @@ the coordinate-wise sum of shares.
 Both sides of that check are multi-exponentiations over the one basis, so
 the key precomputes each basis element's power at every byte position of
 an exponent once (fixed-base precomputation, Brickell-Gordon-McCurley-
-Wilson). A multi-exp reads the exponents' packed words once into byte
-digits, puts every term into the bucket of its digit, then one fold
-returns prod_d bucket[d]^d. A short key fills the buckets by a Python
-pass over its byte columns; a key of at least `VECTOR_MIN_M` generators
-holds the same powers as one Montgomery-form limb table and fills them
-from the same digits by a vectorized product tree (`_tree_buckets`), whose
-multiply reduces by the special form p = 114 * 2^127 - 113. Its buckets
-stay in Montgomery form, and one power R^-e corrects their fold.
-Vectors of small signed values, stored as q - k, are read as signed
-(Moeller's signed-digit multi-exponentiation in its simplest form):
-positives and negatives' magnitudes fold separately and divide.
+Wilson), as one Montgomery-form limb table. A multi-exp reads the
+exponents' packed words once into byte digits, puts every term into the
+bucket of its digit, then one fold from the largest digit down returns
+prod_d bucket[d]^d. The byte width of the exponents picks how the buckets
+fill: one-byte exponents (quantized secrets) by a Python pass over the
+basis itself, wider ones by a vectorized product tree over the limb table
+(`_tree_buckets`), whose multiply reduces by the special form
+p = 114 * 2^127 - 113. The tree's buckets stay in Montgomery form, and one
+power R^-e corrects their fold. Vectors of small signed values, stored as
+q - k, are read as signed (Moeller's signed-digit multi-exponentiation in
+its simplest form): positives and negatives' magnitudes fold separately
+and divide.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,15 +57,7 @@ GROUP_ELEMENT_BYTES = (P.bit_length() + 7) // 8
 
 assert (P - 1) % Q == 0
 
-# Keys of at least this many generators take the vector pass (not re-tuned:
-# no workload lies between 192 and 2400). Vector over byte pass time of one
-# multi-exp, median of 75 paired runs, shared 2-core Xeon (Python 3.11,
-# numpy 2.4), m random residues (a second run: 1.08, 0.87 at 192, 384):
-#   m      192   384   512   768   1200  2400
-#   ratio  1.07  0.78  0.88  0.74  0.59  0.48
-# One byte window: 4.5 at m = 192, 1.4 at 2400 (values 0..40); 4.8, 1.7 (-40..40).
-VECTOR_MIN_M = 512
-# Montgomery arithmetic of the vector pass: an element below 2p is 5 limbs
+# Montgomery arithmetic of the product tree: an element below 2p is 5 limbs
 # of 28 bits, little-endian, in uint32 lanes. R = 2^140 > 4p keeps every
 # product of inputs below 2p below 2p, so no lane needs a final subtraction.
 _LIMB_BITS = 28
@@ -89,12 +83,16 @@ def _to_limbs(values: list[int]) -> np.ndarray:
 
 
 def _from_limbs(limbs: np.ndarray) -> list[int]:
-    """The integers whose limbs are the columns of `limbs`."""
-    rows = limbs.tolist()
-    out = rows[-1]
-    for row in reversed(rows[:-1]):
-        out = [(x << _LIMB_BITS) | y for x, y in zip(out, row)]
-    return out
+    """The integers whose 5 limbs of 28 bits are the columns of `limbs`:
+    one vectorized pass packs each into three little-endian 64-bit words,
+    and each 24-byte record becomes one int."""
+    x = limbs.astype(np.uint64)
+    words = np.empty((x.shape[1], 3), dtype="<u8")
+    words[:, 0] = x[0] | x[1] << 28 | x[2] << 56
+    words[:, 1] = x[2] >> 8 | x[3] << 20 | x[4] << 48
+    words[:, 2] = x[4] >> 16
+    records = words.view("V24").ravel().tolist()
+    return list(map(int.from_bytes, records, itertools.repeat("little")))
 
 
 # 1 in Montgomery form: the partner of a term that has none
@@ -133,12 +131,11 @@ def element_to_bytes(a: int) -> bytes:
 class CommitmentKey:
     """Public generators (g_0, ..., g_(m-1)) of the order-q subgroup.
 
-    The key also owns the fixed-base table its multi-exps read: `columns`
-    for a key shorter than `VECTOR_MIN_M`, `limbs` for a longer one; a
-    key only ever builds the one its length selects. The table is a pure
-    function of the basis, built on first use and cached on the instance,
-    so it is not a field: equality, hashing and the setup cost are those
-    of the basis alone.
+    The key also owns the fixed-base table its multi-byte multi-exps
+    read, `limbs`, at every length; one-byte exponents read the basis and
+    build no table. The table is a pure function of the basis, built on
+    first use and cached on the instance, so it is not a field: equality,
+    hashing and the setup cost are those of the basis alone.
     """
 
     basis: tuple[int, ...]
@@ -147,20 +144,12 @@ class CommitmentKey:
         return len(self.basis)
 
     @functools.cached_property
-    def columns(self) -> tuple[tuple[int, ...], ...]:
-        """columns[w][k] = basis[k]^(256^w) for the 16 byte positions w of a
-        field element: 120*m squarings, done once per key."""
-        columns = [self.basis]
-        for _ in range(1, field.ELEMENT_BYTES):
-            columns.append(tuple(pow(b, 256, P) for b in columns[-1]))
-        return tuple(columns)
-
-    @functools.cached_property
     def limbs(self) -> np.ndarray:
-        """The same powers as `columns`, as one read-only uint32 table of
-        Montgomery-form limbs: entry w*m + k holds basis[k]^(256^w) * R mod
-        p (below 2p), and the last entry is 1 in Montgomery form. Built in
-        place by 120 vectorized squarings of m lanes, once per key."""
+        """Each basis element's power at every byte position, as one
+        read-only uint32 table of Montgomery-form limbs: entry w*m + k holds
+        basis[k]^(256^w) * R mod p (below 2p), and the last entry is 1 in
+        Montgomery form. Built in place by 120 vectorized squarings of m
+        lanes, once per key."""
         m = len(self.basis)
         table = np.empty((_LIMBS, field.ELEMENT_BYTES * m + 1), dtype=np.uint32)
         table[:, :m] = _to_limbs([b * _R % P for b in self.basis])
@@ -216,24 +205,8 @@ def setup_key(m: int, rng) -> CommitmentKey:
     return _transparent_key(m)
 
 
-def _byte_buckets(columns, digits: np.ndarray) -> tuple[list[int], int]:
-    """The buckets of a short key: a Python pass over its byte columns.
-
-    bucket[d] is the product of the terms columns[w][k] whose digit w of
-    exponent k, digits[k, w], is d. Returns them and e = 0.
-    """
-    width = digits.shape[1]
-    flat = digits.tobytes()
-    buckets = [1] * 256
-    for w in range(width):
-        for b, d in zip(columns[w], flat[w::width]):
-            if d:
-                buckets[d] = buckets[d] * b % P
-    return buckets, 0
-
-
 def _tree_buckets(limbs: np.ndarray, digits: np.ndarray) -> tuple[list[int], int]:
-    """The same buckets from a long key's limb table, by a product tree.
+    """The buckets of multi-byte exponents, by a product tree over `limbs`.
 
     The digits are read window-major, so digit (w, k) lines up with table
     entry w*m + k; a stable sort by digit drops the zeros and leaves each
@@ -273,16 +246,22 @@ def _bucket_fold(key: CommitmentKey, digits: np.ndarray) -> int:
     bytes are the rows of the (m, width) uint8 array digits.
 
     The term basis[k]^(256^w) goes into the bucket of digit w of value k,
-    and one running-product fold returns prod_d bucket[d]^d. The vector
-    pass's bucket d carries a factor R^d, so its result is multiplied once
-    by R^-e; the byte pass's e is 0.
+    and one running-product fold from the largest digit present down
+    returns prod_d bucket[d]^d. One-byte values fill the buckets by a
+    Python pass over the basis itself, skipping the zeros; wider ones by
+    the product tree over the key's limb table, whose bucket d carries a
+    factor R^d, so its result is multiplied once by R^-e.
     """
-    if len(key) >= VECTOR_MIN_M:
-        buckets, e = _tree_buckets(key.limbs, digits)
+    if digits.shape[1] == 1:
+        buckets, e = [1] * 256, 0
+        column = digits[:, 0]
+        nonzero = np.flatnonzero(column)
+        for k, d in zip(nonzero.tolist(), column[nonzero].tolist()):
+            buckets[d] = buckets[d] * key.basis[k] % P
     else:
-        buckets, e = _byte_buckets(key.columns, digits)
+        buckets, e = _tree_buckets(key.limbs, digits)
     running = acc = 1
-    for d in range(255, 0, -1):
+    for d in range(int(digits.max(initial=0)), 0, -1):
         running = running * buckets[d] % P
         acc = acc * running % P
     return acc * pow(_R_INV, e, P) % P
@@ -301,7 +280,7 @@ _Q_WORDS = np.frombuffer(field.to_bytes(Q), "<u8")
 
 
 def _multi_exp(key: CommitmentKey, exponents) -> int:
-    """prod_k basis[k]^exponents[k] mod p, over the key's fixed-base table.
+    """prod_k basis[k]^exponents[k] mod p, by the key's bucket fold.
 
     The exponents are a `FieldVector`, whose bytes are read in place, or
     ints, packed once: reduced mod q (negative ones included), which leaves

@@ -155,7 +155,9 @@ class TradeContract:
     session started without one is not validated. A `tx_log` caller is
     "mo", the owner id (`register`, `store_commitment`,
     `resolve_complaint`) or the server index (`complain`,
-    `submit_verdict`); a count or id that is not an int is refused.
+    `submit_verdict`); a count, id or verdict share that is not an int,
+    or a `decode_failed` that is not a bool, is refused. The constructor
+    raises `ValueError` on a deposit, K or T that is not an int.
     """
 
     def __init__(
@@ -168,6 +170,9 @@ class TradeContract:
         rng,
         gas_table: GasTable | None = None,
     ):
+        for name, value in (("deposit", deposit), ("K", K), ("T", T)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if deposit < 0:
             raise ValueError("deposit must be non-negative")
         if K <= T + 1:
@@ -403,6 +408,10 @@ class TradeContract:
         with self._tx("submit_verdict", server_i, GRAD_VALIDATION) as cost:
             _check_int("server_i", server_i)
             _check_int("do_id", do_id)
+            _check_int("identity_share", identity_share)
+            _check_int("output_share", output_share)
+            if not isinstance(decode_failed, bool):
+                raise TxRejected(f"decode_failed must be a bool, got {decode_failed!r}")
             if self.challenge is None:
                 raise TxRejected("challenge not sampled yet")
             if not 1 <= server_i <= self.K:
@@ -412,7 +421,7 @@ class TradeContract:
             if server_i in self.verdict_buffer.get(do_id, {}):
                 raise TxRejected("duplicate submission")
             buf = self.verdict_buffer.setdefault(do_id, {})
-            buf[server_i] = (identity_share % Q, output_share % Q, bool(decode_failed))
+            buf[server_i] = (identity_share % Q, output_share % Q, decode_failed)
             self._store(cost, ("verdict_share", do_id, server_i), 2)
             if len(buf) == self.K:
                 cost["field_ops"] = self._finalize_verdict(do_id)

@@ -253,35 +253,46 @@ def test_multi_exp_small_signed_values():
     assert commit._multi_exp(key, signed) == expected
 
 
-@pytest.mark.parametrize(
-    "m", [1, 2, 3, 7, 64, 192, 300, commit.VECTOR_MIN_M - 1, commit.VECTOR_MIN_M, 2400]
-)
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 64, 192, 300, 511, 512, 2400])
 def test_multi_exp_matches_per_term_product(m):
-    # keys below VECTOR_MIN_M take the byte pass, the others the vector
-    # pass, and a key builds only the table of its own pass
+    # one-byte exponents (signed ones included) fold from the basis and
+    # build no table; one exponent of 256, or any wider vector, takes the
+    # product tree over the limb table at every key length
     rng = random.Random(m)
     key = _explicit_key(rng, m)
+    every = list(range(-255, 256))
+    rng.shuffle(every)
+    # every |v| <= 255 once m >= 511, each extreme at any m
+    one_byte = [every[k % len(every)] for k in range(m)]
+    one_byte[0], one_byte[-1] = -255, 255
+    wide = list(one_byte)
+    wide[rng.randrange(m)] = 256
     full = [field.rand_element(rng) for _ in range(m)]
     # sparse vector with short exponents: fewer terms, fewer windows
     sparse = [rng.randrange(1 << 20) if rng.random() < 0.3 else 0 for _ in range(m)]
     # 16 different digits: one term per bucket, a product tree of depth 0
     single = [0] * m
     single[rng.randrange(m)] = int.from_bytes(bytes(range(1, field.ELEMENT_BYTES + 1)), "little")
-    for exps in (full, sparse, [Q - 1] * m, [field.HALF_Q] * m, [field.HALF_Q + 1] * m,
-                 single, [0] * m):
+
+    def check(exps):
         expect = _per_term_product(key.basis, exps)
         # a packed vector's bytes are read in place, a list is packed first
         assert commit._multi_exp(key, exps) == commit._multi_exp(key, FieldVector(exps)) == expect
-    vector = m >= commit.VECTOR_MIN_M
-    assert ("limbs" in vars(key), "columns" in vars(key)) == (vector, not vector)
+
+    for exps in (one_byte, [v % Q for v in one_byte], [255] * m, [0] * m):
+        check(exps)
+    assert "limbs" not in vars(key)
+    check(wide)
+    assert "limbs" in vars(key)
+    for exps in (full, sparse, [Q - 1] * m, [field.HALF_Q] * m, [field.HALF_Q + 1] * m, single):
+        check(exps)
 
 
 def test_multi_exp_alternating_keys():
     # each key reads its own table: a table kept from the other key fails,
-    # and so does a table kept per length on the two long keys
+    # and so does a table kept per length on two keys of one length
     rng = random.Random(23)
-    long = commit.VECTOR_MIN_M
-    keys = [_explicit_key(rng, m) for m in (40, 40, 192, 40, long, long)]
+    keys = [_explicit_key(rng, m) for m in (40, 40, 192, 40, 512, 512)]
     for _ in range(2):
         for key in keys:
             exps = [field.rand_element(rng) for _ in range(len(key))]
@@ -304,32 +315,45 @@ def test_multi_exp_zero_top_windows(m):
             assert commit._multi_exp(key, exps) == _per_term_product(key.basis, exps)
 
 
-def test_byte_column_layout():
-    # one column per byte of a field element, each the previous to the 256th
-    key = _explicit_key(random.Random(20), 7)
-    columns = key.columns
-    assert len(columns) == field.ELEMENT_BYTES == 16
-    assert columns[0] == key.basis
-    for w in range(field.ELEMENT_BYTES - 1):
-        for k in range(7):
-            assert columns[w + 1][k] == pow(columns[w][k], 256, P)
+@pytest.mark.parametrize("m", [7, 192, 2400])
+def test_limb_table_layout(m):
+    # setup_key builds no table; the first multi-byte multi-exp builds one
+    # read-only table, whose entry w*m + k is basis[k]^(256^w) in Montgomery
+    # form below 2p, and whose last entry is one
+    commit._transparent_key.cache_clear()
+    key = setup_key(m, None)
+    assert "limbs" not in vars(key)
+    rng = random.Random(28)
+    exps = [field.rand_element(rng) for _ in range(m)]
+    assert commit._multi_exp(key, exps) == _per_term_product(key.basis, exps)
+    table = vars(key)["limbs"]
+    assert key.limbs is table and not table.flags.writeable
+    assert table.shape == (commit._LIMBS, field.ELEMENT_BYTES * m + 1)
+    values = commit._from_limbs(table)
+    assert max(values) < 2 * P and values[-1] == commit._R % P
+    r_inv = pow(commit._R, -1, P)
+    rows = [[v * r_inv % P for v in values[w * m : (w + 1) * m]]
+            for w in range(field.ELEMENT_BYTES)]
+    assert rows[0] == list(key.basis)
+    for row, nxt in zip(rows, rows[1:]):
+        assert nxt == [pow(b, 256, P) for b in row]
+    for w, k in [(0, 0), (1, m // 2), (8, m - 1), (15, m - 1)]:
+        assert values[w * m + k] % P == pow(key.basis[k], 256**w, P) * commit._R % P
 
 
 def test_key_table_built_once_on_first_use():
     rng = random.Random(25)
     commit._transparent_key.cache_clear()
     key = setup_key(5, rng)
-    assert "columns" not in vars(key)  # setup_key leaves the table unbuilt
-    secret = [field.rand_element(rng) for _ in range(5)]
+    # a commitment to a one-byte vector reads the basis and builds no table
+    secret = [rng.randint(-255, 255) % Q for _ in range(5)]
+    assert commit.commit(secret, [], key).elements == (_per_term_product(key.basis, secret),)
+    assert "limbs" not in vars(key)
     shares, masks = ss_share(secret, 1, 5, rng)
     cm = commit.commit(secret, masks, key)
-    columns = vars(key)["columns"]
-    assert verify_share(shares[0], cm, key)
-    assert key.columns is columns
-    assert len(columns) == field.ELEMENT_BYTES
-    assert columns[0] == key.basis
-    for col, nxt in zip(columns, columns[1:]):
-        assert nxt == tuple(pow(b, 256, P) for b in col)
+    table = vars(key)["limbs"]
+    assert all(verify_share(s, cm, key) for s in shares)
+    assert key.limbs is table
 
 
 def test_montgomery_invariants():
@@ -385,29 +409,9 @@ def test_montgomery_lanes_are_the_exact_cios_integer():
     assert max(lanes) < 2 * P
 
 
-def test_long_key_builds_only_the_limb_table():
-    commit._transparent_key.cache_clear()
-    m = 2400
-    key = setup_key(m, None)
-    assert "limbs" not in vars(key) and "columns" not in vars(key)
-    rng = random.Random(28)
-    exps = [field.rand_element(rng) for _ in range(m)]
-    assert commit._multi_exp(key, exps) == _per_term_product(key.basis, exps)
-    table = vars(key)["limbs"]
-    assert "columns" not in vars(key)
-    assert key.limbs is table and not table.flags.writeable
-    # entry w*m + k is basis[k]^(256^w) in Montgomery form, below 2p; the
-    # last entry is one
-    assert table.shape == (commit._LIMBS, field.ELEMENT_BYTES * m + 1)
-    values = commit._from_limbs(table)
-    assert max(values) < 2 * P and values[-1] == commit._R % P
-    for w, k in [(0, 0), (1, 7), (8, 1200), (15, m - 1)]:
-        assert values[w * m + k] % P == pow(key.basis[k], 256**w, P) * commit._R % P
-
-
-@pytest.mark.parametrize("m", [commit.VECTOR_MIN_M, 2400])
+@pytest.mark.parametrize("m", [7, 512, 2400])
 def test_multi_exp_montgomery_bucket_extremes(m):
-    # the vector pass leaves its buckets in Montgomery form and corrects
+    # the product tree leaves its buckets in Montgomery form and corrects
     # the fold once: every bucket filled, bucket 255 alone from one term of
     # one window, and every term's every digit in one bucket
     rng = random.Random(30)
@@ -544,25 +548,25 @@ def test_commit_and_verify_golden_digest():
     assert digest == COMMIT_VERIFY_2400_DIGEST
 
 
-def _counting_columns(monkeypatch):
-    """Record the length of every key whose byte columns get built."""
+def _counting_limbs(monkeypatch):
+    """Record the length of every key whose limb table gets built."""
     builds = []
-    build = CommitmentKey.columns.func
+    build = CommitmentKey.limbs.func
 
     def counted(key):
         builds.append(len(key))
         return build(key)
 
     prop = functools.cached_property(counted)
-    prop.__set_name__(CommitmentKey, "columns")
-    monkeypatch.setattr(CommitmentKey, "columns", prop)
+    prop.__set_name__(CommitmentKey, "limbs")
+    monkeypatch.setattr(CommitmentKey, "limbs", prop)
     return builds
 
 
-def test_sessions_at_two_seeds_build_the_columns_once(monkeypatch):
+def test_sessions_at_two_seeds_build_the_limb_table_once(monkeypatch):
     config = sim.SessionConfig.from_dict(json.loads((CONFIGS / "clean.json").read_text()))
     commit._transparent_key.cache_clear()
-    builds = _counting_columns(monkeypatch)
+    builds = _counting_limbs(monkeypatch)
     sim.run_session(config, 3)
     sim.run_session(config, 4)
     assert builds == [perturb.flat_length(config.layers)]

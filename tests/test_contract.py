@@ -173,6 +173,38 @@ def test_owner_and_server_ids_must_be_integers(bad):
     assert list(contract.verdict_buffer) == [0]
 
 
+def test_verdict_shares_must_be_integers_and_the_flag_a_bool():
+    # a float share or a truthy non-bool flag is refused by every server,
+    # so the owner stays under validation with nothing stored
+    contract, key, rng = _fresh(N=1)
+    _advance_to_validation(contract, key, rng, N=1)
+    contract.sample_challenge()
+    for i in range(1, contract.K + 1):
+        _assert_refused(contract, "submit_verdict", (i, 0, 0.5, 0), i,
+                        "identity_share must be an integer")
+        _assert_refused(contract, "submit_verdict", (i, 0, 0, True), i,
+                        "output_share must be an integer")
+        _assert_refused(contract, "submit_verdict", (i, 0, 0, 0, "no"), i,
+                        "decode_failed must be a bool")
+        _assert_refused(contract, "submit_verdict", (i, 0, 0, 0, 1), i,
+                        "decode_failed must be a bool")
+    assert contract.verdict_buffer == {} and contract.verdicts == {}
+    assert contract.validity == {0}
+    _submit_shared_value(contract, 0, 0, 0, rng)
+    assert contract.verdicts == {0: None}
+
+
+@pytest.mark.parametrize(
+    "name, value", [("deposit", 10.5), ("deposit", True), ("K", 5.0), ("K", True),
+                    ("T", True), ("T", 1.0)]
+)
+def test_constructor_refuses_a_deposit_K_or_T_that_is_not_an_integer(name, value):
+    args = {"deposit": 10, "whitelist": range(2), "K": 5, "T": 1,
+            "commit_key": setup_key(3, None), "rng": random.Random(1), name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        TradeContract(**args)
+
+
 def test_rejected_tx_charges_base_and_preserves_state():
     contract, _, _ = _fresh()
     words = contract.on_chain_word_count()
