@@ -62,10 +62,10 @@ class TxRejected(Exception):
     """Transaction refused by a phase guard or argument check."""
 
 
-def _check_int(name: str, value, positive: bool = False) -> None:
-    """Refuse a count or id that is not an int (nor a bool), or is below 1 if `positive`."""
-    if isinstance(value, bool) or not isinstance(value, int) or (positive and value < 1):
-        kind = "a positive integer" if positive else "an integer"
+def _check_int(name: str, value, lo: int | None = None) -> None:
+    """Refuse an argument that is not an int (nor a bool), or is below `lo` (0 or 1)."""
+    if isinstance(value, bool) or not isinstance(value, int) or (lo is not None and value < lo):
+        kind = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}[lo]
         raise TxRejected(f"{name} must be {kind}, got {value!r}")
 
 
@@ -156,8 +156,9 @@ class TradeContract:
     "mo", the owner id (`register`, `store_commitment`,
     `resolve_complaint`) or the server index (`complain`,
     `submit_verdict`); a count, id or verdict share that is not an int,
-    or a `decode_failed` that is not a bool, is refused. The constructor
-    raises `ValueError` on a deposit, K or T that is not an int.
+    or a `decode_failed` that is not a bool, is refused; so is a deploy
+    with a deposit below 0, a T below 1 or a K not above T + 1, whose
+    `TxRejected("deploy: …")` the constructor raises.
     """
 
     def __init__(
@@ -170,13 +171,6 @@ class TradeContract:
         rng,
         gas_table: GasTable | None = None,
     ):
-        for name, value in (("deposit", deposit), ("K", K), ("T", T)):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if deposit < 0:
-            raise ValueError("deposit must be non-negative")
-        if K <= T + 1:
-            raise ValueError("need K > T + 1 for robust reconstruction")
         self.phase = SETUP
         self.deposit = deposit
         self.whitelist = frozenset(whitelist)
@@ -206,6 +200,11 @@ class TradeContract:
         self.register_rounds = 0
 
         with self._tx("deploy", "mo", SETUP) as cost:
+            _check_int("deposit", deposit, lo=0)
+            _check_int("K", K)
+            _check_int("T", T, lo=1)
+            if K <= T + 1:
+                raise TxRejected("need K > T + 1 for robust reconstruction")
             self._store(cost, "whitelist", 1)
             self._store(cost, "deposit", 1)
 
@@ -289,9 +288,9 @@ class TradeContract:
         with self._tx("start", "mo", SETUP) as cost:
             if len(root) != 32:
                 raise TxRejected("root must be 32 bytes")
-            _check_int("N_max", N_max, positive=True)
+            _check_int("N_max", N_max, lo=1)
             if rho is not None:
-                _check_int("rho", rho, positive=True)
+                _check_int("rho", rho, lo=1)
             self.root = bytes(root)
             self.N_max = N_max
             self._store(cost, "root", 1)

@@ -3,13 +3,18 @@
 The small-session config keeps the norm circuit compact (coarse additive
 masks, scaled-down data, one validated layer) so full protocol runs stay
 sub-second; the training config adds the learning-rate and shard settings
-used by the iterated runs.
+used by the iterated runs. `ideal_accepts` is the ideal market's verdict
+on an owner, which session outcomes are checked against.
 """
+
+import math
 
 import pytest
 from hypothesis import settings
 
-from gradmarket.sim import SessionConfig
+from gradmarket import perturb
+from gradmarket.commit import verify_share
+from gradmarket.sim import SessionConfig, quantized_norm_sq
 
 # Every run draws the same examples (CI on each Python version and local
 # runs alike) and writes no example database.
@@ -57,3 +62,26 @@ def small_session_config(**overrides):
 
 def training_config(**overrides):
     return SessionConfig(**{**TRAINING, **overrides})
+
+
+def ideal_accepts(session, n: int) -> bool:
+    """Whether the ideal market accepts owner n of a finished `sim._Session`.
+
+    Every share n delivered must match its stored commitment, and its signed
+    vector v must be nonzero, with sum(v^2) <= rho over the validated
+    coordinates and <= a whole-vector bound over all of them. Nonzero is the
+    weakest floor that refuses a free rider (ROADMAP item 22). The
+    whole-vector bound is calibrated from the model owner's probe as rho is
+    from its validated slice: honest vectors exceed rho as a whole (sum(v^2)
+    1971..5288 against rho 106 on clean.json at seed 3), so rho alone cannot
+    bound the unvalidated coordinates (ROADMAP item 5).
+    """
+    commitment = session.contract.commitments[n]
+    if not all(verify_share(s, commitment, session.key) for s in session.sent[n].values()):
+        return False
+    probe = perturb.encrypted_gradient(session.enc_model, session.masks.r_out,
+                                       *session.world.mo_data)
+    probe_q = session._quantize(perturb.flatten(probe), "model owner's probe")
+    whole_bound = math.ceil(session.config.rho_margin * quantized_norm_sq(probe_q)) + 64
+    v = session.qvecs[n].tolist()
+    return 0 < quantized_norm_sq(v) <= whole_bound and session._sub_norm(v) <= session.rho

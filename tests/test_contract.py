@@ -194,14 +194,32 @@ def test_verdict_shares_must_be_integers_and_the_flag_a_bool():
     assert contract.verdicts == {0: None}
 
 
+_DEPOSIT = "deposit must be a non-negative integer"
+_K = "K must be an integer"
+_T = "T must be a positive integer"
+
+
 @pytest.mark.parametrize(
-    "name, value", [("deposit", 10.5), ("deposit", True), ("K", 5.0), ("K", True),
-                    ("T", True), ("T", 1.0)]
+    "name, value, refusal",
+    [
+        pytest.param("deposit", 10.5, _DEPOSIT, id="deposit-10.5"),
+        pytest.param("deposit", True, _DEPOSIT, id="deposit-True"),
+        pytest.param("deposit", -1, _DEPOSIT, id="deposit--1"),
+        pytest.param("K", 5.0, _K, id="K-5.0"),
+        pytest.param("K", True, _K, id="K-True"),
+        # K = T + 1 leaves robust reconstruction no redundancy
+        pytest.param("K", 2, r"need K > T \+ 1", id="K-2"),
+        pytest.param("T", True, _T, id="T-True"),
+        pytest.param("T", 1.0, _T, id="T-1.0"),
+        pytest.param("T", 0, _T, id="T-0"),
+        pytest.param("T", -1, _T, id="T--1"),
+    ],
 )
-def test_constructor_refuses_a_deposit_K_or_T_that_is_not_an_integer(name, value):
+def test_constructor_refuses_a_deposit_K_or_T_that_is_not_an_integer(name, value, refusal):
+    # deployment is a transaction: a bad argument is refused like any other
     args = {"deposit": 10, "whitelist": range(2), "K": 5, "T": 1,
             "commit_key": setup_key(3, None), "rng": random.Random(1), name: value}
-    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+    with pytest.raises(TxRejected, match=f"^deploy: {refusal}"):
         TradeContract(**args)
 
 
