@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass
 
 from . import commit as commit_mod
 from . import field
-from .commit import CommitmentKey, VectorCommitment, verify_share
+from .commit import P, CommitmentKey, VectorCommitment, verify_share
 from .field import Q
 from .shamir import DecodeFailure, ShareVector, robust_recon
 
@@ -156,7 +156,9 @@ class TradeContract:
     "mo", the owner id (`register`, `store_commitment`,
     `resolve_complaint`) or the server index (`complain`,
     `submit_verdict`); a count, id or verdict share that is not an int,
-    or a `decode_failed` that is not a bool, is refused; so is a deploy
+    a `decode_failed` that is not a bool, a root that is not 32 bytes, a
+    commitment that is not T+1 ints in 1..p-1 or a disputed share that is
+    not a `ShareVector` is refused; so is a deploy
     with a deposit below 0, a T below 1 or a K not above T + 1, whose
     `TxRejected("deploy: …")` the constructor raises.
     """
@@ -286,12 +288,12 @@ class TradeContract:
         is the norm bound of the session's validity predicate, stored as
         its own word; None leaves the session unvalidated."""
         with self._tx("start", "mo", SETUP) as cost:
-            if len(root) != 32:
-                raise TxRejected("root must be 32 bytes")
+            if not isinstance(root, bytes) or len(root) != 32:
+                raise TxRejected(f"root must be 32 bytes, got {root!r}")
             _check_int("N_max", N_max, lo=1)
             if rho is not None:
                 _check_int("rho", rho, lo=1)
-            self.root = bytes(root)
+            self.root = root
             self.N_max = N_max
             self._store(cost, "root", 1)
             self._store(cost, "params", 1)
@@ -330,8 +332,14 @@ class TradeContract:
                 raise TxRejected("unregistered data owner")
             if do_id in self.commitments:
                 raise TxRejected("commitment already stored")
-            if len(commitment.elements) != self.T + 1:
+            if not isinstance(commitment, VectorCommitment):
+                raise TxRejected(f"commitment must be a VectorCommitment, got {commitment!r}")
+            elements = commitment.elements
+            if not isinstance(elements, tuple) or len(elements) != self.T + 1:
                 raise TxRejected("commitment width must be T+1")
+            for e in elements:
+                if isinstance(e, bool) or not isinstance(e, int) or not 0 < e < P:
+                    raise TxRejected(f"commitment elements must be integers in 1..p-1, got {e!r}")
             self.commitments[do_id] = commitment
             self._store(cost, ("commitment", do_id), self.T + 1)
 
@@ -351,6 +359,8 @@ class TradeContract:
         re-runs the share check itself and rules."""
         with self._tx("resolve_complaint", do_id, SHARE_COLLECTION) as cost:
             _check_int("do_id", do_id)
+            if not isinstance(share, ShareVector):
+                raise TxRejected(f"share must be a ShareVector, got {share!r}")
             _check_int("share index", share.index)
             key = (share.index, do_id)
             if key not in self.pending_complaints:

@@ -41,7 +41,7 @@ from .shamir import ShareVector, ss_recon, ss_share
 DO_BEHAVIORS = ("random_gradient", "norm_attack", "bad_share", "tampered_proof")
 SERVER_BEHAVIORS = ("corrupt_shares", "false_complaint")
 # the one optional key each parameterized behavior accepts, with its default
-SPEC_OPTIONS = {"norm_attack": {"factor": 8.0}, "bad_share": {"target_server": 1}}
+SPEC_OPTIONS = {"bad_share": {"target_server": 1}}
 
 
 class ConfigError(Exception):
@@ -117,9 +117,6 @@ class SessionConfig:
             # an omitted option takes its default from SPEC_OPTIONS, which is in range
             if "target_server" in spec and spec["target_server"] not in servers:
                 raise ConfigError("bad_share target_server must be in 1..K")
-            # a factor near 0 quantizes to a zero vector, which passes
-            if "factor" in spec and not 1 <= abs(spec["factor"]) <= 2**20:
-                raise ConfigError("norm_attack factor must have 1 <= |factor| <= 2^20")
         for spec in self.malicious_servers:
             _check_spec("malicious_servers", spec, SERVER_BEHAVIORS, servers)
         for name in ("malicious_dos", "malicious_servers"):
@@ -388,7 +385,7 @@ class _Session:
             if self._behavior(n) == "random_gradient":
                 flat = np_stream(seed, f"do.{n}.adversary").normal(0.0, 1.0, flat.shape)
             elif self._behavior(n) == "norm_attack":
-                flat = flat * float(self.do_specs[n]["factor"])
+                flat = flat * 8.0
                 for _ in range(40):
                     if self._sub_norm(self._quantize(flat, f"data owner {n}")) > (self.rho or 0):
                         break
@@ -428,6 +425,12 @@ class _Session:
         if self.contract.rho is not None:
             circ = build_norm_circuit(len(self.sub_idx), self.contract.rho, accept_zero=True)
             owners = sorted(self.contract.validity)
+            # the validated slice of each share an owner delivered, cut once
+            # for its packages and the servers' checks alike
+            self.sub_shares = {
+                n: [ShareVector(i, s.values.take(self.sub_idx)) for i, s in self.sent[n].items()]
+                for n in owners
+            }
             packages = {n: self._prove(n, circ) for n in owners}
             r = self.contract.sample_challenge()
             for n in owners:
@@ -437,19 +440,14 @@ class _Session:
     def _prove(self, n: int, circ) -> list[snip.ProverPackage]:
         """Owner n's proof packages, one per server, over its validated slice."""
         config, seed = self.config, self.seed
-        sub_shares = [self._sub_share(n, i) for i in self.sent[n]]
         _, _, h = snip.compute_h(circ, self.qvecs[n].take(self.sub_idx).tolist())
         if self._behavior(n) == "tampered_proof":
             arng = rng_stream(seed, f"do.{n}.adversary")
             pos = arng.randrange(len(h))
             h[pos] = (h[pos] + arng.randrange(1, Q)) % Q
         return snip.package_proof(
-            sub_shares, h, config.T, config.K, rng_stream(seed, f"do.{n}.proof")
+            self.sub_shares[n], h, config.T, config.K, rng_stream(seed, f"do.{n}.proof")
         )
-
-    def _sub_share(self, n: int, i: int) -> ShareVector:
-        """The validated slice of the share that owner n sent server i."""
-        return ShareVector(index=i, values=self.sent[n][i].values.take(self.sub_idx))
 
     def _test_proof(self, n: int, packages: list[snip.ProverPackage], circ, r: int):
         """The servers run both rounds on owner n's packages and post verdicts.
@@ -458,14 +456,13 @@ class _Session:
         the owner's commitment, not on the package's own copy of it.
         """
         config, seed = self.config, self.seed
-        shares = [self._sub_share(n, i) for i in self.servers]
         # a corrupt server broadcasts random d/e shares and submits a random verdict
         lies = {}
         for i in self.servers:
             if self.server_behaviors.get(i) == "corrupt_shares":
                 orng = rng_stream(seed, f"server.{i}.adversary.{n}.open")
                 lies[i] = (field.rand_element(orng), field.rand_element(orng))
-        verdicts = snip.identity_test(shares, packages, circ, r, config.T, lies)
+        verdicts = snip.identity_test(self.sub_shares[n], packages, circ, r, config.T, lies)
         for i, v in zip(self.servers, verdicts):
             if i in lies:
                 srng = rng_stream(seed, f"server.{i}.adversary.{n}.verdict")

@@ -116,16 +116,11 @@ def prove(
     T: int,
     K: int,
     rng,
-    input_shares: list[ShareVector] | None = None,
+    *,
+    input_shares: list[ShareVector],
 ) -> list[ProverPackage]:
-    """Produce the K prover packages for a circuit input.
-
-    When the input vector is already shared (the usual flow: an owner shares
-    its gradient before it proves), pass those shares so the proof binds to
-    them; otherwise a fresh sharing is drawn from rng.
-    """
-    if input_shares is None:
-        input_shares, _ = ss_share(inputs, T, K, rng)
+    """Produce the K prover packages for a circuit input over the shares of
+    it that the servers were delivered, one per server."""
     _, _, h = compute_h(circ, inputs)
     return package_proof(input_shares, h, T, K, rng)
 

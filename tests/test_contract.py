@@ -4,7 +4,7 @@ import random
 import pytest
 
 from gradmarket import commit, field
-from gradmarket.commit import setup_key
+from gradmarket.commit import P, VectorCommitment, setup_key
 from gradmarket.contract import (
     FINISHED,
     GRAD_VALIDATION,
@@ -171,6 +171,59 @@ def test_owner_and_server_ids_must_be_integers(bad):
     assert contract.verdict_buffer == {}
     contract.submit_verdict(1, 0, 0, 0)
     assert list(contract.verdict_buffer) == [0]
+
+
+def test_start_refuses_a_root_that_is_not_32_bytes():
+    # a 32-character str passes a length check alone
+    for root in ("x" * 32, b"x" * 31, None):
+        contract, _, _ = _fresh()
+        _assert_refused(contract, "start", (root, 4), "mo", "root must be 32 bytes")
+        assert contract.root is None
+
+
+@pytest.mark.parametrize(
+    "commitment, refusal",
+    [
+        pytest.param(None, "commitment must be a VectorCommitment", id="None"),
+        pytest.param((5, 7), "commitment must be a VectorCommitment", id="tuple"),
+        pytest.param(VectorCommitment((5,)), r"commitment width must be T\+1", id="width-1"),
+        pytest.param(VectorCommitment(("a", "b")), "commitment elements must be integers",
+                     id="str-elements"),
+        pytest.param(VectorCommitment((True, 5)), "commitment elements must be integers",
+                     id="bool-element"),
+        pytest.param(VectorCommitment((5, 0)), "commitment elements must be integers",
+                     id="zero-element"),
+        pytest.param(VectorCommitment((P, 5)), "commitment elements must be integers",
+                     id="p-element"),
+    ],
+)
+def test_store_commitment_refuses_anything_but_T_plus_1_group_elements(commitment, refusal):
+    # an applied ("a", "b") commitment would crash every later share check
+    contract, key, rng = _fresh(N=1)
+    contract.start(b"\x0f" * 32, N_max=1)
+    contract.register(0)
+    _assert_refused(contract, "store_commitment", (0, commitment), 0, refusal)
+    assert contract.commitments == {}
+    _, _, cm = _honest_sharing(key, rng)
+    contract.store_commitment(0, cm)
+    assert contract.commitments == {0: cm}
+
+
+def test_resolve_complaint_refuses_a_share_that_is_not_a_share_vector():
+    contract, key, rng = _fresh(N=2)
+    contract.start(b"\x10" * 32, N_max=2)
+    contract.register(0)
+    contract.register(1)
+    sharings = [_honest_sharing(key, rng) for _ in range(2)]
+    for n, (_, _, cm) in enumerate(sharings):
+        contract.store_commitment(n, cm)
+    contract.complain(1, 1)
+    shares1 = sharings[1][1]
+    for share in (None, (1, shares1[0].values)):
+        _assert_refused(contract, "resolve_complaint", (1, share), 1,
+                        "share must be a ShareVector")
+    assert contract.pending_complaints == {(1, 1)}
+    assert contract.resolve_complaint(1, shares1[0]) is True
 
 
 def test_verdict_shares_must_be_integers_and_the_flag_a_bool():

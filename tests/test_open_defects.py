@@ -1,29 +1,36 @@
 """Each open defect, reproduced and held to the ideal market's outcome.
 
-Every test runs `clean.json` at seed 3 with one owner, owner 0, misbehaving
-by a subclass of `sim._Session`, and asserts what the ideal market does:
-owner 0 is excluded and unpaid, and every honest owner is accepted and
-paid. Today each defect lets owner 0 through, so each test is a strict
-xfail. The fix for a defect removes its test's marker; strict mode fails a
-forgotten one. Only an `AssertionError` counts as the expected failure, so
-a reproduction that stops running, or stops producing an offender, fails
-outright.
+Every session test runs `clean.json` at seed 3 with one owner, owner 0,
+misbehaving by a subclass of `sim._Session`, and asserts what the ideal
+market does: owner 0 is excluded and unpaid, and every honest owner is
+accepted and paid; where owner 0 squats another owner's commitment, only
+the latter half is asserted. One test reproduces the wraparound hole on a
+single proof instead. Today each defect lets the offence through, so each
+test is a strict xfail. The fix for a defect removes its test's marker;
+strict mode fails a forgotten one. Only an `AssertionError` counts as the
+expected failure, so a reproduction that stops running, or stops
+producing an offender, fails outright.
 """
 
 import contextlib
 import json
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import ideal_accepts
-from gradmarket import perturb, sim
+from gradmarket import perturb, sim, snip
+from gradmarket.circuit import build_norm_circuit
 from gradmarket.commit import setup_key
 from gradmarket.contract import TxRejected
+from gradmarket.field import Q
+from gradmarket.shamir import robust_recon, ss_share
 
 CLEAN = json.loads((Path(__file__).resolve().parent.parent / "configs" / "clean.json").read_text())
 OFFENDER = 0
+SQUATTED = 1  # the owner whose id the squatted commitment takes
 
 
 def _open_defect(defect: str, item: int):
@@ -44,8 +51,23 @@ def assert_ideal_outcome(session: sim._Session) -> None:
     ideal = {n for n in session.do_ids if ideal_accepts(session, n)}
     if ideal != set(session.do_ids) - {OFFENDER}:
         pytest.fail(f"the reproduction has no lone offender: ideal set {sorted(ideal)}")
-    paid = {n for n, amount in session.contract.balances.items() if n != "mo" and amount > 0}
-    assert (set(session.validity), paid) == (ideal, ideal)
+    assert (set(session.validity), _paid(session)) == (ideal, ideal)
+
+
+def _paid(session: sim._Session) -> set[int]:
+    return {n for n, amount in session.contract.balances.items() if n != "mo" and amount > 0}
+
+
+def _wrapping_vector(m: int, target: int, rng) -> list[int]:
+    """(x1, x2, 1, 0, ...) of length m >= 3 whose sum of squares is target
+    mod q, with x1 drawn from rng and x2 a square root mod q (q = 3 mod 4),
+    so its true sum of squares is about 2^250."""
+    while True:
+        x1 = rng.randrange(1, Q)
+        a = (target - 1 - x1 * x1) % Q
+        x2 = pow(a, (Q + 1) // 4, Q)
+        if x2 * x2 % Q == a:
+            return [x1, x2, 1] + [0] * (m - 3)
 
 
 class _ZeroGradient(sim._Session):
@@ -65,6 +87,42 @@ class _UnvalidatedPoison(sim._Session):
             flat = flat.copy()
             flat[np.setdiff1d(np.arange(len(flat)), self.sub_idx)] += 50.0
         return super()._quantize(flat, who)
+
+
+class _WrappingSlice(sim._Session):
+    """Owner 0's validated slice has a sum of squares of about 2^250 that
+    wraps to 5 mod q, inside 0..rho."""
+
+    def _quantize(self, flat, who):
+        qvec = super()._quantize(flat, who)
+        if who == f"data owner {OFFENDER}":
+            wrapped = _wrapping_vector(len(self.sub_idx), 5, random.Random(3))
+            for i, v in zip(self.sub_idx.tolist(), wrapped):
+                qvec[i] = v
+        return qvec
+
+
+class _SquattedCommitment(sim._Session):
+    """Before owner 1 stores its commitment, owner 0 stores its own under
+    owner 1's id, and owner 1's store is refused. A refusal of either is
+    tolerated, so the test also runs against a contract that refuses the
+    squat."""
+
+    def share(self):
+        store = self.contract.store_commitment
+
+        def store_commitment(n, commitment):
+            if n == SQUATTED:
+                with contextlib.suppress(TxRejected):
+                    store(n, commitment)
+                return
+            store(n, commitment)
+            if n == OFFENDER:
+                with contextlib.suppress(TxRejected):
+                    store(SQUATTED, commitment)
+
+        self.contract.store_commitment = store_commitment
+        super().share()
 
 
 class _ImpersonatedVerdicts(sim._Session):
@@ -97,3 +155,33 @@ def test_impersonated_verdicts_do_not_admit_an_owner_over_the_bound(monkeypatch)
     session = _run(monkeypatch, _ImpersonatedVerdicts,
                    malicious_dos=[{"id": OFFENDER, "behavior": "norm_attack"}])
     assert_ideal_outcome(session)
+
+
+@_open_defect("hole #2: the sum of squares wraps mod q", 2)
+def test_a_proof_over_a_wrapping_sum_of_squares_is_rejected():
+    T, K, rho = 1, 5, 10
+    rng = random.Random(3)
+    x = _wrapping_vector(3, 5, rng)
+    if sim.quantized_norm_sq(x).bit_length() < 240:
+        pytest.fail("the input's true sum of squares is not past the bound")
+    circ = build_norm_circuit(len(x), rho, accept_zero=True)
+    shares, _ = ss_share(x, T, K, rng)
+    packages = snip.prove(x, circ, T, K, rng, input_shares=shares)
+    verdicts = snip.identity_test(shares, packages, circ, rng.randrange(Q), T)
+    # decoded as the contract decodes a verdict: both values must be zero
+    xs = list(range(1, K + 1))
+    identity = robust_recon(xs, [v.identity_share for v in verdicts], T)
+    output = robust_recon(xs, [v.output_share for v in verdicts], T)
+    assert (identity, output) != (0, 0)
+
+
+@_open_defect("hole #2: the sum of squares wraps mod q", 2)
+def test_a_validated_slice_whose_sum_of_squares_wraps_is_excluded_and_unpaid(monkeypatch):
+    assert_ideal_outcome(_run(monkeypatch, _WrappingSlice))
+
+
+@_open_defect("defect #7: anyone can store a commitment under an owner's id", 23)
+def test_a_squatted_commitment_does_not_exclude_its_owner(monkeypatch):
+    session = _run(monkeypatch, _SquattedCommitment)
+    honest = set(session.do_ids) - {OFFENDER}
+    assert honest <= set(session.validity) and honest <= _paid(session)

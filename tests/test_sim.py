@@ -11,6 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import SMALL_SESSION, small_session_config, training_config
 from gradmarket import circuit, sim, snip
 from gradmarket.contract import TradeContract, expected_word_count
+from gradmarket.field import FieldVector
+from gradmarket.shamir import ss_share
 from gradmarket.sim import (
     DO_BEHAVIORS,
     SERVER_BEHAVIORS,
@@ -152,7 +154,7 @@ def test_random_gradient_owner_excluded_and_unpaid():
 
 
 def test_norm_attack_owner_excluded():
-    cfg = small_session_config(malicious_dos=({"id": 0, "behavior": "norm_attack", "factor": 10.0},))
+    cfg = small_session_config(malicious_dos=({"id": 0, "behavior": "norm_attack"},))
     report = run_session(cfg, 3)
     assert 0 not in report["validity_set"]
     assert sorted(report["validity_set"]) == [1, 2, 3]
@@ -280,13 +282,40 @@ def test_each_proof_is_bound_to_the_shares_the_servers_verified(monkeypatch):
         sessions.append(self)
         zeros = [0] * len(self.sub_idx)
         rng = sim.rng_stream(self.seed, "test.zero_slice")
-        return snip.prove(zeros, circ, self.config.T, self.config.K, rng)
+        shares, _ = ss_share(zeros, self.config.T, self.config.K, rng)
+        return snip.prove(zeros, circ, self.config.T, self.config.K, rng, input_shares=shares)
 
     monkeypatch.setattr(sim._Session, "_prove", prove_zero_slice)
     report = run_session(SessionConfig.from_dict(doc), 3)
     assert sessions[0].contract.verdicts[0] == "identity_nonzero"
     assert report["validity_set"] == [1, 2, 3]
     assert "0" not in report["payments"]
+
+
+def test_validate_cuts_each_delivered_share_once(monkeypatch):
+    # the validated slice of each of an owner's K delivered shares is cut
+    # once, for its packages and the servers' checks alike, and its own
+    # vector once for the proof: K + 1 takes per owner under validation
+    path = Path(__file__).resolve().parent.parent / "configs" / "clean.json"
+    config = SessionConfig.from_dict(json.loads(path.read_text()))
+    takes = []
+    take, validate = FieldVector.take, sim._Session.validate
+
+    def counting_take(self, indices):
+        takes.append(len(indices))
+        return take(self, indices)
+
+    def counted_validate(self):
+        monkeypatch.setattr(FieldVector, "take", counting_take)
+        try:
+            validate(self)
+        finally:
+            monkeypatch.setattr(FieldVector, "take", take)
+
+    monkeypatch.setattr(sim._Session, "validate", counted_validate)
+    report = run_session(config, 3)
+    assert report["validity_set"] == [0, 1, 2, 3]
+    assert len(takes) == config.N * (config.K + 1) == 24
 
 
 def test_the_norm_bound_is_fixed_at_start(monkeypatch):

@@ -11,8 +11,8 @@ from gradmarket.shamir import ShareVector, robust_recon, ss_recon, ss_share
 
 
 def _prove(inputs, circ, T, K, rng):
-    """The servers' input shares and the owner's packages over them, drawn
-    from rng as `snip.prove` draws them when it shares the input itself."""
+    """The servers' input shares, drawn from rng, and the owner's packages
+    over them."""
     shares, _ = ss_share(inputs, T, K, rng)
     return shares, snip.prove(inputs, circ, T, K, rng, input_shares=shares)
 
@@ -56,7 +56,7 @@ def test_h_reconstructs_trace_products():
     inputs = [2, 0, 1]
     _, trace = eval_plain(circ, inputs)
     M = circ.num_mul
-    packages = snip.prove(inputs, circ, 2, 6, rng)
+    _, packages = _prove(inputs, circ, 2, 6, rng)
     assert all(len(p.h_coeff_shares) == 2 * M - 1 for p in packages)
     # reconstruct each value h(t) from T+1 packages
     h = []
@@ -102,7 +102,7 @@ def test_compute_h_golden_digest():
 def test_beaver_triple_reconstructs_consistently():
     rng = random.Random(3)
     circ = build_norm_circuit(2, 3, accept_zero=True)
-    packages = snip.prove([1, 1], circ, 1, 4, rng)
+    _, packages = _prove([1, 1], circ, 1, 4, rng)
     abc = []
     for pos in range(3):
         shares = [ShareVector(i, (p.triple[pos],)) for i, p in enumerate(packages[:2], 1)]
@@ -443,7 +443,7 @@ def test_package_wire_format_layout():
     # the input share, then the h shares and the triple as field elements
     rng = random.Random(13)
     circ = build_norm_circuit(2, 3, accept_zero=True)
-    packages = snip.prove([1, 0], circ, 1, 3, rng)
+    _, packages = _prove([1, 0], circ, 1, 3, rng)
     M = circ.num_mul
     for p in packages:
         data = p.to_bytes()
@@ -452,3 +452,14 @@ def test_package_wire_format_layout():
         assert data == p.share.to_bytes() + b"".join(
             field.to_bytes(v) for v in (*p.h_coeff_shares, *p.triple)
         )
+
+
+def test_prove_has_no_fresh_sharing():
+    # a proof is over the shares the servers were delivered, passed by name
+    rng = random.Random(13)
+    circ = build_norm_circuit(2, 3, accept_zero=True)
+    shares, _ = ss_share([1, 0], 1, 3, rng)
+    with pytest.raises(TypeError):
+        snip.prove([1, 0], circ, 1, 3, rng)
+    with pytest.raises(TypeError):
+        snip.prove([1, 0], circ, 1, 3, rng, shares)
