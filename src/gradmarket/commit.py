@@ -21,14 +21,20 @@ Both sides of that check are multi-exponentiations over the one basis, so
 the key precomputes each basis element's power at every byte position of
 an exponent once (fixed-base precomputation, Brickell-Gordon-McCurley-
 Wilson), as one Montgomery-form limb table. A multi-exp reads the
-exponents' packed words once into byte digits, puts every term into the
-bucket of its digit, then one fold from the largest digit down returns
-prod_d bucket[d]^d. The byte width of the exponents picks how the buckets
-fill: one-byte exponents (quantized secrets) by a Python pass over the
-basis itself, wider ones by a vectorized product tree over the limb table
-(`_tree_buckets`), whose multiply reduces by the special form
-p = 114 * 2^127 - 113. The tree's buckets stay in Montgomery form, and one
-power R^-e corrects their fold. Vectors of small signed values, stored as
+exponents' packed words once into byte digits and sorts its terms by
+digit, so each digit's terms form one run; one fold from the largest digit
+d down multiplies each entry of d into a running product and the running
+product into the result, which returns prod_d (product of d's terms)^d.
+The byte width of the exponents picks where the entries come from:
+one-byte exponents (quantized secrets) take the basis elements themselves,
+wider ones shorten their runs by a vectorized product tree over the limb
+table (`_tree_entries`), whose multiply reduces by the special form
+p = 114 * 2^127 - 113. A tree level pays a fixed numpy cost of tens of
+microseconds and spares the fold about one Python multiply per pair, so
+the tree stops once its entries number at most twice the nonempty digits:
+another level would spare at most 255 multiplies, which cost less. The
+tree's entries stay in Montgomery form, and one power R^-e corrects their
+fold. Vectors of small signed values, stored as
 q - k, are read as signed (Moeller's signed-digit multi-exponentiation in
 its simplest form): positives and negatives' magnitudes fold separately
 and divide.
@@ -205,23 +211,34 @@ def setup_key(m: int, rng) -> CommitmentKey:
     return _transparent_key(m)
 
 
-def _tree_buckets(limbs: np.ndarray, digits: np.ndarray) -> tuple[list[int], int]:
-    """The buckets of multi-byte exponents, by a product tree over `limbs`.
-
-    The digits are read window-major, so digit (w, k) lines up with table
-    entry w*m + k; a stable sort by digit drops the zeros and leaves each
-    digit's terms as one run. Each level pads every odd run with the entry
-    of one, which carries its last term up a level, and multiplies the
-    pairs (2j, 2j + 1) in one vectorized Montgomery multiply per slice.
-    When every run is down to one term, those terms are the buckets, left
-    in Montgomery form. Returns them and e, the sum of the nonempty digits.
-    """
-    flat = digits.T.ravel()
+def _runs(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of the nonzero digits of `flat` sorted by digit, so
+    that each digit's terms form one run (a stable sort, zeros dropped),
+    and the run lengths: counts[d - 1] for digit d."""
     counts = np.bincount(flat, minlength=256)
-    index = np.argsort(flat, kind="stable")[counts[0] :]
-    counts = counts[1:]
+    return np.argsort(flat, kind="stable")[counts[0] :], counts[1:]
+
+
+def _tree_entries(limbs: np.ndarray, flat: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Shorten each digit's run of table entries by a product tree.
+
+    Digit flat[j] belongs to table entry j. A level pads every odd run with
+    the entry of one, which carries its last term up a level, and
+    multiplies the pairs (2j, 2j + 1) in one vectorized Montgomery multiply
+    per slice. A level runs only while the entries number more than twice
+    the nonempty digits. The fold multiplies each entry left once, so a
+    level spares it one Python multiply per pair of terms it merges, at
+    most half the entries; past that point that is at most 255 multiplies,
+    less than the level's fixed numpy cost. Returns the entries left, as
+    ints sorted by digit, each carrying one Montgomery factor R, and their
+    counts per digit.
+    """
+    # The sort's arrays stay local, so the first level frees them: held by
+    # the caller, the argsort's 16m words cost page faults on every level
+    # of every multi-exp at m = 2400.
+    index, counts = _runs(flat)
     level = limbs
-    while counts.max() > 1:
+    while len(index) > 2 * np.count_nonzero(counts):
         index = np.insert(index, np.cumsum(counts)[(counts & 1) == 1], len(level[0]) - 1)
         counts = (counts + 1) >> 1
         pairs = len(index) // 2
@@ -233,36 +250,38 @@ def _tree_buckets(limbs: np.ndarray, digits: np.ndarray) -> tuple[list[int], int
             right = np.take(source, index[2 * s + 1 : 2 * e : 2], axis=1)
             _mont_mul(left, right, level[:, s:e])
         index = np.arange(pairs)
-    buckets = [1] * 256
-    nonempty = np.flatnonzero(counts) + 1
-    firsts = index[(np.cumsum(counts) - counts)[counts > 0]]
-    for d, x in zip(nonempty, _from_limbs(np.take(level, firsts, axis=1))):
-        buckets[d] = x
-    return buckets, int(nonempty.sum())
+    return _from_limbs(np.take(level, index, axis=1)), counts
 
 
 def _bucket_fold(key: CommitmentKey, digits: np.ndarray) -> int:
     """prod_k basis[k]^values[k] mod p, for the values whose little-endian
     bytes are the rows of the (m, width) uint8 array digits.
 
-    The term basis[k]^(256^w) goes into the bucket of digit w of value k,
-    and one running-product fold from the largest digit present down
-    returns prod_d bucket[d]^d. One-byte values fill the buckets by a
-    Python pass over the basis itself, skipping the zeros; wider ones by
-    the product tree over the key's limb table, whose bucket d carries a
-    factor R^d, so its result is multiplied once by R^-e.
+    The digits are read window-major, so digit (w, k) lines up with the
+    term basis[k]^(256^w), entry w*m + k of the key's limb table, and a
+    stable sort by digit lays each digit's terms out as one run (`_runs`).
+    One-byte values take their runs from the basis itself and multiply
+    nothing; wider ones shorten them by the product tree over the limb
+    table. One fold from the largest digit d down multiplies each entry of
+    d into the running product and the running product into the result,
+    which returns prod_d (product of d's entries)^d. Every tree entry
+    carries a factor R, so the result is multiplied once by R^-e, e the sum
+    of d over the tree's entries.
     """
+    flat = digits.T.ravel()
     if digits.shape[1] == 1:
-        buckets, e = [1] * 256, 0
-        column = digits[:, 0]
-        nonzero = np.flatnonzero(column)
-        for k, d in zip(nonzero.tolist(), column[nonzero].tolist()):
-            buckets[d] = buckets[d] * key.basis[k] % P
+        index, counts = _runs(flat)
+        entries, e = list(map(key.basis.__getitem__, index.tolist())), 0
     else:
-        buckets, e = _tree_buckets(key.limbs, digits)
+        entries, counts = _tree_entries(key.limbs, flat)
+        e = int(np.arange(1, 256) @ counts)
     running = acc = 1
-    for d in range(int(digits.max(initial=0)), 0, -1):
-        running = running * buckets[d] % P
+    end = len(entries)
+    for c in counts[: int(flat.max(initial=0))][::-1].tolist():
+        if c:
+            for x in entries[end - c : end]:
+                running = running * x % P
+            end -= c
         acc = acc * running % P
     return acc * pow(_R_INV, e, P) % P
 

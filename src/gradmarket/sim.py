@@ -513,7 +513,7 @@ class _Session:
             "seed": self.seed,
             "config": self.config.to_dict(),
             "phase": contract.phase,
-            "rho": self.rho,
+            "rho": contract.rho,
             "rho_clamped": self.rho_clamped,
             "challenge": str(contract.challenge) if contract.challenge is not None else None,
             "validity_set": self.validity,

@@ -427,6 +427,85 @@ def test_multi_exp_montgomery_bucket_extremes(m):
     assert "limbs" in vars(key)
 
 
+def _counting_mults(monkeypatch):
+    """Record the lane count of every vectorized multiply: one per tree
+    level at these lengths, as a level has fewer than `_SLICE` pairs."""
+    mults = []
+    mont_mul = commit._mont_mul
+
+    def counted(a, b, out):
+        mults.append(a.shape[1])
+        mont_mul(a, b, out)
+
+    monkeypatch.setattr(commit, "_mont_mul", counted)
+    return mults
+
+
+def _recording_trees(monkeypatch):
+    """Record every product tree's entry count on entry and its counts per
+    digit on return, and count the vectorized multiplies."""
+    trees = []
+    tree = commit._tree_entries
+
+    def recorded(limbs, flat):
+        entries, left = tree(limbs, flat)
+        trees.append((np.count_nonzero(flat), np.array(left)))
+        return entries, left
+
+    monkeypatch.setattr(commit, "_tree_entries", recorded)
+    return trees, _counting_mults(monkeypatch)
+
+
+def test_a_short_random_vector_runs_no_tree_level(monkeypatch):
+    # m = 16: 256 terms over about 160 nonempty digits, already no more than
+    # twice the digits, so the fold multiplies the table entries themselves
+    rng = random.Random(31)
+    key = _explicit_key(rng, 16)
+    key.limbs
+    trees, mults = _recording_trees(monkeypatch)
+    for _ in range(3):
+        exps = [field.rand_element(rng) for _ in range(16)]
+        assert commit._multi_exp(key, exps) == _per_term_product(key.basis, exps)
+    assert len(trees) == 3 and mults == []
+    for terms, left in trees:
+        assert left.sum() == terms <= 2 * np.count_nonzero(left)
+
+
+@pytest.mark.parametrize("m", [48, 192])
+def test_the_tree_stops_with_several_entries_per_digit(m, monkeypatch):
+    # the tree stops once its entries number at most twice the nonempty
+    # digits, and the fold multiplies what is left; one-byte vectors (the
+    # signed ones and all q - 1, whose magnitudes are 1) group the basis
+    rng = random.Random(32 + m)
+    key = _explicit_key(rng, m)
+    key.limbs
+    trees, mults = _recording_trees(monkeypatch)
+    random_exps = [field.rand_element(rng) for _ in range(m)]
+    sparse = [rng.randrange(1 << 20) if rng.random() < 0.3 else 0 for _ in range(m)]
+    signed = [rng.randint(-255, 255) % Q for _ in range(m)]
+    for exps in (random_exps, sparse, signed, [Q - 1] * m):
+        assert commit._multi_exp(key, exps) == _per_term_product(key.basis, exps)
+    assert len(trees) == 2  # random and sparse; the one-byte vectors build none
+    for _, left in trees:
+        assert left.sum() <= 2 * np.count_nonzero(left)
+    (terms, left), _ = trees
+    assert terms > 2 * 255 and left.max() > 2
+    assert len(mults) == {48: 1, 192: 3}[m]
+
+
+def test_a_random_multi_exp_at_192_runs_three_tree_levels(monkeypatch):
+    # 3059 nonzero terms over all 255 digits: levels of 1595, 864 and 494
+    # pairs leave 494 entries, at most twice 255; a tree run to one entry
+    # per digit would add levels of 281 and 255 pairs
+    rng = random.Random(33)
+    key = setup_key(192, None)
+    key.limbs
+    mults = _counting_mults(monkeypatch)
+    exps = [field.rand_element(rng) for _ in range(192)]
+    assert commit._multi_exp(key, exps) == _per_term_product(key.basis, exps)
+    assert len(mults) == 3
+
+
 def _recording_folds(monkeypatch):
     """Record the digit matrix of every `_bucket_fold` call: one call on
     the plain path, two (positives, then the negatives' magnitudes) on the

@@ -14,6 +14,7 @@ producing an offender, fails outright.
 
 import contextlib
 import json
+import math
 import random
 from pathlib import Path
 
@@ -21,7 +22,7 @@ import numpy as np
 import pytest
 
 from conftest import ideal_accepts
-from gradmarket import perturb, sim, snip
+from gradmarket import field, perturb, sim, snip
 from gradmarket.circuit import build_norm_circuit
 from gradmarket.commit import setup_key
 from gradmarket.contract import TxRejected
@@ -68,6 +69,34 @@ def _wrapping_vector(m: int, target: int, rng) -> list[int]:
         x2 = pow(a, (Q + 1) // 4, Q)
         if x2 * x2 % Q == a:
             return [x1, x2, 1] + [0] * (m - 3)
+
+
+class _AdaptiveProof(sim._Session):
+    """Owner 0 draws the challenge r before it builds its packages and fits
+    its proof to r: it shares h'(t) = h(t) + c * (t - r) * prod_{0<s<M} (t - s)
+    with c chosen so that h'(M), the output of the last multiplication gate
+    and so the circuit's output, is 0. h' agrees with h at 1..M - 1 and at
+    r, so every server's trace and the identity at r stay those of the
+    honest h. A contract that refuses the early draw gets an honest proof."""
+
+    def _prove(self, n, circ):
+        if n != OFFENDER:
+            return super()._prove(n, circ)
+        try:
+            r = self.contract.sample_challenge()
+        except TxRejected:
+            return super()._prove(n, circ)
+        self.contract.sample_challenge = lambda: r
+        _, _, h = snip.compute_h(circ, self.qvecs[n].take(self.sub_idx).tolist())
+        M = circ.num_mul
+
+        def shift(t):
+            return (t - r) * math.prod(t - s for s in range(1, M)) % Q
+
+        c = -h[M - 1] * field.inv(shift(M)) % Q
+        forged = [(v + c * shift(t)) % Q for t, v in enumerate(h, 1)]
+        return snip.package_proof(self.sub_shares[n], forged, self.config.T, self.config.K,
+                                  sim.rng_stream(self.seed, f"do.{n}.proof"))
 
 
 class _ZeroGradient(sim._Session):
@@ -138,6 +167,13 @@ class _ImpersonatedVerdicts(sim._Session):
                     self.contract.submit_verdict(i, n, 0, 0)
         with contextlib.suppress(TxRejected):
             super()._test_proof(n, packages, circ, r)
+
+
+@_open_defect("hole #1: a proof is not bound before the challenge", 1)
+def test_a_proof_fitted_to_a_known_challenge_is_excluded_and_unpaid(monkeypatch):
+    session = _run(monkeypatch, _AdaptiveProof,
+                   malicious_dos=[{"id": OFFENDER, "behavior": "norm_attack"}])
+    assert_ideal_outcome(session)
 
 
 @_open_defect("defect #6: a free rider is paid", 22)

@@ -376,6 +376,18 @@ def test_validation_disabled_keeps_all_owners():
     assert report["rho"] is None
 
 
+def test_the_report_states_the_bound_the_contract_posted():
+    # without validation `start` stores the root and the parameters but no
+    # rho word, so a configured rho is not a posted one
+    path = Path(__file__).resolve().parent.parent / "configs" / "clean.json"
+    doc = dict(json.loads(path.read_text()), rho=100)
+    for validation, posted, words in ((True, 100, 3), (False, None, 2)):
+        report = run_session(SessionConfig.from_dict(dict(doc, validation=validation)), 3)
+        (start,) = [tx for tx in report["transactions"] if tx["method"] == "start"]
+        assert (report["rho"], start["stored_words_delta"]) == (posted, words)
+        assert report["config"]["rho"] == 100
+
+
 def test_all_owners_malicious_refunds_deposit():
     cfg = small_session_config(
         malicious_dos=tuple({"id": i, "behavior": "random_gradient"} for i in range(4))
