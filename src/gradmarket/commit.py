@@ -25,19 +25,16 @@ exponents' packed words once into byte digits and sorts its terms by
 digit, so each digit's terms form one run; one fold from the largest digit
 d down multiplies each entry of d into a running product and the running
 product into the result, which returns prod_d (product of d's terms)^d.
-The byte width of the exponents picks where the entries come from:
-one-byte exponents (quantized secrets) take the basis elements themselves,
-wider ones shorten their runs by a vectorized product tree over the limb
-table (`_tree_entries`), whose multiply reduces by the special form
-p = 114 * 2^127 - 113. A tree level pays a fixed numpy cost of tens of
-microseconds and spares the fold about one Python multiply per pair, so
-the tree stops once its entries number at most twice the nonempty digits:
-another level would spare at most 255 multiplies, which cost less. The
-tree's entries stay in Montgomery form, and one power R^-e corrects their
-fold. Vectors of small signed values, stored as
-q - k, are read as signed (Moeller's signed-digit multi-exponentiation in
-its simplest form): positives and negatives' magnitudes fold separately
-and divide.
+Every exponent width, one-byte quantized secrets included, takes one
+path: a vectorized product tree over the limb table (`_tree_entries`),
+whose multiply reduces by the special form p = 114 * 2^127 - 113, shortens
+the runs. A tree level pays a fixed numpy cost of tens of microseconds and
+spares the fold one Python multiply per pair it merges, so a level runs
+only while it would merge more than 255 pairs. The tree's entries stay in
+Montgomery form, and one power R^-e corrects their fold. Vectors of small
+signed values, stored as q - k, are read as signed (Moeller's signed-digit
+multi-exponentiation in its simplest form): positives and negatives'
+magnitudes fold separately and divide.
 """
 
 from __future__ import annotations
@@ -137,11 +134,11 @@ def element_to_bytes(a: int) -> bytes:
 class CommitmentKey:
     """Public generators (g_0, ..., g_(m-1)) of the order-q subgroup.
 
-    The key also owns the fixed-base table its multi-byte multi-exps
-    read, `limbs`, at every length; one-byte exponents read the basis and
-    build no table. The table is a pure function of the basis, built on
-    first use and cached on the instance, so it is not a field: equality,
-    hashing and the setup cost are those of the basis alone.
+    The key also owns the fixed-base table every multi-exp reads,
+    `limbs`, at every length and exponent width. The table is a pure
+    function of the basis, built on first use and cached on the instance,
+    so it is not a field: equality, hashing and the setup cost are those of
+    the basis alone.
     """
 
     basis: tuple[int, ...]
@@ -211,34 +208,29 @@ def setup_key(m: int, rng) -> CommitmentKey:
     return _transparent_key(m)
 
 
-def _runs(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The positions of the nonzero digits of `flat` sorted by digit, so
-    that each digit's terms form one run (a stable sort, zeros dropped),
-    and the run lengths: counts[d - 1] for digit d."""
-    counts = np.bincount(flat, minlength=256)
-    return np.argsort(flat, kind="stable")[counts[0] :], counts[1:]
-
-
 def _tree_entries(limbs: np.ndarray, flat: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """Shorten each digit's run of table entries by a product tree.
+    """Lay out each digit's table entries as one run, and shorten the runs
+    by a product tree.
 
-    Digit flat[j] belongs to table entry j. A level pads every odd run with
-    the entry of one, which carries its last term up a level, and
-    multiplies the pairs (2j, 2j + 1) in one vectorized Montgomery multiply
-    per slice. A level runs only while the entries number more than twice
-    the nonempty digits. The fold multiplies each entry left once, so a
-    level spares it one Python multiply per pair of terms it merges, at
-    most half the entries; past that point that is at most 255 multiplies,
-    less than the level's fixed numpy cost. Returns the entries left, as
-    ints sorted by digit, each carrying one Montgomery factor R, and their
-    counts per digit.
+    Digit flat[j] belongs to table entry j. One stable sort by digit, zeros
+    dropped, lays each digit's entries out as one run. A level pads every
+    odd run with the entry of one, which carries its last term up a level,
+    and multiplies the pairs (2j, 2j + 1) in one vectorized Montgomery
+    multiply per slice. The fold multiplies each entry left once, so a
+    level spares it one Python multiply per pair it merges: sum_d
+    floor(c_d / 2) over the run lengths c_d. A level runs only while that
+    sum exceeds 255, since 255 Python multiplies cost less than a level's
+    fixed numpy cost. Returns the entries left, as ints sorted by digit,
+    each carrying one Montgomery factor R, and their counts per digit:
+    counts[d - 1] for digit d.
     """
     # The sort's arrays stay local, so the first level frees them: held by
     # the caller, the argsort's 16m words cost page faults on every level
     # of every multi-exp at m = 2400.
-    index, counts = _runs(flat)
+    counts = np.bincount(flat, minlength=256)
+    index, counts = np.argsort(flat, kind="stable")[counts[0] :], counts[1:]
     level = limbs
-    while len(index) > 2 * np.count_nonzero(counts):
+    while (counts >> 1).sum() > 255:
         index = np.insert(index, np.cumsum(counts)[(counts & 1) == 1], len(level[0]) - 1)
         counts = (counts + 1) >> 1
         pairs = len(index) // 2
@@ -258,23 +250,16 @@ def _bucket_fold(key: CommitmentKey, digits: np.ndarray) -> int:
     bytes are the rows of the (m, width) uint8 array digits.
 
     The digits are read window-major, so digit (w, k) lines up with the
-    term basis[k]^(256^w), entry w*m + k of the key's limb table, and a
-    stable sort by digit lays each digit's terms out as one run (`_runs`).
-    One-byte values take their runs from the basis itself and multiply
-    nothing; wider ones shorten them by the product tree over the limb
-    table. One fold from the largest digit d down multiplies each entry of
-    d into the running product and the running product into the result,
-    which returns prod_d (product of d's entries)^d. Every tree entry
-    carries a factor R, so the result is multiplied once by R^-e, e the sum
-    of d over the tree's entries.
+    term basis[k]^(256^w), entry w*m + k of the key's limb table, and the
+    product tree over that table gives each digit's entries, at every
+    width (`_tree_entries`). One fold from the largest digit d down
+    multiplies each entry of d into the running product and the running
+    product into the result, which returns prod_d (product of d's
+    entries)^d. Every entry carries a factor R, so the result is
+    multiplied once by R^-e, e the sum of d over the entries.
     """
     flat = digits.T.ravel()
-    if digits.shape[1] == 1:
-        index, counts = _runs(flat)
-        entries, e = list(map(key.basis.__getitem__, index.tolist())), 0
-    else:
-        entries, counts = _tree_entries(key.limbs, flat)
-        e = int(np.arange(1, 256) @ counts)
+    entries, counts = _tree_entries(key.limbs, flat)
     running = acc = 1
     end = len(entries)
     for c in counts[: int(flat.max(initial=0))][::-1].tolist():
@@ -283,7 +268,7 @@ def _bucket_fold(key: CommitmentKey, digits: np.ndarray) -> int:
                 running = running * x % P
             end -= c
         acc = acc * running % P
-    return acc * pow(_R_INV, e, P) % P
+    return acc * pow(_R_INV, int(np.arange(1, 256) @ counts), P) % P
 
 
 def _digits(words: np.ndarray) -> np.ndarray:

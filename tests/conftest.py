@@ -13,7 +13,7 @@ import pytest
 from hypothesis import settings
 
 from gradmarket import perturb
-from gradmarket.commit import verify_share
+from gradmarket.shamir import ss_recon
 from gradmarket.sim import SessionConfig, quantized_norm_sq
 
 # Every run draws the same examples (CI on each Python version and local
@@ -67,21 +67,24 @@ def training_config(**overrides):
 def ideal_accepts(session, n: int) -> bool:
     """Whether the ideal market accepts owner n of a finished `sim._Session`.
 
-    Every share n delivered must match its stored commitment, and its signed
-    vector v must be nonzero, with sum(v^2) <= rho over the validated
-    coordinates and <= a whole-vector bound over all of them. Nonzero is the
-    weakest floor that refuses a free rider (ROADMAP item 22). The
+    Every share n delivered must lie on one degree-T polynomial per
+    coordinate whose value at 0 is n's own vector v: shares 1..T with any
+    other share reconstruct v. The on-chain commitment is not read, since
+    another owner can overwrite it (defect #7). v must also be nonzero,
+    with sum(v^2) <= rho over the validated coordinates and <= a
+    whole-vector bound over all of them. Nonzero is the weakest floor that
+    refuses a free rider (ROADMAP item 22). The
     whole-vector bound is calibrated from the model owner's probe as rho is
     from its validated slice: honest vectors exceed rho as a whole (sum(v^2)
     1971..5288 against rho 106 on clean.json at seed 3), so rho alone cannot
     bound the unvalidated coordinates (ROADMAP item 5).
     """
-    commitment = session.contract.commitments[n]
-    if not all(verify_share(s, commitment, session.key) for s in session.sent[n].values()):
+    T, v = session.config.T, session.qvecs[n].tolist()
+    shares = [session.sent[n][i] for i in sorted(session.sent[n])]
+    if any(ss_recon([*shares[:T], s], T) != v for s in shares[T:]):
         return False
     probe = perturb.encrypted_gradient(session.enc_model, session.masks.r_out,
                                        *session.world.mo_data)
     probe_q = session._quantize(perturb.flatten(probe), "model owner's probe")
     whole_bound = math.ceil(session.config.rho_margin * quantized_norm_sq(probe_q)) + 64
-    v = session.qvecs[n].tolist()
     return 0 < quantized_norm_sq(v) <= whole_bound and session._sub_norm(v) <= session.rho

@@ -255,9 +255,9 @@ def test_multi_exp_small_signed_values():
 
 @pytest.mark.parametrize("m", [1, 2, 3, 7, 64, 192, 300, 511, 512, 2400])
 def test_multi_exp_matches_per_term_product(m):
-    # one-byte exponents (signed ones included) fold from the basis and
-    # build no table; one exponent of 256, or any wider vector, takes the
-    # product tree over the limb table at every key length
+    # every width takes the product tree over the limb table at every key
+    # length: one-byte exponents (signed ones included), the same vector
+    # with one exponent of 256, and wider vectors
     rng = random.Random(m)
     key = _explicit_key(rng, m)
     every = list(range(-255, 256))
@@ -281,7 +281,6 @@ def test_multi_exp_matches_per_term_product(m):
 
     for exps in (one_byte, [v % Q for v in one_byte], [255] * m, [0] * m):
         check(exps)
-    assert "limbs" not in vars(key)
     check(wide)
     assert "limbs" in vars(key)
     for exps in (full, sparse, [Q - 1] * m, [field.HALF_Q] * m, [field.HALF_Q + 1] * m, single):
@@ -317,7 +316,7 @@ def test_multi_exp_zero_top_windows(m):
 
 @pytest.mark.parametrize("m", [7, 192, 2400])
 def test_limb_table_layout(m):
-    # setup_key builds no table; the first multi-byte multi-exp builds one
+    # setup_key builds no table; the first multi-exp builds one
     # read-only table, whose entry w*m + k is basis[k]^(256^w) in Montgomery
     # form below 2p, and whose last entry is one
     commit._transparent_key.cache_clear()
@@ -345,15 +344,16 @@ def test_key_table_built_once_on_first_use():
     rng = random.Random(25)
     commit._transparent_key.cache_clear()
     key = setup_key(5, rng)
-    # a commitment to a one-byte vector reads the basis and builds no table
+    assert "limbs" not in vars(key)
+    # the first commitment, to a one-byte vector, builds the table
     secret = [rng.randint(-255, 255) % Q for _ in range(5)]
     assert commit.commit(secret, [], key).elements == (_per_term_product(key.basis, secret),)
-    assert "limbs" not in vars(key)
+    table = vars(key)["limbs"]
+    # later commitments and share checks, at every width, reuse it
     shares, masks = ss_share(secret, 1, 5, rng)
     cm = commit.commit(secret, masks, key)
-    table = vars(key)["limbs"]
     assert all(verify_share(s, cm, key) for s in shares)
-    assert key.limbs is table
+    assert vars(key)["limbs"] is table and key.limbs is table
 
 
 def test_montgomery_invariants():
@@ -441,15 +441,29 @@ def _counting_mults(monkeypatch):
     return mults
 
 
+def _merges(flat, left):
+    """The pairs each level of a product tree merged, sum_d floor(c_d / 2)
+    over its run lengths c_d, replayed from the digits the tree read and
+    the counts per digit it returned; and the pairs one more level would
+    merge."""
+    counts = np.bincount(flat, minlength=256)[1:]
+    merged = []
+    while not np.array_equal(counts, left):
+        assert (counts > 1).any(), "the counts returned are no level of the tree"
+        merged.append(int((counts >> 1).sum()))
+        counts = (counts + 1) >> 1
+    return merged, int((left >> 1).sum())
+
+
 def _recording_trees(monkeypatch):
-    """Record every product tree's entry count on entry and its counts per
-    digit on return, and count the vectorized multiplies."""
+    """Record every product tree's digits on entry and its counts per digit
+    on return, and count the vectorized multiplies."""
     trees = []
     tree = commit._tree_entries
 
     def recorded(limbs, flat):
         entries, left = tree(limbs, flat)
-        trees.append((np.count_nonzero(flat), np.array(left)))
+        trees.append((np.array(flat), np.array(left)))
         return entries, left
 
     monkeypatch.setattr(commit, "_tree_entries", recorded)
@@ -457,8 +471,9 @@ def _recording_trees(monkeypatch):
 
 
 def test_a_short_random_vector_runs_no_tree_level(monkeypatch):
-    # m = 16: 256 terms over about 160 nonempty digits, already no more than
-    # twice the digits, so the fold multiplies the table entries themselves
+    # m = 16: 256 terms over about 160 nonempty digits, so a level would
+    # merge at most 128 pairs, not more than 255, and the fold multiplies
+    # the table entries themselves
     rng = random.Random(31)
     key = _explicit_key(rng, 16)
     key.limbs
@@ -467,15 +482,16 @@ def test_a_short_random_vector_runs_no_tree_level(monkeypatch):
         exps = [field.rand_element(rng) for _ in range(16)]
         assert commit._multi_exp(key, exps) == _per_term_product(key.basis, exps)
     assert len(trees) == 3 and mults == []
-    for terms, left in trees:
-        assert left.sum() == terms <= 2 * np.count_nonzero(left)
+    for flat, left in trees:
+        merged, more = _merges(flat, left)
+        assert left.sum() == np.count_nonzero(flat) and merged == [] and more <= 255
 
 
 @pytest.mark.parametrize("m", [48, 192])
 def test_the_tree_stops_with_several_entries_per_digit(m, monkeypatch):
-    # the tree stops once its entries number at most twice the nonempty
-    # digits, and the fold multiplies what is left; one-byte vectors (the
-    # signed ones and all q - 1, whose magnitudes are 1) group the basis
+    # a level runs only while it would merge more than 255 pairs, and the
+    # fold multiplies what is left; one-byte vectors (the signed ones and
+    # all q - 1, whose magnitudes are 1) take the tree too
     rng = random.Random(32 + m)
     key = _explicit_key(rng, m)
     key.limbs
@@ -485,18 +501,24 @@ def test_the_tree_stops_with_several_entries_per_digit(m, monkeypatch):
     signed = [rng.randint(-255, 255) % Q for _ in range(m)]
     for exps in (random_exps, sparse, signed, [Q - 1] * m):
         assert commit._multi_exp(key, exps) == _per_term_product(key.basis, exps)
-    assert len(trees) == 2  # random and sparse; the one-byte vectors build none
-    for _, left in trees:
-        assert left.sum() <= 2 * np.count_nonzero(left)
-    (terms, left), _ = trees
-    assert terms > 2 * 255 and left.max() > 2
-    assert len(mults) == {48: 1, 192: 3}[m]
+    # random and sparse fold once each, the signed vectors twice each
+    assert len(trees) == 6
+    levels = []
+    for flat, left in trees:
+        merged, more = _merges(flat, left)
+        assert all(pairs > 255 for pairs in merged) and more <= 255
+        levels.append(len(merged))
+    assert levels == [len(mults), 0, 0, 0, 0, 0] and len(mults) == {48: 1, 192: 3}[m]
+    flat, left = trees[0]
+    assert np.count_nonzero(flat) > 2 * 255 and left.max() > 2
 
 
 def test_a_random_multi_exp_at_192_runs_three_tree_levels(monkeypatch):
-    # 3059 nonzero terms over all 255 digits: levels of 1595, 864 and 494
-    # pairs leave 494 entries, at most twice 255; a tree run to one entry
-    # per digit would add levels of 281 and 255 pairs
+    # 3059 nonzero terms over all 255 digits: levels that merge 1464, 731
+    # and 370 pairs (1595, 864 and 494 with the odd runs' padding) leave
+    # 494 entries, and a fourth level would merge 213 pairs, not more than
+    # 255; a tree run to one entry per digit would add levels of 281 and
+    # 255 pairs
     rng = random.Random(33)
     key = setup_key(192, None)
     key.limbs
@@ -504,6 +526,49 @@ def test_a_random_multi_exp_at_192_runs_three_tree_levels(monkeypatch):
     exps = [field.rand_element(rng) for _ in range(192)]
     assert commit._multi_exp(key, exps) == _per_term_product(key.basis, exps)
     assert len(mults) == 3
+
+
+def test_every_tree_level_at_2400_merges_more_than_255_pairs(monkeypatch):
+    # each level a tree ran would merge more than 255 pairs, and the counts
+    # it returns would merge at most 255: random residues run 6 or 7
+    # levels, and dense one-byte vectors run levels too
+    m = 2400
+    rng = random.Random(34 + m)
+    key = _explicit_key(rng, m)
+    trees, _ = _recording_trees(monkeypatch)
+    vectors = [
+        [field.rand_element(rng) for _ in range(m)],
+        [rng.randint(-255, 255) % Q for _ in range(m)],
+        [rng.randint(-40, 40) % Q for _ in range(m)],
+        [rng.randrange(1 << 20) if rng.random() < 0.3 else 0 for _ in range(m)],
+        [255] * m,
+    ]
+    for exps in vectors:
+        assert commit._multi_exp(key, exps) == _per_term_product(key.basis, exps)
+    levels = []
+    for flat, left in trees:
+        merged, more = _merges(flat, left)
+        assert all(pairs > 255 for pairs in merged) and more <= 255
+        levels.append(len(merged))
+    assert levels[0] in (6, 7) and min(levels[1:5]) > 0
+
+
+@pytest.mark.parametrize("m", [192, 2400, 4096])
+def test_one_byte_signed_vectors_run_levels_only_past_m_2400(m, monkeypatch):
+    # values -255..255, both extremes among them, on about 2 in 5
+    # coordinates: each sign's fold reads about m/5 terms, so a level would
+    # merge fewer than m/10 pairs, not more than 255 up to m = 2400
+    rng = random.Random(35 + m)
+    key = _explicit_key(rng, m)
+    trees, _ = _recording_trees(monkeypatch)
+    exps = [rng.randint(-255, 255) if rng.random() < 0.4 else 0 for _ in range(m)]
+    exps[0], exps[-1] = -255, 255
+    assert commit._multi_exp(key, exps) == _per_term_product(key.basis, exps)
+    assert len(trees) == 2
+    for flat, left in trees:
+        merged, more = _merges(flat, left)
+        assert all(pairs > 255 for pairs in merged) and more <= 255
+        assert (len(merged) > 0) == (m > 2400)
 
 
 def _recording_folds(monkeypatch):

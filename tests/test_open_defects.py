@@ -9,7 +9,8 @@ single proof instead. Today each defect lets the offence through, so each
 test is a strict xfail. The fix for a defect removes its test's marker;
 strict mode fails a forgotten one. Only an `AssertionError` counts as the
 expected failure, so a reproduction that stops running, or stops
-producing an offender, fails outright.
+producing an offender, fails outright. A bad share, an offence the market
+already excludes, is held to the same outcome as a control.
 """
 
 import contextlib
@@ -169,6 +170,14 @@ class _ImpersonatedVerdicts(sim._Session):
             super()._test_proof(n, packages, circ, r)
 
 
+@pytest.mark.parametrize("target", [1, 4])
+def test_a_bad_share_is_excluded_and_unpaid(monkeypatch, target):
+    # server 1's share is one of the T shares every reconstruction in the
+    # ideal check uses; server 4's is checked on its own
+    bad_share = {"id": OFFENDER, "behavior": "bad_share", "target_server": target}
+    assert_ideal_outcome(_run(monkeypatch, sim._Session, malicious_dos=[bad_share]))
+
+
 @_open_defect("hole #1: a proof is not bound before the challenge", 1)
 def test_a_proof_fitted_to_a_known_challenge_is_excluded_and_unpaid(monkeypatch):
     session = _run(monkeypatch, _AdaptiveProof,
@@ -220,4 +229,5 @@ def test_a_validated_slice_whose_sum_of_squares_wraps_is_excluded_and_unpaid(mon
 def test_a_squatted_commitment_does_not_exclude_its_owner(monkeypatch):
     session = _run(monkeypatch, _SquattedCommitment)
     honest = set(session.do_ids) - {OFFENDER}
+    assert all(ideal_accepts(session, n) for n in honest)
     assert honest <= set(session.validity) and honest <= _paid(session)
