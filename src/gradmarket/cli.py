@@ -228,8 +228,7 @@ def _selftest() -> int:
 
     # session determinism
     cfg = SessionConfig(layers=(2, 3, 1), N=2, K=4, T=1, samples_per_do=4,
-                        mo_samples=4, data_scale=0.4, mask_additive_sigma=0.3,
-                        rho_margin=6.0)
+                        mo_samples=4, data_scale=0.4)
     r1 = sim.run_session(cfg, 11)
     r2 = sim.run_session(cfg, 11)
     check("session determinism", json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True))

@@ -67,16 +67,15 @@ class SessionConfig:
     K: int = _bounded(5, 3, 2**31 - 1)  # share_with_masks evaluates at x < 2^31
     T: int = _bounded(1, 1)
     rho: int | None = _bounded(None, 1)  # None: the model owner calibrates it per session
-    rho_margin: float = _bounded(4.0, 0)
     rho_cap: int = _bounded(1024, 1)
     scale_bits: int = _bounded(6, 1, 126)
     deposit: int = _bounded(1000, 0)
-    samples_per_do: int = _bounded(8, 1)
-    mo_samples: int = _bounded(16, 1)
+    samples_per_do: int = _bounded(32, 1)
+    mo_samples: int = _bounded(64, 1)
     eta: float = 0.05
     iterations: int = _bounded(1, 1)
-    data_scale: float = 1.0
-    mask_additive_sigma: float = _bounded(1.0, 0)
+    data_scale: float = 0.5
+    mask_additive_sigma: float = _bounded(0.3, 0)
     validation: bool = True
     validate_layers: tuple[int, ...] | None = None  # 1-indexed; None: all layers
     malicious_dos: tuple[dict, ...] = ()
@@ -271,6 +270,12 @@ def quantized_norm_sq(values: list[int]) -> int:
     return sum((v if v <= HALF_Q else v - Q) ** 2 for v in values)
 
 
+def calibrated_rho(norm: int) -> int:
+    """The model owner's norm bound for a probe gradient of quantized squared
+    norm `norm`: six times it, plus 64 of slack so that the bound is >= 1."""
+    return 6 * norm + 64
+
+
 # ---------------------------------------------------------------------------
 # Session phases
 # ---------------------------------------------------------------------------
@@ -360,8 +365,7 @@ class _Session:
                 self.enc_model, self.masks.r_out, world.mo_data[0], world.mo_data[1]
             )
             probe_q = self._quantize(perturb.flatten(probe), "model owner's probe")
-            margin = math.ceil(config.rho_margin * self._sub_norm(probe_q))
-            self.rho = margin + 64  # additive slack, so a calibrated rho is >= 1
+            self.rho = calibrated_rho(self._sub_norm(probe_q))
             if self.rho > config.rho_cap:
                 self.rho, self.rho_clamped = config.rho_cap, True
         published = perturb.serialize_published_model(self.enc_model, self.masks.r_out)

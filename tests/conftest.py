@@ -7,14 +7,12 @@ used by the iterated runs. `ideal_accepts` is the ideal market's verdict
 on an owner, which session outcomes are checked against.
 """
 
-import math
-
 import pytest
 from hypothesis import settings
 
 from gradmarket import perturb
 from gradmarket.shamir import ss_recon
-from gradmarket.sim import SessionConfig, quantized_norm_sq
+from gradmarket.sim import SessionConfig, calibrated_rho, quantized_norm_sq
 
 # Every run draws the same examples (CI on each Python version and local
 # runs alike) and writes no example database.
@@ -32,7 +30,6 @@ SMALL_SESSION = dict(
     mask_additive_sigma=0.3,
     scale_bits=6,
     validate_layers=(2,),
-    rho_margin=6.0,
 )
 
 TRAINING = dict(
@@ -46,7 +43,6 @@ TRAINING = dict(
     mask_additive_sigma=0.3,
     scale_bits=6,
     validate_layers=(2,),
-    rho_margin=6.0,
     eta=0.5,
 )
 
@@ -62,6 +58,13 @@ def small_session_config(**overrides):
 
 def training_config(**overrides):
     return SessionConfig(**{**TRAINING, **overrides})
+
+
+def probe_vector(session) -> list[int]:
+    """The model owner's quantized probe gradient in a published `sim._Session`."""
+    probe = perturb.encrypted_gradient(session.enc_model, session.masks.r_out,
+                                       *session.world.mo_data)
+    return session._quantize(perturb.flatten(probe), "model owner's probe")
 
 
 def ideal_accepts(session, n: int) -> bool:
@@ -83,8 +86,5 @@ def ideal_accepts(session, n: int) -> bool:
     shares = [session.sent[n][i] for i in sorted(session.sent[n])]
     if any(ss_recon([*shares[:T], s], T) != v for s in shares[T:]):
         return False
-    probe = perturb.encrypted_gradient(session.enc_model, session.masks.r_out,
-                                       *session.world.mo_data)
-    probe_q = session._quantize(perturb.flatten(probe), "model owner's probe")
-    whole_bound = math.ceil(session.config.rho_margin * quantized_norm_sq(probe_q)) + 64
+    whole_bound = calibrated_rho(quantized_norm_sq(probe_vector(session)))
     return 0 < quantized_norm_sq(v) <= whole_bound and session._sub_norm(v) <= session.rho

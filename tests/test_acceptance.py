@@ -54,7 +54,7 @@ def test_criterion_2_end_to_end_quantized_pipeline():
     cfg = SessionConfig(
         layers=(4, 8, 2), N=4, K=5, T=1, scale_bits=6,
         samples_per_do=32, mo_samples=64, data_scale=0.5,
-        mask_additive_sigma=0.3, rho_margin=6.0, validate_layers=None,
+        mask_additive_sigma=0.3, validate_layers=None,
     )
     report = run_session(cfg, 7)
     elapsed = time.monotonic() - start
@@ -199,7 +199,7 @@ def test_criterion_9_gas_ratio():
     cfg = SessionConfig(
         layers=(28, 20, 2), N=4, K=5, T=1, scale_bits=6,
         samples_per_do=16, mo_samples=32, data_scale=0.2,
-        mask_additive_sigma=0.3, validate_layers=(2,), rho_margin=6.0,
+        mask_additive_sigma=0.3, validate_layers=(2,),
     )
     report = run_session(cfg, 3)
     m = 2400

@@ -68,6 +68,21 @@ def test_masked_forward_matches_plain_when_gamma_zero():
     assert np.allclose(forward(enc, X), forward(model, X), atol=1e-10)
 
 
+@pytest.mark.parametrize("sizes", [(4, 8, 2), (3, 6, 5, 3)])
+def test_masked_output_is_true_output_plus_alpha_times_gamma_r_out(sizes):
+    # ReLU's positive rescaling symmetry: the hidden masks telescope, and the
+    # additive mask adds alpha(x) * gamma o r_out, with alpha the per-sample
+    # sum of the masked model's last hidden activations
+    rng = np.random.default_rng(3)
+    model = random_model(sizes, rng)
+    masks = sample_masks(sizes, rng)
+    enc = apply_masks(model, masks)
+    X = rng.normal(0, 1, (12, sizes[0]))
+    alpha = perturb._forward_trace(enc.weights, X)[0][-2].sum(axis=1)
+    expected = forward(model, X) + np.outer(alpha, masks.gamma * masks.r_out)
+    assert np.allclose(forward(enc, X), expected)
+
+
 def test_relu_pattern_invariant_under_masking():
     # positive multiplicative masks preserve every hidden layer's sign mask
     rng = np.random.default_rng(2)

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import SMALL_SESSION, small_session_config, training_config
-from gradmarket import circuit, sim, snip
+from conftest import SMALL_SESSION, probe_vector, small_session_config, training_config
+from gradmarket import circuit, perturb, sim, snip
+from gradmarket.commit import setup_key
 from gradmarket.contract import TradeContract, expected_word_count
 from gradmarket.field import FieldVector
 from gradmarket.shamir import ss_share
@@ -73,7 +74,8 @@ def test_config_rejects_register_timeout():
 
 
 @pytest.mark.parametrize("key, value", [("teacher_scale", 0.5), ("teacher_noise", 0.05),
-                                        ("init_scale", 0.5), ("rho_offset", 64)])
+                                        ("init_scale", 0.5), ("rho_offset", 64),
+                                        ("rho_margin", 6.0)])
 def test_config_rejects_removed_knobs(key, value):
     # these are now constants at their one use; their old defaults are rejected too
     with pytest.raises(ConfigError, match=key):
@@ -83,7 +85,7 @@ def test_config_rejects_removed_knobs(key, value):
 def test_config_bounds_are_declared_on_their_fields():
     bounded = {f.name: f.metadata["bounds"] for f in dataclasses.fields(SessionConfig)
                if "bounds" in f.metadata}
-    assert set(bounded) == {"N", "K", "T", "rho", "rho_margin", "rho_cap", "scale_bits",
+    assert set(bounded) == {"N", "K", "T", "rho", "rho_cap", "scale_bits",
                             "deposit", "samples_per_do", "mo_samples", "iterations",
                             "mask_additive_sigma"}
     for name, (lo, hi) in bounded.items():
@@ -96,6 +98,14 @@ def test_config_bounds_are_declared_on_their_fields():
             else:
                 with pytest.raises(ConfigError, match=f"{name} must be"):
                     SessionConfig(**{name: value})
+
+
+def test_the_default_config_is_clean_json():
+    # `{}` runs the clean market; deep-proof runs clean.json, whose unset keys
+    # (rho_cap, eta, ...) take the defaults, so no default moves it unnoticed
+    path = Path(__file__).resolve().parent.parent / "configs" / "clean.json"
+    clean = SessionConfig.from_dict(json.loads(path.read_text()))
+    assert SessionConfig().to_dict() == clean.to_dict()
 
 
 def test_readme_config_table_matches_the_schema():
@@ -368,6 +378,16 @@ def test_fixed_rho_above_the_cap_is_not_clamped():
     assert report["validity_set"] == [0, 1, 2, 3]
 
 
+def test_the_cap_bounds_a_calibrated_rho():
+    # coarse additive masks on unscaled data: the probe calibrates far past the cap
+    cfg = SessionConfig(samples_per_do=8, mo_samples=16, data_scale=1.0, mask_additive_sigma=1.0)
+    key = setup_key(perturb.flat_length(cfg.layers), sim.rng_stream(0, "contract.setup"))
+    session = sim._run_session(cfg, 0, build_world(cfg, 0), key)
+    assert sim.calibrated_rho(session._sub_norm(probe_vector(session))) == 3_744_880
+    report = session.report()
+    assert (report["rho"], report["rho_clamped"]) == (1024, True)
+
+
 def test_validation_disabled_keeps_all_owners():
     cfg = small_session_config(validation=False,
                                malicious_dos=({"id": 0, "behavior": "random_gradient"},))
@@ -519,7 +539,7 @@ def test_clean_config_report_golden_digest():
     path = Path(__file__).resolve().parent.parent / "configs" / "clean.json"
     report = run_session(SessionConfig.from_dict(json.loads(path.read_text())), 3)
     assert _report_digest(report) == (
-        "c5192e2a8afeab6148e1b2840896b68e7cbc7b3ca065bb06ee3782fdb967c405"
+        "e317847bb05977337e1941428bb3ac930088fc562faabf23d9e691e3c7445f88"
     )
 
 
@@ -528,7 +548,7 @@ def test_all_adversaries_report_golden_digest():
     assert report["validity_set"] == [4, 5]
     assert report["aggregate_share_failures"] == [2]
     assert _report_digest(report) == (
-        "027885fc8ba8bab421100d48afdac76107e868ba56378c0138f3844b1b95b728"
+        "8d6543d11536b76b079995bfa01b6f41a32d5a4a542a4df23a01af082f991080"
     )
 
 
@@ -536,7 +556,7 @@ def test_unvalidated_session_report_golden_digest():
     report = run_session(small_session_config(validation=False), 3)
     assert report["validity_set"] == [0, 1, 2, 3]
     assert _report_digest(report) == (
-        "94fc399414693a8604b68403eabb7a2141af7700d88ba9da45a41a22ddb95081"
+        "ee0638bc2ef8f01a3413fba95a577908ad4c19769ee64b669a2364591bc90a12"
     )
 
 
@@ -547,7 +567,7 @@ def test_empty_validity_set_report_golden_digest():
     assert report["validity_set"] == []
     assert report["payments"] == {"mo": 1000}
     assert _report_digest(report) == (
-        "13145f0cc9e11d8b5a5fcb3d109447475b6073cdac4dcc642ed6db2dadb4d72f"
+        "85d4cb9d1728a2d5031f9f86f87d61df851bb2c2f8029e50cd6ad38c044d58d0"
     )
 
 
@@ -569,7 +589,7 @@ def test_attacked_training_report_and_curve_golden_digest():
     report = _rounded(run_training(SessionConfig.from_dict(doc), 3))
     assert [s["validity_set"] for s in report["sessions"]] == [[1, 2, 3]] * 3
     assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == (
-        "37bff812a02c05ac4d1512a49b4a929f82d687b8914ca0db7e20064eeb1ca547"
+        "d4bfe050e510f140e224c8b20efdbbba9913be0852a83a78aa7c28b4cc99fe4e"
     )
     assert hashlib.sha256(loss_curve_csv(report).encode()).hexdigest() == (
         "f85da55f86bdee7af0e47133a9d66a2b62aaac90f4aca841531daa5032b648ac"
