@@ -12,8 +12,10 @@ exactly:
 
     R^(l) o (G - sum_i gamma_i sigma_i + |gamma o r_a|^2 beta) = grad F(W^(l))
 
-All arithmetic here is in float64; fixed-point quantization happens once,
-at the flatten step before secret sharing.
+The model is its weights, and an encrypted gradient is its list of blocks,
+one per weight layer, laid out by `block_shapes`. All arithmetic here is in
+float64; fixed-point quantization happens once, after the flatten step and
+before secret sharing.
 
 Only ReLU hidden activations with a linear output layer and mean squared
 loss (with the 1/2 factor) are supported; the masking identity depends on
@@ -32,20 +34,23 @@ from .field import Q, FixedPointCodec
 
 @dataclass
 class MlpModel:
-    """Feed-forward network; weights[i] maps activations i -> i+1 (no biases)."""
+    """Feed-forward network, which is its weights: weights[i] maps activations
+    i -> i+1 (no biases), so its shape is (n_{i+1}, n_i)."""
 
-    layer_sizes: tuple[int, ...]
     weights: list[np.ndarray]
 
     def __post_init__(self):
-        if len(self.layer_sizes) < 3:
+        if len(self.weights) < 2:
             raise ValueError("need at least two weight layers (L >= 2)")
-        if len(self.weights) != len(self.layer_sizes) - 1:
-            raise ValueError("weight count does not match layer sizes")
-        for i, w in enumerate(self.weights):
-            expect = (self.layer_sizes[i + 1], self.layer_sizes[i])
-            if w.shape != expect:
-                raise ValueError(f"layer {i + 1} shape {w.shape} != {expect}")
+        shapes = [np.shape(w) for w in self.weights]
+        if any(len(s) != 2 for s in shapes) or any(
+            a[0] != b[1] for a, b in zip(shapes, shapes[1:])
+        ):
+            raise ValueError(f"weight shapes {shapes} do not chain")
+
+    @property
+    def layer_sizes(self) -> tuple[int, ...]:
+        return (self.weights[0].shape[1], *(w.shape[0] for w in self.weights))
 
     @property
     def num_layers(self) -> int:
@@ -58,7 +63,7 @@ def random_model(layer_sizes, rng: np.random.Generator) -> MlpModel:
         rng.normal(0.0, 0.5 / np.sqrt(layer_sizes[i]), (layer_sizes[i + 1], layer_sizes[i]))
         for i in range(len(layer_sizes) - 1)
     ]
-    return MlpModel(tuple(layer_sizes), weights)
+    return MlpModel(weights)
 
 
 def forward(model: MlpModel, X: np.ndarray) -> np.ndarray:
@@ -117,16 +122,14 @@ class MaskSet:
     r_out: np.ndarray
     gamma: np.ndarray
 
-    def R(self, i: int, layer_sizes) -> np.ndarray:
-        """Multiplicative mask matrix for weights[i] (shape n_{i+1} x n_i):
-        rows[i] / cols[i] with rows = (r_hidden..., 1), cols = (1, r_hidden...)."""
-        rows = [*self.r_hidden, np.ones(layer_sizes[-1])]
-        cols = [np.ones(layer_sizes[0]), *self.r_hidden]
+    def R(self, i: int) -> np.ndarray:
+        """Multiplicative mask for weights[i]: rows[i] / cols[i] with rows =
+        (r_hidden..., 1) and cols = (1, r_hidden...). The unmasked ends are
+        np.ones(1), so the first and last masks broadcast over the weight."""
+        one = np.ones(1)
+        rows = [*self.r_hidden, one]
+        cols = [one, *self.r_hidden]
         return np.outer(rows[i], 1.0 / cols[i])
-
-    def R_additive(self, layer_sizes) -> np.ndarray:
-        """Additive mask on the last layer: row i is gamma_i * r_out_i."""
-        return np.outer(self.gamma * self.r_out, np.ones(layer_sizes[-2]))
 
 
 def sample_masks(
@@ -146,43 +149,30 @@ def sample_masks(
 
 
 def apply_masks(model: MlpModel, masks: MaskSet) -> MlpModel:
-    L = model.num_layers
-    enc = []
-    for i, w in enumerate(model.weights):
-        wm = masks.R(i, model.layer_sizes) * w
-        if i == L - 1:
-            wm = wm + masks.R_additive(model.layer_sizes)
-        enc.append(wm)
-    return MlpModel(model.layer_sizes, enc)
+    """The masked model: each weight times its mask R(i), and on the last
+    layer the additive mask, whose row j is gamma_j * r_out_j."""
+    enc = [masks.R(i) * w for i, w in enumerate(model.weights)]
+    enc[-1] = enc[-1] + np.outer(masks.gamma * masks.r_out, np.ones(1))
+    return MlpModel(enc)
 
 
 def block_shapes(layer_sizes) -> list[tuple[int, int, int]]:
-    """The gradient layout, stated once: one block per weight layer.
+    """The encrypted gradient's layout, stated once: one block per weight layer.
 
     Layer l's block has shape (p + 2, n_{l+1}, n_l): index 0 is the masked
-    gradient G, 1..p are sigma_1..sigma_p, and p + 1 is beta. The wire order
-    is the blocks in layer order, each in C (row-major) order.
+    gradient G, 1..p are sigma_1..sigma_p (sigma_i already scaled by
+    r_out[i - 1]), and p + 1 is beta. The wire order is the blocks in layer
+    order, each in C (row-major) order.
     """
     sizes = tuple(layer_sizes)
     return [(sizes[-1] + 2, sizes[l + 1], sizes[l]) for l in range(len(sizes) - 1)]
 
 
-@dataclass
-class EncryptedGradient:
-    """A data owner's report: per weight layer, the masked gradient and its
-    correction statistics as one block laid out by block_shapes.
-
-    blocks[l][1 + i] is sigma_{i+1}, already scaled by r_out[i].
-    """
-
-    layer_sizes: tuple[int, ...]
-    blocks: list[np.ndarray]
-
-
 def encrypted_gradient(
     enc_model: MlpModel, r_out: np.ndarray, X: np.ndarray, Y: np.ndarray
-) -> EncryptedGradient:
-    """Backward pass on the masked model producing (G, sigma, beta).
+) -> list[np.ndarray]:
+    """A data owner's report: the blocks (G, sigma, beta) of the backward pass
+    on the masked model, one per weight layer, laid out by block_shapes.
 
     alpha is the per-sample sum of last-hidden activations; sigma_i combines
     alpha-weighted output Jacobians with residual-weighted alpha Jacobians,
@@ -224,20 +214,20 @@ def encrypted_gradient(
             sigma.append(r_out[i_out] * s / M)
         beta = (A[i] * alpha[:, None]).T @ base / M
         blocks.append(np.stack([ds[i].T @ base / M, *sigma, beta]))
-    return EncryptedGradient(layer_sizes=sizes, blocks=blocks)
+    return blocks
 
 
-def decrypt_aggregate(agg: EncryptedGradient, masks: MaskSet) -> list[np.ndarray]:
-    """Recover the plaintext gradient from an averaged encrypted gradient."""
-    sizes = agg.layer_sizes
+def decrypt_aggregate(blocks: list[np.ndarray], masks: MaskSet) -> list[np.ndarray]:
+    """Recover the plaintext gradient from the blocks of an averaged
+    encrypted gradient."""
     c2 = float(np.sum((masks.gamma * masks.r_out) ** 2))
     out = []
-    for i, (G, *sigma, beta) in enumerate(agg.blocks):
+    for i, (G, *sigma, beta) in enumerate(blocks):
         corr = G.copy()
         for i_out, s in enumerate(sigma):
             corr -= masks.gamma[i_out] * s
         corr += c2 * beta
-        out.append(masks.R(i, sizes) * corr)
+        out.append(masks.R(i) * corr)
     return out
 
 
@@ -245,19 +235,19 @@ def decrypt_aggregate(agg: EncryptedGradient, masks: MaskSet) -> list[np.ndarray
 # Flattening and quantization
 # ---------------------------------------------------------------------------
 
-def flatten(eg: EncryptedGradient) -> np.ndarray:
+def flatten(blocks: list[np.ndarray]) -> np.ndarray:
     """The wire vector: the blocks ravelled and concatenated."""
-    return np.concatenate([block.ravel() for block in eg.blocks])
+    return np.concatenate([block.ravel() for block in blocks])
 
 
-def unflatten(vec: np.ndarray, layer_sizes) -> EncryptedGradient:
+def unflatten(vec: np.ndarray, layer_sizes) -> list[np.ndarray]:
+    """The blocks of a wire vector, shaped by block_shapes(layer_sizes)."""
     shapes = block_shapes(layer_sizes)
     ends = np.cumsum([math.prod(shape) for shape in shapes])
     if len(vec) != ends[-1]:
         raise ValueError("flattened vector length does not match layer sizes")
     parts = np.split(np.asarray(vec, dtype=float), ends[:-1])
-    blocks = [part.reshape(shape) for part, shape in zip(parts, shapes)]
-    return EncryptedGradient(layer_sizes=tuple(layer_sizes), blocks=blocks)
+    return [part.reshape(shape) for part, shape in zip(parts, shapes)]
 
 
 def flat_length(layer_sizes) -> int:

@@ -55,16 +55,12 @@ DERIVED = {
 }
 
 
-def write(outdir) -> list[Path]:
-    """Write every derived config into outdir, as CI's inline writer did."""
+def write(outdir) -> None:
+    """Write each derived config into outdir as `<name>.json`."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = []
     for name, cfg in DERIVED.items():
-        path = out / f"{name}.json"
-        path.write_text(json.dumps(cfg, indent=2))
-        paths.append(path)
-    return paths
+        (out / f"{name}.json").write_text(json.dumps(cfg, indent=2))
 
 
 if __name__ == "__main__":

@@ -36,7 +36,27 @@ def _rand_data(rng, n, model):
 
 def test_model_needs_two_layers():
     with pytest.raises(ValueError):
-        MlpModel((3, 2), [np.zeros((2, 3))])
+        MlpModel([np.zeros((2, 3))])
+
+
+@pytest.mark.parametrize("shapes", [
+    [(8, 4), (2, 7)],        # layer 2 takes 7 inputs, layer 1 gives 8
+    [(8, 4), (5, 8), (2, 8)],
+    [(8, 4), (8,)],          # a weight that is not a matrix
+    [(8, 4, 1), (2, 8)],
+])
+def test_model_refuses_weights_whose_shapes_do_not_chain(shapes):
+    with pytest.raises(ValueError, match="do not chain"):
+        MlpModel([np.zeros(s) for s in shapes])
+
+
+@pytest.mark.parametrize("sizes", [(4, 8, 2), (3, 6, 5, 3), (1, 1, 1)])
+def test_the_layer_sizes_are_read_from_the_weights(sizes):
+    model = random_model(sizes, np.random.default_rng(0))
+    assert model.layer_sizes == sizes
+    assert [w.shape for w in model.weights] == [
+        (sizes[i + 1], sizes[i]) for i in range(len(sizes) - 1)
+    ]
 
 
 def test_identity_masks_leave_model_unchanged():
@@ -50,7 +70,7 @@ def test_identity_masks_leave_model_unchanged():
 def test_two_layer_scalar_hand_case():
     # 1-1-1 network with r_1 = 2: first layer doubles, second halves plus
     # the additive term gamma_1 * r_out_1
-    model = MlpModel((1, 1, 1), [np.array([[3.0]]), np.array([[5.0]])])
+    model = MlpModel([np.array([[3.0]]), np.array([[5.0]])])
     masks = MaskSet(r_hidden=[np.array([2.0])], r_out=np.array([0.7]), gamma=np.array([1.3]))
     enc = apply_masks(model, masks)
     assert np.isclose(enc.weights[0][0, 0], 6.0)
@@ -144,7 +164,7 @@ def test_encrypted_gradient_identity_masks_equals_plain():
     X, Y = _rand_data(rng, 8, model)
     eg = encrypted_gradient(enc, masks.r_out, X, Y)
     pg = plain_gradient(model, X, Y)
-    for block, b in zip(eg.blocks, pg):
+    for block, b in zip(eg, pg):
         assert np.allclose(block[0], b)
     assert decrypt_aggregate(eg, masks)[0] == pytest.approx(pg[0], abs=1e-12)
 
@@ -173,10 +193,10 @@ def test_zero_residual_zero_gamma_terms():
     X = rng.normal(0, 1, (6, 3))
     Y = forward(enc, X)
     eg = encrypted_gradient(enc, masks.r_out, X, Y)
-    for block in eg.blocks:
+    for block in eg:
         assert np.allclose(block[0], 0.0, atol=1e-12)
-    assert np.allclose(eg.blocks[-1][-1], 0.0)
-    assert not np.allclose(eg.blocks[0][-1], 0.0)
+    assert np.allclose(eg[-1][-1], 0.0)
+    assert not np.allclose(eg[0][-1], 0.0)
 
 
 def test_decryption_identity_single_owner():
@@ -228,10 +248,10 @@ def test_flatten_roundtrip_and_length():
     X, Y = _rand_data(rng, 5, model)
     eg = encrypted_gradient(enc, r_out, X, Y)
     flat = flatten(eg)
-    assert len(flat) == (2 + 2) * (4 * 8 + 8 * 2) == flat_length(eg.layer_sizes)
+    assert len(flat) == (2 + 2) * (4 * 8 + 8 * 2) == flat_length(model.layer_sizes)
     eg2 = unflatten(flat, model.layer_sizes)
     assert np.array_equal(flatten(eg2), flat)
-    for a, b in zip(eg.blocks, eg2.blocks):
+    for a, b in zip(eg, eg2):
         assert np.array_equal(a[0], b[0])
     with pytest.raises(ValueError):
         unflatten(flat[:-1], model.layer_sizes)
@@ -247,7 +267,7 @@ def test_gradient_slices_cover_g_blocks():
     X, Y = _rand_data(rng, 5, model)
     eg = encrypted_gradient(enc, r_out, X, Y)
     flat = flatten(eg)
-    for (start, length), block in zip(slices, eg.blocks):
+    for (start, length), block in zip(slices, eg):
         assert np.array_equal(flat[start : start + length], block[0].ravel())
 
 
@@ -259,9 +279,9 @@ def test_wire_order_of_every_block(sizes):
     assert flat_length(sizes) == m
     vec = np.arange(m, dtype=float)
     eg = unflatten(vec, sizes)
-    assert [b.shape for b in eg.blocks] == perturb.block_shapes(sizes)
+    assert [b.shape for b in eg] == perturb.block_shapes(sizes)
     off = 0
-    for l, (G, *sigma, beta) in enumerate(eg.blocks):
+    for l, (G, *sigma, beta) in enumerate(eg):
         shape = (sizes[l + 1], sizes[l])
         n = shape[0] * shape[1]
         assert len(sigma) == p
