@@ -1,13 +1,14 @@
 """The trading contract as a deterministic state machine with gas metering.
 
-Eight phases: Setup, Register, ShareCollection, ShareReady, GradValidation,
-Payment, Reconstruction, Finished. Transactions either apply (charging a
-modeled gas cost and possibly storing words) or are refused by a raised
-`TxRejected`, in which case state is unchanged and only the base transaction
-cost is charged. Every transaction, deployment included, runs through
-`TradeContract._tx`, the only code that charges and logs: one phase guard,
-one charge and one `tx_log` record, refused or not. Events (round ticks,
-phase checkpoints) share the phase guard but are free and are not
+Six phases: Setup, Register, ShareCollection, GradValidation, Reconstruction,
+Finished. Transactions either apply (charging a modeled gas cost and
+possibly storing words) or are refused by a raised `TxRejected`, in which
+case state is unchanged and only the base transaction cost is charged.
+Every transaction, deployment included, runs through `TradeContract._tx`,
+the only code that charges and logs: one phase guard, one charge and one
+`tx_log` record, refused or not. The two checkpoints, `advance_round` (a
+round tick in Register) and `begin_validation` (the way out of
+ShareCollection), share the phase guard but are free and are not
 transactions. `verdicts` holds one outcome per owner; the validity set is
 derived from it and is not stored.
 
@@ -37,25 +38,14 @@ from .shamir import DecodeFailure, ShareVector, robust_recon
 SETUP = "Setup"
 REGISTER = "Register"
 SHARE_COLLECTION = "ShareCollection"
-SHARE_READY = "ShareReady"
 GRAD_VALIDATION = "GradValidation"
-PAYMENT = "Payment"
 RECONSTRUCTION = "Reconstruction"
 FINISHED = "Finished"
 
 # round ticks in Register before the session proceeds with whoever registered
 REGISTER_TIMEOUT = 3
 
-PHASES = (
-    SETUP,
-    REGISTER,
-    SHARE_COLLECTION,
-    SHARE_READY,
-    GRAD_VALIDATION,
-    PAYMENT,
-    RECONSTRUCTION,
-    FINISHED,
-)
+PHASES = (SETUP, REGISTER, SHARE_COLLECTION, GRAD_VALIDATION, RECONSTRUCTION, FINISHED)
 
 
 class TxRejected(Exception):
@@ -379,22 +369,17 @@ class TradeContract:
             cost.update(reads=checked, group_ops=checked)
             return ok
 
-    def mark_shares_ready(self):
-        """Checkpoint event: every registered owner resolved, complaints done;
+    def begin_validation(self):
+        """Checkpoint event: every registered owner committed, complaints done;
         the validity set is all but the owners an upheld complaint excluded."""
-        with self._checkpoint("mark_shares_ready", SHARE_COLLECTION):
+        with self._checkpoint("begin_validation", SHARE_COLLECTION):
             if self.pending_complaints:
                 raise TxRejected("complaints still pending")
             missing = [n for n in self.registered if n not in self.commitments]
             if missing:
                 raise TxRejected(f"missing commitments for {missing}")
-            self.phase = SHARE_READY
-            self._event("shares_ready", validity=sorted(self.validity))
-
-    def begin_validation(self):
-        with self._checkpoint("begin_validation", SHARE_READY):
             self.phase = GRAD_VALIDATION
-            self._event("validation_started")
+            self._event("validation_started", validity=sorted(self.validity))
 
     def sample_challenge(self) -> int:
         with self._tx("sample_challenge", "mo", GRAD_VALIDATION) as cost:
@@ -461,18 +446,13 @@ class TradeContract:
         self._event("gradient_rejected" if reason else "gradient_accepted", do=do_id)
         return field_ops
 
-    def complete_validation(self):
-        """Event: all validity verdicts are in (or no rho was posted)."""
-        with self._checkpoint("complete_validation", GRAD_VALIDATION):
-            if self.rho is not None:
-                pending = [n for n in self.validity if n not in self.verdicts]
-                if pending:
-                    raise TxRejected(f"verdicts pending for {pending}")
-            self.phase = PAYMENT
-            self._event("validation_complete", validity=sorted(self.validity))
-
     def pay(self):
-        with self._tx("pay", "mo", PAYMENT) as cost:
+        """Split the deposit over the validity set, once every owner in it
+        has a verdict (or no rho was posted)."""
+        with self._tx("pay", "mo", GRAD_VALIDATION) as cost:
+            pending = [n for n in self.validity if n not in self.verdicts]
+            if self.rho is not None and pending:
+                raise TxRejected(f"verdicts pending for {pending}")
             if self.validity:
                 per_do = self.deposit // len(self.validity)
                 self.balances = dict.fromkeys(sorted(self.validity), per_do)

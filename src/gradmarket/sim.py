@@ -333,7 +333,6 @@ class _Session:
         self.qvecs: dict[int, FieldVector] = {}
         # per owner and server, the share as delivered (possibly corrupted)
         self.sent: dict[int, dict[int, ShareVector]] = {}
-        self.sim_events: list[dict] = []
 
     def _sub_norm(self, qvec: list[int]) -> int:
         return quantized_norm_sq([qvec[i] for i in self.sub_idx.tolist()])
@@ -416,7 +415,6 @@ class _Session:
                     self.contract.complain(i, n)
                     # the accused owner submits the share it delivered to server i
                     self.contract.resolve_complaint(n, share)
-        self.contract.mark_shares_ready()
         self.contract.begin_validation()
 
     def validate(self):
@@ -439,7 +437,6 @@ class _Session:
             r = self.contract.sample_challenge()
             for n in owners:
                 self._test_proof(n, packages[n], circ, r)
-        self.contract.complete_validation()
 
     def _prove(self, n: int, circ) -> list[snip.ProverPackage]:
         """Owner n's proof packages, one per server, over its validated slice."""
@@ -495,7 +492,6 @@ class _Session:
                 passing.append(share)
             else:
                 self.agg_failures.append(i)
-                self.sim_events.append({"event": "aggregate_share_rejected", "server": i})
         if len(passing) < config.T + 1:
             raise ProtocolError("too few verified aggregate shares to reconstruct")
         q_sum = ss_recon(passing[: config.T + 1], config.T)
@@ -529,7 +525,7 @@ class _Session:
             "aggregate_share_failures": self.agg_failures,
             "adversary_budget_exceeded": self.config.budget_exceeded,
             "false_complaints": [list(fc) for fc in contract.false_complaints],
-            "events": contract.events + self.sim_events,
+            "events": contract.events,
             "transactions": contract.tx_log,
         }
 

@@ -56,11 +56,11 @@ def _cli(*argv: str) -> str:
     return stdout.getvalue()
 
 
-def outputs(entry: str, workdir: Path) -> dict[str, str]:
-    """Run one entry's command in workdir; the digest of each artifact."""
+def artifacts(entry: str, workdir: Path) -> dict[str, str]:
+    """Run one entry's command in workdir; the text of each artifact."""
     command, _, name = entry.partition(" ")
     if command == "selftest":
-        return {"stdout": digest(_cli("selftest"))}
+        return {"stdout": _cli("selftest")}
     config = CONFIGS / f"{name}.json"
     if name in DERIVED:
         derived_configs.write(workdir)
@@ -72,7 +72,12 @@ def outputs(entry: str, workdir: Path) -> dict[str, str]:
         files["txlog"] = out.with_suffix(".json.txlog.jsonl")
     elif command == "train":
         files["csv"] = out.with_suffix(".csv")
-    return {kind: digest(path.read_text()) for kind, path in files.items()}
+    return {kind: path.read_text() for kind, path in files.items()}
+
+
+def outputs(entry: str, workdir: Path) -> dict[str, str]:
+    """Run one entry's command in workdir; the digest of each artifact."""
+    return {kind: digest(text) for kind, text in artifacts(entry, workdir).items()}
 
 
 def load() -> dict[str, dict[str, str]]:

@@ -8,13 +8,11 @@ from gradmarket.commit import P, VectorCommitment, setup_key
 from gradmarket.contract import (
     FINISHED,
     GRAD_VALIDATION,
-    PAYMENT,
     PHASES,
     RECONSTRUCTION,
     REGISTER,
     SETUP,
     SHARE_COLLECTION,
-    SHARE_READY,
     GasTable,
     TradeContract,
     TxRejected,
@@ -56,7 +54,6 @@ def _advance_to_validation(contract, key, rng, N=4, rho=4):
         secret, shares, cm = _honest_sharing(key, rng, T=contract.T, K=contract.K)
         contract.store_commitment(n, cm)
         sharings[n] = (secret, shares)
-    contract.mark_shares_ready()
     contract.begin_validation()
     return sharings
 
@@ -162,7 +159,6 @@ def test_owner_and_server_ids_must_be_integers(bad):
     _assert_refused(contract, "resolve_complaint", (1, forged), 1,
                     "share index must be an integer")
     assert contract.resolve_complaint(1, shares1[0]) is True
-    contract.mark_shares_ready()
     contract.begin_validation()
     contract.sample_challenge()
     _assert_refused(contract, "submit_verdict", (bad, 0, 0, 0), bad,
@@ -356,7 +352,7 @@ def test_complaint_upheld_excludes_owner():
     assert contract.tx_log[-1]["gas"] == (
         t.tx_base + checked * (t.storage_word_read + t.group_op) + t.storage_word_write
     )
-    contract.mark_shares_ready()
+    contract.begin_validation()
     assert contract.validity == {0}
 
 
@@ -378,7 +374,7 @@ def test_second_upheld_complaint_keeps_the_verdict():
     assert contract.tx_log[-1]["stored_words_delta"] == 0
     assert contract.tx_log[-1]["gas"] == t.tx_base + checked * (t.storage_word_read + t.group_op)
     assert contract.verdicts == {0: "complaint_upheld"}
-    contract.mark_shares_ready()
+    contract.begin_validation()
     assert contract.validity == set()
 
 
@@ -395,7 +391,7 @@ def test_false_complaint_dismissed_owner_retained():
     t, checked = GasTable(), (contract.T + 1) + len(key)
     assert contract.tx_log[-1]["stored_words_delta"] == 0
     assert contract.tx_log[-1]["gas"] == t.tx_base + checked * (t.storage_word_read + t.group_op)
-    contract.mark_shares_ready()
+    contract.begin_validation()
     assert contract.validity == {0}
 
 
@@ -407,9 +403,9 @@ def test_shares_ready_blocked_by_pending_complaint():
     contract.store_commitment(0, cm)
     contract.complain(1, 0)
     with pytest.raises(TxRejected):
-        contract.mark_shares_ready()
+        contract.begin_validation()
     contract.resolve_complaint(0, shares[0])
-    contract.mark_shares_ready()
+    contract.begin_validation()
 
 
 def test_challenge_ordering_enforced():
@@ -430,9 +426,41 @@ def test_session_without_rho_is_not_validated():
         contract.sample_challenge()
     assert contract.tx_log[-1]["gas"] == GasTable().tx_base
     assert contract.challenge is None
-    contract.complete_validation()  # no verdicts to wait for
-    assert contract.phase == PAYMENT
+    contract.pay()  # no verdicts to wait for
+    assert contract.phase == RECONSTRUCTION
     assert contract.validity == {0, 1, 2, 3}
+
+
+def test_pay_waits_for_every_verdict():
+    contract, key, rng = _fresh(N=2)
+    _advance_to_validation(contract, key, rng, N=2)
+    contract.sample_challenge()
+    _submit_shared_value(contract, 0, 0, 0, rng)
+    _assert_refused(contract, "pay", (), "mo", r"verdicts pending for \[1\]")
+    assert contract.balances == {}
+    _submit_shared_value(contract, 1, 0, 0, rng)
+    contract.pay()
+    assert contract.phase == RECONSTRUCTION
+    assert contract.balances == {0: 50, 1: 50}
+
+
+def test_begin_validation_waits_for_every_commitment():
+    contract, key, rng = _fresh(N=2)
+    contract.start(b"\x10" * 32, N_max=2, rho=4)
+    contract.register(0)
+    contract.register(1)
+    _, _, cm = _honest_sharing(key, rng)
+    contract.store_commitment(0, cm)
+    log_length = len(contract.tx_log)
+    with pytest.raises(TxRejected, match=r"^begin_validation: missing commitments for \[1\]$"):
+        contract.begin_validation()
+    assert contract.phase == SHARE_COLLECTION and len(contract.tx_log) == log_length
+    contract.store_commitment(1, cm)
+    contract.begin_validation()
+    assert contract.phase == GRAD_VALIDATION
+    assert contract.events[-1] == {
+        "event": "validation_started", "phase": GRAD_VALIDATION, "validity": [0, 1],
+    }
 
 
 def test_challenge_deterministic_per_seed():
@@ -446,7 +474,6 @@ def test_challenge_deterministic_per_seed():
         contract.register(0)
         _, _, cm = _honest_sharing(setup_key(3, random.Random(5)), random.Random(6), K=4)
         contract.store_commitment(0, cm)
-        contract.mark_shares_ready()
         contract.begin_validation()
         return contract.sample_challenge()
 
@@ -477,8 +504,8 @@ def test_verdict_flow_accept_and_reject():
     assert contract.verdicts == {
         0: None, 1: "output_nonzero", 2: "identity_nonzero", 3: "decode_failed", 4: None,
     }
-    contract.complete_validation()
-    assert contract.phase == PAYMENT
+    contract.pay()
+    assert contract.phase == RECONSTRUCTION
 
 
 def test_duplicate_verdict_rejected():
@@ -504,7 +531,6 @@ def _complete_session(contract, key, rng, N=4, identity=0, output=0):
     contract.sample_challenge()
     for n in range(N):
         _submit_shared_value(contract, n, identity, output, rng)
-    contract.complete_validation()
     contract.pay()
     contract.aggregate_commitment()
     contract.finish()
@@ -532,7 +558,6 @@ def test_payment_refund_on_empty_validity():
     contract.sample_challenge()
     for n in range(2):
         _submit_shared_value(contract, n, 0, 9, rng)  # everyone invalid
-    contract.complete_validation()
     contract.pay()
     assert contract.balances == {"mo": 100}
     assert contract.aggregate_commitment() is None
@@ -546,7 +571,6 @@ def test_aggregate_commitment_matches_validity_product():
     contract.sample_challenge()
     for n in range(3):
         _submit_shared_value(contract, n, 0, 0, rng)
-    contract.complete_validation()
     contract.pay()
     agg = contract.aggregate_commitment()
     # the summed shares of the valid owners verify against the aggregate
@@ -612,12 +636,10 @@ def test_state_machine_safety_exhaustive():
         "store_commitment": {SHARE_COLLECTION},
         "complain": {SHARE_COLLECTION},
         "resolve_complaint": {SHARE_COLLECTION},
-        "mark_shares_ready": {SHARE_COLLECTION},
-        "begin_validation": {SHARE_READY},
+        "begin_validation": {SHARE_COLLECTION},
         "sample_challenge": {GRAD_VALIDATION},
         "submit_verdict": {GRAD_VALIDATION},
-        "complete_validation": {GRAD_VALIDATION},
-        "pay": {PAYMENT},
+        "pay": {GRAD_VALIDATION},
         "aggregate_commitment": {RECONSTRUCTION},
         "finish": {RECONSTRUCTION},
     }
@@ -636,18 +658,12 @@ def test_state_machine_safety_exhaustive():
         for n in range(2):
             _, _, cm = _honest_sharing(key, rng)
             contract.store_commitment(n, cm)
-        contract.mark_shares_ready()
-        if phase == SHARE_READY:
-            return contract
         contract.begin_validation()
         if phase == GRAD_VALIDATION:
             return contract
         contract.sample_challenge()
         for n in range(2):
             _submit_shared_value(contract, n, 0, 0, rng)
-        contract.complete_validation()
-        if phase == PAYMENT:
-            return contract
         contract.pay()
         if phase == RECONSTRUCTION:
             return contract
@@ -665,17 +681,15 @@ def test_state_machine_safety_exhaustive():
         "store_commitment": (0, spare_cm),
         "complain": (1, 0),
         "resolve_complaint": (0, spare_shares[0]),
-        "mark_shares_ready": (),
         "begin_validation": (),
         "sample_challenge": (),
         "submit_verdict": (1, 0, 1, 1),
-        "complete_validation": (),
         "pay": (),
         "aggregate_commitment": (),
         "finish": (),
     }
     # checkpoints are free: a refused one charges nothing and logs nothing
-    free = {"advance_round", "mark_shares_ready", "begin_validation", "complete_validation"}
+    free = {"advance_round", "begin_validation"}
     for phase in PHASES:
         for method, legal_phases in legal.items():
             if phase in legal_phases:

@@ -28,11 +28,12 @@ from gradmarket.circuit import build_norm_circuit
 from gradmarket.commit import setup_key
 from gradmarket.contract import TxRejected
 from gradmarket.field import Q
-from gradmarket.shamir import robust_recon, ss_share
+from gradmarket.shamir import ShareVector, robust_recon, ss_share
 
 CLEAN = json.loads((Path(__file__).resolve().parent.parent / "configs" / "clean.json").read_text())
 OFFENDER = 0
 SQUATTED = 1  # the owner whose id the squatted commitment takes
+EQUIVOCATED = 2  # the server owner 0 gives a corrupted share and then disowns
 
 
 def _open_defect(defect: str, item: int):
@@ -170,6 +171,26 @@ class _ImpersonatedVerdicts(sim._Session):
             super()._test_proof(n, packages, circ, r)
 
 
+class _EquivocatedComplaint(sim._Session):
+    """Owner 0 delivers a corrupted share to server 2, and answers server 2's
+    complaint with the honest share it never delivered."""
+
+    def share(self):
+        super().share()
+        honest = self.sent[OFFENDER][EQUIVOCATED]
+        values = list(honest.values)
+        values[0] += 1
+        self.sent[OFFENDER][EQUIVOCATED] = ShareVector(EQUIVOCATED, values)
+        resolve = self.contract.resolve_complaint
+
+        def resolve_complaint(n, share):
+            if (n, share.index) == (OFFENDER, EQUIVOCATED):
+                share = honest
+            return resolve(n, share)
+
+        self.contract.resolve_complaint = resolve_complaint
+
+
 @pytest.mark.parametrize("target", [1, 4])
 def test_a_bad_share_is_excluded_and_unpaid(monkeypatch, target):
     # server 1's share is one of the T shares every reconstruction in the
@@ -231,3 +252,8 @@ def test_a_squatted_commitment_does_not_exclude_its_owner(monkeypatch):
     honest = set(session.do_ids) - {OFFENDER}
     assert all(ideal_accepts(session, n) for n in honest)
     assert honest <= set(session.validity) and honest <= _paid(session)
+
+
+@_open_defect("defect #8: an owner can answer a complaint with a share it never delivered", 30)
+def test_an_owner_who_equivocates_on_a_complaint_is_excluded_and_unpaid(monkeypatch):
+    assert_ideal_outcome(_run(monkeypatch, _EquivocatedComplaint))

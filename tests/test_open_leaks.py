@@ -1,6 +1,6 @@
 """Each open privacy leak, reproduced and held to the ideal market's outcome.
 
-Both tests run `clean.json` at seed 3 and follow the rules of
+Each leak test runs `clean.json` at seed 3 and follows the rules of
 `test_open_defects.py`: today each leak happens, so each test is a strict
 xfail, and the fix for a leak removes its test's marker; strict mode fails
 a forgotten one. Only an `AssertionError` counts as the expected failure.
@@ -8,6 +8,7 @@ A reproduction that stops reproducing the setting it needs fails outright
 through `pytest.fail`, not as the expected failure.
 """
 
+import math
 import re
 from pathlib import Path
 
@@ -15,6 +16,8 @@ import numpy as np
 import pytest
 
 from gradmarket import commit, perturb, sim
+from gradmarket.field import Q
+from gradmarket.shamir import robust_recon
 from test_open_defects import CLEAN, _open_defect, _run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,6 +55,35 @@ def test_a_cohort_of_one_releases_no_aggregate(monkeypatch):
         pytest.fail("the released aggregate is no longer owner 0's gradient")
     assert session.decrypted is None
     assert session.contract.balances.get("mo") == CLEAN["deposit"]
+
+
+def _sums_of_squares_with_output(output: int, rho: int, limit: int) -> list[int]:
+    """Every S < limit whose norm-circuit output prod_{j=0..rho} (S - j) mod q
+    is `output`, by one multiplicative step per S."""
+    found, value = [], math.factorial(rho + 1) % Q  # the output at S = rho + 1
+    for S in range(rho + 1, limit):
+        if value == output:
+            found.append(S)
+        value = value * (S + 1) * pow(S - rho, -1, Q) % Q
+    return found
+
+
+@_open_defect("a rejected owner's verdict shares decode to its circuit output", 29)
+def test_the_posted_verdict_shares_reveal_only_the_verdict(monkeypatch):
+    # owner 0 scales its gradient past rho (106 here) and is rejected. The
+    # output shares the servers post for it decode to prod_{j=0..rho} (S - j),
+    # which fixes S, the sum of squares of its validated slice (1404 here)
+    session = _run(monkeypatch, sim._Session,
+                   malicious_dos=[{"id": OWNER, "behavior": "norm_attack"}])
+    if session.contract.verdicts.get(OWNER) != "output_nonzero":
+        pytest.fail("owner 0 is not rejected on its circuit output")
+    posted = session.contract.verdict_buffer[OWNER]
+    servers = sorted(posted)
+    output = robust_recon(servers, [posted[i][1] for i in servers], session.config.T)
+    S = session._sub_norm(session.qvecs[OWNER].tolist())
+    if not session.contract.rho < S < 2**16:
+        pytest.fail(f"owner 0's sum of squares {S} is not in the searched range")
+    assert S not in _sums_of_squares_with_output(output, session.contract.rho, 2**16)
 
 
 def test_the_readme_threat_model_names_existing_tests():
