@@ -1,4 +1,4 @@
-"""The six configs derived from the shipped ones, which the replay checks and
+"""The seven configs derived from the shipped ones, which the replay checks and
 the golden manifest run next to `configs/*.json`.
 
 Run as a script to write each as `<name>.json` into a directory:
@@ -52,6 +52,12 @@ DERIVED = {
         malicious_dos=[{"id": 0, "behavior": "norm_attack"}],
         malicious_servers=[{"id": 3, "behavior": "false_complaint"}],
     ),
+    # the model owner's first checked aggregate share is server 1's, which
+    # fails; its first accepted share is server 2's, and it reconstructs
+    # from servers (2, 3)
+    "corrupt1": dict(_load("clean"), malicious_servers=[
+        {"id": 1, "behavior": "corrupt_shares"},
+    ]),
 }
 
 
