@@ -34,7 +34,11 @@ def _load_config(path: str) -> SessionConfig:
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        doc = json.loads(p.read_text())
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config as UTF-8 text: {exc}") from exc
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -15,7 +15,12 @@ secret, one binding each sharing mask vector. Share verification checks
     prod_j C[j]^(i^j) == prod_k basis[k]^(share[k])
 
 and commitments aggregate by element-wise group multiplication, matching
-the coordinate-wise sum of shares.
+the coordinate-wise sum of shares. A checker that already accepted T
+shares against a commitment checks a further share through the secret
+the T + 1 of them imply, C[0]^D == prod_k basis[k]^(D * secret[k]) with D
+a small integer (Feldman's identity; see `verify_share`): the same
+answer, and for an aggregate of quantized gradients a multi-exp over a
+few byte windows in place of sixteen.
 
 Both sides of that check are multi-exponentiations over the one basis, so
 the key precomputes each basis element's power at every byte position of
@@ -42,6 +47,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,6 +183,11 @@ class VectorCommitment:
 
     def to_bytes(self) -> bytes:
         return b"".join(element_to_bytes(e) for e in self.elements)
+
+    @functools.cached_property
+    def in_group(self) -> bool:
+        """Whether every element lies in the order-q subgroup."""
+        return all(pow(e, Q, P) == 1 for e in self.elements)
 
 
 def generator(k: int) -> int:
@@ -322,16 +334,71 @@ def commit(
     return VectorCommitment(elements=tuple(elements))
 
 
+@functools.lru_cache(maxsize=64)
+def _secret_weights(xs: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
+    """(D, w) for the share indices xs: w_t = D * L_t(0), with L_t the
+    Lagrange basis of xs and D > 0 the least common denominator of the
+    L_t(0), so sum_t w_t * P(x_t) = D * P(0) for every P of degree below
+    len(xs). None when the indices repeat or leave 1..q - 1, or some
+    |w_t| is 2^31 or more."""
+    if len(set(xs)) != len(xs) or not all(0 < x < Q for x in xs):
+        return None
+    # L_t(0) = num_t / den_t, products over the other indices u of x_u and x_u - x_t
+    nums = [math.prod(xu for xu in xs if xu != xt) for xt in xs]
+    dens = [math.prod(xu - xt for xu in xs if xu != xt) for xt in xs]
+    d = math.lcm(*(den // math.gcd(num, den) for num, den in zip(nums, dens)))
+    weights = tuple(num * d // den for num, den in zip(nums, dens))
+    if max(map(abs, weights)) >= 1 << 31:
+        return None
+    return d, weights
+
+
 def verify_share(
-    share: ShareVector, commitment: VectorCommitment, key: CommitmentKey
+    share: ShareVector,
+    commitment: VectorCommitment,
+    key: CommitmentKey,
+    *,
+    verified: Sequence[ShareVector] = (),
 ) -> bool:
-    """Check prod_j C[j]^(i^j) == prod_k basis[k]^(share[k]), exponents mod q."""
+    """Check prod_j C[j]^(i^j) == prod_k basis[k]^(share[k]), exponents mod q.
+
+    `verified` holds shares that already passed this check against this
+    same commitment; the answer is that of the plain check only under that
+    precondition. Once it holds T = len(C) - 1 of them, the first T and
+    this share determine a polynomial P of degree T, and the share is
+    checked through the secret it implies: with (D, w) the integer weights
+    of `_secret_weights`, V = D * P(0) = sum_t w_t * s_t, and the share
+    passes iff prod_k basis[k]^V[k] == C[0]^D.
+
+    The two checks agree exactly. Write G(s) for prod_k basis[k]^s[k] and
+    Delta = G(share) / prod_j C[j]^(i^j), so Delta = 1 iff the plain check
+    passes. Each verified share has Delta = 1, and over the T + 1 indices
+    x_t, sum_t w_t x_t^j is D for j = 0 and 0 for 1 <= j <= T, so
+    G(V) = C[0]^D * Delta^(w_i), w_i this share's weight. When
+    every C[j] lies in the order-q group, so does Delta, and w_i is a
+    nonzero integer below 2^31 < q, so Delta^(w_i) = 1 iff Delta = 1.
+
+    For an honest aggregate, V is D times a sum of quantized gradients:
+    small signed values, whose multi-exp takes the signed split's one- or
+    two-byte folds in place of sixteen byte windows. The plain check runs
+    with fewer than T verified shares, with indices that repeat or include
+    0, with a weight of 2^31 or more, or with a commitment element outside
+    the order-q group.
+    """
     if len(share.values) != len(key):
         return False
+    elements = commitment.elements
+    points = [*verified[: len(elements) - 1], share]
+    if len(points) == len(elements) and commitment.in_group:
+        weights = _secret_weights(tuple(s.index for s in points))
+        if weights is not None:
+            d, w = weights
+            secret = FieldVector.combination(w, [s.values for s in points])
+            return _multi_exp(key, secret) == pow(elements[0], d, P)
     i = share.index
     lhs = 1
     ipow = 1  # i^j mod q
-    for c in commitment.elements:
+    for c in elements:
         lhs = lhs * pow(c, ipow, P) % P
         ipow = ipow * i % Q
     rhs = _multi_exp(key, share.values)

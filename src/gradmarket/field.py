@@ -64,6 +64,13 @@ def to_bytes(a: int) -> bytes:
 
 _M32 = (1 << 32) - 1
 _M31 = (1 << 31) - 1
+# q's 32-bit limbs, as a column against a (4, len) limb array
+_Q_LIMBS = np.array([[_M32], [_M32], [_M32], [_M31]], dtype=np.uint64)
+# Limbs at most _LIMB_LIMIT carry without overflow (a carry is below 2^32),
+# and a carry-and-fold leaves every limb below _FOLDED: limb 0, below 2^32,
+# takes limb 3's bits from 2^31 up, below 2^33.
+_LIMB_LIMIT = (1 << 64) - (1 << 33)
+_FOLDED = 1 << 34
 
 
 class FieldVector:
@@ -116,19 +123,42 @@ class FieldVector:
 
     @classmethod
     def sum(cls, vectors: Iterable[FieldVector]) -> FieldVector:
-        """Coordinate-wise sum mod q of one or more equal-length vectors
-        (fewer than 2^30 of them), added limb by limb."""
-        total = None
-        for vec in vectors:
+        """Coordinate-wise sum mod q of one or more equal-length vectors."""
+        vectors = list(vectors)
+        return cls.combination([1] * len(vectors), vectors)
+
+    @classmethod
+    def combination(cls, weights: Iterable[int], vectors: Iterable[FieldVector]) -> FieldVector:
+        """sum_t weights[t] * vectors[t] mod q, for one or more equal-length
+        vectors and integer weights below 2^31 in magnitude, on their limbs.
+        A negative weight negates the vector first, as v XOR q: q is 127 one
+        bits, so that is q - v for every v < 2^127. A bound on the running
+        limbs decides when to carry and fold: only before a term that could
+        push a limb within 2^33 of 2^64, so a plain sum of fewer than 2^30
+        vectors never folds, and a term of weight near 2^31 folds each time.
+        """
+        total, bound = None, 0
+        for w, vec in zip(weights, vectors, strict=True):
+            if not -_M31 <= w <= _M31:
+                raise ValueError(f"weight {w} is not below 2^31 in magnitude")
             limbs = vec.limbs()
+            if w < 0:
+                limbs ^= _Q_LIMBS
+            limbs *= abs(w)
             if total is None:
                 total = limbs
             elif limbs.shape != total.shape:
                 raise ValueError("vector lengths differ")
             else:
+                if bound + _M32 * abs(w) > _LIMB_LIMIT:
+                    cls.carry_fold(total)
+                    bound = _FOLDED
                 total += limbs
+            bound += _M32 * abs(w)
         if total is None:
-            raise ValueError("cannot sum an empty set of vectors")
+            raise ValueError("cannot combine an empty set of vectors")
+        if bound >= 1 << 62:
+            cls.carry_fold(total)
         return cls.from_limbs(total)
 
     def limbs(self) -> np.ndarray:

@@ -472,7 +472,16 @@ class _Session:
 
     def aggregate(self):
         """Servers sum the valid owners' shares; the model owner keeps the sums
-        that match the aggregate commitment, reconstructs and decrypts."""
+        that match the aggregate commitment, reconstructs and decrypts.
+
+        The model owner checks each summed share with the ones it has already
+        accepted against the same aggregate commitment (`verify_share`'s
+        precondition): once T are accepted, a share is checked through the
+        aggregate secret it implies with them, D times a sum of quantized
+        gradients, whose multi-exp is a few byte windows wide, not 16. Each
+        answer is exactly the plain check's, so the passing list, the
+        failures and the reconstruction are unchanged.
+        """
         config, world = self.config, self.world
         agg_commitment = self.contract.aggregate_commitment()
         self.validity = sorted(self.contract.validity)
@@ -488,7 +497,7 @@ class _Session:
             if self.server_behaviors.get(i) == "corrupt_shares":
                 srng = rng_stream(self.seed, f"server.{i}.adversary.aggregate")
                 share = ShareVector(i, [field.rand_element(srng) for _ in range(len(share))])
-            if verify_share(share, agg_commitment, self.key):
+            if verify_share(share, agg_commitment, self.key, verified=passing):
                 passing.append(share)
             else:
                 self.agg_failures.append(i)

@@ -54,6 +54,10 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "r.json")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
+    # bytes that are not UTF-8: a byte-order mark of UTF-16 before "{"
+    bad.write_bytes(b"\xff\xfe{")
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "r.json")]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

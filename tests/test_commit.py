@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 import json
 import random
 from pathlib import Path
@@ -185,6 +186,110 @@ def test_aggregate_verifies_summed_shares():
             ),
         )
         assert verify_share(summed, agg, key)
+
+
+def _small_secret_instance(rng, T, K, m=6, bound=3000):
+    """A key, a dealing of small signed values (an aggregate's kind of
+    secret), its shares and its commitment."""
+    key = _explicit_key(rng, m)
+    secret = [rng.randint(-bound, bound) % Q for _ in range(m)]
+    shares, masks = ss_share(secret, T, K, rng)
+    return key, secret, shares, commit.commit(secret, masks, key)
+
+
+@pytest.mark.parametrize("T, K", [(1, 5), (2, 7)])
+def test_verify_share_with_verified_shares_matches_the_plain_check(T, K):
+    rng = random.Random(70 + T)
+    key, secret, shares, cm = _small_secret_instance(rng, T, K)
+    # another dealing's shares under the same key
+    _, _, other, _ = _small_secret_instance(random.Random(80 + T), T, K)
+    plus_one = []
+    for s in shares:
+        values = list(s.values)
+        values[rng.randrange(len(values))] += 1
+        plus_one.append(ShareVector(s.index, values))
+    candidates = [*shares, *plus_one, *other]
+    assert [verify_share(s, cm, key) for s in candidates] == [True] * K + [False] * 2 * K
+    # accepted lists: every T-subset of the honest shares, one that repeats
+    # an index, and one that holds index 0 (the secret, u(0), passes)
+    zero = ShareVector(0, secret)
+    assert verify_share(zero, cm, key)
+    accepted = [list(c) for c in itertools.combinations(shares, T)]
+    accepted += [[shares[0]] * T, [zero, *shares[1:T]]]
+    for verified in accepted:
+        for s in candidates:
+            assert verify_share(s, cm, key, verified=verified) == verify_share(s, cm, key)
+
+
+@pytest.mark.parametrize("T, K", [(1, 5), (2, 7)])
+def test_a_checked_share_of_small_secrets_folds_at_most_two_bytes(T, K, monkeypatch):
+    # with T shares accepted, each further check folds V = D * secret, whose
+    # values stay within 2^16 (D is 15 at most here); a +1 on one coordinate
+    # keeps V small, takes the same short folds and still fails
+    rng = random.Random(90 + T)
+    key, _, shares, cm = _small_secret_instance(rng, T, K, m=48)
+    folds = _recording_folds(monkeypatch)
+    for s in shares[T:]:
+        folds.clear()
+        assert verify_share(s, cm, key, verified=shares[:T])
+        assert folds and all(d.shape[1] <= 2 for d in folds)
+        values = list(s.values)
+        values[7] += 1
+        folds.clear()
+        assert not verify_share(ShareVector(s.index, values), cm, key, verified=shares[:T])
+        assert folds and all(d.shape[1] <= 2 for d in folds)
+    # fewer than T accepted shares: the plain check's 16 windows
+    folds.clear()
+    assert verify_share(shares[-1], cm, key, verified=shares[: T - 1])
+    assert [d.shape[1] for d in folds] == [16]
+
+
+def test_secret_weights_clear_the_denominators_or_refuse():
+    assert commit._secret_weights((1, 2)) == (1, (2, -1))
+    assert commit._secret_weights((1, 2, 5)) == (6, (15, -10, 1))
+    for xs in ((1, 1), (0, 2), (3, 2, 3), (Q, 1), (-1, 2)):
+        assert commit._secret_weights(xs) is None
+    # through 1, 2 and X, w_1 = X (X - 2): below 2^31 at X = 2^15, not at 2^16
+    assert commit._secret_weights((1, 2, 1 << 15))[1][0] < 1 << 31
+    assert commit._secret_weights((1, 2, 1 << 16)) is None
+
+
+def test_a_large_weight_falls_back_to_the_plain_check():
+    rng = random.Random(95)
+    m, T = 4, 2
+    key = _explicit_key(rng, m)
+    secret = [rng.randint(-50, 50) % Q for _ in range(m)]
+    masks = [[field.rand_element(rng) for _ in range(m)] for _ in range(T)]
+    cm = commit.commit(secret, masks, key)
+
+    def share(x, bump=0):
+        values = [(a + sum(z[k] * x ** (j + 1) for j, z in enumerate(masks))) % Q
+                  for k, a in enumerate(secret)]
+        values[0] += bump
+        return ShareVector(x, values)
+
+    verified = [share(1), share(2)]
+    assert commit._secret_weights((1, 2, 1 << 16)) is None
+    results = [verify_share(s, cm, key, verified=verified)
+               for s in (share(1 << 16), share(1 << 16, bump=1))]
+    assert results == [True, False]
+
+
+def test_a_commitment_outside_the_group_takes_the_plain_check():
+    # C[1] times -1, an element of order 2: the plain check at index x sees
+    # (-1)^x, so index 2 passes and index 3 fails. Through (2, 3) the
+    # weights are (3, -2) and D = 1, and the even weight of share 3 cancels
+    # the -1, so the secret check alone would pass it
+    rng = random.Random(96)
+    key, _, shares, cm = _small_secret_instance(rng, 1, 5)
+    odd = commit.VectorCommitment((cm.elements[0], cm.elements[1] * (P - 1) % P))
+    assert not odd.in_group and cm.in_group
+    assert verify_share(shares[1], odd, key)
+    assert not verify_share(shares[2], odd, key)
+    assert commit._secret_weights((2, 3)) == (1, (3, -2))
+    secret = FieldVector.combination((3, -2), [shares[1].values, shares[2].values])
+    assert commit._multi_exp(key, secret) == odd.elements[0]
+    assert not verify_share(shares[2], odd, key, verified=[shares[1]])
 
 
 def test_group_element_bytes_layout():

@@ -400,3 +400,28 @@ def test_field_vector_negation_is_xor_with_q():
     q_digits = np.frombuffer(Q.to_bytes(field.ELEMENT_BYTES, "little"), np.uint8)
     negated = FieldVector(EDGES).digits() ^ q_digits
     assert [int.from_bytes(row.tobytes(), "little") for row in negated] == [Q - e for e in EDGES]
+
+
+def test_field_vector_combination_matches_ints_at_edges():
+    # edge residues against the largest weights of both signs, and zero
+    columns = list(itertools.product(EDGES, repeat=3))
+    vectors = [FieldVector(c[j] for c in columns) for j in range(3)]
+    top = (1 << 31) - 1
+    for weights in ([1, 1, 1], [top, -top, top], [-top, -top, -top], [0, -1, 3], [-1, 0, 0]):
+        expect = [sum(w * e for w, e in zip(weights, c)) % Q for c in columns]
+        assert FieldVector.combination(weights, vectors).tolist() == expect
+    # many terms carry through every limb between terms
+    rng = random.Random(43)
+    many = [FieldVector([Q - 1, *rng.sample(EDGES, 3)]) for _ in range(200)]
+    weights = [rng.choice((top, -top)) for _ in many]
+    expect = [sum(w * e for w, e in zip(weights, c)) % Q for c in zip(*many)]
+    assert FieldVector.combination(weights, many).tolist() == expect
+    for bad in ([1 << 31, 1], [-(1 << 31), 1]):
+        with pytest.raises(ValueError):
+            FieldVector.combination(bad, vectors[:2])
+    with pytest.raises(ValueError):
+        FieldVector.combination([1, 1], [vectors[0], FieldVector(EDGES)])
+    with pytest.raises(ValueError):
+        FieldVector.combination([1], vectors[:2])
+    with pytest.raises(ValueError):
+        FieldVector.combination([], [])

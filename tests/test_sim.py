@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import SMALL_SESSION, probe_vector, small_session_config, training_config
-from gradmarket import circuit, perturb, sim, snip
+from gradmarket import circuit, commit, perturb, sim, snip
 from gradmarket.commit import setup_key
 from gradmarket.contract import TradeContract, expected_word_count
 from gradmarket.field import FieldVector
@@ -210,6 +210,49 @@ def test_corrupt_server_within_budget_is_bit_transparent():
         return json.dumps(out, sort_keys=True)
     assert strip(attacked) == strip(clean)
     assert attacked["events"] == clean["events"]
+
+
+def _clean_session(**overrides) -> sim._Session:
+    path = Path(__file__).resolve().parent.parent / "configs" / "clean.json"
+    config = SessionConfig.from_dict({**json.loads(path.read_text()), **overrides})
+    world = build_world(config, 3)
+    return sim._run_session(config, 3, world, setup_key(perturb.flat_length(config.layers), None))
+
+
+def test_the_model_owner_runs_t_full_width_folds(monkeypatch):
+    # the first T summed shares take the plain check's 16 byte windows; each
+    # later one is checked through the short aggregate secret it implies
+    widths = []
+    fold, aggregate = commit._bucket_fold, sim._Session.aggregate
+
+    def recorded(key, digits):
+        widths.append(digits.shape[1])
+        return fold(key, digits)
+
+    def recorded_aggregate(self):
+        monkeypatch.setattr(commit, "_bucket_fold", recorded)
+        try:
+            aggregate(self)
+        finally:
+            monkeypatch.setattr(commit, "_bucket_fold", fold)
+
+    monkeypatch.setattr(sim._Session, "aggregate", recorded_aggregate)
+    session = _clean_session()
+    assert session.agg_failures == []
+    assert widths.count(16) == session.config.T == 1
+    assert max(w for w in widths if w != 16) <= 2
+
+
+def test_a_corrupt_first_server_leaves_the_decrypted_gradient():
+    # server 1's summed share fails the plain check, server 2's is the first
+    # accepted, and the model owner reconstructs from servers (2, 3)
+    clean = _clean_session()
+    attacked = _clean_session(malicious_servers=[{"id": 1, "behavior": "corrupt_shares"}])
+    assert attacked.agg_failures == [1]
+    assert attacked.report()["aggregate_share_failures"] == [1]
+    assert len(attacked.decrypted) == len(clean.decrypted)
+    for a, b in zip(attacked.decrypted, clean.decrypted):
+        assert np.array_equal(a, b)
 
 
 @st.composite
