@@ -1,4 +1,4 @@
-"""The seven configs derived from the shipped ones, which the replay checks and
+"""The eight configs derived from the shipped ones, which the replay checks and
 the golden manifest run next to `configs/*.json`.
 
 Run as a script to write each as `<name>.json` into a directory:
@@ -57,6 +57,11 @@ DERIVED = {
     # from servers (2, 3)
     "corrupt1": dict(_load("clean"), malicious_servers=[
         {"id": 1, "behavior": "corrupt_shares"},
+    ]),
+    # the model owner accepts servers 1 and 2 as its T + 1 anchors before
+    # it checks server 5's share, which fails
+    "corrupt5": dict(_load("clean"), malicious_servers=[
+        {"id": 5, "behavior": "corrupt_shares"},
     ]),
 }
 
