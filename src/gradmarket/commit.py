@@ -20,7 +20,10 @@ shares against a commitment checks a further share through the secret
 the T + 1 of them imply, C[0]^D == prod_k basis[k]^(D * secret[k]) with D
 a small integer (Feldman's identity; see `verify_share`): the same
 answer, and for an aggregate of quantized gradients a multi-exp over a
-few byte windows in place of sixteen.
+few byte windows in place of sixteen. Once it has accepted T + 1, they
+fix the shared polynomial, and a further share is checked against its
+value there in F_q, with no group work: the same answer unless someone
+knows a discrete-log relation among the generators.
 
 Both sides of that check are multi-exponentiations over the one basis, so
 the key precomputes each basis element's power at every byte position of
@@ -47,13 +50,12 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import field
+from . import field, shamir
 from .field import FieldVector, Q
 from .shamir import ShareVector
 
@@ -334,25 +336,6 @@ def commit(
     return VectorCommitment(elements=tuple(elements))
 
 
-@functools.lru_cache(maxsize=64)
-def _secret_weights(xs: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
-    """(D, w) for the share indices xs: w_t = D * L_t(0), with L_t the
-    Lagrange basis of xs and D > 0 the least common denominator of the
-    L_t(0), so sum_t w_t * P(x_t) = D * P(0) for every P of degree below
-    len(xs). None when the indices repeat or leave 1..q - 1, or some
-    |w_t| is 2^31 or more."""
-    if len(set(xs)) != len(xs) or not all(0 < x < Q for x in xs):
-        return None
-    # L_t(0) = num_t / den_t, products over the other indices u of x_u and x_u - x_t
-    nums = [math.prod(xu for xu in xs if xu != xt) for xt in xs]
-    dens = [math.prod(xu - xt for xu in xs if xu != xt) for xt in xs]
-    d = math.lcm(*(den // math.gcd(num, den) for num, den in zip(nums, dens)))
-    weights = tuple(num * d // den for num, den in zip(nums, dens))
-    if max(map(abs, weights)) >= 1 << 31:
-        return None
-    return d, weights
-
-
 def verify_share(
     share: ShareVector,
     commitment: VectorCommitment,
@@ -364,33 +347,59 @@ def verify_share(
 
     `verified` holds shares that already passed this check against this
     same commitment; the answer is that of the plain check only under that
-    precondition. Once it holds T = len(C) - 1 of them, the first T and
-    this share determine a polynomial P of degree T, and the share is
-    checked through the secret it implies: with (D, w) the integer weights
-    of `_secret_weights`, V = D * P(0) = sum_t w_t * s_t, and the share
-    passes iff prod_k basis[k]^V[k] == C[0]^D.
+    precondition. Once it holds T = len(C) - 1 of them, the share is
+    checked relative to them, by the integer Lagrange weights (D, w) of
+    `shamir.integer_weights`:
+    - with T + 1 or more, the first T + 1 fix the shared polynomial P, and
+      the share passes iff D * share == sum_t w_t * verified_t = D * P(i),
+      (D, w) taken at the share's index i: two limb combinations in F_q
+      and one compare, no group work;
+    - with T, the first T and this share fix P, and the share passes iff
+      prod_k basis[k]^V[k] == C[0]^D, V = sum_t w_t * s_t = D * P(0) over
+      them, (D, w) taken at 0 (Feldman's identity).
 
-    The two checks agree exactly. Write G(s) for prod_k basis[k]^s[k] and
-    Delta = G(share) / prod_j C[j]^(i^j), so Delta = 1 iff the plain check
-    passes. Each verified share has Delta = 1, and over the T + 1 indices
-    x_t, sum_t w_t x_t^j is D for j = 0 and 0 for 1 <= j <= T, so
-    G(V) = C[0]^D * Delta^(w_i), w_i this share's weight. When
-    every C[j] lies in the order-q group, so does Delta, and w_i is a
-    nonzero integer below 2^31 < q, so Delta^(w_i) = 1 iff Delta = 1.
+    Write G(s) for prod_k basis[k]^s[k] and Delta = G(share) /
+    prod_j C[j]^(i^j), so Delta = 1 iff the plain check passes. Each
+    verified share has Delta = 1, and over the points x_t of the weights at
+    x, sum_t w_t x_t^j = D x^j for 0 <= j <= T. When every C[j] lies in the
+    order-q group, so do Delta and G of every vector, and D and each w_t
+    are integers below 2^31 < q.
+
+    The secret check agrees with the plain check exactly: G(V) = C[0]^D *
+    Delta^(w_i), w_i this share's weight at 0, nonzero, so Delta^(w_i) = 1
+    iff Delta = 1.
+
+    The field check agrees with it up to the commitment's binding. With U
+    = sum_t w_t * verified_t, G(U) = (prod_j C[j]^(i^j))^D. A share that
+    passes has G(share)^D = G(U), so Delta^D = 1 and Delta = 1: the plain
+    check passes, exactly. A share that fails has D * share != U, yet if
+    the plain check passed, G(D * share) = G(U): two different exponent
+    vectors with one G, a discrete-log relation among the generators,
+    which would break the commitment's binding. Short of that, it fails
+    the plain check too.
 
     For an honest aggregate, V is D times a sum of quantized gradients:
     small signed values, whose multi-exp takes the signed split's one- or
     two-byte folds in place of sixteen byte windows. The plain check runs
-    with fewer than T verified shares, with indices that repeat or include
-    0, with a weight of 2^31 or more, or with a commitment element outside
-    the order-q group.
+    with fewer than T verified shares, with verified indices that repeat
+    or leave 1..q - 1 (or include the share's own, for the secret check),
+    with a weight or D of 2^31 or more, or with a commitment element
+    outside the order-q group.
     """
     if len(share.values) != len(key):
         return False
     elements = commitment.elements
-    points = [*verified[: len(elements) - 1], share]
-    if len(points) == len(elements) and commitment.in_group:
-        weights = _secret_weights(tuple(s.index for s in points))
+    T = len(elements) - 1
+    if len(verified) >= T and commitment.in_group:
+        anchors = verified[: T + 1]
+        if len(anchors) > T:
+            weights = shamir.integer_weights(tuple(s.index for s in anchors), share.index)
+            if weights is not None:
+                d, w = weights
+                implied = FieldVector.combination(w, [s.values for s in anchors])
+                return FieldVector.combination([d], [share.values]) == implied
+        points = [*verified[:T], share]
+        weights = shamir.integer_weights(tuple(s.index for s in points), 0)
         if weights is not None:
             d, w = weights
             secret = FieldVector.combination(w, [s.values for s in points])

@@ -478,9 +478,13 @@ class _Session:
         accepted against the same aggregate commitment (`verify_share`'s
         precondition): once T are accepted, a share is checked through the
         aggregate secret it implies with them, D times a sum of quantized
-        gradients, whose multi-exp is a few byte windows wide, not 16. Each
-        answer is exactly the plain check's, so the passing list, the
-        failures and the reconstruction are unchanged.
+        gradients, whose multi-exp is a few byte windows wide, not 16; once
+        T + 1 are, a share is checked against their interpolation at its
+        index in F_q, with no multi-exp. So at any K an honest aggregate
+        costs T full-width multi-exps and one short one. Each answer is the
+        plain check's (the F_q one unless the commitment's binding is
+        broken), so the passing list, the failures and the reconstruction
+        are unchanged.
         """
         config, world = self.config, self.world
         agg_commitment = self.contract.aggregate_commitment()

@@ -21,7 +21,7 @@ from gradmarket.commit import (
     verify_share,
 )
 from gradmarket.field import FieldVector, Q
-from gradmarket.shamir import ShareVector, ss_share
+from gradmarket.shamir import ShareVector, integer_weights, ss_share
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -245,16 +245,58 @@ def test_a_checked_share_of_small_secrets_folds_at_most_two_bytes(T, K, monkeypa
 
 
 def test_secret_weights_clear_the_denominators_or_refuse():
-    assert commit._secret_weights((1, 2)) == (1, (2, -1))
-    assert commit._secret_weights((1, 2, 5)) == (6, (15, -10, 1))
+    assert integer_weights((1, 2), 0) == (1, (2, -1))
+    assert integer_weights((1, 2, 5), 0) == (6, (15, -10, 1))
     for xs in ((1, 1), (0, 2), (3, 2, 3), (Q, 1), (-1, 2)):
-        assert commit._secret_weights(xs) is None
+        assert integer_weights(xs, 0) is None
     # through 1, 2 and X, w_1 = X (X - 2): below 2^31 at X = 2^15, not at 2^16
-    assert commit._secret_weights((1, 2, 1 << 15))[1][0] < 1 << 31
-    assert commit._secret_weights((1, 2, 1 << 16)) is None
+    assert integer_weights((1, 2, 1 << 15), 0)[1][0] < 1 << 31
+    assert integer_weights((1, 2, 1 << 16), 0) is None
 
 
-def test_a_large_weight_falls_back_to_the_plain_check():
+def _counting_multi_exps(monkeypatch):
+    """A one-element list counting `commit._multi_exp` calls from now on."""
+    calls = [0]
+    multi_exp = commit._multi_exp
+
+    def counted(key, exponents):
+        calls[0] += 1
+        return multi_exp(key, exponents)
+
+    monkeypatch.setattr(commit, "_multi_exp", counted)
+    return calls
+
+
+@pytest.mark.parametrize("T, K", [(1, 5), (2, 7)])
+def test_a_share_past_t_plus_one_verified_ones_is_checked_in_the_field(T, K, monkeypatch):
+    # with T + 1 shares accepted, every further check interpolates them at
+    # the share's index: the plain check's answer on honest, random and
+    # one-coordinate-offset shares, from every (T + 1)-subset of anchors,
+    # with no multi-exp
+    rng = random.Random(100 + T)
+    key, secret, shares, cm = _small_secret_instance(rng, T, K)
+    random_shares = [ShareVector(s.index, [field.rand_element(rng) for _ in s.values])
+                     for s in shares]
+    offset = []
+    for s in shares:
+        values = list(s.values)
+        values[rng.randrange(len(values))] += rng.randrange(1, Q)
+        offset.append(ShareVector(s.index, values))
+    # index 0 holds the secret; index K + 3 lies past the dealt ones
+    beyond = [ShareVector(0, secret), ShareVector(0, [v + 1 for v in secret]),
+              ShareVector(K + 3, list(shares[0].values))]
+    candidates = [*shares, *random_shares, *offset, *beyond]
+    plain = [verify_share(s, cm, key) for s in candidates]
+    assert plain == [True] * K + [False] * 2 * K + [True, False, False]
+    calls = _counting_multi_exps(monkeypatch)
+    for anchors in itertools.combinations(shares, T + 1):
+        # more verified shares than T + 1: only the first T + 1 are read
+        verified = [*anchors, *random_shares[:1]]
+        assert [verify_share(s, cm, key, verified=verified) for s in candidates] == plain
+    assert calls[0] == 0
+
+
+def test_a_large_weight_falls_back_to_the_plain_check(monkeypatch):
     rng = random.Random(95)
     m, T = 4, 2
     key = _explicit_key(rng, m)
@@ -269,10 +311,21 @@ def test_a_large_weight_falls_back_to_the_plain_check():
         return ShareVector(x, values)
 
     verified = [share(1), share(2)]
-    assert commit._secret_weights((1, 2, 1 << 16)) is None
+    assert integer_weights((1, 2, 1 << 16), 0) is None
     results = [verify_share(s, cm, key, verified=verified)
                for s in (share(1 << 16), share(1 << 16, bump=1))]
     assert results == [True, False]
+    # past T + 1 verified shares, the weights at 2^16 through (1, 2, 3)
+    # reach 2^31 (w_2 = -(X - 1)(X - 3)), and so do those at 0 through
+    # (1, 2, 2^16): each check is the plain one, one 16-window fold
+    verified.append(share(3))
+    assert integer_weights((1, 2, 3), 1 << 16) is None
+    assert integer_weights((1, 2, 3), 1 << 15) is not None
+    folds = _recording_folds(monkeypatch)
+    results = [verify_share(s, cm, key, verified=verified)
+               for s in (share(1 << 16), share(1 << 16, bump=1))]
+    assert results == [True, False]
+    assert [d.shape[1] for d in folds] == [16, 16]
 
 
 def test_a_commitment_outside_the_group_takes_the_plain_check():
@@ -286,7 +339,7 @@ def test_a_commitment_outside_the_group_takes_the_plain_check():
     assert not odd.in_group and cm.in_group
     assert verify_share(shares[1], odd, key)
     assert not verify_share(shares[2], odd, key)
-    assert commit._secret_weights((2, 3)) == (1, (3, -2))
+    assert integer_weights((2, 3), 0) == (1, (3, -2))
     secret = FieldVector.combination((3, -2), [shares[1].values, shares[2].values])
     assert commit._multi_exp(key, secret) == odd.elements[0]
     assert not verify_share(shares[2], odd, key, verified=[shares[1]])

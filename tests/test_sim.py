@@ -243,6 +243,31 @@ def test_the_model_owner_runs_t_full_width_folds(monkeypatch):
     assert max(w for w in widths if w != 16) <= 2
 
 
+@pytest.mark.parametrize("K, T", [(5, 1), (7, 2)])
+def test_the_model_owner_runs_t_plus_one_multi_exps(K, T, monkeypatch):
+    # T plain checks and one through the short aggregate secret; the
+    # K - T - 1 shares after those T + 1 are checked in F_q alone
+    calls = []
+    multi_exp, aggregate = commit._multi_exp, sim._Session.aggregate
+
+    def counted(key, exponents):
+        calls.append(len(exponents))
+        return multi_exp(key, exponents)
+
+    def recorded_aggregate(self):
+        monkeypatch.setattr(commit, "_multi_exp", counted)
+        try:
+            aggregate(self)
+        finally:
+            monkeypatch.setattr(commit, "_multi_exp", multi_exp)
+
+    monkeypatch.setattr(sim._Session, "aggregate", recorded_aggregate)
+    session = _clean_session(K=K, T=T)
+    assert session.agg_failures == []
+    assert session.decrypted is not None
+    assert len(calls) == T + 1
+
+
 def test_a_corrupt_first_server_leaves_the_decrypted_gradient():
     # server 1's summed share fails the plain check, server 2's is the first
     # accepted, and the model owner reconstructs from servers (2, 3)
