@@ -147,8 +147,9 @@ class TradeContract:
     `resolve_complaint`) or the server index (`complain`,
     `submit_verdict`); a count, id or verdict share that is not an int,
     a `decode_failed` that is not a bool, a root that is not 32 bytes, a
-    commitment that is not T+1 ints in 1..p-1 or a disputed share that is
-    not a `ShareVector` is refused; so is a deploy
+    commitment that is not T+1 elements of the order-q subgroup of Z_p^*
+    (ints in 1..p-1, each checked by one group operation) or a disputed
+    share that is not a `ShareVector` is refused; so is a deploy
     with a deposit below 0, a T below 1 or a K not above T + 1, whose
     `TxRejected("deploy: …")` the constructor raises.
     """
@@ -330,8 +331,13 @@ class TradeContract:
             for e in elements:
                 if isinstance(e, bool) or not isinstance(e, int) or not 0 < e < P:
                     raise TxRejected(f"commitment elements must be integers in 1..p-1, got {e!r}")
+            # one power e^q per element: outside the order-q subgroup, the
+            # owner's honest shares would pass or fail by server index
+            if not commitment.in_group:
+                raise TxRejected("commitment elements must lie in the order-q subgroup")
             self.commitments[do_id] = commitment
             self._store(cost, ("commitment", do_id), self.T + 1)
+            cost["group_ops"] = self.T + 1
 
     def complain(self, server_i: int, do_id: int):
         with self._tx("complain", server_i, SHARE_COLLECTION):

@@ -224,7 +224,7 @@ def test_gas_compare_clean_config_golden_digest(tmp_path):
     cfg = str(CONFIGS / "clean.json")
     assert main(["gas-compare", "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "9862804a827a9e43bee5dac7c67e3aaa1293d6d6611029601679359e78e66beb"
+        "38ffe7ccec2f80d28633e04c534594e678b6037435c93b158377cd5ca42802b6"
     )
 
 

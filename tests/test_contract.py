@@ -205,6 +205,26 @@ def test_store_commitment_refuses_anything_but_T_plus_1_group_elements(commitmen
     assert contract.commitments == {0: cm}
 
 
+def test_store_commitment_refuses_an_element_outside_the_order_q_subgroup():
+    # C[1] times p - 1, an element of order 2: stored, it would make the
+    # owner's honest shares pass the plain check at even server indices
+    # only, so the owner would choose which servers complain
+    contract, key, rng = _fresh(N=1)
+    contract.start(b"\x11" * 32, N_max=1)
+    contract.register(0)
+    _, shares, cm = _honest_sharing(key, rng)
+    odd = VectorCommitment((cm.elements[0], cm.elements[1] * (P - 1) % P))
+    assert [commit.verify_share(s, odd, key) for s in shares] == [False, True] * 2 + [False]
+    _assert_refused(contract, "store_commitment", (0, odd), 0,
+                    "commitment elements must lie in the order-q subgroup")
+    assert contract.commitments == {}
+    # the membership test is one group operation per element
+    contract.store_commitment(0, cm)
+    t, T = GasTable(), contract.T
+    assert contract.tx_log[-1]["gas"] == t.tx_base + (T + 1) * (t.storage_word_write + t.group_op)
+    assert contract.commitments == {0: cm}
+
+
 def test_resolve_complaint_refuses_a_share_that_is_not_a_share_vector():
     contract, key, rng = _fresh(N=2)
     contract.start(b"\x10" * 32, N_max=2)

@@ -605,7 +605,7 @@ def test_clean_config_report_golden_digest():
     path = Path(__file__).resolve().parent.parent / "configs" / "clean.json"
     report = run_session(SessionConfig.from_dict(json.loads(path.read_text())), 3)
     assert _report_digest(report) == (
-        "14ae3594f11d910e59082a13b3ccba1ad7c016e594db1f669015b343bbb2eaba"
+        "8724dd6bef8aed074960156719948e42a7d43871dcef6db0c8957bcf34d7aef9"
     )
 
 
@@ -614,7 +614,7 @@ def test_all_adversaries_report_golden_digest():
     assert report["validity_set"] == [4, 5]
     assert report["aggregate_share_failures"] == [2]
     assert _report_digest(report) == (
-        "cafc109b44020be237799c1bc6b8ae3a314df0413f0a22e986d84f8720fbad5b"
+        "45d1558536f49bf3b88aad301914db39a9d43306a29feb71bde84e110248aad5"
     )
 
 
@@ -622,7 +622,7 @@ def test_unvalidated_session_report_golden_digest():
     report = run_session(small_session_config(validation=False), 3)
     assert report["validity_set"] == [0, 1, 2, 3]
     assert _report_digest(report) == (
-        "b6b558334d6b38af24a2bd490569f7673bafcc8e10b69c8075a900e3150226b1"
+        "2e278ba4b0cd7aa9402b12e7a5b127ddcfc6cffa9cd1afd8d7c3144c966fcc6e"
     )
 
 
@@ -633,7 +633,7 @@ def test_empty_validity_set_report_golden_digest():
     assert report["validity_set"] == []
     assert report["payments"] == {"mo": 1000}
     assert _report_digest(report) == (
-        "e7f512c85a6bfa9ce88046373dd6008d3079a4c7d3ec68bd02acaee136f53d73"
+        "b683eba1afe20a583349d4b9315311395b0e79e0b36b4ff63bf444e3480f3e8b"
     )
 
 
@@ -655,7 +655,7 @@ def test_attacked_training_report_and_curve_golden_digest():
     report = _rounded(run_training(SessionConfig.from_dict(doc), 3))
     assert [s["validity_set"] for s in report["sessions"]] == [[1, 2, 3]] * 3
     assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == (
-        "d4bfe050e510f140e224c8b20efdbbba9913be0852a83a78aa7c28b4cc99fe4e"
+        "61b8e0b8271cf90572cf69a23707179dee6c037ea305fc073bfc42c569f04da5"
     )
     assert hashlib.sha256(loss_curve_csv(report).encode()).hexdigest() == (
         "f85da55f86bdee7af0e47133a9d66a2b62aaac90f4aca841531daa5032b648ac"
