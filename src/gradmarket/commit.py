@@ -352,8 +352,9 @@ def verify_share(
     `shamir.integer_weights`:
     - with T + 1 or more, the first T + 1 fix the shared polynomial P, and
       the share passes iff D * share == sum_t w_t * verified_t = D * P(i),
-      (D, w) taken at the share's index i: two limb combinations in F_q
-      and one compare, no group work;
+      (D, w) taken at the share's index i: one limb combination in F_q,
+      sum_t w_t * verified_t - D * share, tested for zero, and no group
+      work;
     - with T, the first T and this share fix P, and the share passes iff
       prod_k basis[k]^V[k] == C[0]^D, V = sum_t w_t * s_t = D * P(0) over
       them, (D, w) taken at 0 (Feldman's identity).
@@ -396,8 +397,9 @@ def verify_share(
             weights = shamir.integer_weights(tuple(s.index for s in anchors), share.index)
             if weights is not None:
                 d, w = weights
-                implied = FieldVector.combination(w, [s.values for s in anchors])
-                return FieldVector.combination([d], [share.values]) == implied
+                vectors = [*(s.values for s in anchors), share.values]
+                residue = FieldVector.combination([*w, -d], vectors)
+                return not residue.to_bytes().strip(b"\0")  # the zero vector
         points = [*verified[:T], share]
         weights = shamir.integer_weights(tuple(s.index for s in points), 0)
         if weights is not None:

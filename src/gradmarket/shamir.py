@@ -2,10 +2,10 @@
 
 Shares are evaluations of per-coordinate degree-T polynomials at the fixed
 points x = 1..K. Plain reconstruction interpolates any T+1 consistent
-shares, with the small integer Lagrange weights of their indices where
-those exist (`integer_weights`, which the commitment's relative share
-checks read too); robust reconstruction treats the K' share values of one scalar that
-were received, at any distinct indices, as a [K', T+1] Reed-Solomon
+shares, by the small integer Lagrange weights of their indices where those
+exist (`integer_weights`, which the commitment's relative share checks
+read too); robust reconstruction treats the K' share values of one scalar
+that were received, at any distinct indices, as a [K', T+1] Reed-Solomon
 codeword and decodes with Gao's algorithm, correcting up to
 floor((K'-T-1)/2) arbitrary errors.
 """
