@@ -1,4 +1,4 @@
-"""The eight configs derived from the shipped ones, which the replay checks and
+"""The nine configs derived from the shipped ones, which the replay checks and
 the golden manifest run next to `configs/*.json`.
 
 Run as a script to write each as `<name>.json` into a directory:
@@ -62,6 +62,13 @@ DERIVED = {
     # it checks server 5's share, which fails
     "corrupt5": dict(_load("clean"), malicious_servers=[
         {"id": 5, "behavior": "corrupt_shares"},
+    ]),
+    # owners 0 and 1 both send server 3 a bad share, so server 3's
+    # shares hold two failing ones: both complaints are upheld, both
+    # owners are excluded, and owners 2 and 3 are paid
+    "twobad": dict(_load("clean"), malicious_dos=[
+        {"id": 0, "behavior": "bad_share", "target_server": 3},
+        {"id": 1, "behavior": "bad_share", "target_server": 3},
     ]),
 }
 
