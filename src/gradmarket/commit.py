@@ -23,7 +23,11 @@ answer, and for an aggregate of quantized gradients a multi-exp over a
 few byte windows in place of sixteen. Once it has accepted T + 1, they
 fix the shared polynomial, and a further share is checked against its
 value there in F_q, with no group work: the same answer unless someone
-knows a discrete-log relation among the generators.
+knows a discrete-log relation among the generators. A server checks its
+N shares, one per owner, as one `ShareBatch`: their checks raised to
+random 62-bit coefficients and multiplied, one multi-exp over the
+combined share (a small-exponent batch test), which a batch with a
+failing share passes with probability at most 1 / (2^62 - 1).
 
 Both sides of that check are multi-exponentiations over the one basis, so
 the key precomputes each basis element's power at every byte position of
@@ -188,8 +192,9 @@ class VectorCommitment:
 
     @functools.cached_property
     def in_group(self) -> bool:
-        """Whether every element lies in the order-q subgroup."""
-        return all(pow(e, Q, P) == 1 for e in self.elements)
+        """Whether every element lies in the order-q subgroup: e in 1..p - 1
+        with e^(q + 1) = e, which takes squarings only (q + 1 = 2^127)."""
+        return all(0 < e < P and pow(e, Q + 1, P) == e for e in self.elements)
 
 
 def generator(k: int) -> int:
@@ -336,14 +341,105 @@ def commit(
     return VectorCommitment(elements=tuple(elements))
 
 
+# a batch coefficient's bits, two halves below 2^31, the bound of a
+# `FieldVector.combination` weight
+_BATCH_HALF_BITS = 31
+_BATCH_BITS = 2 * _BATCH_HALF_BITS
+
+
+@dataclass(frozen=True)
+class ShareBatch:
+    """One server's shares at its index i, checked against their dealers'
+    commitments by one folded multi-exp (small-exponent batch verification,
+    Bellare, Garay and Rabin, EUROCRYPT 1998).
+
+    With a coefficient c_n per member (share s_n, commitment C_n), the
+    batch holds iff
+
+        prod_k basis[k]^(sum_n c_n * s_n[k]) == prod_n prod_j C_n[j]^(c_n * i^j)
+
+    one full-width multi-exp and N (T + 1) short pows, where checking each
+    member runs N full-width multi-exps. `holds` runs the check once and
+    caches the answer; `verify_share(..., batch=)` passes a member of a
+    batch that holds.
+
+    Soundness. Write G(s) = prod_k basis[k]^s[k] and Delta_n = G(s_n) /
+    prod_j C_n[j]^(i^j), so member n passes the plain check iff Delta_n =
+    1, and the batch holds iff prod_n Delta_n^(c_n) = 1. Every member's
+    commitment lies in the order-q subgroup (`draw` admits no other, and
+    `store_commitment` refuses any other), so every Delta_n does too. If
+    every member passes, the batch holds. If member a fails, Delta_a has
+    prime order q, so for any other coefficients at most one c_a mod q
+    makes the product 1, and the c_a in 1..2^62 - 1 are distinct mod q: a
+    batch with a failing member holds with probability at most 1 / (2^62 -
+    1) over the coefficients, provided the dealers fixed their shares and
+    commitments before the server drew them. Every other answer is the
+    plain check's, since a batch that fails vouches for no member and each
+    then takes the plain check.
+    """
+
+    key: CommitmentKey
+    index: int
+    members: tuple[tuple[ShareVector, VectorCommitment], ...]
+    coefficients: tuple[int, ...]
+
+    @classmethod
+    def draw(cls, key: CommitmentKey, index: int, pairs, rng) -> ShareBatch:
+        """The batch of the (share, commitment) pairs whose share lies at
+        `index` with the key's length and whose commitment lies in the
+        order-q subgroup, each with a coefficient drawn from rng in 1..2^62
+        - 1. Any other pair stays out, and `verify_share` gives it the
+        plain check."""
+        members = tuple(
+            (s, c) for s, c in pairs
+            if s.index == index and len(s.values) == len(key) and c.in_group
+        )
+        coefficients = tuple(rng.randrange(1, 1 << _BATCH_BITS) for _ in members)
+        return cls(key, index, members, coefficients)
+
+    @functools.cached_property
+    def holds(self) -> bool:
+        """The folded check. The share side sums the coefficients' two
+        halves apart on limbs, lo + 2^31 * hi, and 2^31, one past a
+        weight's bound, enters as 2^30 twice."""
+        if not self.members:
+            return True
+        shares = [s.values for s, _ in self.members]
+        lo = FieldVector.combination(
+            [c & ((1 << _BATCH_HALF_BITS) - 1) for c in self.coefficients], shares
+        )
+        hi = FieldVector.combination([c >> _BATCH_HALF_BITS for c in self.coefficients], shares)
+        half = 1 << (_BATCH_HALF_BITS - 1)
+        folded = FieldVector.combination((1, half, half), (lo, hi, hi))
+        rhs = 1
+        for (_, commitment), c in zip(self.members, self.coefficients):
+            e = c  # c * i^j mod q
+            for element in commitment.elements:
+                rhs = rhs * pow(element, e, P) % P
+                e = e * self.index % Q
+        return _multi_exp(self.key, folded) == rhs
+
+    def vouches(self, share: ShareVector, commitment: VectorCommitment, key: CommitmentKey) -> bool:
+        """Whether (share, commitment) is a member, under this key, of a
+        batch that holds."""
+        return key == self.key and (share, commitment) in self.members and self.holds
+
+
 def verify_share(
     share: ShareVector,
     commitment: VectorCommitment,
     key: CommitmentKey,
     *,
     verified: Sequence[ShareVector] = (),
+    batch: ShareBatch | None = None,
 ) -> bool:
     """Check prod_j C[j]^(i^j) == prod_k basis[k]^(share[k]), exponents mod q.
+
+    `batch` is the checking server's `ShareBatch`: a member of a batch that
+    holds passes at once, which answers as the plain check does but for the
+    batch's 1 / (2^62 - 1) soundness error. A share outside the batch, or
+    any share of a batch that fails, takes the checks below, so a failing
+    batch leaves every member its exact plain check.
 
     `verified` holds shares that already passed this check against this
     same commitment; the answer is that of the plain check only under that
@@ -387,6 +483,8 @@ def verify_share(
     with a weight or D of 2^31 or more, or with a commitment element
     outside the order-q group.
     """
+    if batch is not None and batch.vouches(share, commitment, key):
+        return True
     if len(share.values) != len(key):
         return False
     elements = commitment.elements
@@ -428,4 +526,9 @@ def aggregate_commitments(commitments: list[VectorCommitment]) -> VectorCommitme
     for c in commitments:
         for j, e in enumerate(c.elements):
             out[j] = out[j] * e % P
-    return VectorCommitment(elements=tuple(out))
+    aggregate = VectorCommitment(elements=tuple(out))
+    # the subgroup is closed under products: parts already found in it (as
+    # `store_commitment` finds every stored one) pass that on untested
+    if all(vars(c).get("in_group") for c in commitments):
+        vars(aggregate)["in_group"] = True
+    return aggregate

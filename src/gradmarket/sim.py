@@ -32,7 +32,7 @@ import numpy as np
 from . import commit as commit_mod
 from . import field, perturb, snip
 from .circuit import build_norm_circuit
-from .commit import CommitmentKey, setup_key, verify_share
+from .commit import CommitmentKey, ShareBatch, setup_key, verify_share
 from .contract import GasTable, TradeContract, merkle_root
 from .field import HALF_Q, FieldVector, FixedPointCodec, Q
 from .perturb import MlpModel, random_model
@@ -405,12 +405,23 @@ class _Session:
             self.qvecs[n], self.sent[n] = qvec, sent
 
     def complain(self):
-        """Each server checks its shares; the contract arbitrates every complaint."""
+        """Each server checks its shares; the contract arbitrates every complaint.
+
+        A server folds its N checks into one `ShareBatch`, whose
+        coefficients come from its own `server.<i>.batch` stream, and still
+        asks `verify_share` once per owner: when the batch holds, each
+        member passes without a multi-exp of its own; when it fails, each
+        owner's share takes the plain check, so a complaint names exactly
+        the owners whose shares fail. An honest session runs K full-width
+        multi-exps here, not K·N. The contract's re-check of a complaint
+        is the plain check.
+        """
         for i in self.servers:
             false_complaint = self.server_behaviors.get(i) == "false_complaint"
-            for n in self.do_ids:
-                share = self.sent[n][i]
-                ok = verify_share(share, self.contract.commitments[n], self.key)
+            pairs = [(self.sent[n][i], self.contract.commitments[n]) for n in self.do_ids]
+            batch = ShareBatch.draw(self.key, i, pairs, rng_stream(self.seed, f"server.{i}.batch"))
+            for n, (share, commitment) in zip(self.do_ids, pairs):
+                ok = verify_share(share, commitment, self.key, batch=batch)
                 if not ok or false_complaint:
                     self.contract.complain(i, n)
                     # the accused owner submits the share it delivered to server i

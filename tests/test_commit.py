@@ -345,6 +345,127 @@ def test_a_commitment_outside_the_group_takes_the_plain_check():
     assert not verify_share(shares[2], odd, key, verified=[shares[1]])
 
 
+def test_subgroup_membership_and_its_carry_through_aggregation():
+    rng = random.Random(97)
+    g = pow(rng.randrange(2, P), GROUP_COFACTOR, P)
+    assert commit.VectorCommitment((1, g)).in_group
+    for outside in (0, P, P + 1, P - 1, g * (P - 1) % P):
+        assert not commit.VectorCommitment((1, outside)).in_group
+    key, _, _, _, cm = _honest_instance(rng, m=3, T=1)
+    other = _honest_instance(rng, m=3, T=1)[-1]
+    fresh = _honest_instance(rng, m=3, T=1)[-1]
+    assert cm.in_group and other.in_group
+    # parts already found in the subgroup pass it on untested; a part not
+    # yet tested leaves the aggregate to test itself
+    assert vars(aggregate_commitments([cm, other]))["in_group"] is True
+    unknown = aggregate_commitments([cm, fresh])
+    assert "in_group" not in vars(unknown) and unknown.in_group
+
+
+def _dealings(rng, T, K, N, m=6):
+    """One key, and N owners' shares (one list per owner, at 1..K) with
+    their commitments under it."""
+    key = _explicit_key(rng, m)
+    dealt = []
+    for _ in range(N):
+        secret = [field.rand_element(rng) for _ in range(m)]
+        shares, masks = ss_share(secret, T, K, rng)
+        dealt.append((shares, commit.commit(secret, masks, key)))
+    return key, dealt
+
+
+def _offset(share, coord, delta):
+    values = list(share.values)
+    values[coord] += delta
+    return ShareVector(share.index, values)
+
+
+def _batch_checks(key, pairs, index, seed=0):
+    """Each pair's answer through a batch drawn over all of them."""
+    batch = commit.ShareBatch.draw(key, index, pairs, random.Random(seed))
+    return [verify_share(s, c, key, batch=batch) for s, c in pairs]
+
+
+@pytest.mark.parametrize("T, K", [(1, 5), (2, 7)])
+def test_an_honest_batch_passes_every_member_with_one_multi_exp(T, K, monkeypatch):
+    rng = random.Random(110 + T)
+    key, dealt = _dealings(rng, T, K, N=4)
+    calls = _counting_multi_exps(monkeypatch)
+    for i in range(1, K + 1):
+        pairs = [(shares[i - 1], cm) for shares, cm in dealt]
+        calls[0] = 0
+        assert _batch_checks(key, pairs, i) == [True] * len(pairs)
+        assert calls[0] == 1
+        assert [verify_share(s, c, key) for s, c in pairs] == [True] * len(pairs)
+
+
+@pytest.mark.parametrize("T, K", [(1, 5), (2, 7)])
+def test_one_bad_member_fails_alone_at_every_position(T, K):
+    rng = random.Random(120 + T)
+    N = 4
+    key, dealt = _dealings(rng, T, K, N)
+    for i in (1, K):
+        for bad in range(N):
+            pairs = [(shares[i - 1], cm) for shares, cm in dealt]
+            pairs[bad] = (_offset(pairs[bad][0], rng.randrange(6), rng.randrange(1, Q)),
+                          pairs[bad][1])
+            plain = [verify_share(s, c, key) for s, c in pairs]
+            assert plain == [n != bad for n in range(N)]
+            assert _batch_checks(key, pairs, i, seed=bad) == plain
+
+
+@pytest.mark.parametrize("T, K", [(1, 5), (2, 7)])
+def test_two_offsets_that_cancel_in_an_unweighted_sum_both_fail(T, K):
+    # owner 0's share is off by +delta and owner 1's by -delta on one
+    # coordinate, so Delta_0 * Delta_1 = 1: their summed share passes
+    # against the aggregate commitment, but the weighted fold does not
+    rng = random.Random(130 + T)
+    key, dealt = _dealings(rng, T, K, N=3)
+    i, delta = 2, rng.randrange(1, Q)
+    pairs = [(shares[i - 1], cm) for shares, cm in dealt]
+    pairs[0] = (_offset(pairs[0][0], 3, delta), pairs[0][1])
+    pairs[1] = (_offset(pairs[1][0], 3, -delta), pairs[1][1])
+    summed = ShareVector(i, FieldVector.sum([pairs[0][0].values, pairs[1][0].values]))
+    assert verify_share(summed, aggregate_commitments([pairs[0][1], pairs[1][1]]), key)
+    assert [verify_share(s, c, key) for s, c in pairs] == [False, False, True]
+    assert _batch_checks(key, pairs, i) == [False, False, True]
+
+
+@pytest.mark.parametrize("T, K", [(1, 5), (2, 7)])
+def test_a_pair_outside_the_batch_takes_the_plain_check(T, K, monkeypatch):
+    rng = random.Random(140 + T)
+    key, dealt = _dealings(rng, T, K, N=3)
+    i = 3
+    honest = [(shares[i - 1], cm) for shares, cm in dealt]
+    cm = dealt[0][1]
+    # C[1] times -1: the plain check at index x sees (-1)^x, so the honest
+    # share at odd i fails and the one at even i - 1 passes
+    odd = commit.VectorCommitment((cm.elements[0], cm.elements[1] * (P - 1) % P, *cm.elements[2:]))
+    strays = [
+        (dealt[0][0][i - 1], odd),
+        (dealt[0][0][i - 2], odd),
+        # another server's share, and a share of another length
+        (dealt[1][0][i], dealt[1][1]),
+        (ShareVector(i, list(dealt[2][0][i - 1].values)[:-1]), dealt[2][1]),
+        (ShareVector(i, [*dealt[2][0][i - 1].values, 0]), dealt[2][1]),
+    ]
+    batch = commit.ShareBatch.draw(key, i, [*honest, *strays], random.Random(1))
+    assert batch.members == tuple(honest)
+    plain = [verify_share(s, c, key) for s, c in strays]
+    assert plain == [False, True, True, False, False]
+    calls = _counting_multi_exps(monkeypatch)
+    assert [verify_share(s, c, key, batch=batch) for s, c in honest] == [True] * 3
+    assert calls[0] == 1
+    assert [verify_share(s, c, key, batch=batch) for s, c in strays] == plain
+    # a share that is not a member, though its commitment is one, and a
+    # member under another key
+    stray = _offset(honest[0][0], 0, 1)
+    assert not verify_share(stray, honest[0][1], key, batch=batch)
+    other_key = _explicit_key(rng, len(key))
+    assert verify_share(honest[0][0], honest[0][1], other_key, batch=batch) == \
+        verify_share(honest[0][0], honest[0][1], other_key)
+
+
 def test_group_element_bytes_layout():
     # fixed width, most significant byte first; a commitment is its
     # elements in order

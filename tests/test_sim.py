@@ -268,6 +268,52 @@ def test_the_model_owner_runs_t_plus_one_multi_exps(K, T, monkeypatch):
     assert len(calls) == T + 1
 
 
+@pytest.mark.parametrize("K, T", [(5, 1), (7, 2)])
+def test_each_server_checks_its_shares_with_one_multi_exp(K, T, monkeypatch):
+    # every server folds its N checks into one batch and still asks once
+    # per owner; a server whose batch fails gives each owner its plain check
+    calls, checks = [], []
+    multi_exp, complain, check = commit._multi_exp, sim._Session.complain, sim.verify_share
+
+    def counted(key, exponents):
+        calls.append(len(exponents))
+        return multi_exp(key, exponents)
+
+    def recorded_check(share, commitment, key, **kwargs):
+        before = len(calls)
+        ok = check(share, commitment, key, **kwargs)
+        checks.append((share.index, len(calls) - before))
+        return ok
+
+    def recorded_complain(self):
+        calls.clear()
+        checks.clear()
+        monkeypatch.setattr(commit, "_multi_exp", counted)
+        monkeypatch.setattr(sim, "verify_share", recorded_check)
+        try:
+            complain(self)
+        finally:
+            monkeypatch.setattr(commit, "_multi_exp", multi_exp)
+            monkeypatch.setattr(sim, "verify_share", check)
+
+    monkeypatch.setattr(sim._Session, "complain", recorded_complain)
+    session = _clean_session(K=K, T=T)
+    N = session.config.N
+    assert session.contract.validity == set(range(N))
+    assert len(calls) == K
+    assert len(checks) == K * N
+    # owner 1 sends server 2 a bad share: server 2's batch fails, its first
+    # check runs the batch and a plain check, each later one a plain check,
+    # and the contract's re-check of the upheld complaint adds one
+    session = _clean_session(
+        K=K, T=T, malicious_dos=[{"id": 1, "behavior": "bad_share", "target_server": 2}]
+    )
+    assert session.contract.validity == set(range(N)) - {1}
+    assert [c for i, c in checks if i == 2] == [2] + [1] * (N - 1)
+    assert [c for i, c in checks if i != 2] == [1, 0, 0, 0] * (K - 1)
+    assert len(calls) == K + N + 1
+
+
 def test_a_corrupt_first_server_leaves_the_decrypted_gradient():
     # server 1's summed share fails the plain check, server 2's is the first
     # accepted, and the model owner reconstructs from servers (2, 3)
