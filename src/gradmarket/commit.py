@@ -384,12 +384,18 @@ class ShareBatch:
     coefficients: tuple[int, ...]
 
     @classmethod
-    def draw(cls, key: CommitmentKey, index: int, pairs, rng) -> ShareBatch:
+    def draw(
+        cls,
+        key: CommitmentKey,
+        index: int,
+        pairs: Sequence[tuple[ShareVector, VectorCommitment]],
+        rng,
+    ) -> ShareBatch:
         """The batch of the (share, commitment) pairs whose share lies at
         `index` with the key's length and whose commitment lies in the
-        order-q subgroup, each with a coefficient drawn from rng in 1..2^62
-        - 1. Any other pair stays out, and `verify_share` gives it the
-        plain check."""
+        order-q subgroup, each with a coefficient in 1..2^62 - 1 drawn
+        from rng. Any other pair stays out, and `verify_share` gives it
+        the plain check."""
         members = tuple(
             (s, c) for s, c in pairs
             if s.index == index and len(s.values) == len(key) and c.in_group
@@ -402,8 +408,6 @@ class ShareBatch:
         """The folded check. The share side sums the coefficients' two
         halves apart on limbs, lo + 2^31 * hi, and 2^31, one past a
         weight's bound, enters as 2^30 twice."""
-        if not self.members:
-            return True
         shares = [s.values for s, _ in self.members]
         lo = FieldVector.combination(
             [c & ((1 << _BATCH_HALF_BITS) - 1) for c in self.coefficients], shares
