@@ -1,4 +1,4 @@
-"""The nine configs derived from the shipped ones, which the replay checks and
+"""The ten configs derived from the shipped ones, which the replay checks and
 the golden manifest run next to `configs/*.json`.
 
 Run as a script to write each as `<name>.json` into a directory:
@@ -70,6 +70,9 @@ DERIVED = {
         {"id": 0, "behavior": "bad_share", "target_server": 3},
         {"id": 1, "behavior": "bad_share", "target_server": 3},
     ]),
+    # clean.json at K = 7, T = 2, the one replay with T >= 2: its
+    # aggregate shares are checked against three anchors at once
+    "k7t2": dict(_load("clean"), K=7, T=2),
 }
 
 
