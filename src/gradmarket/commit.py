@@ -15,19 +15,17 @@ secret, one binding each sharing mask vector. Share verification checks
     prod_j C[j]^(i^j) == prod_k basis[k]^(share[k])
 
 and commitments aggregate by element-wise group multiplication, matching
-the coordinate-wise sum of shares. A checker that already accepted T
-shares against a commitment checks a further share through the secret
-the T + 1 of them imply, C[0]^D == prod_k basis[k]^(D * secret[k]) with D
-a small integer (Feldman's identity; see `verify_share`): the same
-answer, and for an aggregate of quantized gradients a multi-exp over a
-few byte windows in place of sixteen. Once it has accepted T + 1, they
-fix the shared polynomial, and a further share is checked against its
-value there in F_q, with no group work: the same answer unless someone
-knows a discrete-log relation among the generators. A server checks its
-N shares, one per owner, as one `ShareBatch`: their checks raised to
-random 62-bit coefficients and multiplied, one multi-exp over the
-combined share (a small-exponent batch test), which a batch with a
-failing share passes with probability at most 1 / (2^62 - 1).
+the coordinate-wise sum of shares. Each off-chain party checks its shares
+as one `ShareBatch`: their checks raised to random 62-bit coefficients and
+multiplied, one multi-exp over the combined share (a small-exponent batch
+test), which a batch with a failing share passes with probability at most
+1 / (2^62 - 1). A server's batch holds its N shares, one per owner. The
+model owner's holds its first T + 1 summed shares, which fix the shared
+polynomial once the batch holds, so each further summed share is checked
+against its value there in F_q, with no group work: the plain check's
+answer unless the batch erred or someone knows a discrete-log relation
+among the generators. The contract, and any share a batch cannot answer
+for, takes the plain check.
 
 Both sides of that check are multi-exponentiations over the one basis, so
 the key precomputes each basis element's power at every byte position of
@@ -349,22 +347,22 @@ _BATCH_BITS = 2 * _BATCH_HALF_BITS
 
 @dataclass(frozen=True)
 class ShareBatch:
-    """One server's shares at its index i, checked against their dealers'
-    commitments by one folded multi-exp (small-exponent batch verification,
-    Bellare, Garay and Rabin, EUROCRYPT 1998).
+    """Shares checked against their dealers' commitments by one folded
+    multi-exp (small-exponent batch verification, Bellare, Garay and Rabin,
+    EUROCRYPT 1998): a server's N shares, one per owner, or the model
+    owner's first T + 1 summed shares of the aggregate commitment.
 
-    With a coefficient c_n per member (share s_n, commitment C_n), the
-    batch holds iff
+    With a coefficient c_n per member (share s_n at index i_n, commitment
+    C_n), the batch holds iff
 
-        prod_k basis[k]^(sum_n c_n * s_n[k]) == prod_n prod_j C_n[j]^(c_n * i^j)
+        prod_k basis[k]^(sum_n c_n * s_n[k]) == prod_n prod_j C_n[j]^(c_n * i_n^j)
 
-    one full-width multi-exp and N (T + 1) short pows, where checking each
-    member runs N full-width multi-exps. `holds` runs the check once and
-    caches the answer; `verify_share(..., batch=)` passes a member of a
-    batch that holds.
+    one full-width multi-exp and a short pow per commitment element, where
+    checking each member runs one full-width multi-exp per member. `holds`
+    runs the check once and caches the answer; `check` answers for a share.
 
     Soundness. Write G(s) = prod_k basis[k]^s[k] and Delta_n = G(s_n) /
-    prod_j C_n[j]^(i^j), so member n passes the plain check iff Delta_n =
+    prod_j C_n[j]^(i_n^j), so member n passes the plain check iff Delta_n =
     1, and the batch holds iff prod_n Delta_n^(c_n) = 1. Every member's
     commitment lies in the order-q subgroup (`draw` admits no other, and
     `store_commitment` refuses any other), so every Delta_n does too. If
@@ -373,13 +371,30 @@ class ShareBatch:
     makes the product 1, and the c_a in 1..2^62 - 1 are distinct mod q: a
     batch with a failing member holds with probability at most 1 / (2^62 -
     1) over the coefficients, provided the dealers fixed their shares and
-    commitments before the server drew them. Every other answer is the
-    plain check's, since a batch that fails vouches for no member and each
-    then takes the plain check.
+    commitments before the checker drew them.
+
+    The F_q check. When the members are T + 1 shares of one commitment C of
+    T + 1 elements (the anchors), a further share of C at index i is
+    checked by the integer Lagrange weights (D, w) of the anchors' indices
+    at i (`shamir.integer_weights`): it passes iff D * share == U, with U =
+    sum_t w_t * anchor_t, one limb combination in F_q tested for zero. Over
+    the anchors' indices x_t, sum_t w_t x_t^j = D i^j for 0 <= j <= T, so if
+    every anchor passes the plain check, G(U) = (prod_j C[j]^(i^j))^D. A
+    share that passes then has G(share)^D = G(U), so Delta^D = 1, and Delta
+    = 1 since it lies in the order-q subgroup and 0 < D < 2^31 < q: the
+    plain check passes. A share that fails has D * share != U, yet if the
+    plain check passed, G(D * share) = G(U): two different exponent vectors
+    with one G, a discrete-log relation among the generators, which would
+    break the commitment's binding. So the F_q check errs only if the batch
+    held over a failing anchor, with probability at most 1 / (2^62 - 1),
+    or the binding breaks.
+
+    Every other answer is the plain check's: a batch that fails answers for
+    no share, and so do anchors whose indices repeat or whose weights reach
+    2^31.
     """
 
     key: CommitmentKey
-    index: int
     members: tuple[tuple[ShareVector, VectorCommitment], ...]
     coefficients: tuple[int, ...]
 
@@ -387,21 +402,16 @@ class ShareBatch:
     def draw(
         cls,
         key: CommitmentKey,
-        index: int,
         pairs: Sequence[tuple[ShareVector, VectorCommitment]],
         rng,
     ) -> ShareBatch:
-        """The batch of the (share, commitment) pairs whose share lies at
-        `index` with the key's length and whose commitment lies in the
-        order-q subgroup, each with a coefficient in 1..2^62 - 1 drawn
-        from rng. Any other pair stays out, and `verify_share` gives it
-        the plain check."""
-        members = tuple(
-            (s, c) for s, c in pairs
-            if s.index == index and len(s.values) == len(key) and c.in_group
-        )
+        """The batch of the (share, commitment) pairs whose share has the
+        key's length and whose commitment lies in the order-q subgroup,
+        each with a coefficient in 1..2^62 - 1 drawn from rng. Any other
+        pair stays out, and `verify_share` gives it the plain check."""
+        members = tuple((s, c) for s, c in pairs if len(s.values) == len(key) and c.in_group)
         coefficients = tuple(rng.randrange(1, 1 << _BATCH_BITS) for _ in members)
-        return cls(key, index, members, coefficients)
+        return cls(key, members, coefficients)
 
     @functools.cached_property
     def holds(self) -> bool:
@@ -416,17 +426,34 @@ class ShareBatch:
         half = 1 << (_BATCH_HALF_BITS - 1)
         folded = FieldVector.combination((1, half, half), (lo, hi, hi))
         rhs = 1
-        for (_, commitment), c in zip(self.members, self.coefficients):
+        for (share, commitment), c in zip(self.members, self.coefficients):
             e = c  # c * i^j mod q
             for element in commitment.elements:
                 rhs = rhs * pow(element, e, P) % P
-                e = e * self.index % Q
+                e = e * share.index % Q
         return _multi_exp(self.key, folded) == rhs
 
-    def vouches(self, share: ShareVector, commitment: VectorCommitment, key: CommitmentKey) -> bool:
-        """Whether (share, commitment) is a member, under this key, of a
-        batch that holds."""
-        return key == self.key and (share, commitment) in self.members and self.holds
+    def check(
+        self, share: ShareVector, commitment: VectorCommitment, key: CommitmentKey
+    ) -> bool | None:
+        """The batch's answer for (share, commitment) under key: True for a
+        member of a batch that holds, the F_q check's for a further share
+        of its anchors' commitment, and None, for the plain check to
+        answer, wherever neither applies."""
+        if key != self.key:
+            return None
+        if (share, commitment) in self.members:
+            return self.holds or None
+        anchors = [s for s, c in self.members if c == commitment]
+        if not (len(anchors) == len(self.members) == len(commitment.elements)
+                and len(share.values) == len(key) and self.holds):
+            return None
+        weights = shamir.integer_weights(tuple(s.index for s in anchors), share.index)
+        if weights is None:
+            return None
+        d, w = weights
+        residue = FieldVector.combination([*w, -d], [*(s.values for s in anchors), share.values])
+        return not residue.to_bytes().strip(b"\0")  # the zero vector
 
 
 def verify_share(
@@ -434,84 +461,25 @@ def verify_share(
     commitment: VectorCommitment,
     key: CommitmentKey,
     *,
-    verified: Sequence[ShareVector] = (),
     batch: ShareBatch | None = None,
 ) -> bool:
     """Check prod_j C[j]^(i^j) == prod_k basis[k]^(share[k]), exponents mod q.
 
-    `batch` is the checking server's `ShareBatch`: a member of a batch that
-    holds passes at once, which answers as the plain check does but for the
-    batch's 1 / (2^62 - 1) soundness error. A share outside the batch, or
-    any share of a batch that fails, takes the checks below, so a failing
-    batch leaves every member its exact plain check.
-
-    `verified` holds shares that already passed this check against this
-    same commitment; the answer is that of the plain check only under that
-    precondition. Once it holds T = len(C) - 1 of them, the share is
-    checked relative to them, by the integer Lagrange weights (D, w) of
-    `shamir.integer_weights`:
-    - with T + 1 or more, the first T + 1 fix the shared polynomial P, and
-      the share passes iff D * share == sum_t w_t * verified_t = D * P(i),
-      (D, w) taken at the share's index i: one limb combination in F_q,
-      sum_t w_t * verified_t - D * share, tested for zero, and no group
-      work;
-    - with T, the first T and this share fix P, and the share passes iff
-      prod_k basis[k]^V[k] == C[0]^D, V = sum_t w_t * s_t = D * P(0) over
-      them, (D, w) taken at 0 (Feldman's identity).
-
-    Write G(s) for prod_k basis[k]^s[k] and Delta = G(share) /
-    prod_j C[j]^(i^j), so Delta = 1 iff the plain check passes. Each
-    verified share has Delta = 1, and over the points x_t of the weights at
-    x, sum_t w_t x_t^j = D x^j for 0 <= j <= T. When every C[j] lies in the
-    order-q group, so do Delta and G of every vector, and D and each w_t
-    are integers below 2^31 < q.
-
-    The secret check agrees with the plain check exactly: G(V) = C[0]^D *
-    Delta^(w_i), w_i this share's weight at 0, nonzero, so Delta^(w_i) = 1
-    iff Delta = 1.
-
-    The field check agrees with it up to the commitment's binding. With U
-    = sum_t w_t * verified_t, G(U) = (prod_j C[j]^(i^j))^D. A share that
-    passes has G(share)^D = G(U), so Delta^D = 1 and Delta = 1: the plain
-    check passes, exactly. A share that fails has D * share != U, yet if
-    the plain check passed, G(D * share) = G(U): two different exponent
-    vectors with one G, a discrete-log relation among the generators,
-    which would break the commitment's binding. Short of that, it fails
-    the plain check too.
-
-    For an honest aggregate, V is D times a sum of quantized gradients:
-    small signed values, whose multi-exp takes the signed split's one- or
-    two-byte folds in place of sixteen byte windows. The plain check runs
-    with fewer than T verified shares, with verified indices that repeat
-    or leave 1..q - 1 (or include the share's own, for the secret check),
-    with a weight or D of 2^31 or more, or with a commitment element
-    outside the order-q group.
+    `batch` is the checking party's `ShareBatch`, which answers for its
+    members and, when they are T + 1 anchors of one commitment, for further
+    shares of it, as the plain check does but for the batch's 1 / (2^62 -
+    1) soundness error (see `ShareBatch`). Any other share, and every share
+    of a batch that fails, takes the plain check: one full-width multi-exp
+    and T + 1 short pows.
     """
-    if batch is not None and batch.vouches(share, commitment, key):
-        return True
+    if batch is not None and (answer := batch.check(share, commitment, key)) is not None:
+        return answer
     if len(share.values) != len(key):
         return False
-    elements = commitment.elements
-    T = len(elements) - 1
-    if len(verified) >= T and commitment.in_group:
-        anchors = verified[: T + 1]
-        if len(anchors) > T:
-            weights = shamir.integer_weights(tuple(s.index for s in anchors), share.index)
-            if weights is not None:
-                d, w = weights
-                vectors = [*(s.values for s in anchors), share.values]
-                residue = FieldVector.combination([*w, -d], vectors)
-                return not residue.to_bytes().strip(b"\0")  # the zero vector
-        points = [*verified[:T], share]
-        weights = shamir.integer_weights(tuple(s.index for s in points), 0)
-        if weights is not None:
-            d, w = weights
-            secret = FieldVector.combination(w, [s.values for s in points])
-            return _multi_exp(key, secret) == pow(elements[0], d, P)
     i = share.index
     lhs = 1
     ipow = 1  # i^j mod q
-    for c in elements:
+    for c in commitment.elements:
         lhs = lhs * pow(c, ipow, P) % P
         ipow = ipow * i % Q
     rhs = _multi_exp(key, share.values)

@@ -407,19 +407,24 @@ class _Session:
     def complain(self):
         """Each server checks its shares; the contract arbitrates every complaint.
 
-        A server folds its N checks into one `ShareBatch`, whose
-        coefficients come from its own `server.<i>.batch` stream, and still
-        asks `verify_share` once per owner: when the batch holds, each
-        member passes without a multi-exp of its own; when it fails, each
-        owner's share takes the plain check, so a complaint names exactly
-        the owners whose shares fail. An honest session runs K full-width
-        multi-exps here, not K·N. The contract's re-check of a complaint
-        is the plain check.
+        Server i reads what it received at its own index i, whatever index
+        the sender wrote on it, since i is the point its share must lie at.
+        It folds its N checks into one `ShareBatch`, whose coefficients come
+        from its own `server.<i>.batch` stream, and still asks
+        `verify_share` once per owner: when the batch holds, each member
+        passes without a multi-exp of its own; when it fails, each owner's
+        share takes the plain check, so a complaint names exactly the owners
+        whose shares fail. An honest session runs K full-width multi-exps
+        here, not K·N. The contract's re-check of a complaint is the plain
+        check.
         """
         for i in self.servers:
             false_complaint = self.server_behaviors.get(i) == "false_complaint"
-            pairs = [(self.sent[n][i], self.contract.commitments[n]) for n in self.do_ids]
-            batch = ShareBatch.draw(self.key, i, pairs, rng_stream(self.seed, f"server.{i}.batch"))
+            pairs = [
+                (ShareVector(i, self.sent[n][i].values), self.contract.commitments[n])
+                for n in self.do_ids
+            ]
+            batch = ShareBatch.draw(self.key, pairs, rng_stream(self.seed, f"server.{i}.batch"))
             for n, (share, commitment) in zip(self.do_ids, pairs):
                 ok = verify_share(share, commitment, self.key, batch=batch)
                 if not ok or false_complaint:
@@ -485,17 +490,17 @@ class _Session:
         """Servers sum the valid owners' shares; the model owner keeps the sums
         that match the aggregate commitment, reconstructs and decrypts.
 
-        The model owner checks each summed share with the ones it has already
-        accepted against the same aggregate commitment (`verify_share`'s
-        precondition): once T are accepted, a share is checked through the
-        aggregate secret it implies with them, D times a sum of quantized
-        gradients, whose multi-exp is a few byte windows wide, not 16; once
-        T + 1 are, a share is checked against their interpolation at its
-        index in F_q, with no multi-exp. So at any K an honest aggregate
-        costs T full-width multi-exps and one short one. Each answer is the
-        plain check's (the F_q one unless the commitment's binding is
-        broken), so the passing list, the failures and the reconstruction
-        are unchanged.
+        The model owner checks its first T + 1 summed shares as one
+        `ShareBatch` against the aggregate commitment, with coefficients
+        from its own `mo.batch` stream. When the batch holds, they fix the
+        shared polynomial, and each later summed share is checked against
+        its value there in F_q, with no multi-exp, so at any K and T an
+        honest aggregate costs one full-width multi-exp. When the batch
+        fails, as it does with a corrupt server among the first T + 1, every
+        summed share takes the plain check: K + 1 multi-exps. Each answer is
+        the plain check's, up to the batch's soundness error and the
+        commitment's binding, so the passing list, the failures and the
+        reconstruction are the plain checks' too.
         """
         config, world = self.config, self.world
         agg_commitment = self.contract.aggregate_commitment()
@@ -504,7 +509,7 @@ class _Session:
         self.agg_failures: list[int] = []
         if not self.validity:
             return
-        passing = []
+        shares = []
         for i in self.servers:
             share = ShareVector(
                 index=i, values=FieldVector.sum(self.sent[n][i].values for n in self.validity)
@@ -512,10 +517,15 @@ class _Session:
             if self.server_behaviors.get(i) == "corrupt_shares":
                 srng = rng_stream(self.seed, f"server.{i}.adversary.aggregate")
                 share = ShareVector(i, [field.rand_element(srng) for _ in range(len(share))])
-            if verify_share(share, agg_commitment, self.key, verified=passing):
+            shares.append(share)
+        anchors = [(share, agg_commitment) for share in shares[: config.T + 1]]
+        batch = ShareBatch.draw(self.key, anchors, rng_stream(self.seed, "mo.batch"))
+        passing = []
+        for share in shares:
+            if verify_share(share, agg_commitment, self.key, batch=batch):
                 passing.append(share)
             else:
-                self.agg_failures.append(i)
+                self.agg_failures.append(share.index)
         if len(passing) < config.T + 1:
             raise ProtocolError("too few verified aggregate shares to reconstruct")
         q_sum = ss_recon(passing[: config.T + 1], config.T)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import settings
 
 from gradmarket import perturb
-from gradmarket.shamir import ss_recon
+from gradmarket.shamir import ShareVector, ss_recon
 from gradmarket.sim import SessionConfig, calibrated_rho, quantized_norm_sq
 
 # Every run draws the same examples (CI on each Python version and local
@@ -70,9 +70,9 @@ def probe_vector(session) -> list[int]:
 def ideal_accepts(session, n: int) -> bool:
     """Whether the ideal market accepts owner n of a finished `sim._Session`.
 
-    Every share n delivered must lie on one degree-T polynomial per
-    coordinate whose value at 0 is n's own vector v: shares 1..T with any
-    other share reconstruct v. The on-chain commitment is not read, since
+    Every share n delivered, read at the index of the server that received
+    it, must lie on one degree-T polynomial per coordinate whose value at 0
+    is n's own vector v: shares 1..T with any other share reconstruct v. The on-chain commitment is not read, since
     another owner can overwrite it (defect #7). v must also be nonzero,
     with sum(v^2) <= rho over the validated coordinates and <= a
     whole-vector bound over all of them. Nonzero is the weakest floor that
@@ -83,7 +83,8 @@ def ideal_accepts(session, n: int) -> bool:
     bound the unvalidated coordinates (ROADMAP item 5).
     """
     T, v = session.config.T, session.qvecs[n].tolist()
-    shares = [session.sent[n][i] for i in sorted(session.sent[n])]
+    # each delivered share counts at the index of the server that received it
+    shares = [ShareVector(i, session.sent[n][i].values) for i in sorted(session.sent[n])]
     if any(ss_recon([*shares[:T], s], T) != v for s in shares[T:]):
         return False
     whole_bound = calibrated_rho(quantized_norm_sq(probe_vector(session)))

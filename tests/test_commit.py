@@ -197,6 +197,13 @@ def _small_secret_instance(rng, T, K, m=6, bound=3000):
     return key, secret, shares, commit.commit(secret, masks, key)
 
 
+def _anchored_checks(key, anchors, cm, candidates, seed=0):
+    """Each candidate's answer against cm through a batch of the anchors,
+    as the model owner checks its summed shares."""
+    batch = commit.ShareBatch.draw(key, [(a, cm) for a in anchors], random.Random(seed))
+    return [verify_share(s, cm, key, batch=batch) for s in candidates]
+
+
 @pytest.mark.parametrize("T, K", [(1, 5), (2, 7)])
 def test_verify_share_with_verified_shares_matches_the_plain_check(T, K):
     rng = random.Random(70 + T)
@@ -209,39 +216,23 @@ def test_verify_share_with_verified_shares_matches_the_plain_check(T, K):
         values[rng.randrange(len(values))] += 1
         plus_one.append(ShareVector(s.index, values))
     candidates = [*shares, *plus_one, *other]
-    assert [verify_share(s, cm, key) for s in candidates] == [True] * K + [False] * 2 * K
-    # accepted lists: every T-subset of the honest shares, one that repeats
-    # an index, and one that holds index 0 (the secret, u(0), passes)
+    plain = [verify_share(s, cm, key) for s in candidates]
+    assert plain == [True] * K + [False] * 2 * K
+    # anchor sets: every (T + 1)-subset of the honest shares; the first
+    # T + 1 with one anchor, at each position, offset or taken from the
+    # other dealing (the batch fails); one that repeats an index, and one
+    # that holds index 0 (the secret, u(0), passes)
     zero = ShareVector(0, secret)
     assert verify_share(zero, cm, key)
-    accepted = [list(c) for c in itertools.combinations(shares, T)]
-    accepted += [[shares[0]] * T, [zero, *shares[1:T]]]
-    for verified in accepted:
-        for s in candidates:
-            assert verify_share(s, cm, key, verified=verified) == verify_share(s, cm, key)
-
-
-@pytest.mark.parametrize("T, K", [(1, 5), (2, 7)])
-def test_a_checked_share_of_small_secrets_folds_at_most_two_bytes(T, K, monkeypatch):
-    # with T shares accepted, each further check folds V = D * secret, whose
-    # values stay within 2^16 (D is 15 at most here); a +1 on one coordinate
-    # keeps V small, takes the same short folds and still fails
-    rng = random.Random(90 + T)
-    key, _, shares, cm = _small_secret_instance(rng, T, K, m=48)
-    folds = _recording_folds(monkeypatch)
-    for s in shares[T:]:
-        folds.clear()
-        assert verify_share(s, cm, key, verified=shares[:T])
-        assert folds and all(d.shape[1] <= 2 for d in folds)
-        values = list(s.values)
-        values[7] += 1
-        folds.clear()
-        assert not verify_share(ShareVector(s.index, values), cm, key, verified=shares[:T])
-        assert folds and all(d.shape[1] <= 2 for d in folds)
-    # fewer than T accepted shares: the plain check's 16 windows
-    folds.clear()
-    assert verify_share(shares[-1], cm, key, verified=shares[: T - 1])
-    assert [d.shape[1] for d in folds] == [16]
+    anchor_sets = [list(c) for c in itertools.combinations(shares, T + 1)]
+    for p in range(T + 1):
+        for swapped in (plus_one, other):
+            anchors = list(shares[: T + 1])
+            anchors[p] = swapped[p]
+            anchor_sets.append(anchors)
+    anchor_sets += [[shares[0]] * (T + 1), [zero, *shares[1 : T + 1]]]
+    for n, anchors in enumerate(anchor_sets):
+        assert _anchored_checks(key, anchors, cm, candidates, seed=n) == plain
 
 
 def test_secret_weights_clear_the_denominators_or_refuse():
@@ -269,10 +260,10 @@ def _counting_multi_exps(monkeypatch):
 
 @pytest.mark.parametrize("T, K", [(1, 5), (2, 7)])
 def test_a_share_past_t_plus_one_verified_ones_is_checked_in_the_field(T, K, monkeypatch):
-    # with T + 1 shares accepted, every further check interpolates them at
-    # the share's index: the plain check's answer on honest, random and
-    # one-coordinate-offset shares, from every (T + 1)-subset of anchors,
-    # with no multi-exp
+    # once a batch of T + 1 anchors holds, every further check interpolates
+    # them at the share's index: the plain check's answer on honest, random
+    # and one-coordinate-offset shares, from every (T + 1)-subset of
+    # anchors, with no multi-exp past the batch's one
     rng = random.Random(100 + T)
     key, secret, shares, cm = _small_secret_instance(rng, T, K)
     random_shares = [ShareVector(s.index, [field.rand_element(rng) for _ in s.values])
@@ -290,10 +281,30 @@ def test_a_share_past_t_plus_one_verified_ones_is_checked_in_the_field(T, K, mon
     assert plain == [True] * K + [False] * 2 * K + [True, False, False]
     calls = _counting_multi_exps(monkeypatch)
     for anchors in itertools.combinations(shares, T + 1):
-        # more verified shares than T + 1: only the first T + 1 are read
-        verified = [*anchors, *random_shares[:1]]
-        assert [verify_share(s, cm, key, verified=verified) for s in candidates] == plain
-    assert calls[0] == 0
+        calls[0] = 0
+        assert _anchored_checks(key, anchors, cm, candidates) == plain
+        assert calls[0] == 1
+    # more than T + 1 members of the commitment are no anchors: each share
+    # outside the batch takes the plain check
+    anchors = [*shares[: T + 1], shares[-1]]
+    calls[0] = 0
+    assert _anchored_checks(key, anchors, cm, candidates) == plain
+    assert calls[0] == 1 + len(candidates) - (T + 2)
+
+
+@pytest.mark.parametrize("T, K", [(1, 5), (2, 7)])
+def test_one_bad_anchor_fails_alone_at_every_position(T, K):
+    # T + 1 shares of one commitment, each at its own index: with one of
+    # them offset, the batch fails and every answer is the plain check's
+    rng = random.Random(105 + T)
+    key, _, shares, cm = _small_secret_instance(rng, T, K)
+    for bad in range(T + 1):
+        anchors = list(shares[: T + 1])
+        anchors[bad] = _offset(anchors[bad], rng.randrange(6), rng.randrange(1, Q))
+        candidates = [*anchors, *shares[T + 1 :]]
+        plain = [verify_share(s, cm, key) for s in candidates]
+        assert plain == [n != bad for n in range(K)]
+        assert _anchored_checks(key, anchors, cm, candidates, seed=bad) == plain
 
 
 def test_a_large_weight_falls_back_to_the_plain_check(monkeypatch):
@@ -310,19 +321,15 @@ def test_a_large_weight_falls_back_to_the_plain_check(monkeypatch):
         values[0] += bump
         return ShareVector(x, values)
 
-    verified = [share(1), share(2)]
-    assert integer_weights((1, 2, 1 << 16), 0) is None
-    results = [verify_share(s, cm, key, verified=verified)
-               for s in (share(1 << 16), share(1 << 16, bump=1))]
-    assert results == [True, False]
-    # past T + 1 verified shares, the weights at 2^16 through (1, 2, 3)
-    # reach 2^31 (w_2 = -(X - 1)(X - 3)), and so do those at 0 through
-    # (1, 2, 2^16): each check is the plain one, one 16-window fold
-    verified.append(share(3))
+    # the weights at 2^16 through the anchors (1, 2, 3) reach 2^31 (w_2 =
+    # -(X - 1)(X - 3)): past the batch, each check is the plain one, one
+    # 16-window fold
     assert integer_weights((1, 2, 3), 1 << 16) is None
     assert integer_weights((1, 2, 3), 1 << 15) is not None
+    batch = commit.ShareBatch.draw(key, [(share(x), cm) for x in (1, 2, 3)], random.Random(0))
+    assert batch.holds
     folds = _recording_folds(monkeypatch)
-    results = [verify_share(s, cm, key, verified=verified)
+    results = [verify_share(s, cm, key, batch=batch)
                for s in (share(1 << 16), share(1 << 16, bump=1))]
     assert results == [True, False]
     assert [d.shape[1] for d in folds] == [16, 16]
@@ -330,19 +337,22 @@ def test_a_large_weight_falls_back_to_the_plain_check(monkeypatch):
 
 def test_a_commitment_outside_the_group_takes_the_plain_check():
     # C[1] times -1, an element of order 2: the plain check at index x sees
-    # (-1)^x, so index 2 passes and index 3 fails. Through (2, 3) the
-    # weights are (3, -2) and D = 1, and the even weight of share 3 cancels
-    # the -1, so the secret check alone would pass it
+    # (-1)^x, so index 2 passes and index 3 fails. Through (1, 2) the
+    # weights at 3 are (-1, 2) with D = 1, and share 3 lies on the line
+    # through shares 1 and 2, so the F_q check over those anchors would
+    # pass it; the batch admits neither, and share 3 takes the plain check
     rng = random.Random(96)
     key, _, shares, cm = _small_secret_instance(rng, 1, 5)
     odd = commit.VectorCommitment((cm.elements[0], cm.elements[1] * (P - 1) % P))
     assert not odd.in_group and cm.in_group
     assert verify_share(shares[1], odd, key)
     assert not verify_share(shares[2], odd, key)
-    assert integer_weights((2, 3), 0) == (1, (3, -2))
-    secret = FieldVector.combination((3, -2), [shares[1].values, shares[2].values])
-    assert commit._multi_exp(key, secret) == odd.elements[0]
-    assert not verify_share(shares[2], odd, key, verified=[shares[1]])
+    assert integer_weights((1, 2), 3) == (1, (-1, 2))
+    line = FieldVector.combination((-1, 2), [shares[0].values, shares[1].values])
+    assert line == shares[2].values
+    batch = commit.ShareBatch.draw(key, [(shares[0], odd), (shares[1], odd)], random.Random(0))
+    assert batch.members == ()
+    assert not verify_share(shares[2], odd, key, batch=batch)
 
 
 def test_subgroup_membership_and_its_carry_through_aggregation():
@@ -380,9 +390,9 @@ def _offset(share, coord, delta):
     return ShareVector(share.index, values)
 
 
-def _batch_checks(key, pairs, index, seed=0):
+def _batch_checks(key, pairs, seed=0):
     """Each pair's answer through a batch drawn over all of them."""
-    batch = commit.ShareBatch.draw(key, index, pairs, random.Random(seed))
+    batch = commit.ShareBatch.draw(key, pairs, random.Random(seed))
     return [verify_share(s, c, key, batch=batch) for s, c in pairs]
 
 
@@ -394,7 +404,7 @@ def test_an_honest_batch_passes_every_member_with_one_multi_exp(T, K, monkeypatc
     for i in range(1, K + 1):
         pairs = [(shares[i - 1], cm) for shares, cm in dealt]
         calls[0] = 0
-        assert _batch_checks(key, pairs, i) == [True] * len(pairs)
+        assert _batch_checks(key, pairs) == [True] * len(pairs)
         assert calls[0] == 1
         assert [verify_share(s, c, key) for s, c in pairs] == [True] * len(pairs)
 
@@ -411,7 +421,7 @@ def test_one_bad_member_fails_alone_at_every_position(T, K):
                           pairs[bad][1])
             plain = [verify_share(s, c, key) for s, c in pairs]
             assert plain == [n != bad for n in range(N)]
-            assert _batch_checks(key, pairs, i, seed=bad) == plain
+            assert _batch_checks(key, pairs, seed=bad) == plain
 
 
 @pytest.mark.parametrize("T, K", [(1, 5), (2, 7)])
@@ -428,7 +438,7 @@ def test_two_offsets_that_cancel_in_an_unweighted_sum_both_fail(T, K):
     summed = ShareVector(i, FieldVector.sum([pairs[0][0].values, pairs[1][0].values]))
     assert verify_share(summed, aggregate_commitments([pairs[0][1], pairs[1][1]]), key)
     assert [verify_share(s, c, key) for s, c in pairs] == [False, False, True]
-    assert _batch_checks(key, pairs, i) == [False, False, True]
+    assert _batch_checks(key, pairs) == [False, False, True]
 
 
 @pytest.mark.parametrize("T, K", [(1, 5), (2, 7)])
@@ -441,20 +451,24 @@ def test_a_pair_outside_the_batch_takes_the_plain_check(T, K, monkeypatch):
     # C[1] times -1: the plain check at index x sees (-1)^x, so the honest
     # share at odd i fails and the one at even i - 1 passes
     odd = commit.VectorCommitment((cm.elements[0], cm.elements[1] * (P - 1) % P, *cm.elements[2:]))
+    # another server's share is a member, checked at its own index
+    other_index = (dealt[1][0][i], dealt[1][1])
     strays = [
         (dealt[0][0][i - 1], odd),
         (dealt[0][0][i - 2], odd),
-        # another server's share, and a share of another length
-        (dealt[1][0][i], dealt[1][1]),
+        # a share of another length
         (ShareVector(i, list(dealt[2][0][i - 1].values)[:-1]), dealt[2][1]),
         (ShareVector(i, [*dealt[2][0][i - 1].values, 0]), dealt[2][1]),
     ]
-    batch = commit.ShareBatch.draw(key, i, [*honest, *strays], random.Random(1))
-    assert batch.members == tuple(honest)
+    batch = commit.ShareBatch.draw(key, [*honest, other_index, *strays], random.Random(1))
+    assert batch.members == (*honest, other_index)
     plain = [verify_share(s, c, key) for s, c in strays]
-    assert plain == [False, True, True, False, False]
+    assert plain == [False, True, False, False]
+    assert verify_share(*other_index, key)
     calls = _counting_multi_exps(monkeypatch)
     assert [verify_share(s, c, key, batch=batch) for s, c in honest] == [True] * 3
+    assert calls[0] == 1
+    assert verify_share(*other_index, key, batch=batch)
     assert calls[0] == 1
     assert [verify_share(s, c, key, batch=batch) for s, c in strays] == plain
     # a share that is not a member, though its commitment is one, and a

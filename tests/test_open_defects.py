@@ -9,8 +9,9 @@ single proof instead. Today each defect lets the offence through, so each
 test is a strict xfail. The fix for a defect removes its test's marker;
 strict mode fails a forgotten one. Only an `AssertionError` counts as the
 expected failure, so a reproduction that stops running, or stops
-producing an offender, fails outright. A bad share, an offence the market
-already excludes, is held to the same outcome as a control.
+producing an offender, fails outright. A bad share and a share relabeled
+for another server, offences the market already excludes, are held to the
+same outcome as controls.
 """
 
 import contextlib
@@ -197,6 +198,40 @@ def test_a_bad_share_is_excluded_and_unpaid(monkeypatch, target):
     # ideal check uses; server 4's is checked on its own
     bad_share = {"id": OFFENDER, "behavior": "bad_share", "target_server": target}
     assert_ideal_outcome(_run(monkeypatch, sim._Session, malicious_dos=[bad_share]))
+
+
+class _RelabeledShare(sim._Session):
+    """Owner 0 gives server 2 its honest share for server 3, labeled 3."""
+
+    relabeled = {OFFENDER: (2, 3)}  # owner: (receiving server, share's server)
+
+    def share(self):
+        super().share()
+        for n, (i, j) in self.relabeled.items():
+            self.sent[n][i] = self.sent[n][j]
+
+
+class _EveryOwnerRelabels(_RelabeledShare):
+    """Owners 0..3 give servers 1..4 their honest shares for server 5."""
+
+    relabeled = {n: (n + 1, 5) for n in range(4)}
+
+
+def test_a_share_relabeled_for_another_server_is_excluded_and_unpaid(monkeypatch):
+    # server 2 reads the share at its own index, where it fails; read at
+    # the label it carries, it would pass, and the honest summed share of
+    # server 2 would be the one rejected
+    assert_ideal_outcome(_run(monkeypatch, _RelabeledShare))
+
+
+def test_shares_relabeled_by_every_owner_refund_the_deposit(monkeypatch):
+    # every complaint is upheld, so no owner is paid and the session ends
+    # normally; read at their labels, the shares passed, every owner was
+    # paid, and the model owner then had too few aggregate shares
+    session = _run(monkeypatch, _EveryOwnerRelabels)
+    assert session.contract.phase == "Finished"
+    assert session.validity == [] and _paid(session) == set()
+    assert session.contract.balances["mo"] == session.config.deposit
 
 
 @_open_defect("hole #1: a proof is not bound before the challenge", 1)

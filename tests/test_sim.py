@@ -219,9 +219,12 @@ def _clean_session(**overrides) -> sim._Session:
     return sim._run_session(config, 3, world, setup_key(perturb.flat_length(config.layers), None))
 
 
-def test_the_model_owner_runs_t_full_width_folds(monkeypatch):
-    # the first T summed shares take the plain check's 16 byte windows; each
-    # later one is checked through the short aggregate secret it implies
+@pytest.mark.parametrize("K, T", [(5, 1), (7, 2)])
+def test_the_model_owner_runs_one_multi_exp(K, T, monkeypatch):
+    # the batch over the first T + 1 summed shares is one full-width fold,
+    # and the K - T - 1 later shares are checked in F_q alone; with server 1
+    # corrupt the batch fails, and each of the K summed shares takes the
+    # plain check's full-width fold too
     widths = []
     fold, aggregate = commit._bucket_fold, sim._Session.aggregate
 
@@ -230,6 +233,7 @@ def test_the_model_owner_runs_t_full_width_folds(monkeypatch):
         return fold(key, digits)
 
     def recorded_aggregate(self):
+        widths.clear()
         monkeypatch.setattr(commit, "_bucket_fold", recorded)
         try:
             aggregate(self)
@@ -237,35 +241,14 @@ def test_the_model_owner_runs_t_full_width_folds(monkeypatch):
             monkeypatch.setattr(commit, "_bucket_fold", fold)
 
     monkeypatch.setattr(sim._Session, "aggregate", recorded_aggregate)
-    session = _clean_session()
-    assert session.agg_failures == []
-    assert widths.count(16) == session.config.T == 1
-    assert max(w for w in widths if w != 16) <= 2
-
-
-@pytest.mark.parametrize("K, T", [(5, 1), (7, 2)])
-def test_the_model_owner_runs_t_plus_one_multi_exps(K, T, monkeypatch):
-    # T plain checks and one through the short aggregate secret; the
-    # K - T - 1 shares after those T + 1 are checked in F_q alone
-    calls = []
-    multi_exp, aggregate = commit._multi_exp, sim._Session.aggregate
-
-    def counted(key, exponents):
-        calls.append(len(exponents))
-        return multi_exp(key, exponents)
-
-    def recorded_aggregate(self):
-        monkeypatch.setattr(commit, "_multi_exp", counted)
-        try:
-            aggregate(self)
-        finally:
-            monkeypatch.setattr(commit, "_multi_exp", multi_exp)
-
-    monkeypatch.setattr(sim._Session, "aggregate", recorded_aggregate)
     session = _clean_session(K=K, T=T)
     assert session.agg_failures == []
     assert session.decrypted is not None
-    assert len(calls) == T + 1
+    assert widths == [16]
+    session = _clean_session(K=K, T=T, malicious_servers=[{"id": 1, "behavior": "corrupt_shares"}])
+    assert session.agg_failures == [1]
+    assert session.decrypted is not None
+    assert widths == [16] * (K + 1)
 
 
 @pytest.mark.parametrize("K, T", [(5, 1), (7, 2)])
