@@ -358,7 +358,7 @@ class ShareBatch:
         prod_k basis[k]^(sum_n c_n * s_n[k]) == prod_n prod_j C_n[j]^(c_n * i_n^j)
 
     one full-width multi-exp and a short pow per commitment element, where
-    checking each member runs one full-width multi-exp per member. `holds`
+    checking the members one by one runs a full-width multi-exp each. `holds`
     runs the check once and caches the answer; `check` answers for a share.
 
     Soundness. Write G(s) = prod_k basis[k]^s[k] and Delta_n = G(s_n) /

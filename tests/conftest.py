@@ -72,18 +72,17 @@ def ideal_accepts(session, n: int) -> bool:
 
     Every share n delivered, read at the index of the server that received
     it, must lie on one degree-T polynomial per coordinate whose value at 0
-    is n's own vector v: shares 1..T with any other share reconstruct v. The on-chain commitment is not read, since
-    another owner can overwrite it (defect #7). v must also be nonzero,
-    with sum(v^2) <= rho over the validated coordinates and <= a
-    whole-vector bound over all of them. Nonzero is the weakest floor that
-    refuses a free rider (ROADMAP item 22). The
-    whole-vector bound is calibrated from the model owner's probe as rho is
+    is n's own vector v: shares 1..T with any other share reconstruct v.
+    The on-chain commitment is not read, since another owner can overwrite
+    it (defect #7). v must also be nonzero, with sum(v^2) <= rho over the
+    validated coordinates and <= a whole-vector bound over all of them.
+    Nonzero is the weakest floor that refuses a free rider (ROADMAP item
+    22). The whole-vector bound is calibrated from the model owner's probe as rho is
     from its validated slice: honest vectors exceed rho as a whole (sum(v^2)
     1971..5288 against rho 106 on clean.json at seed 3), so rho alone cannot
     bound the unvalidated coordinates (ROADMAP item 5).
     """
     T, v = session.config.T, session.qvecs[n].tolist()
-    # each delivered share counts at the index of the server that received it
     shares = [ShareVector(i, session.sent[n][i].values) for i in sorted(session.sent[n])]
     if any(ss_recon([*shares[:T], s], T) != v for s in shares[T:]):
         return False

@@ -292,21 +292,6 @@ def test_a_share_past_t_plus_one_verified_ones_is_checked_in_the_field(T, K, mon
     assert calls[0] == 1 + len(candidates) - (T + 2)
 
 
-@pytest.mark.parametrize("T, K", [(1, 5), (2, 7)])
-def test_one_bad_anchor_fails_alone_at_every_position(T, K):
-    # T + 1 shares of one commitment, each at its own index: with one of
-    # them offset, the batch fails and every answer is the plain check's
-    rng = random.Random(105 + T)
-    key, _, shares, cm = _small_secret_instance(rng, T, K)
-    for bad in range(T + 1):
-        anchors = list(shares[: T + 1])
-        anchors[bad] = _offset(anchors[bad], rng.randrange(6), rng.randrange(1, Q))
-        candidates = [*anchors, *shares[T + 1 :]]
-        plain = [verify_share(s, cm, key) for s in candidates]
-        assert plain == [n != bad for n in range(K)]
-        assert _anchored_checks(key, anchors, cm, candidates, seed=bad) == plain
-
-
 def test_a_large_weight_falls_back_to_the_plain_check(monkeypatch):
     rng = random.Random(95)
     m, T = 4, 2
@@ -411,16 +396,21 @@ def test_an_honest_batch_passes_every_member_with_one_multi_exp(T, K, monkeypatc
 
 @pytest.mark.parametrize("T, K", [(1, 5), (2, 7)])
 def test_one_bad_member_fails_alone_at_every_position(T, K):
+    # one share per owner at index 1 or K, as a server batches them, and
+    # T + 1 shares of one dealing at their own indices, as the model owner
+    # batches its anchors
     rng = random.Random(120 + T)
     N = 4
     key, dealt = _dealings(rng, T, K, N)
-    for i in (1, K):
-        for bad in range(N):
-            pairs = [(shares[i - 1], cm) for shares, cm in dealt]
+    batches = [[(shares[i - 1], cm) for shares, cm in dealt] for i in (1, K)]
+    batches.append([(s, dealt[0][1]) for s in dealt[0][0][: T + 1]])
+    for members in batches:
+        for bad in range(len(members)):
+            pairs = list(members)
             pairs[bad] = (_offset(pairs[bad][0], rng.randrange(6), rng.randrange(1, Q)),
                           pairs[bad][1])
             plain = [verify_share(s, c, key) for s, c in pairs]
-            assert plain == [n != bad for n in range(N)]
+            assert plain == [n != bad for n in range(len(pairs))]
             assert _batch_checks(key, pairs, seed=bad) == plain
 
 
