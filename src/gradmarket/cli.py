@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -132,11 +133,13 @@ def _selftest() -> int:
         ok = False
     check("extension exactness", ok)
 
-    # sharing round trip and robust reconstruction under one error
+    # sharing round trip from every pair of shares (six of the ten pairs
+    # have fractional Lagrange weights at 0, 126-bit signed residues) and
+    # robust reconstruction under one error
     secret = [field.rand_element(rng) for _ in range(6)]
     shares, _ = ss_share(secret, 1, 5, rng)
     from .shamir import ShareVector, ss_recon
-    ok = ss_recon(shares[:2], 1) == secret
+    ok = all(ss_recon(list(pair), 1) == secret for pair in itertools.combinations(shares, 2))
     bad = list(shares)
     tampered = list(bad[2].values)
     tampered[0] = (tampered[0] + 1) % field.Q

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import field, shamir
+from . import field
 from .field import FieldVector, Q
 from .shamir import ShareVector
 
@@ -339,10 +339,9 @@ def commit(
     return VectorCommitment(elements=tuple(elements))
 
 
-# a batch coefficient's bits, two halves below 2^31, the bound of a
-# `FieldVector.combination` weight
-_BATCH_HALF_BITS = 31
-_BATCH_BITS = 2 * _BATCH_HALF_BITS
+# a batch coefficient's bits: a batch with a failing member holds with
+# probability at most 1 / (2^62 - 1)
+_BATCH_BITS = 62
 
 
 @dataclass(frozen=True)
@@ -374,24 +373,21 @@ class ShareBatch:
     commitments before the checker drew them.
 
     The F_q check. When the members are T + 1 shares of one commitment C of
-    T + 1 elements (the anchors), a further share of C at index i is
-    checked by the integer Lagrange weights (D, w) of the anchors' indices
-    at i (`shamir.integer_weights`): it passes iff D * share == U, with U =
-    sum_t w_t * anchor_t, one limb combination in F_q tested for zero. Over
-    the anchors' indices x_t, sum_t w_t x_t^j = D i^j for 0 <= j <= T, so if
-    every anchor passes the plain check, G(U) = (prod_j C[j]^(i^j))^D. A
-    share that passes then has G(share)^D = G(U), so Delta^D = 1, and Delta
-    = 1 since it lies in the order-q subgroup and 0 < D < 2^31 < q: the
-    plain check passes. A share that fails has D * share != U, yet if the
-    plain check passed, G(D * share) = G(U): two different exponent vectors
-    with one G, a discrete-log relation among the generators, which would
-    break the commitment's binding. So the F_q check errs only if the batch
-    held over a failing anchor, with probability at most 1 / (2^62 - 1),
-    or the binding breaks.
+    T + 1 elements (the anchors) at distinct indices x_t, a further share of
+    C at index i is checked by the anchors' Lagrange weights at i, L_t(i)
+    from their cached `field.lagrange_basis`: it passes iff share == U, with
+    U = sum_t L_t(i) * anchor_t, one limb combination in F_q tested for
+    zero. Interpolation of x^j is exact, sum_t L_t(i) x_t^j = i^j mod q for
+    0 <= j <= T, so if every anchor passes the plain check, G(U) = prod_j
+    C[j]^(i^j): a share that passes is U and passes the plain check too. A
+    share that fails differs from U, yet if the plain check passed, G(share)
+    = G(U): two different exponent vectors with one G, a discrete-log
+    relation among the generators, which would break the commitment's
+    binding. So the F_q check errs only if the batch held over a failing
+    anchor, with probability at most 1 / (2^62 - 1), or the binding breaks.
 
     Every other answer is the plain check's: a batch that fails answers for
-    no share, and so do anchors whose indices repeat or whose weights reach
-    2^31.
+    no share, and neither do anchors whose indices repeat.
     """
 
     key: CommitmentKey
@@ -415,23 +411,15 @@ class ShareBatch:
 
     @functools.cached_property
     def holds(self) -> bool:
-        """The folded check. The share side sums the coefficients' two
-        halves apart on limbs, lo + 2^31 * hi, and 2^31, one past a
-        weight's bound, enters as 2^30 twice."""
-        shares = [s.values for s, _ in self.members]
-        lo = FieldVector.combination(
-            [c & ((1 << _BATCH_HALF_BITS) - 1) for c in self.coefficients], shares
-        )
-        hi = FieldVector.combination([c >> _BATCH_HALF_BITS for c in self.coefficients], shares)
-        half = 1 << (_BATCH_HALF_BITS - 1)
-        folded = FieldVector.combination((1, half, half), (lo, hi, hi))
+        """The folded check, whose share side is one limb combination."""
+        combined = FieldVector.combination(self.coefficients, [s.values for s, _ in self.members])
         rhs = 1
         for (share, commitment), c in zip(self.members, self.coefficients):
             e = c  # c * i^j mod q
             for element in commitment.elements:
                 rhs = rhs * pow(element, e, P) % P
                 e = e * share.index % Q
-        return _multi_exp(self.key, folded) == rhs
+        return _multi_exp(self.key, combined) == rhs
 
     def check(
         self, share: ShareVector, commitment: VectorCommitment, key: CommitmentKey
@@ -448,11 +436,13 @@ class ShareBatch:
         if not (len(anchors) == len(self.members) == len(commitment.elements)
                 and len(share.values) == len(key) and self.holds):
             return None
-        weights = shamir.integer_weights(tuple(s.index for s in anchors), share.index)
-        if weights is None:
+        try:
+            basis = field.lagrange_basis(tuple(s.index for s in anchors))
+        except ValueError:  # repeated indices
             return None
-        d, w = weights
-        residue = FieldVector.combination([*w, -d], [*(s.values for s in anchors), share.values])
+        weights = [field.poly_eval(row, share.index) for row in zip(*basis.columns)]
+        vectors = [*(s.values for s in anchors), share.values]
+        residue = FieldVector.combination([*weights, -1], vectors)
         return not residue.to_bytes().strip(b"\0")  # the zero vector
 
 

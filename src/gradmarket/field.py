@@ -130,33 +130,46 @@ class FieldVector:
     @classmethod
     def combination(cls, weights: Iterable[int], vectors: Iterable[FieldVector]) -> FieldVector:
         """sum_t weights[t] * vectors[t] mod q, for one or more equal-length
-        vectors and integer weights below 2^31 in magnitude, on their limbs.
-        A negative weight negates the vector first, as v XOR q: q is 127 one
-        bits, so that is q - v for every v < 2^127. A bound on the running
-        limbs decides when to carry and fold: only before a term that could
-        push a limb within 2^33 of 2^64, so a plain sum of fewer than 2^30
-        vectors never folds, and a term of weight near 2^31 folds each time.
+        vectors and any integer weights, on their limbs.
+
+        Each weight is taken as its signed residue w, |w| <= HALF_Q, and a
+        negative one negates its vector, as v XOR q: q is 127 one bits, so
+        that is q - v for every v < 2^127. The magnitudes are read in 31-bit
+        digits, most significant first, Horner's way: each digit is one pass
+        that adds every vector's limbs times its digit to the running limbs,
+        and between digits the running limbs are carried and folded twice,
+        which leaves limb 0 at most 2^32 and the others below it, and
+        multiplied by 2^31. Within a pass a bound on the running limbs
+        decides when to carry and fold: only before a term that could push a
+        limb within 2^33 of 2^64, so a plain sum of fewer than 2^30 vectors
+        never folds. Weights below 2^31 take one pass, and a residue such as
+        1/2 takes five.
         """
-        total, bound = None, 0
-        for w, vec in zip(weights, vectors, strict=True):
-            if not -_M31 <= w <= _M31:
-                raise ValueError(f"weight {w} is not below 2^31 in magnitude")
-            limbs = vec.limbs()
-            if w < 0:
-                limbs ^= _Q_LIMBS
-            limbs *= abs(w)
-            if total is None:
-                total = limbs
-            elif limbs.shape != total.shape:
-                raise ValueError("vector lengths differ")
-            else:
-                if bound + _M32 * abs(w) > _LIMB_LIMIT:
+        vectors = list(vectors)
+        signed = [(w + HALF_Q) % Q - HALF_Q for w in weights]
+        if len(signed) != len(vectors) or len({len(v) for v in vectors}) != 1:
+            raise ValueError("need one weight per vector, and one or more vectors of one length")
+        total, bound = np.zeros((4, len(vectors[0])), dtype=np.uint64), 0
+        top = max(map(abs, signed)).bit_length()
+        for shift in range((top - 1) // 31 * 31, -1, -31):
+            if bound:  # a digit after the first
+                cls.carry_fold(total)
+                cls.carry_fold(total)
+                total <<= 31
+                bound = 1 << 63
+            for w, vec in zip(signed, vectors):
+                digit = abs(w) >> shift & _M31
+                if not digit:
+                    continue
+                limbs = vec.limbs()
+                if w < 0:
+                    limbs ^= _Q_LIMBS
+                limbs *= digit
+                if bound + _M32 * digit > _LIMB_LIMIT:
                     cls.carry_fold(total)
                     bound = _FOLDED
                 total += limbs
-            bound += _M32 * abs(w)
-        if total is None:
-            raise ValueError("cannot combine an empty set of vectors")
+                bound += _M32 * digit
         if bound >= 1 << 62:
             cls.carry_fold(total)
         return cls.from_limbs(total)
@@ -297,8 +310,10 @@ class LagrangeBasis:
     columns: tuple[tuple[int, ...], ...]
 
 
-# A session decodes its d/e openings and verdicts over 1..K and its
-# aggregate over the first T+1 verified servers.
+# A session decodes its d/e openings and verdicts over 1..K. The model
+# owner checks later summed shares against its first T+1 (the anchors) and
+# reconstructs from the first T+1 that pass: one more set, or two once a
+# corrupt server sits among the anchors.
 @functools.lru_cache(maxsize=8)
 def lagrange_basis(xs: tuple[int, ...]) -> LagrangeBasis:
     """The basis of xs, cached for the last eight point sets: one product

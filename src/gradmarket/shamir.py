@@ -2,19 +2,16 @@
 
 Shares are evaluations of per-coordinate degree-T polynomials at the fixed
 points x = 1..K. Plain reconstruction interpolates any T+1 consistent
-shares, by the small integer Lagrange weights of their indices where those
-exist (`integer_weights`, which the commitment's F_q share check reads
-too); robust reconstruction treats the K' share values of one scalar
-that were received, at any distinct indices, as a [K', T+1] Reed-Solomon
-codeword and decodes with Gao's algorithm, correcting up to
-floor((K'-T-1)/2) arbitrary errors.
+shares at distinct indices: one limb combination by the Lagrange weights
+of their indices at 0, from their cached `field.lagrange_basis`. Robust
+reconstruction treats the K' share values of one scalar that were
+received, at any distinct indices, as a [K', T+1] Reed-Solomon codeword
+and decodes with Gao's algorithm, correcting up to floor((K'-T-1)/2)
+arbitrary errors.
 """
 
 from __future__ import annotations
 
-import functools
-import math
-import operator
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -22,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import field
-from .field import FieldVector, Q
+from .field import FieldVector
 
 
 class DecodeFailure(Exception):
@@ -96,32 +93,11 @@ def ss_share(
     return share_with_masks(secret, masks, K), masks
 
 
-@functools.lru_cache(maxsize=64)
-def integer_weights(xs: tuple[int, ...], x: int) -> tuple[int, tuple[int, ...]] | None:
-    """(D, w) for the share indices xs at the point x: w_t = D * L_t(x),
-    with L_t the Lagrange basis of xs and D > 0 the least common
-    denominator of the L_t(x), so sum_t w_t * P(x_t) = D * P(x) for every
-    P of degree below len(xs), by integer arithmetic only. None when the
-    indices repeat or leave 1..q - 1, or D or some |w_t| is 2^31 or more,
-    past the weights `FieldVector.combination` takes."""
-    if len(set(xs)) != len(xs) or not all(0 < xt < Q for xt in xs):
-        return None
-    # L_t(x) = num_t / den_t, products over the other indices u of x - x_u and x_t - x_u
-    nums = [math.prod(x - xu for xu in xs if xu != xt) for xt in xs]
-    dens = [math.prod(xt - xu for xu in xs if xu != xt) for xt in xs]
-    d = math.lcm(*(den // math.gcd(num, den) for num, den in zip(nums, dens)))
-    weights = tuple(num * d // den for num, den in zip(nums, dens))
-    if max(d, *map(abs, weights)) >= 1 << 31:
-        return None
-    return d, weights
-
-
 def ss_recon(shares: list[ShareVector], T: int) -> list[int]:
     """Reconstruct u(0) coordinate-wise from the first T+1 of >= T+1
-    equal-length shares: sum_t w_t * s_t on their limbs, with the integer
-    weights (D, w) of their indices at 0, times D^-1 when D != 1 (indices
-    1..T+1 give D = 1). Index sets whose weights reach 2^31 sum y_t L_t(0)
-    over their indices' cached `field.lagrange_basis`.
+    equal-length shares: sum_t L_t(0) * s_t, one limb combination whose
+    weights are column 0 of their indices' cached `field.lagrange_basis`.
+    Raises ValueError when those indices repeat or the lengths differ.
 
     No consistency check is performed across extra shares; callers that
     need error tolerance use robust_recon, one scalar at a time.
@@ -129,20 +105,8 @@ def ss_recon(shares: list[ShareVector], T: int) -> list[int]:
     if len(shares) < T + 1:
         raise ValueError(f"need at least {T + 1} shares, got {len(shares)}")
     use = shares[: T + 1]
-    if len({len(s) for s in use}) != 1:
-        raise ValueError("share lengths differ")
-    xs = tuple(s.index for s in use)
-    weights = integer_weights(xs, 0)
-    if weights is None:
-        at_zero = field.lagrange_basis(xs).columns[0]
-        columns = zip(*(s.values.tolist() for s in use))
-        return [sum(map(operator.mul, at_zero, ys)) % Q for ys in columns]
-    d, w = weights
-    total = FieldVector.combination(w, [s.values for s in use]).tolist()
-    if d == 1:
-        return total
-    d_inv = pow(d, -1, Q)
-    return [v * d_inv % Q for v in total]
+    at_zero = field.lagrange_basis(tuple(s.index for s in use)).columns[0]
+    return FieldVector.combination(at_zero, [s.values for s in use]).tolist()
 
 
 def gao_decode(xs: list[int], ys: list[int], k: int) -> list[int]:

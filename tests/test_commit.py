@@ -21,7 +21,7 @@ from gradmarket.commit import (
     verify_share,
 )
 from gradmarket.field import FieldVector, Q
-from gradmarket.shamir import ShareVector, integer_weights, ss_share
+from gradmarket.shamir import ShareVector, ss_share
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -235,16 +235,6 @@ def test_verify_share_with_verified_shares_matches_the_plain_check(T, K):
         assert _anchored_checks(key, anchors, cm, candidates, seed=n) == plain
 
 
-def test_secret_weights_clear_the_denominators_or_refuse():
-    assert integer_weights((1, 2), 0) == (1, (2, -1))
-    assert integer_weights((1, 2, 5), 0) == (6, (15, -10, 1))
-    for xs in ((1, 1), (0, 2), (3, 2, 3), (Q, 1), (-1, 2)):
-        assert integer_weights(xs, 0) is None
-    # through 1, 2 and X, w_1 = X (X - 2): below 2^31 at X = 2^15, not at 2^16
-    assert integer_weights((1, 2, 1 << 15), 0)[1][0] < 1 << 31
-    assert integer_weights((1, 2, 1 << 16), 0) is None
-
-
 def _counting_multi_exps(monkeypatch):
     """A one-element list counting `commit._multi_exp` calls from now on."""
     calls = [0]
@@ -292,7 +282,7 @@ def test_a_share_past_t_plus_one_verified_ones_is_checked_in_the_field(T, K, mon
     assert calls[0] == 1 + len(candidates) - (T + 2)
 
 
-def test_a_large_weight_falls_back_to_the_plain_check(monkeypatch):
+def test_a_share_far_past_the_anchors_is_checked_in_the_field(monkeypatch):
     rng = random.Random(95)
     m, T = 4, 2
     key = _explicit_key(rng, m)
@@ -306,33 +296,30 @@ def test_a_large_weight_falls_back_to_the_plain_check(monkeypatch):
         values[0] += bump
         return ShareVector(x, values)
 
-    # the weights at 2^16 through the anchors (1, 2, 3) reach 2^31 (w_2 =
-    # -(X - 1)(X - 3)): past the batch, each check is the plain one, one
-    # 16-window fold
-    assert integer_weights((1, 2, 3), 1 << 16) is None
-    assert integer_weights((1, 2, 3), 1 << 15) is not None
+    # the weights at X = 2^16 through the anchors (1, 2, 3) are integers
+    # past 2^31 (L_2(X) = -(X - 1)(X - 3)), and the F_q check takes them
+    # as they are: past the batch, no check folds
     batch = commit.ShareBatch.draw(key, [(share(x), cm) for x in (1, 2, 3)], random.Random(0))
     assert batch.holds
     folds = _recording_folds(monkeypatch)
     results = [verify_share(s, cm, key, batch=batch)
                for s in (share(1 << 16), share(1 << 16, bump=1))]
     assert results == [True, False]
-    assert [d.shape[1] for d in folds] == [16, 16]
+    assert folds == []
 
 
 def test_a_commitment_outside_the_group_takes_the_plain_check():
     # C[1] times -1, an element of order 2: the plain check at index x sees
     # (-1)^x, so index 2 passes and index 3 fails. Through (1, 2) the
-    # weights at 3 are (-1, 2) with D = 1, and share 3 lies on the line
-    # through shares 1 and 2, so the F_q check over those anchors would
-    # pass it; the batch admits neither, and share 3 takes the plain check
+    # weights at 3 are (-1, 2), and share 3 lies on the line through shares
+    # 1 and 2, so the F_q check over those anchors would pass it; the batch
+    # admits neither, and share 3 takes the plain check
     rng = random.Random(96)
     key, _, shares, cm = _small_secret_instance(rng, 1, 5)
     odd = commit.VectorCommitment((cm.elements[0], cm.elements[1] * (P - 1) % P))
     assert not odd.in_group and cm.in_group
     assert verify_share(shares[1], odd, key)
     assert not verify_share(shares[2], odd, key)
-    assert integer_weights((1, 2), 3) == (1, (-1, 2))
     line = FieldVector.combination((-1, 2), [shares[0].values, shares[1].values])
     assert line == shares[2].values
     batch = commit.ShareBatch.draw(key, [(shares[0], odd), (shares[1], odd)], random.Random(0))

@@ -403,24 +403,27 @@ def test_field_vector_negation_is_xor_with_q():
 
 
 def test_field_vector_combination_matches_ints_at_edges():
-    # edge residues against the largest weights of both signs, and zero
+    # edge residues against the largest one-digit weights of both signs,
+    # zero, and weights of every digit count up to the widest signed
+    # residues, HALF_Q and HALF_Q + 1 (= -HALF_Q), beside smaller ones
     columns = list(itertools.product(EDGES, repeat=3))
     vectors = [FieldVector(c[j] for c in columns) for j in range(3)]
     top = (1 << 31) - 1
-    for weights in ([1, 1, 1], [top, -top, top], [-top, -top, -top], [0, -1, 3], [-1, 0, 0]):
+    wide = [1 << 31, -(1 << 31), 1 << 62, -(1 << 62), HALF_Q, HALF_Q + 1, Q - 1, Q, -Q, 1 << 200]
+    for weights in ([1, 1, 1], [top, -top, top], [-top, -top, -top], [0, -1, 3], [-1, 0, 0],
+                    *([w, top, -w] for w in wide), [HALF_Q, 1 << 62, -1], [Q, -Q, 0]):
         expect = [sum(w * e for w, e in zip(weights, c)) % Q for c in columns]
         assert FieldVector.combination(weights, vectors).tolist() == expect
-    # many terms carry through every limb between terms
+    # many terms carry through every limb between terms, in every digit
     rng = random.Random(43)
     many = [FieldVector([Q - 1, *rng.sample(EDGES, 3)]) for _ in range(200)]
-    weights = [rng.choice((top, -top)) for _ in many]
-    expect = [sum(w * e for w, e in zip(weights, c)) % Q for c in zip(*many)]
-    assert FieldVector.combination(weights, many).tolist() == expect
-    for bad in ([1 << 31, 1], [-(1 << 31), 1]):
+    for choices in ((top, -top), wide):
+        weights = [rng.choice(choices) for _ in many]
+        expect = [sum(w * e for w, e in zip(weights, c)) % Q for c in zip(*many)]
+        assert FieldVector.combination(weights, many).tolist() == expect
+    for weights in ([1, 1], [0, 0]):
         with pytest.raises(ValueError):
-            FieldVector.combination(bad, vectors[:2])
-    with pytest.raises(ValueError):
-        FieldVector.combination([1, 1], [vectors[0], FieldVector(EDGES)])
+            FieldVector.combination(weights, [vectors[0], FieldVector(EDGES)])
     with pytest.raises(ValueError):
         FieldVector.combination([1], vectors[:2])
     with pytest.raises(ValueError):

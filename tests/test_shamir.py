@@ -11,7 +11,6 @@ from gradmarket.shamir import (
     DecodeFailure,
     ShareVector,
     gao_decode,
-    integer_weights,
     robust_recon,
     share_with_masks,
     ss_recon,
@@ -132,29 +131,25 @@ def test_share_recon_roundtrip():
         assert ss_recon(subset, T) == secret
 
 
-def test_recon_clears_the_weights_denominator_or_falls_back(monkeypatch):
-    # at 0, indices (1, 3) have weights (3, -1) over D = 2 and (2, 4, 5)
-    # have (10, -15, 8) over D = 3: the limb sum times D^-1. Through
-    # (1, 2, 2^16) a weight reaches 2^31, and the Lagrange basis answers
+def test_recon_over_any_distinct_indices_is_one_combination():
+    # at 0, indices (1, 3) have weights (3/2, -1/2) and (2, 4, 5) have
+    # (10/3, -5, 8/3): each fraction is a signed residue of 126 bits, five
+    # 31-bit digits. Through (1, 2, 2^16) the weights take four digits.
+    # Repeated indices have no Lagrange basis
     rng = random.Random(12)
     secret = [0, 1, Q - 1, *(field.rand_element(rng) for _ in range(5))]
     masks = [[field.rand_element(rng) for _ in secret] for _ in range(2)]
-    bases = []
-    basis = field.lagrange_basis
-    monkeypatch.setattr(field, "lagrange_basis", lambda xs: bases.append(xs) or basis(xs))
 
     def shares_at(xs, T):
         return [ShareVector(x, [(a + sum(z[k] * x ** (j + 1) for j, z in enumerate(masks[:T])))
                                 % Q for k, a in enumerate(secret)]) for x in xs]
 
-    assert integer_weights((1, 3), 0) == (2, (3, -1))
-    assert integer_weights((2, 4, 5), 0) == (3, (10, -15, 8))
-    assert integer_weights((1, 2, 1 << 16), 0) is None
     assert ss_recon(shares_at((1, 3), 1), 1) == secret
     assert ss_recon(shares_at((2, 4, 5), 2), 2) == secret
-    assert bases == []
     assert ss_recon(shares_at((1, 2, 1 << 16), 2), 2) == secret
-    assert bases == [(1, 2, 1 << 16)]
+    for xs, T in (((2, 2), 1), ((1, 3, 1), 2)):
+        with pytest.raises(ValueError):
+            ss_recon(shares_at(xs, T), T)
 
 
 def test_share_parameter_errors():
