@@ -1,4 +1,4 @@
-"""The ten configs derived from the shipped ones, which the replay checks and
+"""The eleven configs derived from the shipped ones, which the replay checks and
 the golden manifest run next to `configs/*.json`.
 
 Run as a script to write each as `<name>.json` into a directory:
@@ -73,6 +73,12 @@ DERIVED = {
     # clean.json at K = 7, T = 2, the one replay with T >= 2: its
     # aggregate shares are checked against three anchors at once
     "k7t2": dict(_load("clean"), K=7, T=2),
+    # clean.json at N = 16 with owner 5 sending server 2 a bad share: the
+    # one replay whose failing share batch splits four levels deep; owner 5
+    # is excluded and the other 15 owners are paid
+    "n16bad": dict(_load("clean"), N=16, malicious_dos=[
+        {"id": 5, "behavior": "bad_share", "target_server": 2},
+    ]),
 }
 
 
