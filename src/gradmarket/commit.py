@@ -19,13 +19,19 @@ the coordinate-wise sum of shares. Each off-chain party checks its shares
 as one `ShareBatch`: their checks raised to random 62-bit coefficients and
 multiplied, one multi-exp over the combined share (a small-exponent batch
 test), which a batch with a failing share passes with probability at most
-1 / (2^62 - 1). A server's batch holds its N shares, one per owner. The
-model owner's holds its first T + 1 summed shares, which fix the shared
-polynomial once the batch holds, so each further summed share is checked
-against its value there in F_q, with no group work: the plain check's
-answer unless the batch erred or someone knows a discrete-log relation
-among the generators. The contract, and any share a batch cannot answer
-for, takes the plain check.
+1 / (2^62 - 1). A batch that fails is split in halves, in member order, to
+find its failing members (Pastuszak, Michalek, Pieprzyk and Seberry,
+"Identification of Bad Signatures in Batches", PKC 2000): a split computes
+one half's fold and divides it out of its parent's for the other half, so
+one failing share among N costs at most ceil(log2 N) more multi-exps, not
+N plain checks. A share the split convicts fails the plain check; one it
+passes fails it with probability at most (2N - 1) / (2^62 - 1). A server's
+batch holds its N shares, one per owner. The model owner's holds its first
+T + 1 summed shares, which fix the shared polynomial once the batch holds,
+so each further summed share is checked against its value there in F_q,
+with no group work: the plain check's answer unless the batch erred or
+someone knows a discrete-log relation among the generators. The contract,
+and any share a batch cannot answer for, takes the plain check.
 
 Both sides of that check are multi-exponentiations over the one basis, so
 the key precomputes each basis element's power at every byte position of
@@ -357,8 +363,10 @@ class ShareBatch:
         prod_k basis[k]^(sum_n c_n * s_n[k]) == prod_n prod_j C_n[j]^(c_n * i_n^j)
 
     one full-width multi-exp and a short pow per commitment element, where
-    checking the members one by one runs a full-width multi-exp each. `holds`
-    runs the check once and caches the answer; `check` answers for a share.
+    checking the members one by one runs a full-width multi-exp each.
+    `answers` runs the check once, splits a batch that fails until its
+    failing members stand alone, and caches each member's answer; `check`
+    answers for a share.
 
     Soundness. Write G(s) = prod_k basis[k]^s[k] and Delta_n = G(s_n) /
     prod_j C_n[j]^(i_n^j), so member n passes the plain check iff Delta_n =
@@ -371,6 +379,19 @@ class ShareBatch:
     batch with a failing member holds with probability at most 1 / (2^62 -
     1) over the coefficients, provided the dealers fixed their shares and
     commitments before the checker drew them.
+
+    The split. A run of members holds iff prod_n Delta_n^(c_n) = 1 over it,
+    and the folds and sides of two halves multiply to their parent's, so
+    a run that fails has a half that fails, down to a single member. A
+    single member's check is exact: Delta_n^(c_n) = 1 iff Delta_n = 1, as
+    c_n is invertible mod q and Delta_n lies in the order-q subgroup. So
+    every member answered False fails the plain check. A member answered
+    True lies in a run that held; if it fails the plain check, that run
+    erred, which for each of the at most 2N - 1 runs compared has
+    probability at most 1 / (2^62 - 1), as above: the split errs with
+    probability at most (2N - 1) / (2^62 - 1). Past the batch's multi-exp,
+    one failing member among N costs at most ceil(log2 N) more, and N
+    failing members N - 1.
 
     The F_q check. When the members are T + 1 shares of one commitment C of
     T + 1 elements (the anchors) at distinct indices x_t, a further share of
@@ -386,8 +407,9 @@ class ShareBatch:
     binding. So the F_q check errs only if the batch held over a failing
     anchor, with probability at most 1 / (2^62 - 1), or the binding breaks.
 
-    Every other answer is the plain check's: a batch that fails answers for
-    no share, and neither do anchors whose indices repeat.
+    The F_q check runs only when the whole batch holds. Every other share
+    outside the batch takes the plain check, as do further shares of
+    anchors whose indices repeat.
     """
 
     key: CommitmentKey
@@ -410,28 +432,67 @@ class ShareBatch:
         return cls(key, members, coefficients)
 
     @functools.cached_property
-    def holds(self) -> bool:
-        """The folded check, whose share side is one limb combination."""
-        combined = FieldVector.combination(self.coefficients, [s.values for s, _ in self.members])
-        rhs = 1
+    def answers(self) -> tuple[bool, ...]:
+        """Each member's answer, found by halving the folds that fail.
+
+        Member n's commitment side is r_n = prod_j C_n[j]^(c_n * i_n^j), and
+        a run of members holds iff its fold, G(sum_n c_n * s_n), equals the
+        product of their sides. The whole batch's fold is the one full-width
+        multi-exp of a batch that holds. A run that fails splits in halves,
+        in member order: the first half's fold is computed (`_fold`), the
+        second's is the run's fold divided by the first's, and only a half
+        that fails splits again. A failing single member is answered False.
+        """
+        sides = []
         for (share, commitment), c in zip(self.members, self.coefficients):
-            e = c  # c * i^j mod q
+            side, e = 1, c  # e = c * i^j mod q
             for element in commitment.elements:
-                rhs = rhs * pow(element, e, P) % P
+                side = side * pow(element, e, P) % P
                 e = e * share.index % Q
-        return _multi_exp(self.key, combined) == rhs
+            sides.append(side)
+        answers = [True] * len(self.members)
+        # a stack of runs to settle, not a closure that recurses: that would
+        # be a reference cycle, keeping each batch and its shares alive
+        # until the garbage collector runs
+        runs = [(0, len(self.members), self._fold(0, len(self.members)))]
+        while runs:
+            lo, hi, fold = runs.pop()
+            if fold == functools.reduce(lambda a, b: a * b % P, sides[lo:hi]):
+                continue
+            if hi - lo == 1:
+                answers[lo] = False
+                continue
+            mid = (lo + hi) // 2
+            first = self._fold(lo, mid)
+            runs += [(mid, hi, fold * pow(first, -1, P) % P), (lo, mid, first)]
+        return tuple(answers)
+
+    def _fold(self, lo: int, hi: int) -> int:
+        """G(sum_n c_n * s_n) over members lo..hi - 1: one limb combination
+        and one multi-exp, or for a single member its plain check's
+        multi-exp raised to c_n."""
+        if hi - lo == 1:
+            share = self.members[lo][0]
+            return pow(_multi_exp(self.key, share.values), self.coefficients[lo], P)
+        shares = [s.values for s, _ in self.members[lo:hi]]
+        return _multi_exp(self.key, FieldVector.combination(self.coefficients[lo:hi], shares))
+
+    @property
+    def holds(self) -> bool:
+        """Whether every member passes: the whole batch's folded check."""
+        return all(self.answers)
 
     def check(
         self, share: ShareVector, commitment: VectorCommitment, key: CommitmentKey
     ) -> bool | None:
-        """The batch's answer for (share, commitment) under key: True for a
-        member of a batch that holds, the F_q check's for a further share
-        of its anchors' commitment, and None, for the plain check to
+        """The batch's answer for (share, commitment) under key: the split's
+        for a member, the F_q check's for a further share of its anchors'
+        commitment once the batch holds, and None, for the plain check to
         answer, wherever neither applies."""
         if key != self.key:
             return None
         if (share, commitment) in self.members:
-            return self.holds or None
+            return self.answers[self.members.index((share, commitment))]
         anchors = [s for s, c in self.members if c == commitment]
         if not (len(anchors) == len(self.members) == len(commitment.elements)
                 and len(share.values) == len(key) and self.holds):
@@ -456,11 +517,11 @@ def verify_share(
     """Check prod_j C[j]^(i^j) == prod_k basis[k]^(share[k]), exponents mod q.
 
     `batch` is the checking party's `ShareBatch`, which answers for its
-    members and, when they are T + 1 anchors of one commitment, for further
-    shares of it, as the plain check does but for the batch's 1 / (2^62 -
-    1) soundness error (see `ShareBatch`). Any other share, and every share
-    of a batch that fails, takes the plain check: one full-width multi-exp
-    and T + 1 short pows.
+    members and, when they are T + 1 anchors of one holding batch of one
+    commitment, for further shares of it, as the plain check does but for
+    the batch's soundness error (see `ShareBatch`): a member it fails does
+    fail the plain check. Any other share takes the plain check: one
+    full-width multi-exp and T + 1 short pows.
     """
     if batch is not None and (answer := batch.check(share, commitment, key)) is not None:
         return answer

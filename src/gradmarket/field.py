@@ -143,7 +143,8 @@ class FieldVector:
         decides when to carry and fold: only before a term that could push a
         limb within 2^33 of 2^64, so a plain sum of fewer than 2^30 vectors
         never folds. Weights below 2^31 take one pass, and a residue such as
-        1/2 takes five.
+        1/2 takes five. Each vector is converted to limbs, and negated, once
+        for all passes.
         """
         vectors = list(vectors)
         signed = [(w + HALF_Q) % Q - HALF_Q for w in weights]
@@ -151,33 +152,34 @@ class FieldVector:
             raise ValueError("need one weight per vector, and one or more vectors of one length")
         total, bound = np.zeros((4, len(vectors[0])), dtype=np.uint64), 0
         top = max(map(abs, signed)).bit_length()
+        held = [vec.limbs() for vec in vectors]
+        for w, limbs in zip(signed, held):
+            if w < 0:
+                limbs ^= _Q_LIMBS
+        term = np.empty_like(total)
         for shift in range((top - 1) // 31 * 31, -1, -31):
             if bound:  # a digit after the first
                 cls.carry_fold(total)
                 cls.carry_fold(total)
                 total <<= 31
                 bound = 1 << 63
-            for w, vec in zip(signed, vectors):
+            for w, limbs in zip(signed, held):
                 digit = abs(w) >> shift & _M31
                 if not digit:
                     continue
-                limbs = vec.limbs()
-                if w < 0:
-                    limbs ^= _Q_LIMBS
-                limbs *= digit
                 if bound + _M32 * digit > _LIMB_LIMIT:
                     cls.carry_fold(total)
                     bound = _FOLDED
-                total += limbs
+                total += np.multiply(limbs, digit, out=term)
                 bound += _M32 * digit
         if bound >= 1 << 62:
             cls.carry_fold(total)
         return cls.from_limbs(total)
 
     def limbs(self) -> np.ndarray:
-        """The elements as a fresh (4, len) uint64 array of 32-bit limbs,
-        least significant row first."""
-        return np.frombuffer(self._buf, "<u4").reshape(-1, 4).T.astype(np.uint64)
+        """The elements as a fresh C-ordered (4, len) uint64 array of 32-bit
+        limbs, least significant row first."""
+        return np.frombuffer(self._buf, "<u4").reshape(-1, 4).T.astype(np.uint64, order="C")
 
     def digits(self) -> np.ndarray:
         """The read-only (len, 16) uint8 view of the buffer: row k is element

@@ -412,11 +412,12 @@ class _Session:
         It folds its N checks into one `ShareBatch`, whose coefficients come
         from its own `server.<i>.batch` stream, and still asks
         `verify_share` once per owner: when the batch holds, each member
-        passes without a multi-exp of its own; when it fails, each owner's
-        share takes the plain check, so a complaint names exactly the owners
-        whose shares fail. An honest session runs K full-width multi-exps
-        here, not K·N. The contract's re-check of a complaint is the plain
-        check.
+        passes without a multi-exp of its own; when it fails, the batch
+        splits in halves until each failing share stands alone, so a
+        complaint names exactly the owners whose shares fail the plain
+        check. An honest session runs K full-width multi-exps here, not
+        K·N, and one bad share adds at most ceil(log2 N), not N. The
+        contract's re-check of a complaint is the plain check.
         """
         for i in self.servers:
             false_complaint = self.server_behaviors.get(i) == "false_complaint"
@@ -496,11 +497,12 @@ class _Session:
         shared polynomial, and each later summed share is checked against
         its value there in F_q, with no multi-exp, so at any K and T an
         honest aggregate costs one full-width multi-exp. When the batch
-        fails, as it does with a corrupt server among the first T + 1, every
-        summed share takes the plain check: K + 1 multi-exps. Each answer is
-        the plain check's, up to the batch's soundness error and the
-        commitment's binding, so the passing list, the failures and the
-        reconstruction are the plain checks' too.
+        fails, as it does with a corrupt server among the first T + 1, its
+        split answers each of the T + 1 anchors and every later summed
+        share takes the plain check: with server 1 corrupt, K - T + 1
+        multi-exps. Each answer is the plain check's, up to the batch's
+        soundness error and the commitment's binding, so the passing list,
+        the failures and the reconstruction are the plain checks' too.
         """
         config, world = self.config, self.world
         agg_commitment = self.contract.aggregate_commitment()

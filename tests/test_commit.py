@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import random
 from pathlib import Path
 
@@ -382,15 +383,17 @@ def test_an_honest_batch_passes_every_member_with_one_multi_exp(T, K, monkeypatc
 
 
 @pytest.mark.parametrize("T, K", [(1, 5), (2, 7)])
-def test_one_bad_member_fails_alone_at_every_position(T, K):
+def test_one_bad_member_fails_alone_at_every_position(T, K, monkeypatch):
     # one share per owner at index 1 or K, as a server batches them, and
     # T + 1 shares of one dealing at their own indices, as the model owner
-    # batches its anchors
+    # batches its anchors; past the batch's fold, the split runs one fold
+    # per level down to the bad member
     rng = random.Random(120 + T)
     N = 4
     key, dealt = _dealings(rng, T, K, N)
     batches = [[(shares[i - 1], cm) for shares, cm in dealt] for i in (1, K)]
     batches.append([(s, dealt[0][1]) for s in dealt[0][0][: T + 1]])
+    calls = _counting_multi_exps(monkeypatch)
     for members in batches:
         for bad in range(len(members)):
             pairs = list(members)
@@ -398,7 +401,44 @@ def test_one_bad_member_fails_alone_at_every_position(T, K):
                           pairs[bad][1])
             plain = [verify_share(s, c, key) for s, c in pairs]
             assert plain == [n != bad for n in range(len(pairs))]
+            calls[0] = 0
             assert _batch_checks(key, pairs, seed=bad) == plain
+            assert calls[0] - 1 <= math.ceil(math.log2(len(pairs)))
+
+
+def _bad_member_sets(N):
+    """Every set of members up to N = 5; past it, the empty set, each single
+    member, all of them and a seeded sample of 32 other sets."""
+    sets = [set(c) for r in range(N + 1) for c in itertools.combinations(range(N), r)]
+    if N <= 5:
+        return sets
+    return [*sets[: N + 1], sets[-1], *random.Random(N).sample(sets[N + 1 : -1], 32)]
+
+
+@pytest.mark.parametrize("T, K", [(1, 5), (2, 7)])
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 8])
+def test_the_split_gives_every_set_of_bad_members_the_plain_answers(N, T, K, monkeypatch):
+    # one bad member among N costs one fold per level of the split, at
+    # most ceil(log2 N) past the batch's; N bad ones cost at most N - 1
+    rng = random.Random(150 + 10 * N + T)
+    key, dealt = _dealings(rng, T, K, N)
+    i = rng.randrange(1, K + 1)
+    honest = [(shares[i - 1], cm) for shares, cm in dealt]
+    offset = [(_offset(s, rng.randrange(6), rng.randrange(1, Q)), c) for s, c in honest]
+    calls = _counting_multi_exps(monkeypatch)
+    for seed, bad in enumerate(_bad_member_sets(N)):
+        pairs = [offset[n] if n in bad else honest[n] for n in range(N)]
+        calls[0] = 0
+        answers = _batch_checks(key, pairs, seed=seed)
+        after_fold = calls[0] - 1
+        assert answers == [verify_share(s, c, key) for s, c in pairs]
+        assert answers == [n not in bad for n in range(N)]
+        if not bad or N == 1:
+            assert after_fold == 0
+        elif len(bad) == 1:
+            assert math.floor(math.log2(N)) <= after_fold <= math.ceil(math.log2(N))
+        if len(bad) == N:
+            assert after_fold <= N - 1
 
 
 @pytest.mark.parametrize("T, K", [(1, 5), (2, 7)])

@@ -223,8 +223,9 @@ def _clean_session(**overrides) -> sim._Session:
 def test_the_model_owner_runs_one_multi_exp(K, T, monkeypatch):
     # the batch over the first T + 1 summed shares is one full-width fold,
     # and the K - T - 1 later shares are checked in F_q alone; with server 1
-    # corrupt the batch fails, and each of the K summed shares takes the
-    # plain check's full-width fold too
+    # corrupt the batch fails, its split folds server 1's share alone and
+    # derives the other anchors' fold, and each of the K - T - 1 later
+    # summed shares takes the plain check's full-width fold
     widths = []
     fold, aggregate = commit._bucket_fold, sim._Session.aggregate
 
@@ -248,13 +249,13 @@ def test_the_model_owner_runs_one_multi_exp(K, T, monkeypatch):
     session = _clean_session(K=K, T=T, malicious_servers=[{"id": 1, "behavior": "corrupt_shares"}])
     assert session.agg_failures == [1]
     assert session.decrypted is not None
-    assert widths == [16] * (K + 1)
+    assert widths == [16] * (K - T + 1)
 
 
 @pytest.mark.parametrize("K, T", [(5, 1), (7, 2)])
 def test_each_server_checks_its_shares_with_one_multi_exp(K, T, monkeypatch):
     # every server folds its N checks into one batch and still asks once
-    # per owner; a server whose batch fails gives each owner its plain check
+    # per owner; a server whose batch fails splits it to find the bad share
     calls, checks = [], []
     multi_exp, complain, check = commit._multi_exp, sim._Session.complain, sim.verify_share
 
@@ -286,15 +287,16 @@ def test_each_server_checks_its_shares_with_one_multi_exp(K, T, monkeypatch):
     assert len(calls) == K
     assert len(checks) == K * N
     # owner 1 sends server 2 a bad share: server 2's batch fails, its first
-    # check runs the batch and a plain check, each later one a plain check,
-    # and the contract's re-check of the upheld complaint adds one
+    # check runs the batch and the split's two folds (owners 0 and 1, then
+    # owner 0 alone, each deriving its other half), the later checks run
+    # none, and the contract's re-check of the upheld complaint adds one
     session = _clean_session(
         K=K, T=T, malicious_dos=[{"id": 1, "behavior": "bad_share", "target_server": 2}]
     )
     assert session.contract.validity == set(range(N)) - {1}
-    assert [c for i, c in checks if i == 2] == [2] + [1] * (N - 1)
+    assert [c for i, c in checks if i == 2] == [3, 0, 0, 0]
     assert [c for i, c in checks if i != 2] == [1, 0, 0, 0] * (K - 1)
-    assert len(calls) == K + N + 1
+    assert len(calls) == K + 2 + 1
 
 
 def test_a_corrupt_first_server_leaves_the_decrypted_gradient():
