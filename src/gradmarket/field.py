@@ -79,9 +79,9 @@ class FieldVector:
     construction.
 
     It reads as a sequence of ints: `len`, an int index, a slice (a tuple),
-    iteration, equality and hashing. Whole-vector reads decode the buffer
-    at once (`tolist`); whole-vector arithmetic runs on `limbs` and packs
-    its result with `from_limbs`, and `digits` exposes the bytes themselves.
+    iteration, equality and hashing. `tolist` decodes the buffer at once
+    and `digits` exposes its bytes; `combination` and `evaluate` run on
+    private 32-bit limb arrays, the one place that knows the limb layout.
     """
 
     __slots__ = ("_buf",)
@@ -100,19 +100,19 @@ class FieldVector:
         return vec
 
     @classmethod
-    def from_limbs(cls, t: np.ndarray) -> FieldVector:
+    def _from_limbs(cls, t: np.ndarray) -> FieldVector:
         """The vector of the values t[0] + t[1] 2^32 + t[2] 2^64 + t[3] 2^96
         mod q, in row-major order, for a (4, ...) uint64 limb array whose
         limbs are below 2^62; t is overwritten. Two rounds of carries and of
         the fold 2^127 = 1 mod q leave every value at most q, and q itself
         becomes 0."""
         for _ in range(2):
-            cls.carry_fold(t)
+            cls._carry_fold(t)
         t[:, (t[0] == _M32) & (t[1] == _M32) & (t[2] == _M32) & (t[3] == _M31)] = 0
         return cls._packed(np.moveaxis(t, 0, -1).astype("<u4").tobytes())
 
     @staticmethod
-    def carry_fold(t: np.ndarray) -> None:
+    def _carry_fold(t: np.ndarray) -> None:
         """Carry limbs 0..2 of the limb array t in place and fold the bits
         from 2^127 up onto limb 0 (2^127 = 1 mod q); values mod q keep."""
         for j in range(3):
@@ -152,15 +152,15 @@ class FieldVector:
             raise ValueError("need one weight per vector, and one or more vectors of one length")
         total, bound = np.zeros((4, len(vectors[0])), dtype=np.uint64), 0
         top = max(map(abs, signed)).bit_length()
-        held = [vec.limbs() for vec in vectors]
+        held = [vec._limbs() for vec in vectors]
         for w, limbs in zip(signed, held):
             if w < 0:
                 limbs ^= _Q_LIMBS
         term = np.empty_like(total)
         for shift in range((top - 1) // 31 * 31, -1, -31):
             if bound:  # a digit after the first
-                cls.carry_fold(total)
-                cls.carry_fold(total)
+                cls._carry_fold(total)
+                cls._carry_fold(total)
                 total <<= 31
                 bound = 1 << 63
             for w, limbs in zip(signed, held):
@@ -168,15 +168,38 @@ class FieldVector:
                 if not digit:
                     continue
                 if bound + _M32 * digit > _LIMB_LIMIT:
-                    cls.carry_fold(total)
+                    cls._carry_fold(total)
                     bound = _FOLDED
                 total += np.multiply(limbs, digit, out=term)
                 bound += _M32 * digit
         if bound >= 1 << 62:
-            cls.carry_fold(total)
-        return cls.from_limbs(total)
+            cls._carry_fold(total)
+        return cls._from_limbs(total)
 
-    def limbs(self) -> np.ndarray:
+    @classmethod
+    def evaluate(cls, coeffs: Iterable[Iterable[int]], points: Iterable[int]) -> list[FieldVector]:
+        """Values at integer points in 0..2^31 - 1, one vector per point, of
+        the polynomial whose coefficients, lowest degree first, are one or
+        more equal-length vectors (or int sequences): one Horner evaluation
+        on (4, points, len) limb arrays. A step multiplies by x < 2^31 and
+        adds a coefficient, each limb stays below 2^64, and one carry-and-fold
+        keeps every value below 2^127 + 2^33; the result is packed once."""
+        coeffs = [cls(c) for c in coeffs]
+        points = list(map(operator.index, points))
+        if len({len(c) for c in coeffs}) != 1:
+            raise ValueError("need one or more coefficient vectors of one length")
+        if not all(0 <= x <= _M31 for x in points):
+            raise ValueError("points must lie in 0..2^31 - 1")
+        xs = np.array(points, dtype=np.uint64)[:, None]
+        acc = np.repeat(coeffs[-1]._limbs()[:, None, :], len(points), axis=1)
+        for z in reversed(coeffs[:-1]):
+            acc *= xs
+            acc += z._limbs()[:, None, :]
+            cls._carry_fold(acc)
+        buf, step = cls._from_limbs(acc)._buf, ELEMENT_BYTES * len(coeffs[0])
+        return [cls._packed(buf[i * step:(i + 1) * step]) for i in range(len(points))]
+
+    def _limbs(self) -> np.ndarray:
         """The elements as a fresh C-ordered (4, len) uint64 array of 32-bit
         limbs, least significant row first."""
         return np.frombuffer(self._buf, "<u4").reshape(-1, 4).T.astype(np.uint64, order="C")
@@ -196,13 +219,6 @@ class FieldVector:
         and one or per element outside the interpreter loop."""
         words = np.frombuffer(self._buf, "<u8").astype(object)
         return (words[0::2] | words[1::2] << 64).tolist()
-
-    def split(self, parts: int) -> list[FieldVector]:
-        """The vector cut into `parts` consecutive vectors of equal length."""
-        if len(self) % parts:
-            raise ValueError("length is not a multiple of the part count")
-        step = len(self._buf) // parts
-        return [FieldVector._packed(self._buf[i * step:(i + 1) * step]) for i in range(parts)]
 
     def take(self, indices) -> FieldVector:
         """The vector of the elements at the given positions."""

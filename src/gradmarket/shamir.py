@@ -16,8 +16,6 @@ import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import field
 from .field import FieldVector
 
@@ -56,25 +54,11 @@ def share_with_masks(
 
     Deterministic core of ss_share; masks[j] is the degree-(j+1) coefficient
     vector Z^(j+1), and each vector is an int sequence or a `FieldVector`.
-    All K shares are one Horner evaluation over whole coefficient vectors,
-    highest degree first, on (4, K, m) arrays of 32-bit limbs in uint64
-    lanes: a step multiplies by x < 2^31 and adds a coefficient, each limb
-    stays below 2^64, and one carry-and-fold (2^127 = 1 mod q) keeps every
-    value below 2^127 + 2^33 for the next step.
+    All K shares are one `FieldVector.evaluate` at 1..K.
     """
-    coeffs = [FieldVector(c) for c in (secret, *masks)]
-    m = len(coeffs[0])
-    if any(len(z) != m for z in coeffs[1:]):
-        raise ValueError("mask length must match secret length")
     if not 0 < K < 1 << 31:
         raise ValueError(f"need 0 < K < 2^31, got K={K}")
-    xs = np.arange(1, K + 1, dtype=np.uint64)[:, None]
-    acc = np.repeat(coeffs[-1].limbs()[:, None, :], K, axis=1)
-    for z in reversed(coeffs[:-1]):
-        acc *= xs
-        acc += z.limbs()[:, None, :]
-        FieldVector.carry_fold(acc)
-    rows = FieldVector.from_limbs(acc).split(K)
+    rows = FieldVector.evaluate([secret, *masks], range(1, K + 1))
     return [ShareVector(index=i, values=v) for i, v in enumerate(rows, 1)]
 
 

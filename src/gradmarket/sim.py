@@ -64,7 +64,7 @@ class SessionConfig:
 
     layers: tuple[int, ...] = (4, 8, 2)
     N: int = _bounded(4, 1)
-    K: int = _bounded(5, 3, 2**31 - 1)  # share_with_masks evaluates at x < 2^31
+    K: int = _bounded(5, 3, 2**31 - 1)  # FieldVector.evaluate takes points x < 2^31
     T: int = _bounded(1, 1)
     rho: int | None = _bounded(None, 1)  # None: the model owner calibrates it per session
     rho_cap: int = _bounded(1024, 1)

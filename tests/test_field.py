@@ -373,9 +373,6 @@ def test_field_vector_reads_as_an_int_sequence():
     assert vec.to_bytes() == b"".join(map(field.to_bytes, ints))
     assert vec.digits().shape == (len(ints), field.ELEMENT_BYTES)
     assert vec.take([3, 0, 3]).tolist() == [ints[3], ints[0], ints[3]]
-    assert [part.tolist() for part in vec.split(11)] == [[v] for v in ints]
-    with pytest.raises(ValueError):
-        vec.split(2)
     assert len(FieldVector()) == 0 and FieldVector().tolist() == []
 
 
@@ -428,3 +425,26 @@ def test_field_vector_combination_matches_ints_at_edges():
         FieldVector.combination([1], vectors[:2])
     with pytest.raises(ValueError):
         FieldVector.combination([], [])
+
+
+# the coefficients at every limb boundary, at the sign threshold and at q - 1
+LIMB_EDGES = [0, 1, (1 << 32) - 1, (1 << 64) - 1, 1 << 64, (1 << 96) - 1, 1 << 96,
+              HALF_Q, HALF_Q + 1, Q - 1]
+
+
+@pytest.mark.parametrize("T", [1, 2, 3])
+def test_field_vector_evaluate_at_the_largest_points(T):
+    # every combination of edge coefficients, of degree T, at the smallest
+    # and largest points, against per-coordinate Horner evaluation
+    columns = list(itertools.product(LIMB_EDGES, repeat=T + 1))
+    coeffs = [FieldVector(c[j] for c in columns) for j in range(T + 1)]
+    points = [1, 2, (1 << 31) - 2, (1 << 31) - 1]
+    values = FieldVector.evaluate(coeffs, points)
+    assert [v.tolist() for v in values] == [
+        [field.poly_eval(list(c), x) for c in columns] for x in points
+    ]
+    for bad in (1 << 31, -1):
+        with pytest.raises(ValueError):
+            FieldVector.evaluate(coeffs, [1, bad])
+    with pytest.raises(ValueError):
+        FieldVector.evaluate([coeffs[0], FieldVector(LIMB_EDGES)], points)
